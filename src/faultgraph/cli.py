@@ -93,10 +93,16 @@ def _parse_synthetic(spec: str):
     parts = spec.split(":")
     if len(parts) not in (3, 4):
         raise ConfigError("--synthetic takes MODE:GAMMA:N[:XMIN]")
-    mode, gamma, n = parts[0], float(parts[1]), int(parts[2])
+    mode = parts[0]
     if mode not in (DISCRETE, CONTINUOUS):
         raise ConfigError(f"synthetic mode must be {DISCRETE} or {CONTINUOUS}")
-    x_min = float(parts[3]) if len(parts) == 4 else 1.0
+    try:
+        gamma, n = float(parts[1]), int(parts[2])
+        x_min = float(parts[3]) if len(parts) == 4 else 1.0
+    except ValueError as exc:
+        raise ConfigError(f"--synthetic takes MODE:GAMMA:N[:XMIN]: {exc}") from exc
+    if n < 1:
+        raise ConfigError(f"--synthetic needs N >= 1, got {n}")
     return mode, gamma, n, x_min
 
 
@@ -117,6 +123,8 @@ def run_fit(args) -> int:
     if args.samples is not None:
         try:
             values = [float(line) for line in Path(args.samples).read_text().split()]
+        except OSError as exc:
+            raise InputError(f"cannot read samples file: {exc}") from exc
         except ValueError as exc:
             raise InputError(f"samples file must hold one number per line: {exc}") from exc
         try:

@@ -46,10 +46,6 @@ class CUGraph:
             assert w >= 1
             assert src in self.nodes and tgt in self.nodes
 
-    @property
-    def edge_set(self) -> frozenset[tuple[str, str, str, int]]:
-        return frozenset((s, t, k, w) for (s, t, k), w in self.weights.items())
-
     def out_edges(self, path: str) -> list[tuple[str, str, int]]:
         return [(t, k, w) for (s, t, k), w in self.weights.items() if s == path]
 

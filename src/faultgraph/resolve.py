@@ -46,10 +46,6 @@ class ResolvedCorpus:
     cus: tuple[CUFacts, ...]  # sorted by path
     classes: dict[ClassId, ResolvedClass]
 
-    def class_ids_of(self, path: str) -> list[ClassId]:
-        by_path = [cid for cid in self.classes if cid[0] == path]
-        return sorted(by_path)
-
     def to_json(self) -> str:
         """Deterministic serialization of the resolved relationships."""
         payload = {}

@@ -13,17 +13,34 @@ not given, every distinct sample value is a candidate and the one minimizing
 the Kolmogorov-Smirnov distance between the empirical tail CCDF and the
 fitted CCDF wins; ties go to the smaller x_min (larger tail).
 
-The chi-square p-value is computed from the regularized upper incomplete
-gamma function, evaluated by series / continued fraction to well below 1e-10
-absolute error; scipy is used only for the Hurwitz zeta function and
-root bracketing.
+The continuous scan screens before it fits. Sorting once gives every
+candidate's tail count, and a reversed cumulative sum of log gaps gives
+every candidate's gamma in O(1). A screened KS distance, computed from those
+over the global array of distinct values, agrees with the exact one to well
+under 1e-11, and its maximum over any evenly spaced probe points of the tail
+bounds it from below. Candidates are visited in increasing order of a
+64-point bound until that bound passes the best screened distance plus a
+tolerance; a visited candidate is screened in full unless its 1024-point
+bound passes that mark too. Only the candidates within the tolerance of the
+best are fitted exactly, smallest x_min first, so the result is the one a
+fit at every candidate gives. Candidates too steep for the screen to track
+the exact distance (gamma - 1 above 1e5) are fitted outright. Of the ~10^4
+candidates of 10^4 Pareto draws, a few dozen to a few hundred need a full
+screen and one an exact fit. Where the bounds prune
+nothing the screen still costs a vectorised O(C * U) for C candidates and U
+distinct values, in chunks of fixed size. The discrete scan fits every
+candidate.
+
+scipy supplies the Hurwitz zeta function, the regularized upper incomplete
+gamma function behind the chi-square p-value, and, imported on first use,
+the root bracketing of the discrete fit.
 """
 
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
+from scipy.special import gammaincc
 from scipy.special import zeta as hurwitz_zeta
 
 from .errors import (
@@ -126,6 +143,8 @@ def _continuous_gamma(tail: np.ndarray, x_min: float) -> float:
 
 def _discrete_gamma(tail: np.ndarray, x_min: int) -> float:
     """Exact discrete MLE: solve d/dgamma [log zeta(gamma, x_min)] = -mean(log x)."""
+    from scipy.optimize import brentq  # imported here: continuous fits never load it
+
     mean_log = float(np.mean(np.log(tail)))
     if mean_log <= math.log(x_min) + 1e-12:
         raise InsufficientTail("tail has no spread above x_min")
@@ -212,6 +231,8 @@ def fit_power_law_tail(
         raise EmptyInput("cannot fit an empty sample set")
     if np.any(arr <= 0) or np.any(~np.isfinite(arr)):
         raise DomainError("samples must be finite and positive")
+    if x_min is not None and not (math.isfinite(x_min) and x_min > 0):
+        raise DomainError("x_min must be finite and positive")
     if mode == DISCRETE:
         if np.any(arr != np.floor(arr)):
             raise DomainError("discrete mode requires integer-valued samples")
@@ -226,24 +247,143 @@ def fit_power_law_tail(
             )
         return _fit_at(tail, float(x_min), mode)
 
-    candidates = np.unique(arr)
+    values = np.unique(arr)
+    above = arr.size - np.searchsorted(arr, values, side="left")  # samples >= each value
     # a candidate needs min_tail samples at or above it
-    viable = [float(v) for v in candidates if arr.size - np.searchsorted(arr, v, side="left") >= min_tail]
-    if max_candidates is not None and len(viable) > max_candidates:
-        idx = np.linspace(0, len(viable) - 1, max_candidates).round().astype(int)
-        viable = [viable[i] for i in sorted(set(idx.tolist()))]
-    best: TailFit | None = None
-    for v in viable:
-        tail = arr[arr >= v]
-        try:
-            fit = _fit_at(tail, v, mode)
-        except InsufficientTail:
-            continue
-        if best is None or fit.ks < best.ks:
-            best = fit
+    cand = np.flatnonzero(above >= min_tail)
+    if max_candidates is not None and cand.size > max_candidates:
+        cand = cand[np.unique(np.linspace(0, cand.size - 1, max_candidates).round().astype(int))]
+    if mode == CONTINUOUS:
+        best = _scan_continuous(arr, values, above, cand)
+    else:
+        best = None
+        for v in values[cand].tolist():
+            try:
+                fit = _fit_at(arr[arr >= v], v, mode)
+            except InsufficientTail:
+                continue
+            if best is None or fit.ks < best.ks:
+                best = fit
     if best is None:
         raise InsufficientTail(f"no candidate x_min keeps {min_tail} usable tail samples")
     return best
+
+
+# Continuous scan tuning. Where gamma - 1 <= _SCAN_MAX_SLOPE a screened KS
+# distance is within well under 1e-11 of the one _fit_at computes (the
+# tests hold it to _SCAN_TOL / 100); _SCAN_TOL is the margin that keeps the
+# exact winner among the candidates fitted exactly.
+_SCAN_TOL = 1e-9
+_SCAN_CHUNK = 1 << 17  # elements per temporary array
+_SCAN_PROBES = (64, 1024)  # probe points per tail: every candidate, then those not yet pruned
+# The rounding of x / x_min inside _fit_at moves its gamma, and so the gap
+# between screened and exact distances grows with gamma - 1: about 1e-15 at
+# 10 and 1e-13 at 1e5 on clustered test data. Steeper candidates, whose tail
+# sits within a relative 1e-5 of x_min on average, are fitted outright.
+_SCAN_MAX_SLOPE = 1e5
+
+
+class _Screen:
+    """Screened continuous KS distances over the distinct sample values.
+
+    Candidate k is the x_min ``values[k]``; its tail holds the ``above[k]``
+    samples >= it, whose empirical CCDF is ``above[j] / above[k]`` at
+    ``values[j]`` and ``above[j + 1] / above[k]`` just past it. Its MLE slope
+    gamma - 1 is ``above[k] / S[k]`` with S[k] = sum over the tail of
+    log(x / values[k]), which summation by parts turns into the reversed
+    cumulative sum of ``above[j] * log(values[j] / values[j - 1])`` over j > k:
+    non-negative terms, so no cancellation.
+    """
+
+    def __init__(self, values: np.ndarray, above: np.ndarray):
+        self.values = values
+        self.above = above
+        self.after = np.append(above[1:], 0)
+        gaps = above[1:] * np.log1p(np.diff(values) / values[:-1])
+        self.slope = above[:-1] / np.cumsum(gaps[::-1])[::-1]  # defined for k < values.size - 1
+
+    def terms(self, k: np.ndarray, j: np.ndarray) -> np.ndarray:
+        """KS term of candidate k[i] at values[j[i]]. Every caller goes through
+        this one expression, so a term has the same bits wherever it is taken."""
+        m = self.above[k]
+        fit = np.exp(-self.slope[k] * np.log(self.values[j] / self.values[k]))
+        return np.maximum(self.above[j] / m - fit, fit - self.after[j] / m)
+
+    def bounds(self, ks: np.ndarray, probes: int) -> np.ndarray:
+        """Lower bound on each candidate's screened distance: its terms at
+        ``probes`` evenly spaced points of its tail."""
+        out = np.empty(ks.size)
+        probe = np.arange(probes)
+        step = max(1, _SCAN_CHUNK // probes)
+        for lo in range(0, ks.size, step):
+            k = ks[lo : lo + step, None]
+            j = k + probe * (self.values.size - 1 - k) // (probes - 1)
+            k = np.broadcast_to(k, j.shape)
+            out[lo : lo + step] = self.terms(k.ravel(), j.ravel()).reshape(j.shape).max(axis=1)
+        return out
+
+    def distances(self, ks: np.ndarray) -> np.ndarray:
+        """Screened distance of each candidate: the largest of its terms."""
+        size = self.values.size
+        out = np.empty(ks.size)
+        lengths = size - ks
+        ends = np.cumsum(lengths)
+        lo = 0
+        while lo < ks.size:
+            hi = max(lo + 1, int(np.searchsorted(ends, ends[lo] - lengths[lo] + _SCAN_CHUNK, side="right")))
+            if lengths[lo] > _SCAN_CHUNK:  # one long tail, in pieces
+                k = ks[lo]
+                pieces = (np.arange(j, min(j + _SCAN_CHUNK, size)) for j in range(k, size, _SCAN_CHUNK))
+                out[lo] = max(self.terms(np.full(j.size, k), j).max() for j in pieces)
+            else:
+                k, n = ks[lo:hi], lengths[lo:hi]
+                starts = np.cumsum(n) - n
+                j = np.arange(n.sum()) + np.repeat(k - starts, n)
+                out[lo:hi] = np.maximum.reduceat(self.terms(np.repeat(k, n), j), starts)
+            lo = hi
+        return out
+
+
+def _scan_continuous(arr: np.ndarray, values: np.ndarray, above: np.ndarray, cand: np.ndarray) -> TailFit | None:
+    """The smallest-KS continuous fit over x_min in ``values[cand]``, with
+    ties to the smaller x_min: the fit a loop over every candidate would
+    keep, or None when no candidate can be fitted."""
+    screen = _Screen(values, above)
+    # _fit_at raises InsufficientTail exactly when every tail sample divided
+    # by x_min rounds to 1
+    cand = cand[values[-1] / values[cand] > 1.0]
+
+    def fit(c: int) -> TailFit:
+        k = cand[c]
+        return _fit_at(arr[arr.size - above[k] :], float(values[k]), CONTINUOUS)
+
+    screened = np.full(cand.size, np.inf)
+    exact = {int(c): fit(c) for c in np.flatnonzero(screen.slope[cand] > _SCAN_MAX_SLOPE)}
+    for c, f in exact.items():
+        screened[c] = f.ks
+    best = float(screened.min(initial=np.inf))
+
+    todo = np.flatnonzero(np.isinf(screened))
+    coarse, fine = _SCAN_PROBES
+    bound = screen.bounds(cand[todo], coarse)
+    by_bound = np.argsort(bound, kind="stable")
+    order, bound = todo[by_bound], bound[by_bound]
+    step = max(1, _SCAN_CHUNK // values.size)
+    pos = 0
+    while pos < order.size and bound[pos] <= best + _SCAN_TOL:
+        block = order[pos : pos + step]
+        block = block[screen.bounds(cand[block], fine) <= best + _SCAN_TOL]
+        if block.size:
+            screened[block] = screen.distances(cand[block])
+            best = min(best, float(screened[block].min()))
+        pos += step
+
+    result = None
+    for c in np.flatnonzero(screened <= best + _SCAN_TOL).tolist():
+        f = exact[c] if c in exact else fit(c)
+        if result is None or f.ks < result.ks:
+            result = f
+    return result
 
 
 def expected_max(n: int, gamma: float) -> float:
@@ -337,47 +477,10 @@ class ChiSquareResult:
 
 
 def regularized_gamma_q(a: float, x: float) -> float:
-    """Regularized upper incomplete gamma Q(a, x), absolute error < 1e-10.
-
-    Series expansion of P(a, x) for x < a + 1, continued fraction (modified
-    Lentz) for Q(a, x) otherwise.
-    """
+    """Regularized upper incomplete gamma Q(a, x)."""
     if a <= 0.0 or x < 0.0:
         raise DomainError("regularized_gamma_q needs a > 0 and x >= 0")
-    if x == 0.0:
-        return 1.0
-    log_prefactor = -x + a * math.log(x) - math.lgamma(a)
-    if x < a + 1.0:
-        term = 1.0 / a
-        total = term
-        denom = a
-        for _ in range(1000):
-            denom += 1.0
-            term *= x / denom
-            total += term
-            if abs(term) < abs(total) * 1e-17:
-                break
-        return 1.0 - total * math.exp(log_prefactor)
-    tiny = 1e-300
-    b = x + 1.0 - a
-    c = 1.0 / tiny
-    d = 1.0 / b
-    h = d
-    for i in range(1, 1000):
-        an = -i * (i - a)
-        b += 2.0
-        d = an * d + b
-        if abs(d) < tiny:
-            d = tiny
-        c = b + an / c
-        if abs(c) < tiny:
-            c = tiny
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
-        if abs(delta - 1.0) < 1e-17:
-            break
-    return math.exp(log_prefactor) * h
+    return float(gammaincc(a, x))
 
 
 def chi_square_independence(table) -> ChiSquareResult:

@@ -226,3 +226,25 @@ def test_unknown_release_tag_is_an_input_error(capsys):
 def test_missing_config_flag(capsys):
     code, _, err = run(capsys, "metrics", "--out", "/tmp/x")
     assert code == 1
+
+
+@pytest.mark.parametrize("x_min", ["0", "-1"])
+def test_fit_samples_with_nonpositive_x_min_is_an_input_error(tmp_path, capsys, x_min):
+    path = tmp_path / "samples.txt"
+    path.write_text("\n".join(str(1.0 + i / 10) for i in range(100)))
+    code, _, err = run(capsys, "fit", "--samples", str(path), "--mode", "continuous", "--x-min", x_min)
+    assert code == 1
+    assert "internal error" not in err
+
+
+def test_fit_missing_samples_file_is_an_input_error(tmp_path, capsys):
+    code, _, err = run(capsys, "fit", "--samples", str(tmp_path / "missing.txt"))
+    assert code == 1
+    assert "missing.txt" in err
+
+
+@pytest.mark.parametrize("spec", ["continuous:2.5:abc", "continuous:2.5:-5", "continuous:x:100"])
+def test_fit_malformed_synthetic_spec_is_a_config_error(capsys, spec):
+    code, _, err = run(capsys, "fit", "--synthetic", spec)
+    assert code == 1
+    assert "--synthetic" in err

@@ -1,3 +1,8 @@
+import os
+import pathlib
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 import scipy.special
@@ -5,6 +10,7 @@ import scipy.stats
 from hypothesis import given
 from hypothesis import strategies as st
 
+from faultgraph import tailstats
 from faultgraph.errors import (
     DegenerateInput,
     DegenerateTable,
@@ -13,6 +19,13 @@ from faultgraph.errors import (
     InsufficientTail,
 )
 from faultgraph.tailstats import (
+    _SCAN_MAX_SLOPE,
+    _SCAN_PROBES,
+    _SCAN_TOL,
+    _continuous_gamma,
+    _fit_at,
+    _ks_distance,
+    _Screen,
     ccdf,
     chi_square_independence,
     expected_max,
@@ -116,6 +129,9 @@ def test_domain_errors():
         fit_power_law_tail([1.0] * 100, mode="pareto")
     with pytest.raises(EmptyInput):
         fit_power_law_tail([], mode="discrete")
+    for bad in (0.0, -1.0, float("inf"), float("nan")):
+        with pytest.raises(DomainError):
+            fit_power_law_tail([1.0, 2.0] * 50, mode="continuous", x_min=bad)
 
 
 def test_scan_recovers_planted_x_min():
@@ -176,6 +192,207 @@ def test_zeta_sampler_matches_exact_weights():
     z = scipy.special.zeta(3.0, 1.0)
     for k in (1, 2, 3, 5):
         assert abs(emp[k] - (k**-3.0) / z) < 5e-3
+
+
+def scan_every_candidate(xs, min_tail=50, max_candidates=None):
+    """Brute-force oracle: fit at every candidate x_min, keep the smallest
+    KS distance, ties to the smaller x_min."""
+    arr = np.sort(np.asarray(xs, dtype=float))
+    candidates = np.unique(arr)
+    viable = [float(v) for v in candidates if arr.size - np.searchsorted(arr, v, side="left") >= min_tail]
+    if max_candidates is not None and len(viable) > max_candidates:
+        idx = np.linspace(0, len(viable) - 1, max_candidates).round().astype(int)
+        viable = [viable[i] for i in sorted(set(idx.tolist()))]
+    best = None
+    for v in viable:
+        try:
+            fit = _fit_at(arr[arr >= v], v, "continuous")
+        except InsufficientTail:
+            continue
+        if best is None or fit.ks < best.ks:
+            best = fit
+    return best
+
+
+def planted_body_and_tail(seed=42):
+    rng = np.random.default_rng(seed)
+    return np.concatenate([rng.uniform(1.0, 5.0, 4000), pareto_samples(2000, 2.5, 5.0, rng)])
+
+
+def two_digit_ties(seed=6):
+    xs = pareto_samples(3000, 2.2, 1.0, np.random.default_rng(seed))
+    return np.array([float(f"{v:.2g}") for v in xs])
+
+
+def clustered(seed=13):
+    # within a relative 1e-6 of 1e6: the steepest candidates are fitted
+    # outright, the rest screened
+    return 1e6 * (1.0 + 1e-6 * pareto_samples(1500, 2.5, 1.0, np.random.default_rng(seed)))
+
+
+def wide_range(seed=12):
+    # 1e5 draws spanning twelve decades
+    return np.minimum(pareto_samples(100_000, 1.4, 1.0, np.random.default_rng(seed)), 1e12)
+
+
+@pytest.mark.parametrize("gamma", [1.5, 2.5, 3.5])
+def test_continuous_scan_matches_oracle_on_pure_pareto(gamma):
+    xs = pareto_samples(2000, gamma, 1.0, np.random.default_rng(21))
+    assert fit_power_law_tail(xs, mode="continuous") == scan_every_candidate(xs)
+
+
+@pytest.mark.parametrize(
+    "xs",
+    [
+        planted_body_and_tail(),
+        two_digit_ties(),
+        pareto_samples(53, 2.5, 1.0, np.random.default_rng(8)),
+        clustered(),
+    ],
+    ids=["planted", "ties", "just-above-min-tail", "clustered"],
+)
+def test_continuous_scan_matches_oracle(xs):
+    assert fit_power_law_tail(xs, mode="continuous") == scan_every_candidate(xs)
+
+
+def test_continuous_scan_matches_oracle_with_max_candidates():
+    xs = planted_body_and_tail(seed=7)
+    assert fit_power_law_tail(xs, mode="continuous", max_candidates=25) == scan_every_candidate(
+        xs, max_candidates=25
+    )
+
+
+@pytest.mark.parametrize("scale", [1e-3, 7.5, 1e6])
+def test_continuous_scan_matches_oracle_on_rescaled_input(scale):
+    xs = pareto_samples(2000, 2.5, 1.0, np.random.default_rng(3)) * scale
+    assert fit_power_law_tail(xs, mode="continuous") == scan_every_candidate(xs)
+
+
+def test_continuous_scan_matches_oracle_on_wide_range():
+    xs = wide_range()
+    fit = fit_power_law_tail(xs, mode="continuous", max_candidates=100)
+    assert fit == scan_every_candidate(xs, max_candidates=100)
+
+
+@given(st.lists(st.integers(min_value=0, max_value=40), min_size=1, max_size=150), st.integers(2, 30))
+def test_continuous_scan_matches_oracle_on_small_samples(exponents, min_tail):
+    xs = [1.3 ** (e / 3) for e in exponents]  # ties and uneven gaps
+    expected = scan_every_candidate(xs, min_tail=min_tail)
+    if expected is None:
+        with pytest.raises(InsufficientTail):
+            fit_power_law_tail(xs, mode="continuous", min_tail=min_tail)
+    else:
+        assert fit_power_law_tail(xs, mode="continuous", min_tail=min_tail) == expected
+
+
+def test_continuous_scan_ties_go_to_smaller_x_min():
+    # x_min = 1 and x_min = 2 both put half their tail at x_min, and that
+    # step is each one's KS distance: exactly 0.5
+    xs = [1.0] * 100 + [2.0] * 50 + [3.0] * 50
+    fit = fit_power_law_tail(xs, mode="continuous")
+    assert fit.ks == fit_power_law_tail(xs, mode="continuous", x_min=2.0).ks == 0.5
+    assert fit.x_min == 1.0
+    assert fit == scan_every_candidate(xs)
+
+
+def top_cluster(seed=0):
+    # 1000 draws capped at 500 below 60 within a relative 1e-10 of 1e3
+    rng = np.random.default_rng(seed)
+    body = np.minimum(pareto_samples(1000, 2.5, 1.0, rng), 500.0)
+    return np.concatenate([body, 1e3 * (1.0 + 1e-10 * pareto_samples(60, 2.5, 1.0, rng))])
+
+
+def screen_of(xs):
+    """Sorted samples, distinct values, every candidate but the last, and
+    their screen."""
+    arr = np.sort(xs)
+    values = np.unique(arr)
+    above = arr.size - np.searchsorted(arr, values, side="left")
+    return arr, values, np.flatnonzero(above >= 50)[:-1], _Screen(values, above)
+
+
+def exact_distances(arr, values, cand):
+    out = []
+    for k in cand.tolist():
+        tail, x_min = arr[arr >= values[k]], float(values[k])
+        out.append(_ks_distance(tail, _continuous_gamma(tail, x_min), x_min, "continuous"))
+    return np.array(out)
+
+
+@pytest.mark.parametrize(
+    "xs, max_candidates",
+    [
+        (pareto_samples(2000, 2.5, 1.0, np.random.default_rng(21)), None),
+        (two_digit_ties(), None),
+        (wide_range(), 100),
+    ],
+    ids=["pareto", "ties", "wide-range"],
+)
+def test_screened_distance_tracks_exact_distance(xs, max_candidates):
+    arr, values, cand, screen = screen_of(xs)
+    if max_candidates is not None:
+        cand = cand[np.linspace(0, cand.size - 1, max_candidates).round().astype(int)]
+    screened = screen.distances(cand)
+    for probes in _SCAN_PROBES:
+        assert np.all(screen.bounds(cand, probes) <= screened)
+    assert np.all(np.abs(screened - exact_distances(arr, values, cand)) <= _SCAN_TOL / 100)
+
+
+def test_candidates_too_steep_to_screen_are_fitted_outright(monkeypatch):
+    # inside the top cluster the screen misses the exact distance by more
+    # than the tolerance, below it by far less
+    xs = top_cluster()
+    arr, values, cand, screen = screen_of(xs)
+    error = np.abs(screen.distances(cand) - exact_distances(arr, values, cand))
+    steep = screen.slope[cand] > _SCAN_MAX_SLOPE
+    assert error[steep].max() > _SCAN_TOL
+    assert error[~steep].max() <= _SCAN_TOL / 100
+
+    fitted = []
+
+    def recording_fit_at(tail, x_min, mode):
+        fitted.append(x_min)
+        return _fit_at(tail, x_min, mode)
+
+    monkeypatch.setattr(tailstats, "_fit_at", recording_fit_at)
+    assert fit_power_law_tail(xs, mode="continuous") == scan_every_candidate(xs)
+    assert set(values[cand[steep]].tolist()) <= set(fitted)
+
+
+@pytest.mark.parametrize(
+    "xs",
+    [two_digit_ties(), pareto_samples(2000, 2.5, 1.0, np.random.default_rng(21))],
+    ids=["ties", "pareto"],
+)
+def test_screen_chunk_size_changes_no_bits(monkeypatch, xs):
+    _, _, cand, screen = screen_of(xs)
+    whole = screen.bounds(cand, 64), screen.distances(cand)
+    # long tails go in pieces, and the scan screens one candidate at a time
+    monkeypatch.setattr(tailstats, "_SCAN_CHUNK", 64)
+    assert np.array_equal(whole[0], screen.bounds(cand, 64))
+    assert np.array_equal(whole[1], screen.distances(cand))
+    assert fit_power_law_tail(xs, mode="continuous") == scan_every_candidate(xs)
+
+
+def test_continuous_scan_fits_only_the_finalists(monkeypatch):
+    calls = []
+
+    def counting_fit_at(*args):
+        calls.append(args[1])
+        return _fit_at(*args)
+
+    monkeypatch.setattr(tailstats, "_fit_at", counting_fit_at)
+    xs = pareto_samples(10_000, 2.5, 1.0, np.random.default_rng(30))
+    fit_power_law_tail(xs, mode="continuous")
+    assert len(calls) <= 3  # a fit at every candidate makes 9951
+
+
+def test_cli_import_leaves_the_root_finder_unloaded():
+    src = pathlib.Path(tailstats.__file__).parents[1]
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    probe = "import sys, faultgraph.cli; print('scipy.optimize' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"
 
 
 # -- expected_max ---------------------------------------------------------------
