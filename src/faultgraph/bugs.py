@@ -102,20 +102,14 @@ def parse_timestamp(raw: str) -> datetime:
     return ts.astimezone(timezone.utc)
 
 
+_ESCAPE_RE = re.compile(r"\\([tn\\])")
+_ESCAPES = {"t": "\t", "n": "\n", "\\": "\\"}
+
+
 def _unescape(message: str) -> str:
-    out = []
-    i = 0
-    while i < len(message):
-        c = message[i]
-        if c == "\\" and i + 1 < len(message):
-            nxt = message[i + 1]
-            if nxt in ("t", "n", "\\"):
-                out.append({"t": "\t", "n": "\n", "\\": "\\"}[nxt])
-                i += 2
-                continue
-        out.append(c)
-        i += 1
-    return "".join(out)
+    """Undo the log's ``\\t``, ``\\n`` and ``\\\\`` escapes; any other
+    backslash is kept as written."""
+    return _ESCAPE_RE.sub(lambda m: _ESCAPES[m.group(1)], message)
 
 
 def parse_commit_log(path) -> list[CommitEntry]:

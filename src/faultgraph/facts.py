@@ -14,6 +14,7 @@ Set-valued fields are serialized sorted so the writer is byte-deterministic.
 """
 
 import json
+import re
 from dataclasses import dataclass
 
 from .errors import FormatError
@@ -22,84 +23,49 @@ CLASS_KINDS = ("class", "interface")
 
 
 # --------------------------------------------------------------------------
-# Source scanning: comment/string state machine shared by count_loc and the
-# parser (which tokenizes the comment-stripped text).
+# Source scanning: one regex pass per file blanks comments and skips over
+# string/char literals; the parser tokenizes the stripped text and counts
+# lines of code from the same pass.
 # --------------------------------------------------------------------------
 
-_CODE, _LINE_COMMENT, _BLOCK_COMMENT, _STRING, _CHAR = range(5)
+# Leftmost match wins, so a comment marker inside a literal and a quote inside
+# a comment are both inert. Literals end at their closing quote, a newline
+# (Java literals do not span lines; an escape never consumes the newline) or
+# the end of the text; an unterminated block comment runs to the end.
+_COMMENT_OR_LITERAL = re.compile(
+    r"""//[^\n]*
+      | /\*(?s:.*?)(?:\*/|\Z)
+      | "(?:\\.|[^"\\\n])*"?
+      | '(?:\\.|[^'\\\n])*'?
+    """,
+    re.VERBOSE,
+)
+_BLOCK_BLANK = re.compile(r"[^\t\n]")
+
+
+def _blank(m: re.Match) -> str:
+    s = m.group()
+    if s[0] != "/":
+        return s  # string or char literal, kept
+    if s[1] == "/":
+        return " " * len(s)
+    return _BLOCK_BLANK.sub(" ", s)
 
 
 def scan_source(text: str) -> tuple[list[bool], str]:
-    """Scan source text once, tracking comment and literal state.
+    """Scan source text once with a single regex pass over comments and literals.
 
     Returns (line_has_code, stripped) where line_has_code[i] is True when
     line i contains at least one non-whitespace character outside comments,
-    and stripped is the text with comments blanked to spaces (newlines kept,
-    string/char literals kept) so token positions match the original.
+    and stripped is the text with comments blanked to spaces (newlines and
+    tabs in block comments kept, string/char literals kept) so token
+    positions match the original.
     """
-    has_code: list[bool] = []
-    out: list[str] = []
-    state = _CODE
-    line_code = False
-    i, n = 0, len(text)
-    while i < n:
-        c = text[i]
-        nxt = text[i + 1] if i + 1 < n else ""
-        if c == "\n":
-            # Java string/char literals do not span lines; drop the state
-            # leniently so count_loc never fails on malformed input.
-            if state in (_LINE_COMMENT, _STRING, _CHAR):
-                state = _CODE
-            has_code.append(line_code)
-            line_code = False
-            out.append("\n")
-            i += 1
-            continue
-        if state == _CODE:
-            if c == "/" and nxt == "/":
-                state = _LINE_COMMENT
-                out.append("  ")
-                i += 2
-                continue
-            if c == "/" and nxt == "*":
-                state = _BLOCK_COMMENT
-                out.append("  ")
-                i += 2
-                continue
-            if c == '"':
-                state = _STRING
-            elif c == "'":
-                state = _CHAR
-            if not c.isspace():
-                line_code = True
-            out.append(c)
-            i += 1
-        elif state == _LINE_COMMENT:
-            out.append(" ")
-            i += 1
-        elif state == _BLOCK_COMMENT:
-            if c == "*" and nxt == "/":
-                state = _CODE
-                out.append("  ")
-                i += 2
-            else:
-                out.append(" " if c != "\t" else "\t")
-                i += 1
-        else:  # _STRING or _CHAR
-            line_code = True
-            quote = '"' if state == _STRING else "'"
-            if c == "\\" and nxt:
-                out.append(c)
-                out.append(nxt)
-                i += 2
-                continue
-            if c == quote:
-                state = _CODE
-            out.append(c)
-            i += 1
-    if text and not text.endswith("\n"):
-        has_code.append(line_code)
-    return has_code, "".join(out)
+    stripped = _COMMENT_OR_LITERAL.sub(_blank, text)
+    lines = stripped.split("\n")
+    if lines[-1] == "":
+        lines.pop()
+    return [bool(ln) and not ln.isspace() for ln in lines], stripped
 
 
 def count_loc(source_text: str) -> int:
@@ -107,6 +73,7 @@ def count_loc(source_text: str) -> int:
 
     A line counts when any non-whitespace character on it lies outside line
     and block comments; string literal content is code. Empty input gives 0.
+    One ``scan_source`` pass; the parser reuses its own pass instead.
     """
     has_code, _ = scan_source(source_text)
     return sum(has_code)

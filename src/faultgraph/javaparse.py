@@ -24,9 +24,10 @@ import os
 import re
 from bisect import bisect_right
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .errors import ParseError
-from .facts import ClassFacts, CUFacts, MethodFacts, count_loc, scan_source
+from .facts import ClassFacts, CUFacts, MethodFacts, scan_source
 
 KEYWORDS = frozenset(
     """abstract assert boolean break byte case catch char class const continue
@@ -44,19 +45,17 @@ MODIFIERS = frozenset(
 )
 
 _TOKEN_RE = re.compile(
-    r"""(?P<ws>\s+)
-      | (?P<ident>[A-Za-z_$][A-Za-z0-9_$]*)
+    r"""(?P<ident>[A-Za-z_$][A-Za-z0-9_$]*)
       | (?P<number>\d[0-9A-Fa-fxXbBlLfFdDuU_.]*)
       | (?P<string>"(?:\\.|[^"\\\n])*"?)
       | (?P<char>'(?:\\.|[^'\\\n])*'?)
-      | (?P<punct>.)
+      | (?P<punct>\S)
     """,
     re.VERBOSE,
 )
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str  # ident | number | string | char | punct
     value: str
     line: int
@@ -64,18 +63,12 @@ class Token:
 
 
 def tokenize(stripped: str) -> list[Token]:
-    line_starts = [0]
-    for i, ch in enumerate(stripped):
-        if ch == "\n":
-            line_starts.append(i + 1)
+    line_starts = [0, *(m.end() for m in re.finditer("\n", stripped))]
     out: list[Token] = []
     for m in _TOKEN_RE.finditer(stripped):
-        kind = m.lastgroup
-        if kind == "ws":
-            continue
-        ln = bisect_right(line_starts, m.start())
-        col = m.start() - line_starts[ln - 1] + 1
-        out.append(Token(kind, m.group(), ln, col))
+        start = m.start()
+        ln = bisect_right(line_starts, start)
+        out.append(Token(m.lastgroup, m.group(), ln, start - line_starts[ln - 1] + 1))
     return out
 
 
@@ -657,7 +650,7 @@ def parse_compilation_unit(source_text: str, path: str) -> CUFacts:
         )
         for d in parser.drafts
     )
-    loc = count_loc(source_text)
+    loc = sum(has_code)
     if loc < len(classes):
         # every declared class must occupy at least one counted line; a CU
         # packing several classes onto fewer lines cannot be represented

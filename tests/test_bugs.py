@@ -9,6 +9,7 @@ from faultgraph.bugs import (
     CommitEntry,
     FilterConfig,
     IssueRegistry,
+    _unescape,
     build_bug_ledger,
     extract_issue_refs,
     parse_commit_log_text,
@@ -231,3 +232,27 @@ def test_restricted_to_keeps_identity():
     cut = ledger.restricted_to({"a"})
     assert cut.bugs_per_cu == {"a": 2}
     assert sum(cut.bugs_per_cu.values()) == sum(cut.cus_per_bug.values()) == len(cut.links)
+
+
+def unescape_by_character(message):
+    """The character loop ``_unescape`` replaced, kept as its oracle."""
+    out, i = [], 0
+    while i < len(message):
+        c = message[i]
+        if c == "\\" and i + 1 < len(message) and message[i + 1] in "tn\\":
+            out.append({"t": "\t", "n": "\n", "\\": "\\"}[message[i + 1]])
+            i += 2
+            continue
+        out.append(c)
+        i += 1
+    return "".join(out)
+
+
+@given(st.text(alphabet="\\tnx\t\n a", max_size=60))
+def test_unescape_matches_character_oracle(message):
+    assert _unescape(message) == unescape_by_character(message)
+
+
+def test_unescape_keeps_unknown_escapes_and_a_trailing_backslash():
+    assert _unescape("a\\tb\\nc\\\\d") == "a\tb\nc\\d"
+    assert _unescape("\\x \\\\n end\\") == "\\x \\n end\\"

@@ -1,13 +1,21 @@
+import random
 from collections import Counter
 
+import pytest
+
+from faultgraph.facts import ClassFacts, CUFacts, MethodFacts
 from faultgraph.graphs import (
     COMPOSITION,
     DEPENDENCE,
+    EDGE_KINDS,
     INHERITANCE,
+    ClassGraph,
+    CUGraph,
     build_class_graph,
     build_cu_graph,
 )
 from faultgraph.javaparse import parse_compilation_unit, parse_corpus_dir
+from faultgraph.metrics import compute_metrics
 from faultgraph.resolve import resolve_type_references
 
 
@@ -153,3 +161,122 @@ def test_cu_weights_reproduce_brute_force_class_edge_counts(corpus_r1_dir, corpu
             if sp != tp:
                 brute[(sp, tp, kind)] += 1
         assert dict(brute) == cug.weights
+
+
+# --------------------------------------------------------------------------
+# Per-node indexes: queries equal a scan of the whole edge set, in order.
+# --------------------------------------------------------------------------
+
+
+def random_graphs(seed):
+    rng = random.Random(seed)
+    n = rng.randint(1, 12)
+    cids = [(f"p/C{i % 5}.java", f"K{i}") for i in range(n)]
+    edges = frozenset(
+        (s, t, rng.choice(EDGE_KINDS))
+        for _ in range(rng.randint(0, 40))
+        for s, t in [rng.sample(cids, 2) if n > 1 else (cids[0], cids[0])]
+        if s != t
+    )
+    cg = ClassGraph(nodes=frozenset(cids), edges=edges)
+    paths = sorted({p for p, _ in cids} | {"p/Lone.java"})
+    keys = {
+        (s, t, rng.choice(EDGE_KINDS)) for _ in range(rng.randint(0, 30)) for s, t in [rng.sample(paths, 2)]
+    }
+    ordered = rng.sample(sorted(keys), len(keys))  # insertion order is not sorted order
+    cug = CUGraph(nodes=frozenset(paths), weights={k: rng.randint(1, 9) for k in ordered})
+    return cg, cug
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_indexed_queries_equal_brute_force_scans(seed):
+    cg, cug = random_graphs(seed)
+    for node in cg.nodes | {("p/Missing.java", "X")}:
+        for kinds in (EDGE_KINDS, (COMPOSITION, DEPENDENCE), (INHERITANCE,), ()):
+            assert cg.out_neighbors(node, kinds=kinds) == {
+                t for s, t, k in cg.edges if s == node and k in kinds
+            }
+    for path in cug.nodes | {"p/Missing.java"}:
+        assert cug.out_edges(path) == [(t, k, w) for (s, t, k), w in cug.weights.items() if s == path]
+        assert cug.in_edges(path) == [(s, k, w) for (s, t, k), w in cug.weights.items() if t == path]
+
+
+def test_query_results_are_fresh_lists():
+    _, cug = random_graphs(3)
+    path = next(s for s, _, _ in cug.weights)
+    cug.out_edges(path).clear()
+    cug.in_edges(path).append(None)
+    assert cug.out_edges(path) and None not in cug.in_edges(path)
+
+
+def test_indexes_hold_the_graphs_own_tuples():
+    cg, cug = random_graphs(5)
+    edge_ids = {id(e) for e in cg.edges}
+    assert all(id(e) in edge_ids for lst in cg._out.values() for e in lst)
+    key_ids = {id(k) for k in cug.weights}
+    assert all(id(k) in key_ids for idx in (cug._out, cug._in) for lst in idx.values() for k in lst)
+
+
+def test_equality_and_repr_ignore_the_indexes():
+    cg, cug = random_graphs(7)
+    assert "_out" not in repr(cg) and "_out" not in repr(cug) and "_in" not in repr(cug)
+    assert repr(cg) == f"ClassGraph(nodes={cg.nodes!r}, edges={cg.edges!r})"
+    assert repr(cug) == f"CUGraph(nodes={cug.nodes!r}, weights={cug.weights!r})"
+    assert ClassGraph(nodes=cg.nodes, edges=cg.edges) == cg
+    assert CUGraph(nodes=cug.nodes, weights=dict(reversed(cug.weights.items()))) == cug
+    assert hash(ClassGraph(nodes=cg.nodes, edges=cg.edges)) == hash(cg)
+
+
+class CountingDict(dict):
+    """A dict that counts every walk over its entries."""
+
+    walks = 0
+
+    def items(self):
+        self.walks += 1
+        return super().items()
+
+    def keys(self):
+        self.walks += 1
+        return super().keys()
+
+    def values(self):
+        self.walks += 1
+        return super().values()
+
+    def __iter__(self):
+        self.walks += 1
+        return super().__iter__()
+
+
+def test_compute_metrics_walks_cu_weights_a_constant_number_of_times():
+    n = 500
+    cus = [
+        CUFacts(
+            path=f"p/C{i}.java",
+            package="p",
+            classes=(
+                ClassFacts(
+                    name=f"C{i}",
+                    kind="class",
+                    extends=f"C{(i + 1) % n}" if i % 3 == 0 else None,
+                    field_types=(f"C{(i + 7) % n}",),
+                    methods=(MethodFacts(name="m", referenced_types=frozenset({f"C{(i * 13 + 1) % n}"})),),
+                    loc=3,
+                ),
+            ),
+            loc=3,
+        )
+        for i in range(n)
+    ]
+    rc = resolve_type_references(cus)
+    cg = build_class_graph(rc)
+    plain = build_cu_graph(cg, rc)
+    weights = CountingDict(plain.weights)
+    cug = CUGraph(nodes=plain.nodes, weights=weights)
+    assert len(weights) >= n
+    before = weights.walks
+    _, per_cu = compute_metrics(rc, cg, cug)
+    assert len(per_cu) == n
+    assert weights.walks - before <= 1
+    assert per_cu == compute_metrics(rc, cg, plain)[1]

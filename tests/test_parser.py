@@ -1,10 +1,14 @@
 import json
+import re
+from bisect import bisect_right
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from faultgraph.errors import ParseError
-from faultgraph.facts import cu_to_dict
-from faultgraph.javaparse import parse_compilation_unit, parse_corpus_dir
+from faultgraph.facts import cu_to_dict, scan_source
+from faultgraph.javaparse import Token, parse_compilation_unit, parse_corpus_dir, tokenize
 
 
 def parse(text, path="T.java"):
@@ -271,3 +275,53 @@ def test_corpus_dir_reports_failures_without_dropping_others(tmp_path):
     facts, failures = parse_corpus_dir(tmp_path)
     assert [cu.path for cu in facts] == ["Good.java"]
     assert [path for path, _ in failures] == ["Bad.java"]
+
+
+# --------------------------------------------------------------------------
+# The tokenizer against the whitespace-matching tokenizer it replaced, kept
+# here as the oracle: same tokens, kinds and positions.
+# --------------------------------------------------------------------------
+
+_OLD_TOKEN_RE = re.compile(
+    r"""(?P<ws>\s+)
+      | (?P<ident>[A-Za-z_$][A-Za-z0-9_$]*)
+      | (?P<number>\d[0-9A-Fa-fxXbBlLfFdDuU_.]*)
+      | (?P<string>"(?:\\.|[^"\\\n])*"?)
+      | (?P<char>'(?:\\.|[^'\\\n])*'?)
+      | (?P<punct>.)
+    """,
+    re.VERBOSE,
+)
+
+
+def tokenize_with_whitespace_group(stripped):
+    line_starts = [0]
+    for i, ch in enumerate(stripped):
+        if ch == "\n":
+            line_starts.append(i + 1)
+    out = []
+    for m in _OLD_TOKEN_RE.finditer(stripped):
+        if m.lastgroup == "ws":
+            continue
+        ln = bisect_right(line_starts, m.start())
+        out.append((m.lastgroup, m.group(), ln, m.start() - line_starts[ln - 1] + 1))
+    return out
+
+
+TOKENIZER_ALPHABET = "/*\"'\\\n\r\t\x0b\x0c\x85\u2028\u2003éa1{;<xX_$.L"
+
+
+@settings(max_examples=500)
+@given(st.text(alphabet=TOKENIZER_ALPHABET, max_size=200))
+def test_tokenize_matches_whitespace_group_oracle(text):
+    assert tokenize(text) == tokenize_with_whitespace_group(text)
+
+
+def test_tokenize_matches_oracle_on_fixtures(fixtures_dir):
+    paths = sorted(fixtures_dir.rglob("*.java"))
+    assert paths
+    for path in paths:
+        _, stripped = scan_source(path.read_text(encoding="utf-8"))
+        tokens = tokenize(stripped)
+        assert tokens == tokenize_with_whitespace_group(stripped), path
+        assert all(isinstance(t, Token) for t in tokens)
