@@ -16,7 +16,7 @@ import re
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 
-from .errors import ConfigError, FormatError
+from .errors import ConfigError, FormatError, read_utf8
 
 DEFAULT_PATTERNS = (
     r"\bbug\s*#?\s*(\d+)",
@@ -113,8 +113,7 @@ def _unescape(message: str) -> str:
 
 
 def parse_commit_log(path) -> list[CommitEntry]:
-    with open(path, encoding="utf-8") as fh:
-        return parse_commit_log_text(fh.read())
+    return parse_commit_log_text(read_utf8(path, FormatError))
 
 
 def parse_commit_log_text(text: str) -> list[CommitEntry]:
@@ -138,8 +137,7 @@ def parse_commit_log_text(text: str) -> list[CommitEntry]:
 
 
 def load_issue_registry(path) -> IssueRegistry:
-    with open(path, encoding="utf-8") as fh:
-        text = fh.read()
+    text = read_utf8(path, FormatError)
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines:
         return IssueRegistry(meta={})

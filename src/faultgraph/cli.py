@@ -8,6 +8,7 @@ Subcommands: extract, graph, metrics, bugs, fit, correlate, evolve, report
 import argparse
 import logging
 import sys
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -18,9 +19,10 @@ from .pipeline import (
     STAGE_STATS,
     StageFailure,
     _fmt,
-    build_release,
+    _selected_distributions,
     cmd_analyze,
     cmd_extract,
+    run_releases,
     write_bugs,
     write_ccdfs,
     write_correlations,
@@ -49,8 +51,7 @@ def _config(args):
 def run_extract(args) -> int:
     cfg = _config(args)
     written, failures = cmd_extract(cfg, _out_dir(args, cfg), release=args.release)
-    for path in written:
-        print(path)
+    _print_paths(written)
     if failures:
         print(f"{len(failures)} file(s) skipped:", file=sys.stderr)
         for tag, path, err in failures:
@@ -59,34 +60,16 @@ def run_extract(args) -> int:
     return 0
 
 
-def _per_release(args, writers, with_bugs: bool) -> int:
-    cfg = _config(args)
-    out = _out_dir(args, cfg)
-    out.mkdir(parents=True, exist_ok=True)
-    releases = cfg.releases if args.release is None else [cfg.release(args.release)]
-    for rc in releases:
-        data = build_release(cfg, rc, with_bugs=with_bugs)
-        for writer in writers:
-            result = writer(data, out)
-            for path in result if isinstance(result, list) else [result]:
-                print(path)
+def _print_paths(paths) -> int:
+    for path in paths:
+        print(path)
     return 0
 
 
-def run_graph(args) -> int:
-    return _per_release(args, [write_graphs], with_bugs=False)
-
-
-def run_metrics(args) -> int:
-    return _per_release(args, [write_metrics], with_bugs=False)
-
-
-def run_bugs(args) -> int:
-    return _per_release(args, [write_bugs], with_bugs=True)
-
-
-def run_correlate(args) -> int:
-    return _per_release(args, [write_correlations], with_bugs=True)
+def _run_writers(args, writers, with_bugs: bool) -> int:
+    cfg = _config(args)
+    out = _out_dir(args, cfg)
+    return _print_paths(run_releases(cfg, out, writers, release=args.release, with_bugs=with_bugs))
 
 
 def _parse_synthetic(spec: str):
@@ -137,37 +120,21 @@ def run_fit(args) -> int:
         )
         return 0
     only = args.metric
-    needs_bugs = only is None or only in ("bugs_per_cu", "cus_per_bug")
-    return _per_release(
-        args,
-        [
-            lambda data, out: write_ccdfs(data, out, only=only),
-            lambda data, out: write_tail_fits(data, out, only=only),
-        ],
-        with_bugs=needs_bugs,
-    )
+    _selected_distributions(only)  # reject an unknown name before any release is built
+    writers = [partial(write_ccdfs, only=only), partial(write_tail_fits, only=only)]
+    return _run_writers(args, writers, with_bugs=only in (None, "bugs_per_cu", "cus_per_bug"))
 
 
 def run_evolve(args) -> int:
     cfg = _config(args)
     if not cfg.release_pairs:
         raise ConfigError("config has no release_pairs to evolve over")
-    out = _out_dir(args, cfg)
-    out.mkdir(parents=True, exist_ok=True)
-    data = {}
-    for rc in cfg.releases:
-        data[rc.tag] = build_release(cfg, rc, with_bugs=True)
-    for a, b in cfg.release_pairs:
-        for path in write_evolution(data[a], data[b], out):
-            print(path)
-    return 0
+    return _print_paths(run_releases(cfg, _out_dir(args, cfg), [], [write_evolution]))
 
 
 def run_report(args) -> int:
     cfg = _config(args)
-    for path in cmd_analyze(cfg, _out_dir(args, cfg), release=args.release):
-        print(path)
-    return 0
+    return _print_paths(cmd_analyze(cfg, _out_dir(args, cfg), release=args.release))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -180,7 +147,6 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p, release=True):
         p.add_argument("--config", help="pipeline config file (JSON)")
         p.add_argument("--out", help="output directory (overrides config output_dir)")
-        p.add_argument("--seed", type=int, default=0, help="seed for synthetic data")
         if release:
             p.add_argument("--release", help="restrict to one release tag")
 
@@ -188,17 +154,18 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.set_defaults(func=run_extract)
 
+    # a release subcommand is a choice of writers, looked up when it runs
     p = sub.add_parser("graph", help="emit class and CU graph edge lists")
     common(p)
-    p.set_defaults(func=run_graph)
+    p.set_defaults(func=lambda args: _run_writers(args, [write_graphs], with_bugs=False))
 
     p = sub.add_parser("metrics", help="emit class and CU metric tables")
     common(p)
-    p.set_defaults(func=run_metrics)
+    p.set_defaults(func=lambda args: _run_writers(args, [write_metrics], with_bugs=False))
 
     p = sub.add_parser("bugs", help="emit per-release bug ledgers")
     common(p)
-    p.set_defaults(func=run_bugs)
+    p.set_defaults(func=lambda args: _run_writers(args, [write_bugs], with_bugs=True))
 
     p = sub.add_parser("fit", help="emit CCDFs and power-law tail fits")
     common(p)
@@ -207,11 +174,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=[DISCRETE, CONTINUOUS], default=DISCRETE)
     p.add_argument("--x-min", type=float, default=None)
     p.add_argument("--synthetic", help="MODE:GAMMA:N[:XMIN] -- generate and fit synthetic samples")
+    p.add_argument("--seed", type=int, default=0, help="seed for --synthetic")
     p.set_defaults(func=run_fit)
 
     p = sub.add_parser("correlate", help="emit metric-bug Pearson tables")
     common(p)
-    p.set_defaults(func=run_correlate)
+    p.set_defaults(func=lambda args: _run_writers(args, [write_correlations], with_bugs=True))
 
     p = sub.add_parser("evolve", help="emit family, significance, and delta-correlation reports")
     common(p, release=False)

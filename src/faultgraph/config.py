@@ -27,7 +27,7 @@ from datetime import datetime
 from pathlib import Path
 
 from .bugs import FilterConfig, parse_timestamp
-from .errors import ConfigError
+from .errors import ConfigError, read_utf8
 
 
 @dataclass(frozen=True)
@@ -95,7 +95,7 @@ def load_config(path) -> PipelineConfig:
     if not path.is_file():
         raise ConfigError(f"config file not found: {path}")
     try:
-        raw = json.loads(path.read_text(encoding="utf-8"))
+        raw = json.loads(read_utf8(path, ConfigError))
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
     if not isinstance(raw, dict):

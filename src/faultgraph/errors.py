@@ -1,4 +1,4 @@
-"""Exception types shared across the toolchain.
+"""Exception types shared across the toolchain, and the UTF-8 input reader.
 
 Every error raised on bad *input* derives from InputError so the CLI can map
 it to exit code 1; anything else escaping a stage is treated as an internal
@@ -69,3 +69,12 @@ class EmptyFamily(InputError):
 
 class UnknownMetric(InputError):
     """Metric name not in the per-CU metric vector."""
+
+
+def read_utf8(path, error: type[InputError]) -> str:
+    """The text of an input file; bytes that are not UTF-8 raise ``error``."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise error(f"{path}: not UTF-8 text (byte {exc.start}: {exc.reason})") from exc

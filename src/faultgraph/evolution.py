@@ -59,6 +59,17 @@ class FamilyStats:
     infection_probability: float
     mean_bugs_infected: float | None  # undefined when nothing is infected
     n: int
+    infected: int  # members with at least one bug
+
+
+@dataclass(frozen=True)
+class DeltaCorrelation:
+    """``status`` is ok (``r`` set), too-few-updated (under 3 usable CUs) or degenerate."""
+
+    n_used: int
+    n_excluded: int
+    r: float | None
+    status: str
 
 
 def classify_cus(prev: ReleaseSnapshot, next_: ReleaseSnapshot, metric: str) -> FamilyPartition:
@@ -86,7 +97,7 @@ def family_stats(family, ledger: BugLedger) -> FamilyStats:
     infected = [p for p in members if ledger.count(p) >= 1]
     probability = len(infected) / len(members)
     mean = sum(ledger.count(p) for p in infected) / len(infected) if infected else None
-    return FamilyStats(infection_probability=probability, mean_bugs_infected=mean, n=len(members))
+    return FamilyStats(probability, mean, n=len(members), infected=len(infected))
 
 
 def delta_metric_correlation(
@@ -94,16 +105,19 @@ def delta_metric_correlation(
     prev: ReleaseSnapshot,
     next_: ReleaseSnapshot,
     metric: str,
-) -> float:
+) -> DeltaCorrelation:
     """Pearson correlation between the fractional metric change of updated CUs
     and their bug count in the later release; members with a zero previous
     value are excluded (undefined ratio)."""
     changes, bug_counts = fractional_changes(partition, prev, next_, metric)
-    if len(changes) < 3:
-        raise DegenerateInput(
-            f"only {len(changes)} updated CUs with a nonzero previous {metric}"
-        )
-    return pearson(changes, bug_counts)
+    n_used = len(changes)
+    n_excluded = len(partition.updated) - n_used
+    if n_used < 3:
+        return DeltaCorrelation(n_used, n_excluded, None, "too-few-updated")
+    try:
+        return DeltaCorrelation(n_used, n_excluded, pearson(changes, bug_counts), "ok")
+    except DegenerateInput:
+        return DeltaCorrelation(n_used, n_excluded, None, "degenerate")
 
 
 def fractional_changes(
@@ -113,8 +127,7 @@ def fractional_changes(
     metric: str,
 ) -> tuple[list[float], list[int]]:
     """(fractional changes, later-release bug counts) over usable updated CUs,
-    sorted by path. The excluded count is len(partition.updated) minus the
-    returned length."""
+    sorted by path."""
     changes: list[float] = []
     bug_counts: list[int] = []
     for path in sorted(partition.updated):
@@ -131,9 +144,6 @@ def family_significance(partition: FamilyPartition, ledger: BugLedger) -> ChiSqu
     """Chi-square independence test on the 3x2 (family x infected) table."""
     table = []
     for name in FAMILY_NAMES:
-        members = partition.family(name)
-        if not members:
-            raise EmptyFamily(f"family {name!r} is empty")
-        infected = sum(1 for p in members if ledger.count(p) >= 1)
-        table.append([infected, len(members) - infected])
+        stats = family_stats(partition.family(name), ledger)
+        table.append([stats.infected, stats.n - stats.infected])
     return chi_square_independence(table)

@@ -17,7 +17,7 @@ import json
 import re
 from dataclasses import dataclass
 
-from .errors import FormatError
+from .errors import FormatError, read_utf8
 
 CLASS_KINDS = ("class", "interface")
 
@@ -166,56 +166,86 @@ def _require(cond: bool, msg: str, record: int):
         raise FormatError(msg, record=record)
 
 
+def _strings(value, what: str, record: int) -> list[str]:
+    _require(
+        isinstance(value, list) and all(isinstance(v, str) for v in value),
+        f"{what} must be a list of strings",
+        record,
+    )
+    return value
+
+
+def _objects(value, what: str, record: int) -> list[dict]:
+    _require(
+        isinstance(value, list) and all(isinstance(v, dict) for v in value),
+        f"{what} must be a list of objects",
+        record,
+    )
+    return value
+
+
+def _count(value, what: str, record: int) -> int:
+    _require(
+        isinstance(value, int) and not isinstance(value, bool) and value >= 0,
+        f"{what} must be a non-negative integer",
+        record,
+    )
+    return value
+
+
 def _method_from_dict(d: dict, record: int) -> MethodFacts:
     _require(isinstance(d.get("name"), str), "method record needs a name", record)
     calls = d.get("external_calls", [])
     _require(
-        all(isinstance(p, list) and len(p) == 2 for p in calls),
+        isinstance(calls, list)
+        and all(isinstance(p, list) and len(p) == 2 and all(isinstance(s, str) for s in p) for p in calls),
         "external_calls entries must be [type, method] pairs",
         record,
     )
     return MethodFacts(
         name=d["name"],
-        param_types=tuple(d.get("param_types", [])),
-        referenced_types=frozenset(d.get("referenced_types", [])),
+        param_types=tuple(_strings(d.get("param_types", []), "param_types", record)),
+        referenced_types=frozenset(_strings(d.get("referenced_types", []), "referenced_types", record)),
         external_calls=frozenset((t, n) for t, n in calls),
-        used_fields=frozenset(d.get("used_fields", [])),
+        used_fields=frozenset(_strings(d.get("used_fields", []), "used_fields", record)),
     )
 
 
 def _class_from_dict(d: dict, record: int) -> ClassFacts:
     _require(isinstance(d.get("name"), str), "class record needs a name", record)
     _require(d.get("kind") in CLASS_KINDS, f"unknown class kind {d.get('kind')!r}", record)
-    loc = d.get("loc", 0)
-    _require(isinstance(loc, int) and loc >= 0, "class loc must be a non-negative integer", record)
+    extends = d.get("extends")
+    _require(extends is None or isinstance(extends, str), "extends must be a string or null", record)
     return ClassFacts(
         name=d["name"],
         kind=d["kind"],
-        extends=d.get("extends"),
-        implements=tuple(d.get("implements", [])),
-        field_types=tuple(sorted(d.get("field_types", []))),
-        methods=tuple(_method_from_dict(m, record) for m in d.get("methods", [])),
-        loc=loc,
+        extends=extends,
+        implements=tuple(_strings(d.get("implements", []), "implements", record)),
+        field_types=tuple(sorted(_strings(d.get("field_types", []), "field_types", record))),
+        methods=tuple(_method_from_dict(m, record) for m in _objects(d.get("methods", []), "methods", record)),
+        loc=_count(d.get("loc", 0), "class loc", record),
     )
 
 
 def cu_from_dict(d: dict, record: int = 0) -> CUFacts:
+    """One facts record; any missing or mistyped field raises FormatError."""
     _require(isinstance(d, dict), "record must be a JSON object", record)
     for key in ("path", "package", "imports", "classes", "loc"):
         _require(key in d, f"missing field {key!r}", record)
     _require(isinstance(d["path"], str) and d["path"] != "", "path must be a non-empty string", record)
-    _require(isinstance(d["loc"], int) and d["loc"] >= 0, "loc must be a non-negative integer", record)
-    classes = tuple(_class_from_dict(c, record) for c in d["classes"])
+    _require(isinstance(d["package"], str), "package must be a string", record)
+    loc = _count(d["loc"], "loc", record)
+    classes = tuple(_class_from_dict(c, record) for c in _objects(d["classes"], "classes", record))
     _require(len(classes) > 0, "classes must be non-empty", record)
     names = [c.name for c in classes]
     _require(len(names) == len(set(names)), "duplicate class name within CU", record)
-    _require(d["loc"] >= len(classes), "loc smaller than the number of declared classes", record)
+    _require(loc >= len(classes), "loc smaller than the number of declared classes", record)
     return CUFacts(
         path=d["path"],
         package=d["package"],
-        imports=tuple(d["imports"]),
+        imports=tuple(_strings(d["imports"], "imports", record)),
         classes=classes,
-        loc=d["loc"],
+        loc=loc,
     )
 
 
@@ -250,5 +280,4 @@ def load_facts(text: str) -> list[CUFacts]:
 
 
 def load_facts_file(path) -> list[CUFacts]:
-    with open(path, encoding="utf-8") as fh:
-        return load_facts(fh.read())
+    return load_facts(read_utf8(path, FormatError))

@@ -26,7 +26,7 @@ from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
-from .errors import ParseError
+from .errors import ParseError, read_utf8
 from .facts import ClassFacts, CUFacts, MethodFacts, scan_source
 
 KEYWORDS = frozenset(
@@ -667,8 +667,8 @@ def parse_compilation_unit(source_text: str, path: str) -> CUFacts:
 def parse_corpus_dir(root) -> tuple[list[CUFacts], list[tuple[str, ParseError]]]:
     """Parse every .java file under root (sorted relative paths).
 
-    Returns (facts, failures); failed files are reported, never silently
-    dropped.
+    Returns (facts, failures); files that fail to parse or are not UTF-8 are
+    reported, never silently dropped.
     """
     paths: list[str] = []
     for dirpath, dirnames, filenames in os.walk(root):
@@ -682,10 +682,8 @@ def parse_corpus_dir(root) -> tuple[list[CUFacts], list[tuple[str, ParseError]]]
     failures: list[tuple[str, ParseError]] = []
     for rel in paths:
         full = os.path.join(root, rel.replace("/", os.sep))
-        with open(full, encoding="utf-8") as fh:
-            text = fh.read()
         try:
-            facts.append(parse_compilation_unit(text, rel))
+            facts.append(parse_compilation_unit(read_utf8(full, ParseError), rel))
         except ParseError as exc:
             failures.append((rel, exc))
     return facts, failures

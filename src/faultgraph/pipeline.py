@@ -9,10 +9,18 @@ aborting the run: on small systems they are expected outcomes, not faults.
 
 import logging
 import re
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 from pathlib import Path
 
-from .bugs import BugLedger, build_bug_ledger, load_issue_registry, parse_commit_log
+from .bugs import (
+    BugLedger,
+    CommitEntry,
+    IssueRegistry,
+    build_bug_ledger,
+    load_issue_registry,
+    parse_commit_log,
+)
 from .config import PipelineConfig, ReleaseConfig
 from .errors import (
     ConfigError,
@@ -27,9 +35,9 @@ from .evolution import (
     FAMILY_NAMES,
     ReleaseSnapshot,
     classify_cus,
+    delta_metric_correlation,
     family_significance,
     family_stats,
-    fractional_changes,
 )
 from .facts import CUFacts, dump_facts_file, load_facts_file
 from .graphs import ClassGraph, CUGraph, build_class_graph, build_cu_graph
@@ -100,23 +108,35 @@ class ReleaseData:
         return ReleaseSnapshot(release=self.tag, metrics=self.per_cu, ledger=self.ledger)
 
 
-def load_release_facts(rc: ReleaseConfig) -> list[CUFacts]:
-    """Strict facts loading: any parse failure aborts."""
+def load_release_facts(rc: ReleaseConfig) -> tuple[list[CUFacts], list[tuple[str, Exception]]]:
+    """(facts, per-file parse failures) of a release; no CUs at all is an InputError."""
     if rc.facts is not None:
-        facts = load_facts_file(rc.facts)
+        facts, failures = load_facts_file(rc.facts), []
     else:
         facts, failures = parse_corpus_dir(rc.corpus)
+    if not facts:
+        raise InputError(f"release {rc.tag!r}: no compilation units found")
+    return facts, failures
+
+
+def load_bug_inputs(cfg: PipelineConfig) -> tuple[list[CommitEntry], IssueRegistry]:
+    try:
+        if cfg.commit_log is None:
+            raise ConfigError("config has no commit_log (required to map bugs)")
+        if cfg.issue_registry is None:
+            raise ConfigError("config has no issue_registry (required to map bugs)")
+        return parse_commit_log(cfg.commit_log), load_issue_registry(cfg.issue_registry)
+    except InputError as exc:
+        raise StageFailure(STAGE_BUGS, exc) from exc
+
+
+def build_release(rc: ReleaseConfig) -> ReleaseData:
+    """Facts, graphs and metrics of one release; a file that fails to parse aborts it."""
+    try:
+        facts, failures = load_release_facts(rc)
         if failures:
             listing = "; ".join(f"{p}: {e}" for p, e in failures)
             raise InputError(f"release {rc.tag!r}: {len(failures)} file(s) failed to parse: {listing}")
-    if not facts:
-        raise InputError(f"release {rc.tag!r}: no compilation units found")
-    return facts
-
-
-def build_release(cfg: PipelineConfig, rc: ReleaseConfig, with_bugs: bool = False) -> ReleaseData:
-    try:
-        facts = load_release_facts(rc)
         corpus = resolve_type_references(facts)
     except InputError as exc:
         raise StageFailure(STAGE_SOURCE, exc) from exc
@@ -126,7 +146,7 @@ def build_release(cfg: PipelineConfig, rc: ReleaseConfig, with_bugs: bool = Fals
         per_class, per_cu = compute_metrics(corpus, cg, cug)
     except FaultgraphError as exc:
         raise StageFailure(STAGE_GRAPH, exc) from exc
-    data = ReleaseData(
+    return ReleaseData(
         tag=rc.tag,
         facts=facts,
         corpus=corpus,
@@ -135,19 +155,12 @@ def build_release(cfg: PipelineConfig, rc: ReleaseConfig, with_bugs: bool = Fals
         per_class=per_class,
         per_cu=per_cu,
     )
-    if with_bugs:
-        attach_ledger(cfg, data)
-    return data
 
 
-def attach_ledger(cfg: PipelineConfig, data: ReleaseData) -> None:
+def attach_ledger(
+    cfg: PipelineConfig, data: ReleaseData, commits: list[CommitEntry], registry: IssueRegistry
+) -> None:
     try:
-        if cfg.commit_log is None:
-            raise ConfigError("config has no commit_log (required to map bugs)")
-        if cfg.issue_registry is None:
-            raise ConfigError("config has no issue_registry (required to map bugs)")
-        commits = parse_commit_log(cfg.commit_log)
-        registry = load_issue_registry(cfg.issue_registry)
         window = cfg.window_of(data.tag)
         full = build_bug_ledger(commits, registry, cfg.filter_config, window, data.tag)
         known = set(data.per_cu)
@@ -168,10 +181,10 @@ def attach_ledger(cfg: PipelineConfig, data: ReleaseData) -> None:
 # --------------------------------------------------------------------------
 
 
-def write_facts(data: ReleaseData, out: Path) -> Path:
+def write_facts(data: ReleaseData, out: Path) -> list[Path]:
     path = out / f"facts-{_safe_tag(data.tag)}.jsonl"
     dump_facts_file(sorted(data.facts, key=lambda cu: cu.path), path)
-    return path
+    return [path]
 
 
 def write_graphs(data: ReleaseData, out: Path) -> list[Path]:
@@ -255,7 +268,7 @@ def write_ccdfs(data: ReleaseData, out: Path, only: str | None = None) -> list[P
     return paths
 
 
-def write_tail_fits(data: ReleaseData, out: Path, only: str | None = None) -> Path:
+def write_tail_fits(data: ReleaseData, out: Path, only: str | None = None) -> list[Path]:
     rows = []
     for name in _selected_distributions(only):
         # count distributions are discrete; only the LOC scale is continuous
@@ -273,10 +286,10 @@ def write_tail_fits(data: ReleaseData, out: Path, only: str | None = None) -> Pa
             rows.append([name, mode, "insufficient-tail", "", "", "", len(positive)])
     path = out / f"tailfit-{_safe_tag(data.tag)}.tsv"
     write_table(path, ["distribution", "mode", "status", "gamma", "x_min", "ks", "n_tail"], rows)
-    return path
+    return [path]
 
 
-def write_correlations(data: ReleaseData, out: Path) -> Path:
+def write_correlations(data: ReleaseData, out: Path) -> list[Path]:
     assert data.ledger is not None
     paths = sorted(data.per_cu)
     bugs = [data.ledger.count(p) for p in paths]
@@ -290,7 +303,7 @@ def write_correlations(data: ReleaseData, out: Path) -> Path:
             rows.append([name, len(paths), "", "degenerate"])
     path = out / f"correlation-{_safe_tag(data.tag)}.tsv"
     write_table(path, ["metric", "n", "r", "status"], rows)
-    return path
+    return [path]
 
 
 # --------------------------------------------------------------------------
@@ -310,13 +323,12 @@ def write_evolution(prev: ReleaseData, nxt: ReleaseData, out: Path) -> list[Path
                 family_rows.append([metric, family_name, 0, "", "", ""])
                 continue
             stats = family_stats(members, next_snap.ledger)
-            infected = sum(1 for p in members if next_snap.ledger.count(p) >= 1)
             family_rows.append(
                 [
                     metric,
                     family_name,
                     stats.n,
-                    infected,
+                    stats.infected,
                     _fmt(stats.infection_probability),
                     _fmt(stats.mean_bugs_infected) if stats.mean_bugs_infected is not None else "",
                 ]
@@ -328,17 +340,9 @@ def write_evolution(prev: ReleaseData, nxt: ReleaseData, out: Path) -> list[Path
             chi_rows.append([metric, "", "", "", "empty-family"])
         except DegenerateTable:
             chi_rows.append([metric, "", "", "", "degenerate"])
-        changes, bug_counts = fractional_changes(partition, prev_snap, next_snap, metric)
-        n_used = len(changes)
-        n_excluded = len(partition.updated) - n_used
-        try:
-            r = pearson(changes, bug_counts) if n_used >= 3 else None
-            if r is None:
-                delta_rows.append([metric, n_used, n_excluded, "", "too-few-updated"])
-            else:
-                delta_rows.append([metric, n_used, n_excluded, _fmt(r), "ok"])
-        except DegenerateInput:
-            delta_rows.append([metric, n_used, n_excluded, "", "degenerate"])
+        delta = delta_metric_correlation(partition, prev_snap, next_snap, metric)
+        r = _fmt(delta.r) if delta.r is not None else ""
+        delta_rows.append([metric, delta.n_used, delta.n_excluded, r, delta.status])
     p1 = out / f"evolution-{pair}.tsv"
     write_table(
         p1,
@@ -363,6 +367,40 @@ def _select_releases(cfg: PipelineConfig, release: str | None) -> list[ReleaseCo
     return [cfg.release(release)]
 
 
+def run_releases(
+    cfg: PipelineConfig,
+    out_dir: Path,
+    writers: Sequence[Callable[[ReleaseData, Path], list[Path]]],
+    pair_writers: Sequence[Callable[[ReleaseData, ReleaseData, Path], list[Path]]] = (),
+    release: str | None = None,
+    with_bugs: bool = True,
+) -> list[Path]:
+    """The one release driver: reads the bug inputs once, builds each selected
+    release once and runs the writers on it, then, with no ``release`` given,
+    the pair writers on each release pair. Returns the written paths."""
+    out_dir.mkdir(parents=True, exist_ok=True)
+    bug_inputs = load_bug_inputs(cfg) if with_bugs else None
+    emitted: list[Path] = []
+    data_by_tag: dict[str, ReleaseData] = {}
+    for rc in _select_releases(cfg, release):
+        data = data_by_tag[rc.tag] = build_release(rc)
+        if bug_inputs is not None:
+            attach_ledger(cfg, data, *bug_inputs)
+        try:  # writers compute the statistics they write
+            for writer in writers:
+                emitted.extend(writer(data, out_dir))
+        except FaultgraphError as exc:
+            raise StageFailure(STAGE_STATS, exc) from exc
+    if release is None:
+        try:
+            for a, b in cfg.release_pairs:
+                for pair_writer in pair_writers:
+                    emitted.extend(pair_writer(data_by_tag[a], data_by_tag[b], out_dir))
+        except FaultgraphError as exc:
+            raise StageFailure(STAGE_EVOLUTION, exc) from exc
+    return emitted
+
+
 def cmd_extract(cfg: PipelineConfig, out_dir: Path, release: str | None = None):
     """Parse corpora into facts files. Failed files are reported and skipped;
     returns (written paths, failures) so the CLI can exit nonzero."""
@@ -370,18 +408,11 @@ def cmd_extract(cfg: PipelineConfig, out_dir: Path, release: str | None = None):
     written: list[Path] = []
     failures: list[tuple[str, str, Exception]] = []
     for rc in _select_releases(cfg, release):
-        if rc.facts is not None:
-            try:
-                facts = load_facts_file(rc.facts)
-            except InputError as exc:
-                raise StageFailure(STAGE_SOURCE, exc) from exc
-        else:
-            facts, failed = parse_corpus_dir(rc.corpus)
-            failures.extend((rc.tag, path, err) for path, err in failed)
-        if not facts:
-            raise StageFailure(
-                STAGE_SOURCE, InputError(f"release {rc.tag!r}: no compilation units found")
-            )
+        try:
+            facts, failed = load_release_facts(rc)
+        except InputError as exc:
+            raise StageFailure(STAGE_SOURCE, exc) from exc
+        failures.extend((rc.tag, path, err) for path, err in failed)
         path = out_dir / f"facts-{_safe_tag(rc.tag)}.jsonl"
         dump_facts_file(sorted(facts, key=lambda cu: cu.path), path)
         written.append(path)
@@ -392,27 +423,7 @@ def cmd_analyze(cfg: PipelineConfig, out_dir: Path, release: str | None = None) 
     """The full battery: facts, graphs, metrics, bugs, distributions, fits,
     correlations per release; families, significance, delta correlations per
     release pair."""
-    out_dir.mkdir(parents=True, exist_ok=True)
-    emitted: list[Path] = []
-    releases = _select_releases(cfg, release)
-    data_by_tag: dict[str, ReleaseData] = {}
-    for rc in releases:
-        data = build_release(cfg, rc, with_bugs=True)
-        data_by_tag[rc.tag] = data
-        emitted.append(write_facts(data, out_dir))
-        emitted.extend(write_graphs(data, out_dir))
-        emitted.extend(write_metrics(data, out_dir))
-        emitted.extend(write_bugs(data, out_dir))
-        try:
-            emitted.extend(write_ccdfs(data, out_dir))
-            emitted.append(write_tail_fits(data, out_dir))
-            emitted.append(write_correlations(data, out_dir))
-        except FaultgraphError as exc:
-            raise StageFailure(STAGE_STATS, exc) from exc
-    if release is None:
-        for a, b in cfg.release_pairs:
-            try:
-                emitted.extend(write_evolution(data_by_tag[a], data_by_tag[b], out_dir))
-            except FaultgraphError as exc:
-                raise StageFailure(STAGE_EVOLUTION, exc) from exc
-    return emitted
+    writers = [
+        write_facts, write_graphs, write_metrics, write_bugs, write_ccdfs, write_tail_fits, write_correlations
+    ]
+    return run_releases(cfg, out_dir, writers, [write_evolution], release=release)

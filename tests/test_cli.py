@@ -248,3 +248,82 @@ def test_fit_malformed_synthetic_spec_is_a_config_error(capsys, spec):
     code, _, err = run(capsys, "fit", "--synthetic", spec)
     assert code == 1
     assert "--synthetic" in err
+
+
+SUBCOMMAND_FILES = {
+    "extract": ("facts-",),
+    "graph": ("class-graph-", "cu-graph-"),
+    "metrics": ("class-metrics-", "metrics-"),
+    "bugs": ("bugs-per-cu-", "cus-per-bug-"),
+    "fit": ("ccdf-", "tailfit-"),
+    "correlate": ("correlation-",),
+    "evolve": ("evolution-", "significance-", "delta-correlation-"),
+}
+
+
+@pytest.mark.parametrize("command", sorted(SUBCOMMAND_FILES))
+def test_subcommand_files_match_golden_bundle(tmp_path, capsys, fixtures_dir, command):
+    out = tmp_path / command
+    code, stdout, _ = run(capsys, command, "--config", CONFIG, "--out", str(out))
+    assert code == 0
+    golden = fixtures_dir / "golden_out"
+    expected = sorted(p.name for p in golden.iterdir() if p.name.startswith(SUBCOMMAND_FILES[command]))
+    assert expected
+    assert sorted(p.name for p in out.iterdir()) == expected
+    assert sorted(stdout.split()) == sorted(str(out / name) for name in expected)
+    for name in expected:
+        assert (out / name).read_bytes() == (golden / name).read_bytes(), name
+
+
+NOT_UTF8 = "ok \xff\n".encode("latin-1")
+
+
+def test_non_utf8_java_file_is_a_reported_parse_failure(tmp_path, capsys, fixtures_dir):
+    cfg_path = write_config(tmp_path, fixtures_dir)
+    (tmp_path / "corpus_r1" / "app" / "Latin.java").write_bytes(b"package app;\nclass Latin {\n" + NOT_UTF8 + b"}\n")
+    code, _, err = run(capsys, "extract", "--config", str(cfg_path), "--out", str(tmp_path / "o"))
+    assert code == 1
+    assert "Latin.java" in err and "not UTF-8" in err
+    assert "app/Alpha.java" in (tmp_path / "o" / "facts-r1.jsonl").read_text()
+    code, _, err = run(capsys, "report", "--config", str(cfg_path), "--out", str(tmp_path / "r"))
+    assert code == 1
+    assert "stage source_facts" in err and "Latin.java" in err
+
+
+@pytest.mark.parametrize("name, stage", [("commits.tsv", "bug_mapping"), ("issues.tsv", "bug_mapping")])
+def test_non_utf8_bug_input_is_a_format_error(tmp_path, capsys, fixtures_dir, name, stage):
+    cfg_path = write_config(tmp_path, fixtures_dir)
+    path = tmp_path / name
+    path.write_bytes(path.read_bytes() + NOT_UTF8)
+    code, _, err = run(capsys, "report", "--config", str(cfg_path), "--out", str(tmp_path / "o"))
+    assert code == 1
+    assert f"stage {stage}" in err and name in err and "not UTF-8" in err
+
+
+def test_non_utf8_facts_file_is_a_format_error(tmp_path, capsys, fixtures_dir):
+    cfg_path = write_config(tmp_path, fixtures_dir)
+    (tmp_path / "facts.jsonl").write_bytes(NOT_UTF8)
+    cfg = json.loads(cfg_path.read_text())
+    del cfg["releases"][0]["corpus"]
+    cfg["releases"][0]["facts"] = "facts.jsonl"
+    cfg_path.write_text(json.dumps(cfg))
+    for command in ("extract", "report"):
+        code, _, err = run(capsys, command, "--config", str(cfg_path), "--out", str(tmp_path / "o"))
+        assert code == 1, command
+        assert "stage source_facts" in err and "facts.jsonl" in err and "not UTF-8" in err
+
+
+def test_non_utf8_config_is_a_config_error(tmp_path, capsys):
+    path = tmp_path / "config.json"
+    path.write_bytes(b'{"releases": []}' + NOT_UTF8)
+    code, _, err = run(capsys, "report", "--config", str(path))
+    assert code == 1
+    assert "config.json" in err and "not UTF-8" in err
+
+
+@pytest.mark.parametrize("command", ["extract", "graph", "metrics", "bugs", "correlate", "evolve", "report"])
+def test_seed_is_a_fit_option_only(tmp_path, capsys, command):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--config", CONFIG, "--out", str(tmp_path), "--seed", "7"])
+    assert exc.value.code != 0
+    assert "--seed" in capsys.readouterr().err

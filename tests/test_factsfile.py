@@ -1,7 +1,22 @@
+import copy
+import json
+
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from faultgraph.errors import FormatError
-from faultgraph.facts import dump_facts, dump_facts_file, load_facts, load_facts_file
+from faultgraph.facts import (
+    CLASS_KINDS,
+    ClassFacts,
+    CUFacts,
+    MethodFacts,
+    cu_to_dict,
+    dump_facts,
+    dump_facts_file,
+    load_facts,
+    load_facts_file,
+)
 from faultgraph.javaparse import parse_corpus_dir
 
 
@@ -57,3 +72,165 @@ def test_loc_must_cover_declared_classes():
 def test_writer_is_deterministic(corpus_r1_dir):
     facts, _ = parse_corpus_dir(corpus_r1_dir)
     assert dump_facts(facts) == dump_facts(facts)
+
+
+# -- field types ---------------------------------------------------------------
+
+VALID = {
+    "path": "a/A.java",
+    "package": "a",
+    "imports": ["x.Y"],
+    "loc": 4,
+    "classes": [
+        {
+            "name": "A",
+            "kind": "class",
+            "extends": None,
+            "implements": ["Runnable"],
+            "field_types": ["int"],
+            "methods": [
+                {
+                    "name": "run",
+                    "param_types": [],
+                    "referenced_types": ["Y"],
+                    "external_calls": [["Y", "go"]],
+                    "used_fields": ["n"],
+                }
+            ],
+            "loc": 4,
+        }
+    ],
+}
+
+
+def with_field(path, value):
+    record = copy.deepcopy(VALID)
+    node = record
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    return json.dumps(record) + "\n"
+
+
+def test_valid_record_loads():
+    (cu,) = load_facts(json.dumps(VALID) + "\n")
+    assert cu.imports == ("x.Y",)
+    assert cu.classes[0].implements == ("Runnable",)
+
+
+@pytest.mark.parametrize(
+    "path, value",
+    [
+        (("classes",), 5),
+        (("classes", 0, "field_types"), 7),
+        (("classes", 0, "methods"), [3]),
+        (("imports",), "x.Y"),
+        (("classes", 0, "implements"), "Runnable"),
+        (("package",), 5),
+        (("loc",), True),
+        (("classes", 0), "A"),
+        (("classes", 0, "extends"), ["B"]),
+        (("classes", 0, "loc"), 1.5),
+        (("classes", 0, "methods"), {"name": "run"}),
+        (("classes", 0, "methods", 0, "param_types"), None),
+        (("classes", 0, "methods", 0, "referenced_types"), [1]),
+        (("classes", 0, "methods", 0, "external_calls"), [["Y", 2]]),
+        (("classes", 0, "methods", 0, "used_fields"), "n"),
+    ],
+)
+def test_mistyped_field_is_a_format_error(path, value):
+    with pytest.raises(FormatError) as err:
+        load_facts(with_field(path, value))
+    assert err.value.record == 1
+
+
+names = st.text(min_size=1, max_size=8)
+methods = st.builds(
+    MethodFacts,
+    name=names,
+    param_types=st.lists(names, max_size=3).map(tuple),
+    referenced_types=st.frozensets(names, max_size=3),
+    external_calls=st.frozensets(st.tuples(names, names), max_size=3),
+    used_fields=st.frozensets(names, max_size=3),
+)
+classes = st.builds(
+    ClassFacts,
+    name=names,
+    kind=st.sampled_from(CLASS_KINDS),
+    extends=st.none() | names,
+    implements=st.lists(names, max_size=3).map(tuple),
+    field_types=st.lists(names, max_size=3).map(lambda xs: tuple(sorted(xs))),  # the loader sorts
+    methods=st.lists(methods, max_size=3).map(tuple),
+    loc=st.integers(0, 10**9),
+)
+
+
+@st.composite
+def compilation_units(draw, path=names):
+    members = draw(st.lists(classes, min_size=1, max_size=3, unique_by=lambda c: c.name))
+    return CUFacts(
+        path=draw(path),
+        package=draw(st.text(max_size=8)),
+        imports=tuple(draw(st.lists(names, max_size=3))),
+        classes=tuple(members),
+        loc=draw(st.integers(len(members), 10**9)),
+    )
+
+
+@given(st.lists(compilation_units(), max_size=4, unique_by=lambda cu: cu.path))
+def test_dump_load_round_trip(cus):
+    assert load_facts(dump_facts(cus)) == cus
+
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
+    lambda kids: st.lists(kids, max_size=4) | st.dictionaries(st.text(max_size=6), kids, max_size=4),
+    max_leaves=12,
+)
+
+
+@st.composite
+def mutated_records(draw):
+    """A valid record with one nested value replaced by any JSON value."""
+    record = cu_to_dict(draw(compilation_units()))
+    node = record
+    while True:
+        key = draw(st.sampled_from(sorted(node) if isinstance(node, dict) else range(len(node))))
+        child = node[key]
+        if isinstance(child, (dict, list)) and child and draw(st.booleans()):
+            node = child
+            continue
+        node[key] = draw(json_values)
+        return record
+
+
+def assert_facts_or_format_error(value):
+    try:
+        cus = load_facts(json.dumps(value) + "\n")
+    except FormatError:
+        return
+    assert len(cus) == 1 and isinstance(cus[0], CUFacts)
+
+
+@given(json_values)
+def test_any_json_line_gives_facts_or_format_error(value):
+    assert_facts_or_format_error(value)
+
+
+@given(mutated_records())
+def test_any_mistyped_record_gives_facts_or_format_error(record):
+    assert_facts_or_format_error(record)
+
+
+java_bytes = st.binary(max_size=64) | st.lists(
+    st.sampled_from(["package p;", "class A", "{", "}", "int x;", "void m() {}", "\xe9", "\n", " "]),
+    max_size=12,
+).map(lambda parts: "".join(parts).encode("utf-8"))
+
+
+@settings(suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(java_bytes)
+def test_any_source_bytes_give_facts_or_a_parse_failure(tmp_path, data):
+    (tmp_path / "A.java").write_bytes(data)
+    facts, failures = parse_corpus_dir(tmp_path)
+    assert len(facts) + len(failures) == 1

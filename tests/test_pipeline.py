@@ -3,10 +3,17 @@ import json
 import numpy as np
 import pytest
 
+from faultgraph import pipeline
 from faultgraph.cli import main
 from faultgraph.config import load_config
 from faultgraph.errors import ConfigError
-from faultgraph.pipeline import StageFailure, attach_ledger, build_release, cmd_analyze
+from faultgraph.pipeline import (
+    StageFailure,
+    attach_ledger,
+    build_release,
+    cmd_analyze,
+    load_bug_inputs,
+)
 
 
 def make_corpus(root, sizes):
@@ -70,11 +77,12 @@ def test_large_corpus_reaches_ok_tail_fit_and_degenerate_correlation(big_release
 def test_links_to_unknown_files_are_dropped_with_count(big_release, caplog):
     cfg_path, _ = big_release
     cfg = load_config(cfg_path)
-    data = build_release(cfg, cfg.release("r1"))
+    data = build_release(cfg.release("r1"))
+    commits, registry = load_bug_inputs(cfg)
     import logging
 
     with caplog.at_level(logging.WARNING, logger="faultgraph.pipeline"):
-        attach_ledger(cfg, data)
+        attach_ledger(cfg, data, commits, registry)
     assert data.dropped_links == 1  # the ghost/Gone.java link
     assert data.ledger.links == frozenset()
     assert any("dropped 1" in rec.message for rec in caplog.records)
@@ -125,3 +133,49 @@ def test_analyze_strict_on_missing_window(tmp_path):
         cmd_analyze(cfg, tmp_path / "out")
     assert err.value.stage == "bug_mapping"
     assert isinstance(err.value.error, ConfigError)
+
+
+def test_fit_rejects_unknown_distribution_before_parsing(big_release, capsys):
+    cfg_path, tmp_path = big_release
+    (tmp_path / "src" / "Broken.java").write_text("package p;\nclass {\n}\n")
+    code = main(["fit", "--config", str(cfg_path), "--metric", "bogus", "--out", str(tmp_path / "o")])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert "unknown distribution" in err and "Broken.java" not in err
+
+
+def count_calls(monkeypatch, name):
+    """Replace pipeline.<name> with a wrapper recording each call's arguments."""
+    calls = []
+    original = getattr(pipeline, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(pipeline, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "argv, log_reads, builds",
+    [
+        (["report"], 1, ["r1", "r2"]),
+        (["report", "--release", "r2"], 1, ["r2"]),
+        (["evolve"], 1, ["r1", "r2"]),
+        (["bugs"], 1, ["r1", "r2"]),
+        (["fit", "--metric", "cu_wmc"], 0, ["r1", "r2"]),
+        (["graph"], 0, ["r1", "r2"]),
+    ],
+)
+def test_driver_reads_bug_inputs_once_and_builds_each_release_once(
+    tmp_path, monkeypatch, capsys, fixtures_dir, argv, log_reads, builds
+):
+    log = count_calls(monkeypatch, "parse_commit_log")
+    registry = count_calls(monkeypatch, "load_issue_registry")
+    built = count_calls(monkeypatch, "build_release")
+    config = str(fixtures_dir / "pipeline_config.json")
+    assert main([*argv, "--config", config, "--out", str(tmp_path / "o")]) == 0
+    capsys.readouterr()
+    assert len(log) == len(registry) == log_reads
+    assert [rc.tag for (rc,) in built] == builds
