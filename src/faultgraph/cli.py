@@ -137,8 +137,17 @@ def run_report(args) -> int:
     return _print_paths(cmd_analyze(cfg, _out_dir(args, cfg), release=args.release))
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """An argument parser whose usage errors exit 1: a bad command line is
+    input, and argparse's own code 2 is reserved for internal faults."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="faultgraph",
         description="Software-graph metrics, bug mapping, and heavy-tail statistics for Java-like corpora.",
     )

@@ -13,14 +13,7 @@ from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 from pathlib import Path
 
-from .bugs import (
-    BugLedger,
-    CommitEntry,
-    IssueRegistry,
-    build_bug_ledger,
-    load_issue_registry,
-    parse_commit_log,
-)
+from .bugs import BugLedger, build_bug_ledger, load_issue_registry, parse_commit_log
 from .config import PipelineConfig, ReleaseConfig
 from .errors import (
     ConfigError,
@@ -108,32 +101,50 @@ class ReleaseData:
         return ReleaseSnapshot(release=self.tag, metrics=self.per_cu, ledger=self.ledger)
 
 
-def load_release_facts(rc: ReleaseConfig) -> tuple[list[CUFacts], list[tuple[str, Exception]]]:
-    """(facts, per-file parse failures) of a release; no CUs at all is an InputError."""
+def load_release_facts(
+    rc: ReleaseConfig, memo: dict | None = None
+) -> tuple[list[CUFacts], list[tuple[str, Exception]]]:
+    """(facts, per-file parse failures) of a release; no CUs at all is an InputError.
+    ``memo`` is the run's parse memo, passed on to ``parse_corpus_dir``."""
     if rc.facts is not None:
         facts, failures = load_facts_file(rc.facts), []
     else:
-        facts, failures = parse_corpus_dir(rc.corpus)
+        facts, failures = parse_corpus_dir(rc.corpus, memo)
     if not facts:
         raise InputError(f"release {rc.tag!r}: no compilation units found")
     return facts, failures
 
 
-def load_bug_inputs(cfg: PipelineConfig) -> tuple[list[CommitEntry], IssueRegistry]:
+def load_bug_ledgers(
+    cfg: PipelineConfig, releases: Sequence[ReleaseConfig]
+) -> dict[str, BugLedger | InputError]:
+    """Each release's full in-window ledger from one read of the commit log
+    and the registry, which are freed on return. A release whose ledger
+    cannot be built (no window, say) maps to its InputError, which
+    ``attach_ledger`` raises when that release gets its ledger."""
     try:
         if cfg.commit_log is None:
             raise ConfigError("config has no commit_log (required to map bugs)")
         if cfg.issue_registry is None:
             raise ConfigError("config has no issue_registry (required to map bugs)")
-        return parse_commit_log(cfg.commit_log), load_issue_registry(cfg.issue_registry)
+        commits = parse_commit_log(cfg.commit_log)
+        registry = load_issue_registry(cfg.issue_registry)
     except InputError as exc:
         raise StageFailure(STAGE_BUGS, exc) from exc
+    ledgers: dict[str, BugLedger | InputError] = {}
+    for rc in releases:
+        try:
+            window = cfg.window_of(rc.tag)
+            ledgers[rc.tag] = build_bug_ledger(commits, registry, cfg.filter_config, window, rc.tag)
+        except InputError as exc:
+            ledgers[rc.tag] = exc
+    return ledgers
 
 
-def build_release(rc: ReleaseConfig) -> ReleaseData:
+def build_release(rc: ReleaseConfig, memo: dict | None = None) -> ReleaseData:
     """Facts, graphs and metrics of one release; a file that fails to parse aborts it."""
     try:
-        facts, failures = load_release_facts(rc)
+        facts, failures = load_release_facts(rc, memo)
         if failures:
             listing = "; ".join(f"{p}: {e}" for p, e in failures)
             raise InputError(f"release {rc.tag!r}: {len(failures)} file(s) failed to parse: {listing}")
@@ -157,14 +168,12 @@ def build_release(rc: ReleaseConfig) -> ReleaseData:
     )
 
 
-def attach_ledger(
-    cfg: PipelineConfig, data: ReleaseData, commits: list[CommitEntry], registry: IssueRegistry
-) -> None:
+def attach_ledger(data: ReleaseData, full: BugLedger | InputError) -> None:
+    """Restrict the release's full ledger to its CUs and count the links dropped."""
     try:
-        window = cfg.window_of(data.tag)
-        full = build_bug_ledger(commits, registry, cfg.filter_config, window, data.tag)
-        known = set(data.per_cu)
-        ledger = full.restricted_to(known)
+        if isinstance(full, InputError):
+            raise full
+        ledger = full.restricted_to(data.per_cu)
         data.dropped_links = len(full.links) - len(ledger.links)
         if data.dropped_links:
             log.warning(
@@ -375,41 +384,61 @@ def run_releases(
     release: str | None = None,
     with_bugs: bool = True,
 ) -> list[Path]:
-    """The one release driver: reads the bug inputs once, builds each selected
-    release once and runs the writers on it, then, with no ``release`` given,
-    the pair writers on each release pair. Returns the written paths."""
+    """The one release driver.
+
+    It reads the commit log and the registry once, building every selected
+    release's ledger before any source is parsed, so the commits are freed
+    first. It builds each selected release once and runs the writers on it.
+    The releases share one parse memo, from source text to its facts or its
+    ParseError, so a file unchanged between releases is parsed once per run.
+    With no ``release`` given, each pair writer runs as soon as both of its
+    releases are built, and a release no later pair needs is freed. Returns
+    the written paths: every release's in release order, then every pair's in
+    ``release_pairs`` order.
+    """
     out_dir.mkdir(parents=True, exist_ok=True)
-    bug_inputs = load_bug_inputs(cfg) if with_bugs else None
+    selected = _select_releases(cfg, release)
+    ledgers = load_bug_ledgers(cfg, selected) if with_bugs else None
+    memo: dict = {}
     emitted: list[Path] = []
-    data_by_tag: dict[str, ReleaseData] = {}
-    for rc in _select_releases(cfg, release):
-        data = data_by_tag[rc.tag] = build_release(rc)
-        if bug_inputs is not None:
-            attach_ledger(cfg, data, *bug_inputs)
+    todo = list(enumerate(cfg.release_pairs)) if release is None else []
+    pair_paths: dict[int, list[Path]] = {}
+    built: dict[str, ReleaseData] = {}
+    for rc in selected:
+        data = built[rc.tag] = build_release(rc, memo=memo)
+        if ledgers is not None:
+            attach_ledger(data, ledgers.pop(rc.tag))
         try:  # writers compute the statistics they write
             for writer in writers:
                 emitted.extend(writer(data, out_dir))
         except FaultgraphError as exc:
             raise StageFailure(STAGE_STATS, exc) from exc
-    if release is None:
+        waiting = []
         try:
-            for a, b in cfg.release_pairs:
-                for pair_writer in pair_writers:
-                    emitted.extend(pair_writer(data_by_tag[a], data_by_tag[b], out_dir))
+            for j, (a, b) in todo:
+                if a in built and b in built:
+                    pair_paths[j] = [p for w in pair_writers for p in w(built[a], built[b], out_dir)]
+                else:
+                    waiting.append((j, (a, b)))
         except FaultgraphError as exc:
             raise StageFailure(STAGE_EVOLUTION, exc) from exc
-    return emitted
+        todo = waiting
+        needed = {tag for _, pair in todo for tag in pair}
+        built = {tag: d for tag, d in built.items() if tag in needed}
+    return emitted + [p for j in sorted(pair_paths) for p in pair_paths[j]]
 
 
 def cmd_extract(cfg: PipelineConfig, out_dir: Path, release: str | None = None):
-    """Parse corpora into facts files. Failed files are reported and skipped;
-    returns (written paths, failures) so the CLI can exit nonzero."""
+    """Parse corpora into facts files, sharing one parse memo across releases.
+    Failed files are reported and skipped; returns (written paths, failures)
+    so the CLI can exit nonzero."""
     out_dir.mkdir(parents=True, exist_ok=True)
+    memo: dict = {}
     written: list[Path] = []
     failures: list[tuple[str, str, Exception]] = []
     for rc in _select_releases(cfg, release):
         try:
-            facts, failed = load_release_facts(rc)
+            facts, failed = load_release_facts(rc, memo)
         except InputError as exc:
             raise StageFailure(STAGE_SOURCE, exc) from exc
         failures.extend((rc.tag, path, err) for path, err in failed)

@@ -325,5 +325,29 @@ def test_non_utf8_config_is_a_config_error(tmp_path, capsys):
 def test_seed_is_a_fit_option_only(tmp_path, capsys, command):
     with pytest.raises(SystemExit) as exc:
         main([command, "--config", CONFIG, "--out", str(tmp_path), "--seed", "7"])
-    assert exc.value.code != 0
+    assert exc.value.code == 1
     assert "--seed" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["report", "--config"],  # missing value
+        ["fit", "--mode", "sideways"],  # value outside its choices
+        ["report", "--no-such-flag"],
+        ["no-such-command"],
+        [],  # no subcommand
+    ],
+)
+def test_usage_errors_exit_1(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 1
+    assert "error:" in capsys.readouterr().err
+
+
+def test_help_exits_0(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["report", "--help"])
+    assert exc.value.code == 0
+    assert "--config" in capsys.readouterr().out

@@ -1,14 +1,21 @@
+import importlib.util
 import json
+import pathlib
 import re
 from bisect import bisect_right
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import javaparse_oracle
 from faultgraph.errors import ParseError
 from faultgraph.facts import cu_to_dict, scan_source
-from faultgraph.javaparse import Token, parse_compilation_unit, parse_corpus_dir, tokenize
+from faultgraph.javaparse import _END, _IDENT_START, _Parser, parse_compilation_unit, parse_corpus_dir, tokenize
+
+TESTS = pathlib.Path(__file__).resolve().parent
+GEN = TESTS.parent / "perfbench" / "gen.py"
 
 
 def parse(text, path="T.java"):
@@ -279,7 +286,9 @@ def test_corpus_dir_reports_failures_without_dropping_others(tmp_path):
 
 # --------------------------------------------------------------------------
 # The tokenizer against the whitespace-matching tokenizer it replaced, kept
-# here as the oracle: same tokens, kinds and positions.
+# here as the oracle: same token values, kinds, lines and columns. The kind
+# follows from a token's first character; the column is the one a ParseError
+# at that token reports.
 # --------------------------------------------------------------------------
 
 _OLD_TOKEN_RE = re.compile(
@@ -308,13 +317,35 @@ def tokenize_with_whitespace_group(stripped):
     return out
 
 
-TOKENIZER_ALPHABET = "/*\"'\\\n\r\t\x0b\x0c\x85\u2028\u2003éa1{;<xX_$.L"
+def kind_of(value):
+    """A token's kind from its first character, as the parser reads it."""
+    if value[0] in _IDENT_START:
+        return "ident"
+    if re.match(r"\d", value):
+        return "number"
+    return {'"': "string", "'": "char"}.get(value[0], "punct")
+
+
+def string_tokens(stripped):
+    """(kind, value, line, column) of every token of the string tokenizer."""
+    toks, lines = tokenize(stripped)
+    parser = _Parser([*toks, *_END], lines, stripped)
+    out = []
+    for i, (value, line) in enumerate(zip(toks, lines)):
+        with pytest.raises(ParseError) as err:
+            parser.fail("here", i)
+        assert err.value.line == line
+        out.append((kind_of(value), value, line, err.value.column))
+    return out
+
+
+TOKENIZER_ALPHABET = "/*\"'\\\n\r\t\x0b\x0c\x85\u2028\u2003éa1{;<xX_$.L\u0663"
 
 
 @settings(max_examples=500)
 @given(st.text(alphabet=TOKENIZER_ALPHABET, max_size=200))
 def test_tokenize_matches_whitespace_group_oracle(text):
-    assert tokenize(text) == tokenize_with_whitespace_group(text)
+    assert string_tokens(text) == tokenize_with_whitespace_group(text)
 
 
 def test_tokenize_matches_oracle_on_fixtures(fixtures_dir):
@@ -322,6 +353,85 @@ def test_tokenize_matches_oracle_on_fixtures(fixtures_dir):
     assert paths
     for path in paths:
         _, stripped = scan_source(path.read_text(encoding="utf-8"))
-        tokens = tokenize(stripped)
-        assert tokens == tokenize_with_whitespace_group(stripped), path
-        assert all(isinstance(t, Token) for t in tokens)
+        assert string_tokens(stripped) == tokenize_with_whitespace_group(stripped), path
+        toks, lines = tokenize(stripped)
+        assert all(type(t) is str for t in toks) and all(type(n) is int for n in lines)
+
+
+@settings(max_examples=300)
+@given(st.text(alphabet=TOKENIZER_ALPHABET, max_size=200))
+def test_no_token_spans_a_newline(text):
+    toks, lines = tokenize(text)
+    assert len(toks) == len(lines)
+    rows = text.split("\n")
+    for tok, line in zip(toks, lines):
+        assert "\n" not in tok
+        assert tok in rows[line - 1]
+
+
+# --------------------------------------------------------------------------
+# The parser against the object-token parser it replaced (javaparse_oracle):
+# equal CUFacts, or an equal ParseError with message, line and column.
+# --------------------------------------------------------------------------
+
+
+def outcome(parse_fn, text):
+    try:
+        return parse_fn(text, "T.java")
+    except ParseError as exc:
+        return ("error", str(exc), exc.line, exc.column)
+
+
+def assert_same_outcome(text):
+    assert outcome(parse_compilation_unit, text) == outcome(javaparse_oracle.parse_compilation_unit, text)
+
+
+def test_parser_matches_oracle_on_fixtures(fixtures_dir):
+    paths = sorted(fixtures_dir.rglob("*.java"))
+    assert paths
+    for path in paths:
+        assert_same_outcome(path.read_text(encoding="utf-8"))
+
+
+@pytest.fixture(scope="module")
+def generated_texts(tmp_path_factory):
+    """A small corpus from the benchmark's seeded generator."""
+    spec = importlib.util.spec_from_file_location("faultgraph_bench_gen", GEN)
+    gen = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(gen)
+    root = tmp_path_factory.mktemp("generated")
+    gen.write_corpus(gen.CorpusGen(np.random.default_rng(3)).first("r1", 60), root)
+    return [p.read_text(encoding="utf-8") for p in sorted(root.rglob("*.java"))]
+
+
+def test_parser_matches_oracle_on_generated_corpus(generated_texts):
+    assert len(generated_texts) == 60
+    for text in generated_texts:
+        assert_same_outcome(text)
+
+
+FIXTURE_TEXTS = [p.read_text(encoding="utf-8") for p in sorted((TESTS / "fixtures").rglob("*.java"))]
+EDIT_TOKENS = [
+    *"{}()<>[];,.=@*?:\"'",
+    "class", "interface", "enum", "record", "new", "this", "super", "extends", "implements",
+    "throws", "import", "package", "static", "final", "int", "void", "List", "x", "7", "\n", "/*", "//",
+]
+_WORD = re.compile(r"\w+|\S")
+
+
+def apply_edits(text, edits):
+    """Delete the k-th word or punctuator, or insert a token before it."""
+    for k, token in edits:
+        spans = [m.span() for m in _WORD.finditer(text)] or [(0, 0)]
+        a, b = spans[k % len(spans)]
+        text = text[:a] + text[b:] if token is None else f"{text[:a]} {token} {text[a:]}"
+    return text
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    st.sampled_from(FIXTURE_TEXTS),
+    st.lists(st.tuples(st.integers(0, 400), st.none() | st.sampled_from(EDIT_TOKENS)), min_size=1, max_size=4),
+)
+def test_parser_matches_oracle_on_edited_sources(text, edits):
+    assert_same_outcome(apply_edits(text, edits))

@@ -1,18 +1,24 @@
+import gc
 import json
+import re
+import shutil
+import weakref
 
 import numpy as np
 import pytest
 
-from faultgraph import pipeline
+from faultgraph import javaparse, pipeline
 from faultgraph.cli import main
 from faultgraph.config import load_config
 from faultgraph.errors import ConfigError
+from faultgraph.facts import cu_to_dict
+from faultgraph.javaparse import parse_compilation_unit
 from faultgraph.pipeline import (
     StageFailure,
     attach_ledger,
     build_release,
     cmd_analyze,
-    load_bug_inputs,
+    load_bug_ledgers,
 )
 
 
@@ -78,11 +84,11 @@ def test_links_to_unknown_files_are_dropped_with_count(big_release, caplog):
     cfg_path, _ = big_release
     cfg = load_config(cfg_path)
     data = build_release(cfg.release("r1"))
-    commits, registry = load_bug_inputs(cfg)
+    ledgers = load_bug_ledgers(cfg, [cfg.release("r1")])
     import logging
 
     with caplog.at_level(logging.WARNING, logger="faultgraph.pipeline"):
-        attach_ledger(cfg, data, commits, registry)
+        attach_ledger(data, ledgers["r1"])
     assert data.dropped_links == 1  # the ghost/Gone.java link
     assert data.ledger.links == frozenset()
     assert any("dropped 1" in rec.message for rec in caplog.records)
@@ -179,3 +185,187 @@ def test_driver_reads_bug_inputs_once_and_builds_each_release_once(
     capsys.readouterr()
     assert len(log) == len(registry) == log_reads
     assert [rc.tag for (rc,) in built] == builds
+
+
+# --------------------------------------------------------------------------
+# One parse per distinct source text, shared by every release of a run
+# --------------------------------------------------------------------------
+
+
+def count_parses(monkeypatch):
+    """Wrap javaparse.parse_compilation_unit, the name parse_corpus_dir calls
+    on a memo miss; return the list of texts it is called with."""
+    texts = []
+    original = javaparse.parse_compilation_unit
+
+    def counted(text, path):
+        texts.append(text)
+        return original(text, path)
+
+    monkeypatch.setattr(javaparse, "parse_compilation_unit", counted)
+    return texts
+
+
+def test_report_parses_each_distinct_source_once(tmp_path, monkeypatch, capsys, fixtures_dir):
+    parsed = count_parses(monkeypatch)
+    config = str(fixtures_dir / "pipeline_config.json")
+    assert main(["report", "--config", config, "--out", str(tmp_path / "o")]) == 0
+    capsys.readouterr()
+    texts = [p.read_text(encoding="utf-8") for d in ("corpus_r1", "corpus_r2") for p in (fixtures_dir / d).rglob("*.java")]
+    assert len(texts) == 12 and len(set(texts)) == 8  # four files are the same in both releases
+    assert sorted(parsed) == sorted(set(texts))
+
+
+SHARED = "package p;\n\npublic class A {\n    int n;\n    void run() {\n        n = n + 1;\n    }\n}\n"
+MOVED = "package p;\n\nclass B extends A {\n    A peer;\n    void go(A a) {\n        a.run();\n        peer.run();\n    }\n}\n"
+FRESH = "package p;\n\nclass C {\n    B b;\n    void use() {\n        b.go(null);\n    }\n}\n"
+BROKEN = "package p;\n\nclass {\n}\n"
+
+
+def two_release_config(tmp_path, r1_files, r2_files):
+    for tag, files in (("r1", r1_files), ("r2", r2_files)):
+        for rel, text in files.items():
+            path = tmp_path / f"corpus_{tag}" / rel
+            path.parent.mkdir(parents=True, exist_ok=True)
+            path.write_text(text)
+    (tmp_path / "commits.tsv").write_text("2007-03-01T00:00:00Z\tdev\tFixed 500\tp/A.java\n")
+    (tmp_path / "issues.tsv").write_text("id\topen_date\trelease_tag\n500\t2007-01-01\tr1\n")
+    return write_cfg(
+        tmp_path,
+        {
+            "releases": [
+                {"tag": "r1", "corpus": "corpus_r1", "window": ["2007-01-01T00:00:00Z", "2007-06-30T23:59:59Z"]},
+                {"tag": "r2", "corpus": "corpus_r2", "window": ["2007-07-01T00:00:00Z", "2007-12-31T23:59:59Z"]},
+            ],
+            "commit_log": "commits.tsv",
+            "issue_registry": "issues.tsv",
+            "release_pairs": [["r1", "r2"]],
+        },
+    )
+
+
+def facts_records(path):
+    return {rec["path"]: rec for rec in map(json.loads, path.read_text().splitlines())}
+
+
+def test_same_text_at_two_paths_gives_facts_differing_only_in_path(tmp_path, monkeypatch, capsys):
+    cfg_path = two_release_config(
+        tmp_path,
+        {"p/A.java": SHARED, "p/B.java": MOVED},
+        {"p/A.java": SHARED, "p/Moved.java": MOVED, "p/C.java": FRESH},
+    )
+    parsed = count_parses(monkeypatch)
+    out = tmp_path / "out"
+    assert main(["report", "--config", str(cfg_path), "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert sorted(parsed) == sorted([SHARED, MOVED, FRESH])
+    r1, r2 = facts_records(out / "facts-r1.jsonl"), facts_records(out / "facts-r2.jsonl")
+    assert r2["p/A.java"] == r1["p/A.java"]
+    assert r2["p/Moved.java"] == {**r1["p/B.java"], "path": "p/Moved.java"}
+    assert r2["p/Moved.java"] == cu_to_dict(parse_compilation_unit(MOVED, "p/Moved.java"))
+
+
+def test_extract_shares_the_memo_and_reports_a_repeated_failure_per_release(tmp_path, monkeypatch, capsys):
+    cfg_path = two_release_config(
+        tmp_path,
+        {"p/A.java": SHARED, "p/B.java": MOVED, "p/Bad.java": BROKEN},
+        {"p/A.java": SHARED, "p/B.java": MOVED, "p/C.java": FRESH, "q/Bad.java": BROKEN},
+    )
+    parsed = count_parses(monkeypatch)
+    code = main(["extract", "--config", str(cfg_path), "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert sorted(parsed) == sorted([SHARED, MOVED, FRESH, BROKEN])
+    failures = [line.strip() for line in err.splitlines() if line.startswith("  [")]
+    assert len(failures) == 2
+    assert failures[0].startswith("[r1] p/Bad.java: ") and failures[1].startswith("[r2] q/Bad.java: ")
+    assert failures[0].split(": ", 1)[1] == failures[1].split(": ", 1)[1]
+    assert "line 3" in failures[0]
+
+
+# --------------------------------------------------------------------------
+# What the driver frees, and when
+# --------------------------------------------------------------------------
+
+
+def test_commit_log_is_freed_before_any_source_is_parsed(tmp_path, monkeypatch, capsys, fixtures_dir):
+    refs = []
+    read_log = pipeline.parse_commit_log
+
+    def keep_refs(path):
+        commits = read_log(path)
+        refs.extend(weakref.ref(c) for c in commits)
+        return commits
+
+    monkeypatch.setattr(pipeline, "parse_commit_log", keep_refs)
+    alive = []
+    parse = javaparse.parse_compilation_unit
+
+    def check_then_parse(text, path):
+        gc.collect()
+        alive.append(sum(ref() is not None for ref in refs))
+        return parse(text, path)
+
+    monkeypatch.setattr(javaparse, "parse_compilation_unit", check_then_parse)
+    config = str(fixtures_dir / "pipeline_config.json")
+    assert main(["report", "--config", config, "--out", str(tmp_path / "o")]) == 0
+    capsys.readouterr()
+    assert refs and alive and max(alive) == 0
+
+
+def test_release_is_freed_once_no_later_pair_needs_it(tmp_path, monkeypatch, capsys, fixtures_dir):
+    for tag, corpus in (("r1", "corpus_r1"), ("r2", "corpus_r2"), ("r3", "corpus_r1")):
+        shutil.copytree(fixtures_dir / corpus, tmp_path / f"corpus_{tag}")
+    for name in ("commits.tsv", "issues.tsv"):
+        shutil.copy(fixtures_dir / name, tmp_path / name)
+    cfg = json.loads((fixtures_dir / "pipeline_config.json").read_text())
+    cfg["releases"].append(
+        {"tag": "r3", "corpus": "corpus_r3", "window": ["2008-01-01T00:00:00Z", "2008-06-30T23:59:59Z"]}
+    )
+    for rel in cfg["releases"]:
+        rel["corpus"] = f"corpus_{rel['tag']}"
+    cfg["release_pairs"] = [["r1", "r2"], ["r2", "r3"]]
+    cfg_path = write_cfg(tmp_path, cfg)
+    built = {}
+    alive_at_build = {}
+    build = pipeline.build_release
+
+    def track(rc, **kwargs):
+        gc.collect()
+        alive_at_build[rc.tag] = sorted(tag for tag, ref in built.items() if ref() is not None)
+        data = build(rc, **kwargs)
+        built[rc.tag] = weakref.ref(data)
+        return data
+
+    monkeypatch.setattr(pipeline, "build_release", track)
+    assert main(["report", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 0
+    printed = [line.rsplit("/", 1)[1] for line in capsys.readouterr().out.splitlines()]
+    assert alive_at_build == {"r1": [], "r2": ["r1"], "r3": ["r2"]}
+    pair_files = [name for name in printed if name.startswith(("evolution-", "significance-", "delta-correlation-"))]
+    assert printed[-len(pair_files):] == pair_files
+    assert [name.rsplit("-", 2)[1:] for name in pair_files] == [["r1", "r2.tsv"]] * 3 + [["r2", "r3.tsv"]] * 3
+    per_release = [re.search(r"-(r\d)[-.]", name).group(1) for name in printed[: -len(pair_files)]]
+    assert per_release == sorted(per_release) and set(per_release) == {"r1", "r2", "r3"}
+
+
+def test_a_release_error_keeps_its_stage_before_a_later_missing_window(tmp_path):
+    make_corpus(tmp_path / "src1", [1])
+    (tmp_path / "src1" / "Broken.java").write_text("package p;\nclass {\n}\n")
+    make_corpus(tmp_path / "src2", [1])
+    (tmp_path / "commits.tsv").write_text("2007-03-01T00:00:00Z\tdev\tFixed 5\tC000.java\n")
+    (tmp_path / "issues.tsv").write_text("id\topen_date\trelease_tag\n5\t2007-01-01\tr1\n")
+    cfg_path = write_cfg(
+        tmp_path,
+        {
+            "releases": [
+                {"tag": "r1", "corpus": "src1", "window": ["2007-01-01T00:00:00Z", "2007-12-31T23:59:59Z"]},
+                {"tag": "r2", "corpus": "src2"},
+            ],
+            "commit_log": "commits.tsv",
+            "issue_registry": "issues.tsv",
+        },
+    )
+    with pytest.raises(StageFailure) as err:
+        cmd_analyze(load_config(cfg_path), tmp_path / "out")
+    assert err.value.stage == "source_facts"
+    assert "Broken.java" in str(err.value)
