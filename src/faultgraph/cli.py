@@ -96,7 +96,7 @@ def run_fit(args) -> int:
         if mode == CONTINUOUS:
             samples = pareto_samples(n, gamma, x_min, rng)
         else:
-            samples = zeta_samples(n, gamma, int(x_min), rng)
+            samples = zeta_samples(n, gamma, x_min, rng)
         fit = fit_power_law_tail(samples, mode=mode, x_min=x_min)
         print(
             f"distribution=synthetic mode={mode} status=ok gamma={_fmt(fit.gamma)} "

@@ -31,17 +31,18 @@ nothing the screen still costs a vectorised O(C * U) for C candidates and U
 distinct values, in chunks of fixed size. The discrete scan fits every
 candidate.
 
-scipy supplies the Hurwitz zeta function, the regularized upper incomplete
-gamma function behind the chi-square p-value, and, imported on first use,
-the root bracketing of the discrete fit.
+scipy.special supplies the Hurwitz zeta function of the discrete fit and
+sampler and the regularized upper incomplete gamma function behind the
+chi-square p-value. It is imported by the functions that evaluate them, on
+first use, so a command that fits only continuous data loads numpy and no
+scipy. The discrete fit's root search is ``_brentq``, a port of scipy's
+Brent method that the tests hold to ``scipy.optimize.brentq`` bit for bit.
 """
 
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaincc
-from scipy.special import zeta as hurwitz_zeta
 
 from .errors import (
     DegenerateInput,
@@ -141,9 +142,53 @@ def _continuous_gamma(tail: np.ndarray, x_min: float) -> float:
     return 1.0 + tail.size / log_sum
 
 
+def _brentq(f, a: float, b: float, xtol: float, rtol: float) -> float:
+    """A root of ``f`` in [a, b] by Brent's method, given that f(a) and f(b)
+    are zero or differ in sign: scipy's ``brentq`` step for step, so the
+    same root bits, and like it a RuntimeError after 100 iterations."""
+    xpre, xcur = a, b
+    fpre, fcur = f(xpre), f(xcur)
+    if fpre == 0:
+        return xpre
+    if fcur == 0:
+        return xcur
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(100):
+        if fpre != 0 and fcur != 0 and (fpre < 0) != (fcur < 0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:  # interpolate
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:  # extrapolate
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):  # good short step
+                spre, scur = scur, stry
+            else:  # bisect
+                spre = scur = sbis
+        else:  # bisect
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:  # minimum step
+            xcur += delta if sbis > 0 else -delta
+        fcur = f(xcur)
+    raise RuntimeError(f"Failed to converge after 100 iterations, value is {xcur}")
+
+
 def _discrete_gamma(tail: np.ndarray, x_min: int) -> float:
     """Exact discrete MLE: solve d/dgamma [log zeta(gamma, x_min)] = -mean(log x)."""
-    from scipy.optimize import brentq  # imported here: continuous fits never load it
+    from scipy.special import zeta as hurwitz_zeta
 
     mean_log = float(np.mean(np.log(tail)))
     if mean_log <= math.log(x_min) + 1e-12:
@@ -167,12 +212,14 @@ def _discrete_gamma(tail: np.ndarray, x_min: int) -> float:
         hi *= 2.0
         if hi > 2.0**20:
             raise InsufficientTail("tail too concentrated at x_min for a discrete fit")
-    return float(brentq(g, lo, hi, xtol=1e-12, rtol=8.9e-16))
+    return _brentq(g, lo, hi, xtol=1e-12, rtol=8.9e-16)
 
 
 def _fitted_ccdf(values: np.ndarray, gamma: float, x_min: float, mode: str) -> np.ndarray:
     if mode == CONTINUOUS:
         return (values / x_min) ** (-(gamma - 1.0))
+    from scipy.special import zeta as hurwitz_zeta
+
     return hurwitz_zeta(gamma, values) / hurwitz_zeta(gamma, x_min)
 
 
@@ -193,7 +240,7 @@ def _ks_distance(tail: np.ndarray, gamma: float, x_min: float, mode: str) -> flo
 
 
 def _fit_at(tail: np.ndarray, x_min: float, mode: str) -> TailFit:
-    if np.unique(tail).size < 2:
+    if tail.min() == tail.max():
         raise InsufficientTail("constant tail has no usable spread")
     if mode == CONTINUOUS:
         gamma = _continuous_gamma(tail, x_min)
@@ -247,7 +294,9 @@ def fit_power_law_tail(
             )
         return _fit_at(tail, float(x_min), mode)
 
-    values = np.unique(arr)
+    # the distinct values of the sorted samples; np.unique would import
+    # numpy.ma on its first call
+    values = arr[np.append(True, arr[1:] != arr[:-1])]
     above = arr.size - np.searchsorted(arr, values, side="left")  # samples >= each value
     # a candidate needs min_tail samples at or above it
     cand = np.flatnonzero(above >= min_tail)
@@ -389,10 +438,10 @@ def _scan_continuous(arr: np.ndarray, values: np.ndarray, above: np.ndarray, can
 def expected_max(n: int, gamma: float) -> float:
     """Characteristic largest value among n power-law draws: n^(1/(gamma-1)),
     in units of x_min."""
-    if gamma <= 1.0:
-        raise DomainError("expected_max requires gamma > 1")
-    if n < 1 or int(n) != n:
-        raise DomainError("n must be a positive integer")
+    if not (math.isfinite(gamma) and gamma > 1.0):
+        raise DomainError(f"expected_max requires a finite gamma > 1, got {gamma}")
+    if not (math.isfinite(n) and n >= 1 and int(n) == n):
+        raise DomainError(f"n must be a positive integer, got {n}")
     return float(n) ** (1.0 / (gamma - 1.0))
 
 
@@ -403,10 +452,10 @@ def expected_max(n: int, gamma: float) -> float:
 
 def pareto_samples(n: int, gamma: float, x_min: float = 1.0, rng=None) -> np.ndarray:
     """Continuous power-law (Pareto) samples with density exponent gamma."""
-    if gamma <= 1.0:
-        raise DomainError("pareto_samples requires gamma > 1")
-    if x_min <= 0:
-        raise DomainError("x_min must be positive")
+    if not (math.isfinite(gamma) and gamma > 1.0):
+        raise DomainError(f"pareto_samples requires a finite gamma > 1, got {gamma}")
+    if not (math.isfinite(x_min) and x_min > 0):
+        raise DomainError(f"x_min must be finite and positive, got {x_min}")
     rng = np.random.default_rng() if rng is None else rng
     u = rng.random(n)
     return x_min * (1.0 - u) ** (-1.0 / (gamma - 1.0))
@@ -419,10 +468,14 @@ def zeta_samples(n: int, gamma: float, x_min: int = 1, rng=None, support_cap: in
     for integer k, truncated at support_cap (the truncated mass is far below
     1/n for the exponents used here).
     """
-    if gamma <= 1.0:
-        raise DomainError("zeta_samples requires gamma > 1")
-    if x_min < 1 or int(x_min) != x_min:
-        raise DomainError("x_min must be an integer >= 1")
+    if not (math.isfinite(gamma) and gamma > 1.0):
+        raise DomainError(f"zeta_samples requires a finite gamma > 1, got {gamma}")
+    if not (math.isfinite(x_min) and x_min >= 1 and int(x_min) == x_min):
+        raise DomainError(f"x_min must be an integer >= 1, got {x_min}")
+    if x_min > support_cap:
+        raise DomainError(f"x_min={x_min} is above the support cap {support_cap}")
+    from scipy.special import zeta as hurwitz_zeta
+
     rng = np.random.default_rng() if rng is None else rng
     support = np.arange(x_min, support_cap + 1, dtype=float)
     tail_p = hurwitz_zeta(gamma, support) / hurwitz_zeta(gamma, float(x_min))
@@ -478,8 +531,10 @@ class ChiSquareResult:
 
 def regularized_gamma_q(a: float, x: float) -> float:
     """Regularized upper incomplete gamma Q(a, x)."""
-    if a <= 0.0 or x < 0.0:
-        raise DomainError("regularized_gamma_q needs a > 0 and x >= 0")
+    if not (math.isfinite(a) and math.isfinite(x) and a > 0.0 and x >= 0.0):
+        raise DomainError(f"regularized_gamma_q needs finite a > 0 and x >= 0, got a={a}, x={x}")
+    from scipy.special import gammaincc
+
     return float(gammaincc(a, x))
 
 

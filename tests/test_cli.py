@@ -250,6 +250,17 @@ def test_fit_malformed_synthetic_spec_is_a_config_error(capsys, spec):
     assert "--synthetic" in err
 
 
+@pytest.mark.parametrize(
+    "spec,named",
+    [("continuous:nan:100", "gamma"), ("discrete:inf:100", "gamma"), ("discrete:2.5:100:nan", "x_min")],
+)
+def test_fit_synthetic_non_finite_parameter_is_named(capsys, spec, named):
+    code, _, err = run(capsys, "fit", "--synthetic", spec)
+    assert code == 1
+    assert named in err
+    assert "internal error" not in err
+
+
 SUBCOMMAND_FILES = {
     "extract": ("facts-",),
     "graph": ("class-graph-", "cu-graph-"),

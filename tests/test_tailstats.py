@@ -1,13 +1,18 @@
+import contextlib
+import inspect
+import math
 import os
 import pathlib
 import subprocess
 import sys
+from unittest import mock
 
 import numpy as np
 import pytest
+import scipy.optimize
 import scipy.special
 import scipy.stats
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from faultgraph import tailstats
@@ -387,12 +392,245 @@ def test_continuous_scan_fits_only_the_finalists(monkeypatch):
     assert len(calls) <= 3  # a fit at every candidate makes 9951
 
 
-def test_cli_import_leaves_the_root_finder_unloaded():
-    src = pathlib.Path(tailstats.__file__).parents[1]
-    env = {**os.environ, "PYTHONPATH": str(src)}
-    probe = "import sys, faultgraph.cli; print('scipy.optimize' in sys.modules)"
-    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "False"
+# -- start-up imports -------------------------------------------------------------
+
+SRC = pathlib.Path(tailstats.__file__).parents[1]
+CONFIG = pathlib.Path(__file__).parent / "fixtures" / "pipeline_config.json"
+
+
+def scipy_loaded_by(*argv) -> list[str]:
+    """The scipy modules a fresh interpreter holds after importing
+    faultgraph.cli and, given ``argv``, running ``main`` on it to exit 0;
+    the probe prints them on the last line of its output."""
+    probe = (
+        "import sys, faultgraph.cli\n"
+        "if sys.argv[1:]:\n"
+        "    assert faultgraph.cli.main(sys.argv[1:]) == 0\n"
+        "print(' '.join(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    out = subprocess.run(
+        [sys.executable, "-c", probe, *argv], env=env, capture_output=True, text=True, check=True
+    )
+    return out.stdout.splitlines()[-1].split()
+
+
+def test_cli_import_loads_no_scipy():
+    assert scipy_loaded_by() == []
+
+
+def test_continuous_fits_load_no_scipy(tmp_path):
+    samples = tmp_path / "samples.txt"
+    samples.write_text("\n".join(map(str, pareto_samples(2000, 2.5, 1.0, np.random.default_rng(3)))))
+    assert scipy_loaded_by("fit", "--samples", str(samples), "--mode", "continuous") == []
+    assert scipy_loaded_by("fit", "--synthetic", "continuous:2.5:2000") == []
+
+
+def test_report_and_discrete_fits_leave_the_root_finder_unloaded(tmp_path):
+    # the fixture releases are too small for a tail fit, but their
+    # chi-square tests load scipy.special; the synthetic fit solves the
+    # discrete MLE
+    for argv in (
+        ("report", "--config", str(CONFIG), "--out", str(tmp_path / "out")),
+        ("fit", "--synthetic", "discrete:2.5:2000"),
+    ):
+        loaded = scipy_loaded_by(*argv)
+        assert "scipy.special" in loaded
+        assert not [m for m in loaded if m == "scipy.optimize" or m.startswith("scipy.optimize.")]
+
+
+# -- the discrete MLE's root search ------------------------------------------------
+
+
+def brent_trace(brentq, f, a, b, **tol):
+    """The points ``brentq`` evaluates ``f`` at, then its root as a hex
+    string or the type of the exception it raised."""
+    xs = []
+
+    def traced(x):
+        xs.append(float(x).hex())
+        return f(x)
+
+    try:
+        return xs, float(brentq(traced, a, b, **tol)).hex()
+    except RuntimeError as exc:
+        return xs, type(exc)
+
+
+@contextlib.contextmanager
+def brentq_checked_against_scipy():
+    """Run the block with every ``_brentq`` call replayed through
+    ``scipy.optimize.brentq`` and required to evaluate the same points and
+    return the same root bits; yields the list of roots found."""
+    roots = []
+    port = tailstats._brentq
+
+    def checked(f, a, b, xtol, rtol):
+        ours = brent_trace(port, f, a, b, xtol=xtol, rtol=rtol)
+        assert ours == brent_trace(scipy.optimize.brentq, f, a, b, xtol=xtol, rtol=rtol)
+        roots.append(ours[1])
+        return float.fromhex(ours[1])
+
+    with mock.patch.object(tailstats, "_brentq", checked):
+        yield roots
+
+
+def test_brentq_matches_scipy_on_seeded_discrete_scans():
+    with brentq_checked_against_scipy() as roots:
+        for seed in range(12):
+            rng = np.random.default_rng(seed)
+            xs = zeta_samples(300, 1.3 + 3.2 * rng.random(), int(rng.integers(1, 6)), rng, support_cap=10**4)
+            try:
+                fit_power_law_tail(xs, mode="discrete", min_tail=10)
+            except InsufficientTail:
+                pass
+    assert len(roots) > 100
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.integers(min_value=0, max_value=2**32 - 1),
+    st.integers(min_value=1, max_value=5),
+    st.floats(min_value=1.3, max_value=4.5),
+    st.integers(min_value=20, max_value=400),
+)
+def test_brentq_matches_scipy_on_drawn_zeta_tails(seed, x_min, gamma, n):
+    xs = zeta_samples(n, gamma, x_min, np.random.default_rng(seed), support_cap=10**4)
+    with brentq_checked_against_scipy():
+        try:
+            fit_power_law_tail(xs, mode="discrete", min_tail=10)
+        except InsufficientTail:
+            pass
+
+
+# Generic functions: smooth, flat near the root, steep, stepped, and with a
+# root at a bracket end or hit exactly. With the tolerances below they drive the port
+# through every branch (checked by test_brentq_oracle_reaches_every_path).
+GENERIC = [
+    (lambda x: x**3 - 2 * x - 5, 2.0, 3.0),
+    (lambda x: math.cos(x) - x, 0.0, 1.0),
+    (lambda x: math.exp(x) - 1e6, 0.0, 30.0),
+    (lambda x: (x - 1.0) ** 3, 0.0, 3.0),
+    (lambda x: (x - 0.3) ** 9, -4.0, 7.0),
+    (lambda x: math.tanh(50 * (x - 0.3)), -1.0, 10.0),
+    (lambda x: math.copysign(1.0, x - math.pi), 0.0, 10.0),
+    (lambda x: math.atan(x - 1e-3) + 1e-9 * x, -1e3, 1e5),
+    (lambda x: x - 0.5, 0.0, 1.0),  # bisection lands on the root exactly
+    (lambda x: x * x - 4.0, 0.0, 2.0),  # f(b) == 0
+    (lambda x: x * x - 4.0, -2.0, 0.0),  # f(a) == 0
+]
+TOLERANCES = [
+    {"xtol": 1e-12, "rtol": 8.9e-16},
+    {"xtol": 2e-12, "rtol": 4 * np.finfo(float).eps},
+    {"xtol": 1e-6, "rtol": 1e-10},
+    {"xtol": 1e-3, "rtol": 1e-3},
+    {"xtol": 0.25, "rtol": 8.9e-16},
+]
+
+
+@pytest.mark.parametrize("tol", TOLERANCES, ids=lambda t: f"{t['xtol']:g}-{t['rtol']:g}")
+@pytest.mark.parametrize("case", range(len(GENERIC)))
+def test_brentq_matches_scipy_on_generic_functions(case, tol):
+    f, a, b = GENERIC[case]
+    assert brent_trace(tailstats._brentq, f, a, b, **tol) == brent_trace(scipy.optimize.brentq, f, a, b, **tol)
+
+
+def test_brentq_oracle_reaches_every_path():
+    code = tailstats._brentq.__code__
+    lines, first = inspect.getsourcelines(tailstats._brentq)
+    marks = ("# interpolate", "# extrapolate", "# good short step", "# bisect", "# minimum step")
+    # the statement after a marked line runs exactly when its path is taken
+    wanted = {first + i + 1: m for i, line in enumerate(lines) for m in marks if m in line}
+    assert len(wanted) == 6
+    seen = set()
+
+    def tracer(frame, event, arg):
+        if frame.f_code is code:
+            if event == "line":
+                seen.add(frame.f_lineno)
+            return tracer
+        return None
+
+    sys.settrace(tracer)
+    try:
+        for f, a, b in GENERIC:
+            for tol in TOLERANCES:
+                brent_trace(tailstats._brentq, f, a, b, **tol)
+    finally:
+        sys.settrace(None)
+    assert sorted(wanted[n] for n in wanted.keys() - seen) == []
+
+
+def test_brentq_returns_exact_roots():
+    assert tailstats._brentq(lambda x: x * x - 4.0, 0.0, 2.0, xtol=1e-12, rtol=8.9e-16) == 2.0
+    assert tailstats._brentq(lambda x: x * x - 4.0, -2.0, 0.0, xtol=1e-12, rtol=8.9e-16) == -2.0
+    assert tailstats._brentq(lambda x: x - 0.5, 0.0, 1.0, xtol=1e-12, rtol=8.9e-16) == 0.5
+
+
+def test_brentq_gives_up_after_100_iterations_like_scipy():
+    # a sign step at 0 bracketed by [-1, 1e300]: bisection down to the 1e-300
+    # tolerance takes about 2000 halvings
+    def step(x):
+        return 1.0 if x > 0 else -1.0
+
+    tol = {"xtol": 1e-300, "rtol": 4 * np.finfo(float).eps}
+    ours = brent_trace(tailstats._brentq, step, -1.0, 1e300, **tol)
+    assert ours == (ours[0], RuntimeError)
+    assert len(ours[0]) == 2 + 100
+    assert ours == brent_trace(scipy.optimize.brentq, step, -1.0, 1e300, **tol)
+
+
+def discrete_gamma_with_scipy(tail, x_min):
+    """The discrete MLE solved by ``scipy.optimize.brentq``, with the
+    bracketing of ``tailstats._discrete_gamma``."""
+    mean_log = float(np.mean(np.log(tail)))
+    if mean_log <= math.log(x_min) + 1e-12:
+        raise InsufficientTail("tail has no spread above x_min")
+    h = 1e-6
+
+    def g(gamma):
+        zeta = scipy.special.zeta
+        return (math.log(zeta(gamma + h, x_min)) - math.log(zeta(gamma - h, x_min))) / (2 * h) + mean_log
+
+    lo = 1.0 + 1e-4
+    if g(lo) >= 0.0:
+        raise InsufficientTail("tail too heavy")
+    hi = 2.0
+    while g(hi) < 0.0:
+        hi *= 2.0
+        if hi > 2.0**20:
+            raise InsufficientTail("tail too concentrated")
+    return float(scipy.optimize.brentq(g, lo, hi, xtol=1e-12, rtol=8.9e-16))
+
+
+def discrete_scan_with_scipy(xs, min_tail):
+    """Oracle: the discrete scan as a fit at every candidate x_min, each
+    gamma from discrete_gamma_with_scipy, keeping the smallest KS distance
+    with ties to the smaller x_min."""
+    arr = np.sort(np.asarray(xs, dtype=float))
+    values = np.unique(arr)
+    above = arr.size - np.searchsorted(arr, values, side="left")
+    best = None
+    for v in values[above >= min_tail].tolist():
+        tail = arr[arr >= v]
+        if np.unique(tail).size < 2:
+            continue
+        try:
+            gamma = discrete_gamma_with_scipy(tail, int(v))
+        except InsufficientTail:
+            continue
+        fit = tailstats.TailFit(gamma, v, _ks_distance(tail, gamma, v, "discrete"), int(tail.size))
+        if best is None or fit.ks < best.ks:
+            best = fit
+    return best
+
+
+@pytest.mark.parametrize("gamma,x_min", [(1.6, 1), (2.4, 1), (3.0, 2), (4.2, 5)])
+def test_discrete_scan_matches_scipy_root_oracle(gamma, x_min):
+    xs = zeta_samples(3000, gamma, x_min, np.random.default_rng(int(gamma * 10) + x_min))
+    for min_tail in (10, 50):
+        # equal finite non-zero doubles have equal bits
+        assert fit_power_law_tail(xs, mode="discrete", min_tail=min_tail) == discrete_scan_with_scipy(xs, min_tail)
 
 
 # -- expected_max ---------------------------------------------------------------
@@ -409,6 +647,39 @@ def test_expected_max_domain():
         expected_max(100, 1.0)
     with pytest.raises(DomainError):
         expected_max(0, 2.5)
+
+
+NAN, INF = float("nan"), float("inf")
+
+
+def test_non_finite_arguments_are_domain_errors():
+    for gamma in (NAN, INF, -INF):
+        with pytest.raises(DomainError, match="gamma"):
+            expected_max(100, gamma)
+        with pytest.raises(DomainError, match="gamma"):
+            pareto_samples(3, gamma)
+        with pytest.raises(DomainError, match="gamma"):
+            zeta_samples(3, gamma)
+    for bad in (NAN, INF):
+        with pytest.raises(DomainError):
+            expected_max(bad, 2.5)
+        with pytest.raises(DomainError, match="x_min"):
+            pareto_samples(3, 2.5, x_min=bad)
+        with pytest.raises(DomainError, match="x_min"):
+            zeta_samples(3, 2.5, x_min=bad)
+        with pytest.raises(DomainError):
+            regularized_gamma_q(1.0, bad)
+        with pytest.raises(DomainError):
+            regularized_gamma_q(bad, 1.0)
+
+
+def test_zeta_sampler_x_min_above_the_support_cap_is_a_domain_error():
+    with pytest.raises(DomainError, match="support cap"):
+        zeta_samples(5, 2.5, x_min=2_000_000)
+    with pytest.raises(DomainError, match="support cap"):
+        zeta_samples(5, 2.5, x_min=11, support_cap=10)
+    # at the cap the support is the one point x_min
+    assert zeta_samples(5, 2.5, x_min=10, support_cap=10).tolist() == [10.0] * 5
 
 
 def test_expected_max_monotonicity():
