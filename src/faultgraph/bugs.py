@@ -7,14 +7,24 @@ and ``\\\\``. Issue registry: TSV with header ``id  open_date  release_tag``.
 
 An issue id is extracted from a message when a configured pattern captures
 it, it exists in the registry, it is at least ``min_id``, and it lies in no
-excluded interval. A CU is hit by an issue when some in-window commit whose
-message cites the issue touches the CU; each (issue, CU) pair counts once
-per release no matter how many commits repeat it.
+excluded interval. Each pattern is compiled once, case-insensitively, when
+the ``FilterConfig`` is made, and its capture must be an integer: a capture
+that is not one (or a group that matched nothing) is a configuration error.
+A CU is hit by an issue when some in-window commit whose message cites the
+issue touches the CU; each (issue, CU) pair counts once per release no matter
+how many commits repeat it.
+
+A ledger takes its window from commits sorted by timestamp by bisection, and
+extracts the references of a message through a memo from message to issue
+ids, so a run that shares one memo across its releases extracts each
+distinct message once.
 """
 
 import re
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
+from operator import attrgetter
 
 from .errors import ConfigError, FormatError, read_utf8
 
@@ -51,6 +61,7 @@ class FilterConfig:
     min_id: int = 1
     excluded_intervals: tuple[tuple[int, int], ...] = ()
     patterns: tuple[str, ...] = DEFAULT_PATTERNS
+    compiled: tuple[re.Pattern, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.min_id < 1:
@@ -58,12 +69,22 @@ class FilterConfig:
         for lo, hi in self.excluded_intervals:
             if lo > hi:
                 raise ConfigError(f"excluded interval [{lo}, {hi}] is not well-formed")
+        compiled = []
         for pat in self.patterns:
-            if re.compile(pat).groups != 1:
+            try:
+                rx = re.compile(pat, re.IGNORECASE)
+            except (re.error, TypeError) as exc:
+                raise ConfigError(f"pattern {pat!r} is not a valid regular expression: {exc}") from exc
+            if rx.groups != 1:
                 raise ConfigError(f"pattern {pat!r} must have exactly one capture group")
+            compiled.append(rx)
+        object.__setattr__(self, "compiled", tuple(compiled))
 
     def excluded(self, issue_id: int) -> bool:
-        return any(lo <= issue_id <= hi for lo, hi in self.excluded_intervals)
+        for lo, hi in self.excluded_intervals:
+            if lo <= issue_id <= hi:
+                return True
+        return False
 
 
 @dataclass(frozen=True)
@@ -163,13 +184,25 @@ def load_issue_registry(path) -> IssueRegistry:
 
 
 def extract_issue_refs(message: str, registry: IssueRegistry, cfg: FilterConfig) -> set[int]:
+    """Issue ids the message cites that pass the filter; a capture that is
+    not an integer raises ConfigError naming the pattern."""
     found: set[int] = set()
-    for pattern in cfg.patterns:
-        for m in re.finditer(pattern, message, flags=re.IGNORECASE):
-            issue_id = int(m.group(1))
-            if issue_id in registry and issue_id >= cfg.min_id and not cfg.excluded(issue_id):
+    registered = registry.meta
+    for rx in cfg.compiled:
+        for m in rx.finditer(message):
+            raw = m.group(1)
+            try:
+                issue_id = int(raw)
+            except (TypeError, ValueError):
+                raise ConfigError(
+                    f"pattern {rx.pattern!r} captured {raw!r} in commit message {message!r}, not an issue number"
+                ) from None
+            if issue_id in registered and issue_id >= cfg.min_id and not cfg.excluded(issue_id):
                 found.add(issue_id)
     return found
+
+
+_timestamp = attrgetter("timestamp")
 
 
 def build_bug_ledger(
@@ -178,15 +211,26 @@ def build_bug_ledger(
     cfg: FilterConfig,
     window: tuple[datetime, datetime],
     release: str,
+    refs: dict[str, set[int]] | None = None,
 ) -> BugLedger:
+    """The release's ledger from the commits in its inclusive window.
+
+    ``commits`` must be sorted by timestamp: the window is found by
+    bisection. ``refs`` memoises ``extract_issue_refs`` per message; one memo
+    may serve many windows, but only with the same registry and filter.
+    """
     start, end = window
     if start > end:
         raise ConfigError(f"release window for {release!r} has start after end")
+    if refs is None:
+        refs = {}
+    lo = bisect_left(commits, start, key=_timestamp)
+    hi = bisect_right(commits, end, lo=lo, key=_timestamp)
     links: set[tuple[int, str]] = set()
-    for commit in commits:
-        if not (start <= commit.timestamp <= end):
-            continue
-        for issue_id in extract_issue_refs(commit.message, registry, cfg):
-            for path in commit.files:
-                links.add((issue_id, path))
+    for commit in commits[lo:hi]:
+        ids = refs.get(commit.message)
+        if ids is None:
+            ids = refs[commit.message] = extract_issue_refs(commit.message, registry, cfg)
+        for issue_id in ids:
+            links.update((issue_id, path) for path in commit.files)
     return BugLedger(release=release, links=frozenset(links))

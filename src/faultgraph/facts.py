@@ -260,24 +260,37 @@ def dump_facts_file(cus: list[CUFacts], path) -> None:
         fh.write(dump_facts(cus))
 
 
-def load_facts(text: str) -> list[CUFacts]:
-    """Parse facts-file text; raises FormatError with the 1-based record index."""
+def load_facts(text: str, memo: dict[str, CUFacts] | None = None) -> list[CUFacts]:
+    """Parse facts-file text; raises FormatError with the 1-based record index.
+
+    ``memo`` maps a line to its CUFacts. A line found there is not decoded
+    again; on success the memo is left holding this text's lines only, and
+    on failure it is left as it was.
+    """
+    known = {} if memo is None else memo
     cus: list[CUFacts] = []
+    lines: dict[str, CUFacts] = {}
     seen: set[str] = set()
     for idx, line in enumerate(text.splitlines(), start=1):
         if not line.strip():
             continue
-        try:
-            raw = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise FormatError(f"invalid JSON: {exc.msg}", record=idx) from exc
-        cu = cu_from_dict(raw, record=idx)
+        cu = known.get(line)
+        if cu is None:
+            try:
+                raw = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise FormatError(f"invalid JSON: {exc.msg}", record=idx) from exc
+            cu = cu_from_dict(raw, record=idx)
         if cu.path in seen:
             raise FormatError(f"duplicate CU path {cu.path!r}", record=idx)
         seen.add(cu.path)
         cus.append(cu)
+        lines[line] = cu
+    if memo is not None:
+        memo.clear()
+        memo.update(lines)
     return cus
 
 
-def load_facts_file(path) -> list[CUFacts]:
-    return load_facts(read_utf8(path, FormatError))
+def load_facts_file(path, memo: dict[str, CUFacts] | None = None) -> list[CUFacts]:
+    return load_facts(read_utf8(path, FormatError), memo)

@@ -10,7 +10,7 @@ aborting the run: on small systems they are expected outcomes, not faults.
 import logging
 import re
 from collections.abc import Callable, Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 from .bugs import BugLedger, build_bug_ledger, load_issue_registry, parse_commit_log
@@ -23,6 +23,7 @@ from .errors import (
     FaultgraphError,
     InputError,
     InsufficientTail,
+    ParseError,
 )
 from .evolution import (
     FAMILY_NAMES,
@@ -101,15 +102,29 @@ class ReleaseData:
         return ReleaseSnapshot(release=self.tag, metrics=self.per_cu, ledger=self.ledger)
 
 
+@dataclass
+class RunMemo:
+    """What a run decodes once. ``sources`` maps a source text to its facts or
+    its ParseError and lives as long as the run. ``lines`` maps a facts-file
+    line to its CUFacts and holds the lines of the last facts release loaded
+    only, so consecutive facts releases share their unchanged records."""
+
+    sources: dict[str, CUFacts | ParseError] = field(default_factory=dict)
+    lines: dict[str, CUFacts] = field(default_factory=dict)
+
+
 def load_release_facts(
-    rc: ReleaseConfig, memo: dict | None = None
+    rc: ReleaseConfig, memo: RunMemo | None = None
 ) -> tuple[list[CUFacts], list[tuple[str, Exception]]]:
     """(facts, per-file parse failures) of a release; no CUs at all is an InputError.
-    ``memo`` is the run's parse memo, passed on to ``parse_corpus_dir``."""
+    A corpus is parsed through ``memo.sources``, a facts file decoded
+    through ``memo.lines``, which then holds this file's lines."""
+    if memo is None:
+        memo = RunMemo()
     if rc.facts is not None:
-        facts, failures = load_facts_file(rc.facts), []
+        facts, failures = load_facts_file(rc.facts, memo.lines), []
     else:
-        facts, failures = parse_corpus_dir(rc.corpus, memo)
+        facts, failures = parse_corpus_dir(rc.corpus, memo.sources)
     if not facts:
         raise InputError(f"release {rc.tag!r}: no compilation units found")
     return facts, failures
@@ -119,9 +134,12 @@ def load_bug_ledgers(
     cfg: PipelineConfig, releases: Sequence[ReleaseConfig]
 ) -> dict[str, BugLedger | InputError]:
     """Each release's full in-window ledger from one read of the commit log
-    and the registry, which are freed on return. A release whose ledger
-    cannot be built (no window, say) maps to its InputError, which
-    ``attach_ledger`` raises when that release gets its ledger."""
+    and the registry, which are freed on return. The commits are sorted by
+    timestamp once, each window is found by bisection, and the releases
+    share one memo from message to issue ids, so each distinct in-window
+    message is extracted once. A release whose ledger cannot be built (no
+    window, say) maps to its InputError, which ``attach_ledger`` raises when
+    that release gets its ledger."""
     try:
         if cfg.commit_log is None:
             raise ConfigError("config has no commit_log (required to map bugs)")
@@ -131,17 +149,19 @@ def load_bug_ledgers(
         registry = load_issue_registry(cfg.issue_registry)
     except InputError as exc:
         raise StageFailure(STAGE_BUGS, exc) from exc
+    commits.sort(key=lambda c: c.timestamp)
+    refs: dict[str, set[int]] = {}
     ledgers: dict[str, BugLedger | InputError] = {}
     for rc in releases:
         try:
             window = cfg.window_of(rc.tag)
-            ledgers[rc.tag] = build_bug_ledger(commits, registry, cfg.filter_config, window, rc.tag)
+            ledgers[rc.tag] = build_bug_ledger(commits, registry, cfg.filter_config, window, rc.tag, refs)
         except InputError as exc:
             ledgers[rc.tag] = exc
     return ledgers
 
 
-def build_release(rc: ReleaseConfig, memo: dict | None = None) -> ReleaseData:
+def build_release(rc: ReleaseConfig, memo: RunMemo | None = None) -> ReleaseData:
     """Facts, graphs and metrics of one release; a file that fails to parse aborts it."""
     try:
         facts, failures = load_release_facts(rc, memo)
@@ -389,8 +409,9 @@ def run_releases(
     It reads the commit log and the registry once, building every selected
     release's ledger before any source is parsed, so the commits are freed
     first. It builds each selected release once and runs the writers on it.
-    The releases share one parse memo, from source text to its facts or its
-    ParseError, so a file unchanged between releases is parsed once per run.
+    The releases share one ``RunMemo``: a source text is parsed once per run,
+    and a facts-file line that the previous facts release also held is not
+    decoded again.
     With no ``release`` given, each pair writer runs as soon as both of its
     releases are built, and a release no later pair needs is freed. Returns
     the written paths: every release's in release order, then every pair's in
@@ -399,7 +420,7 @@ def run_releases(
     out_dir.mkdir(parents=True, exist_ok=True)
     selected = _select_releases(cfg, release)
     ledgers = load_bug_ledgers(cfg, selected) if with_bugs else None
-    memo: dict = {}
+    memo = RunMemo()
     emitted: list[Path] = []
     todo = list(enumerate(cfg.release_pairs)) if release is None else []
     pair_paths: dict[int, list[Path]] = {}
@@ -429,11 +450,11 @@ def run_releases(
 
 
 def cmd_extract(cfg: PipelineConfig, out_dir: Path, release: str | None = None):
-    """Parse corpora into facts files, sharing one parse memo across releases.
+    """Parse corpora into facts files, sharing one ``RunMemo`` across releases.
     Failed files are reported and skipped; returns (written paths, failures)
     so the CLI can exit nonzero."""
     out_dir.mkdir(parents=True, exist_ok=True)
-    memo: dict = {}
+    memo = RunMemo()
     written: list[Path] = []
     failures: list[tuple[str, str, Exception]] = []
     for rc in _select_releases(cfg, release):

@@ -197,9 +197,12 @@ def _discrete_gamma(tail: np.ndarray, x_min: int) -> float:
     h = 1e-6
 
     def g(gamma: float) -> float:
-        dlog = (
-            math.log(hurwitz_zeta(gamma + h, x_min)) - math.log(hurwitz_zeta(gamma - h, x_min))
-        ) / (2 * h)
+        upper = hurwitz_zeta(gamma + h, x_min)
+        if upper == 0.0:
+            # zeta(gamma, x_min) ~ x_min^-gamma underflows before the bracket
+            # closes: the tail sits almost wholly at x_min
+            raise InsufficientTail("tail too concentrated at x_min for a discrete fit")
+        dlog = (math.log(upper) - math.log(hurwitz_zeta(gamma - h, x_min))) / (2 * h)
         return dlog + mean_log
 
     lo = 1.0 + 1e-4
@@ -466,7 +469,9 @@ def zeta_samples(n: int, gamma: float, x_min: int = 1, rng=None, support_cap: in
 
     Inverse transform over P(X >= k) = zeta(gamma, k) / zeta(gamma, x_min)
     for integer k, truncated at support_cap (the truncated mass is far below
-    1/n for the exponents used here).
+    1/n for the exponents used here). The CCDF is evaluated in doubling
+    blocks from x_min until it falls to the smallest draw, so the cost
+    follows the largest sample rather than the cap.
     """
     if not (math.isfinite(gamma) and gamma > 1.0):
         raise DomainError(f"zeta_samples requires a finite gamma > 1, got {gamma}")
@@ -477,12 +482,22 @@ def zeta_samples(n: int, gamma: float, x_min: int = 1, rng=None, support_cap: in
     from scipy.special import zeta as hurwitz_zeta
 
     rng = np.random.default_rng() if rng is None else rng
-    support = np.arange(x_min, support_cap + 1, dtype=float)
-    tail_p = hurwitz_zeta(gamma, support) / hurwitz_zeta(gamma, float(x_min))
     u = rng.random(n)
-    # X = largest k with P(X >= k) > u; tail_p is decreasing
+    lowest = u.min(initial=1.0)
+    norm = hurwitz_zeta(gamma, float(x_min))
+    blocks = []
+    start, width = x_min, 64
+    while start <= support_cap:
+        stop = min(start + width, support_cap + 1)
+        blocks.append(hurwitz_zeta(gamma, np.arange(start, stop, dtype=float)) / norm)
+        if blocks[-1][-1] <= lowest:
+            break
+        start, width = stop, 2 * width
+    tail_p = np.concatenate(blocks)
+    # X = largest k with P(X >= k) > u; tail_p is decreasing, and every u
+    # finds its answer in the evaluated prefix or is capped at its end
     counts = np.searchsorted(-tail_p, -u, side="left")
-    counts = np.clip(counts, 1, support.size)
+    counts = np.clip(counts, 1, tail_p.size)
     return (x_min + counts - 1).astype(float)
 
 

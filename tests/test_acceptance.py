@@ -165,7 +165,7 @@ def test_criterion_6_ledger_identity():
     ok = True
     for seed in range(100):
         text, registry = synthetic_log(seed, n_commits=1000)
-        commits = parse_commit_log_text(text)
+        commits = sorted(parse_commit_log_text(text), key=lambda c: c.timestamp)  # build_bug_ledger bisects
         ledger = build_bug_ledger(commits, registry, FilterConfig(min_id=100), window, "r")
         ok &= sum(ledger.bugs_per_cu.values()) == sum(ledger.cus_per_bug.values()) == len(ledger.links)
     assert report(6, "ledger double-count identity", ok, "100 seeds x 1000 commits")

@@ -1,9 +1,15 @@
 import random
+import re
+import tempfile
+from datetime import timedelta
+from pathlib import Path
+from unittest import mock
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from faultgraph import bugs
 from faultgraph.bugs import (
     BugLedger,
     CommitEntry,
@@ -15,7 +21,9 @@ from faultgraph.bugs import (
     parse_commit_log_text,
     parse_timestamp,
 )
-from faultgraph.errors import FormatError
+from faultgraph.config import PipelineConfig, ReleaseConfig
+from faultgraph.errors import ConfigError, FormatError
+from faultgraph.pipeline import load_bug_ledgers
 
 
 def utc(s):
@@ -121,6 +129,35 @@ def test_decimal_fragments_not_matched_as_bare_integers():
     assert extract_issue_refs("bump to 3.141 tonight", registry_of(141), cfg) == set()
 
 
+@pytest.mark.parametrize(
+    "pattern, bad, captured, good",
+    [
+        (r"\bbug-(\w+)", "fix bug-abc here", "'abc'", "fix bug-500 here"),  # a word, not a number
+        (r"\bbug(\d+)?", "bug fix", "None", "bug500"),  # an optional group that matched nothing
+    ],
+)
+def test_a_capture_that_is_not_an_issue_number_is_a_config_error(pattern, bad, captured, good):
+    cfg = FilterConfig(patterns=(pattern,))
+    with pytest.raises(ConfigError) as err:
+        extract_issue_refs(bad, registry_of(500), cfg)
+    assert repr(pattern) in str(err.value) and f"captured {captured}" in str(err.value)
+    assert extract_issue_refs(good, registry_of(500), cfg) == {500}
+
+
+@pytest.mark.parametrize("pattern", ["(unclosed", "((a)", 7])
+def test_an_invalid_pattern_is_a_config_error(pattern):
+    with pytest.raises(ConfigError):
+        FilterConfig(patterns=(pattern,))
+
+
+def test_patterns_are_compiled_once_case_insensitively():
+    cfg = FilterConfig(patterns=(r"\bbug\s*(\d+)",))
+    assert [rx.pattern for rx in cfg.compiled] == list(cfg.patterns)
+    assert all(rx.flags & re.IGNORECASE for rx in cfg.compiled)
+    assert extract_issue_refs("BUG 500", registry_of(500), cfg) == {500}
+    assert cfg == FilterConfig(patterns=(r"\bbug\s*(\d+)",))
+
+
 @given(
     st.text(alphabet="abc #0123456789", max_size=60),
     st.sets(st.integers(min_value=1, max_value=999), max_size=8),
@@ -221,7 +258,7 @@ def synthetic_log(seed: int, n_commits: int = 1000) -> tuple[str, IssueRegistry]
 @pytest.mark.parametrize("seed", range(100))
 def test_ledger_double_count_identity_over_synthetic_logs(seed):
     text, reg = synthetic_log(seed)
-    commits = parse_commit_log_text(text)
+    commits = sorted(parse_commit_log_text(text), key=lambda c: c.timestamp)  # build_bug_ledger bisects
     assert len(commits) == 1000
     ledger = build_bug_ledger(commits, reg, FilterConfig(min_id=100), WINDOW, "r1")
     assert sum(ledger.bugs_per_cu.values()) == sum(ledger.cus_per_bug.values()) == len(ledger.links)
@@ -256,3 +293,119 @@ def test_unescape_matches_character_oracle(message):
 def test_unescape_keeps_unknown_escapes_and_a_trailing_backslash():
     assert _unescape("a\\tb\\nc\\\\d") == "a\tb\nc\\d"
     assert _unescape("\\x \\\\n end\\") == "\\x \\n end\\"
+
+
+# -- the sorted, memoised ledger against the per-release scan it replaced ------
+
+
+def refs_by_finditer(message, registry, cfg):
+    """``extract_issue_refs`` as it was before patterns were precompiled."""
+    found = set()
+    for pattern in cfg.patterns:
+        for m in re.finditer(pattern, message, flags=re.IGNORECASE):
+            issue_id = int(m.group(1))
+            if issue_id in registry and issue_id >= cfg.min_id and not cfg.excluded(issue_id):
+                found.add(issue_id)
+    return found
+
+
+def ledger_by_scan(commits, registry, cfg, window, release):
+    """``build_bug_ledger`` as it was: test every commit of the log, in log order."""
+    start, end = window
+    if start > end:
+        raise ConfigError(f"release window for {release!r} has start after end")
+    links = set()
+    for commit in commits:
+        if not (start <= commit.timestamp <= end):
+            continue
+        for issue_id in refs_by_finditer(commit.message, registry, cfg):
+            for path in commit.files:
+                links.add((issue_id, path))
+    return BugLedger(release=release, links=frozenset(links))
+
+
+T0 = utc("2007-01-01T00:00:00Z")
+MESSAGES = [
+    "Fixed 101",
+    "fix for bug #102 and 103",
+    "issue 104\tsee 105",
+    "bug 106\nsecond line 107",
+    "back\\slash 108 \\t not a tab",
+    "12 of 34 done",
+    "nothing cited",
+    "#109#110 1011",
+]
+CUSTOM_PATTERNS = (r"#(\d+)", r"(\d+)", r"(\d\d)", r"(1\d)")  # matches overlap
+
+
+def escape(message):
+    return message.replace("\\", "\\\\").replace("\t", "\\t").replace("\n", "\\n")
+
+
+@st.composite
+def logs_and_windows(draw):
+    hours = st.integers(min_value=0, max_value=12)
+    commits = draw(
+        st.lists(
+            st.tuples(hours, st.sampled_from(MESSAGES), st.sets(st.sampled_from("ABCDE"), min_size=1)),
+            max_size=40,
+        )
+    )
+    windows = draw(st.lists(st.tuples(hours, hours), min_size=1, max_size=4))
+    ids = draw(st.sets(st.sampled_from([10, 12, 34, 101, 102, 103, 104, 105, 106, 107, 108, 109, 110, 1011])))
+    cfg = FilterConfig(
+        min_id=draw(st.sampled_from([1, 20])),
+        excluded_intervals=draw(st.sampled_from([(), ((103, 106),), ((12, 12), (107, 109))])),
+        patterns=draw(st.sampled_from([bugs.DEFAULT_PATTERNS, CUSTOM_PATTERNS])),
+    )
+    return commits, windows, registry_of(*ids), cfg
+
+
+@settings(max_examples=150, deadline=None)
+@given(logs_and_windows())
+def test_ledgers_equal_the_per_release_scan(drawn):
+    raw_commits, raw_windows, registry, cfg = drawn
+    text = "".join(
+        f"{(T0 + timedelta(hours=h)).isoformat()}\tdev\t{escape(msg)}\t{';'.join(sorted(files))}\n"
+        for h, msg, files in raw_commits
+    )
+    windows = [(T0 + timedelta(hours=a), T0 + timedelta(hours=b)) for a, b in raw_windows]
+    releases = tuple(ReleaseConfig(f"r{k}", None, None, w) for k, w in enumerate(windows))
+    with tempfile.TemporaryDirectory() as tmp:
+        log, reg = Path(tmp) / "commits.tsv", Path(tmp) / "issues.tsv"
+        log.write_text(text, encoding="utf-8")
+        reg.write_text(
+            "id\topen_date\trelease_tag\n" + "".join(f"{i}\t2007-01-01\tr0\n" for i in registry.meta),
+            encoding="utf-8",
+        )
+        cfg_all = PipelineConfig(releases, log, reg, cfg, (), Path(tmp))
+        with mock.patch.object(bugs, "extract_issue_refs", wraps=bugs.extract_issue_refs) as spy:
+            ledgers = load_bug_ledgers(cfg_all, releases)
+            extracted = [c.args[0] for c in spy.call_args_list]
+    commits = parse_commit_log_text(text)
+    assert [c.message for c in commits] == [msg for _, msg, _ in raw_commits]
+    in_window = set()
+    for rc in releases:
+        got = ledgers[rc.tag]
+        try:
+            want = ledger_by_scan(commits, registry, cfg, rc.window, rc.tag)
+        except ConfigError:
+            assert isinstance(got, ConfigError)
+            continue
+        assert got == want
+        start, end = rc.window
+        in_window |= {c.message for c in commits if start <= c.timestamp <= end}
+    assert sorted(extracted) == sorted(in_window)
+
+
+def test_refs_memo_is_filled_once_per_distinct_message():
+    commits = [
+        CommitEntry(utc(f"2007-0{month}-01T00:00:00Z"), "a", msg, ("a.java",))
+        for month, msg in ((1, "Fixed 500"), (2, "tidy"), (3, "Fixed 500"))
+    ]
+    refs = {}
+    with mock.patch.object(bugs, "extract_issue_refs", wraps=bugs.extract_issue_refs) as spy:
+        build_bug_ledger(commits, registry_of(500), FilterConfig(), WINDOW, "r1", refs)
+        build_bug_ledger(commits, registry_of(500), FilterConfig(), WINDOW, "r2", refs)
+    assert spy.call_count == 2
+    assert refs == {"Fixed 500": {500}, "tidy": set()}

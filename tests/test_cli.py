@@ -113,6 +113,23 @@ def test_missing_registry_names_bug_mapping_stage(tmp_path, capsys, fixtures_dir
     assert "bug_mapping" in err
 
 
+@pytest.mark.parametrize("pattern", [r"\bbug-(\w+)", r"\bbug(\d+)?"])
+def test_a_capture_that_is_not_an_issue_number_exits_1_at_bug_mapping(tmp_path, capsys, fixtures_dir, pattern):
+    cfg_path = write_config(tmp_path, fixtures_dir, filter={"patterns": [pattern]})
+    with open(tmp_path / "commits.tsv", "a") as fh:
+        fh.write("2007-03-01T00:00:00Z\tdev\tfix bug-abc here\tapp/Alpha.java\n")
+    code, _, err = run(capsys, "report", "--config", str(cfg_path), "--out", str(tmp_path / "o"))
+    assert code == 1
+    assert "stage bug_mapping" in err and repr(pattern) in err and "internal error" not in err
+
+
+def test_an_invalid_pattern_exits_1(tmp_path, capsys, fixtures_dir):
+    cfg_path = write_config(tmp_path, fixtures_dir, filter={"patterns": ["(\\d+"]})
+    code, _, err = run(capsys, "report", "--config", str(cfg_path), "--out", str(tmp_path / "o"))
+    assert code == 1
+    assert "not a valid regular expression" in err
+
+
 def test_malformed_corpus_aborts_report_with_stage_label(tmp_path, capsys, fixtures_dir):
     cfg_path = write_config(tmp_path, fixtures_dir)
     (tmp_path / "corpus_r1" / "app" / "Broken.java").write_text("package app;\nclass {\n}\n")

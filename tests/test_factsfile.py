@@ -1,10 +1,12 @@
 import copy
 import json
+from unittest import mock
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from faultgraph import facts as facts_module
 from faultgraph.errors import FormatError
 from faultgraph.facts import (
     CLASS_KINDS,
@@ -234,3 +236,82 @@ def test_any_source_bytes_give_facts_or_a_parse_failure(tmp_path, data):
     (tmp_path / "A.java").write_bytes(data)
     facts, failures = parse_corpus_dir(tmp_path)
     assert len(facts) + len(failures) == 1
+
+
+# -- the line memo shared by consecutive facts releases ------------------------
+
+
+def record_line(path, loc=4):
+    return json.dumps({**VALID, "path": path, "loc": loc}, separators=(",", ":"))
+
+
+def counted_decodes():
+    return mock.patch.object(facts_module, "cu_from_dict", wraps=facts_module.cu_from_dict)
+
+
+def test_a_line_seen_in_the_previous_file_is_not_decoded_again():
+    a, b, c = record_line("a/A.java"), record_line("a/B.java"), record_line("a/C.java")
+    memo = {}
+    first = load_facts(f"{a}\n{b}\n", memo)
+    assert memo == {a: first[0], b: first[1]}
+    with counted_decodes() as decode:
+        second = load_facts(f"{b}\n\n{c}\n", memo)
+    assert decode.call_count == 1  # c only
+    assert second == load_facts(f"{b}\n{c}\n") and second[0] is first[1]
+    assert memo == {b: second[0], c: second[1]}  # the previous file's lines are let go
+
+
+@given(
+    st.lists(
+        st.lists(st.sampled_from(["a/A.java", "a/B.java", "a/C.java", "a/D.java"]), unique=True, max_size=4),
+        min_size=1,
+        max_size=5,
+    ),
+    st.lists(st.integers(4, 6), min_size=4, max_size=4),
+)
+def test_a_chain_of_files_loads_as_each_file_alone(files, locs):
+    memo, prev = {}, set()
+    for paths in files:
+        lines = [record_line(p, locs[i]) for i, p in enumerate(paths)]
+        with counted_decodes() as decode:
+            got = load_facts("".join(f"{ln}\n" for ln in lines), memo)
+        assert got == load_facts("".join(f"{ln}\n" for ln in lines))
+        assert decode.call_count == len(set(lines) - prev)
+        assert set(memo) == set(lines)
+        prev = set(lines)
+
+
+def test_a_bad_line_after_memo_hits_keeps_its_own_record_index():
+    a, b = record_line("a/A.java"), record_line("a/B.java")
+    memo = {}
+    load_facts(f"{a}\n{b}\n", memo)
+    with pytest.raises(FormatError) as err:
+        load_facts(f"{b}\n{a}\n{{oops\n", memo)
+    assert err.value.record == 3
+    with pytest.raises(FormatError) as err:
+        load_facts(f"{b}\n\n{record_line('a/C.java', loc=0)}\n", memo)
+    assert err.value.record == 3 and "loc smaller" in str(err.value)
+
+
+def test_a_duplicate_path_among_memo_hits_is_still_a_format_error():
+    a = record_line("a/A.java")
+    memo = {}
+    load_facts(f"{a}\n", memo)
+    with pytest.raises(FormatError) as err:
+        load_facts(f"{a}\n{a}\n", memo)
+    assert err.value.record == 2 and "duplicate CU path" in str(err.value)
+    with pytest.raises(FormatError) as err:
+        load_facts(f"{a}\n{record_line('a/A.java', loc=5)}\n", memo)
+    assert err.value.record == 2
+
+
+def test_a_failed_decode_is_never_memoised():
+    a, bad = record_line("a/A.java"), record_line("a/Bad.java", loc=0)
+    memo = {}
+    load_facts(f"{a}\n", memo)
+    before = dict(memo)
+    for _ in range(2):
+        with counted_decodes() as decode, pytest.raises(FormatError):
+            load_facts(f"{bad}\n", memo)
+        assert decode.call_count == 1
+        assert memo == before

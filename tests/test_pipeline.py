@@ -7,7 +7,7 @@ import weakref
 import numpy as np
 import pytest
 
-from faultgraph import javaparse, pipeline
+from faultgraph import bugs, facts, javaparse, pipeline
 from faultgraph.cli import main
 from faultgraph.config import load_config
 from faultgraph.errors import ConfigError
@@ -281,6 +281,67 @@ def test_extract_shares_the_memo_and_reports_a_repeated_failure_per_release(tmp_
     assert failures[0].startswith("[r1] p/Bad.java: ") and failures[1].startswith("[r2] q/Bad.java: ")
     assert failures[0].split(": ", 1)[1] == failures[1].split(": ", 1)[1]
     assert "line 3" in failures[0]
+
+
+# --------------------------------------------------------------------------
+# One decode per distinct facts line and one extraction per distinct message
+# --------------------------------------------------------------------------
+
+
+def count_wrapped(monkeypatch, module, name):
+    """Wrap ``module.name``; return the list of first arguments it is called with."""
+    seen = []
+    original = getattr(module, name)
+
+    def counted(first, *args, **kwargs):
+        seen.append(first)
+        return original(first, *args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return seen
+
+
+def test_a_facts_release_chain_decodes_each_new_line_and_extracts_each_message_once(
+    tmp_path, monkeypatch, capsys, fixtures_dir
+):
+    assert main(["extract", "--config", str(fixtures_dir / "pipeline_config.json"), "--out", str(tmp_path)]) == 0
+    log = (fixtures_dir / "commits.tsv").read_text().splitlines()
+    # each message again later in the year, and once more outside every window
+    later = ["2007-12-30" + line[10:] for line in log]
+    outside = ["2009" + line[4:] for line in log]
+    (tmp_path / "commits.tsv").write_text("".join(f"{line}\n" for line in log + later + outside))
+    windows = {
+        "r1": ["2007-01-01T00:00:00Z", "2007-06-30T23:59:59Z"],
+        "r2": ["2007-07-01T00:00:00Z", "2007-12-31T23:59:59Z"],
+    }
+    cfg_path = write_cfg(
+        tmp_path,
+        {
+            "releases": [
+                {"tag": "r1", "facts": "facts-r1.jsonl", "window": windows["r1"]},
+                {"tag": "r2", "facts": "facts-r2.jsonl", "window": windows["r2"]},
+                {"tag": "r2-again", "facts": "facts-r2.jsonl", "window": windows["r2"]},
+            ],
+            "commit_log": "commits.tsv",
+            "issue_registry": str(fixtures_dir / "issues.tsv"),
+            "filter": {"min_id": 100, "excluded_intervals": [[300, 305]]},
+            "release_pairs": [["r1", "r2"], ["r2", "r2-again"]],
+        },
+    )
+    decoded = count_wrapped(monkeypatch, facts, "cu_from_dict")
+    extracted = count_wrapped(monkeypatch, bugs, "extract_issue_refs")
+    assert main(["report", "--config", str(cfg_path), "--out", str(tmp_path / "out")]) == 0
+    capsys.readouterr()
+    r1, r2 = ((tmp_path / f"facts-{tag}.jsonl").read_text().splitlines() for tag in ("r1", "r2"))
+    assert 0 < len(set(r2) - set(r1)) < len(r2)  # the fixtures share records across releases
+    new_in_r2 = sorted(set(r2) - set(r1))
+    assert sorted(d["path"] for d in decoded) == sorted(json.loads(line)["path"] for line in r1 + new_in_r2)
+    messages = [line.split("\t")[2] for line in log]
+    assert len(set(messages)) == len(messages) == 8
+    assert sorted(extracted) == sorted(messages)
+    out = tmp_path / "out"
+    assert (out / "bugs-per-cu-r2.tsv").read_bytes() == (out / "bugs-per-cu-r2-again.tsv").read_bytes()
+    assert (out / "facts-r2.jsonl").read_text().splitlines() == r2
 
 
 # --------------------------------------------------------------------------

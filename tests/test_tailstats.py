@@ -24,6 +24,7 @@ from faultgraph.errors import (
     InsufficientTail,
 )
 from faultgraph.tailstats import (
+    DISCRETE,
     _SCAN_MAX_SLOPE,
     _SCAN_PROBES,
     _SCAN_TOL,
@@ -682,6 +683,50 @@ def test_zeta_sampler_x_min_above_the_support_cap_is_a_domain_error():
     assert zeta_samples(5, 2.5, x_min=10, support_cap=10).tolist() == [10.0] * 5
 
 
+def zeta_samples_over_full_support(n, gamma, x_min=1, rng=None, support_cap=10**6):
+    """``zeta_samples`` as it was: the CCDF over every k in x_min..support_cap."""
+    support = np.arange(x_min, support_cap + 1, dtype=float)
+    tail_p = scipy.special.zeta(gamma, support) / scipy.special.zeta(gamma, float(x_min))
+    u = rng.random(n)
+    counts = np.clip(np.searchsorted(-tail_p, -u, side="left"), 1, support.size)
+    return (x_min + counts - 1).astype(float)
+
+
+@pytest.mark.parametrize("gamma", [1.3, 2.0, 2.5, 4.5])
+@pytest.mark.parametrize("x_min", [1, 3, 17])
+def test_zeta_sampler_blocks_give_the_full_support_draws_bit_for_bit(gamma, x_min):
+    capped = 0
+    for seed in range(4):
+        for n, cap in ((0, 10**4), (1, 500), (300, 10**4), (2000, 10**5)):
+            got = zeta_samples(n, gamma, x_min, np.random.default_rng(seed), support_cap=cap)
+            want = zeta_samples_over_full_support(n, gamma, x_min, np.random.default_rng(seed), support_cap=cap)
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+            capped += np.count_nonzero(got == cap)
+    assert capped > 0 or gamma > 1.3  # the heaviest tail has draws held at the cap
+
+
+def test_zeta_sampler_cost_follows_the_draws_not_the_cap():
+    calls = []
+    zeta = scipy.special.zeta
+
+    def counted(s, k):
+        calls.append(np.size(k))
+        return zeta(s, k)
+
+    with mock.patch.object(scipy.special, "zeta", counted):
+        zeta_samples(10, 3.0, 1, np.random.default_rng(0))
+    assert sum(calls) < 10**4  # the default support cap is 10**6
+
+
+def test_a_tail_piled_at_x_min_is_insufficient_not_a_crash():
+    # the discrete gamma's bracket grows past where zeta(gamma, x_min) underflows to 0
+    with pytest.raises(InsufficientTail, match="concentrated"):
+        _fit_at(np.array([1000.0] * 20 + [1001.0]), 1000.0, DISCRETE)
+    # a scan that meets such a candidate skips it
+    xs = zeta_samples(95, 1.3125, 2, np.random.default_rng(71), support_cap=10**4)
+    assert fit_power_law_tail(xs, mode=DISCRETE, min_tail=10).gamma > 1.0
+
+
 def test_expected_max_monotonicity():
     for n1, n2 in [(2, 5), (10, 100), (500, 501)]:
         assert expected_max(n2, 2.5) > expected_max(n1, 2.5)
@@ -796,3 +841,29 @@ def test_regularized_gamma_q_accuracy():
     for a in (0.5, 1.0, 1.5, 2.5, 5.0, 10.0, 25.0, 50.0):
         for x in (0.0, 1e-6, 0.1, 0.5, 1.0, 2.0, 5.0, 10.0, 25.0, 60.0, 150.0):
             assert abs(regularized_gamma_q(a, x) - float(scipy.special.gammaincc(a, x))) < 1e-10
+
+
+# -- pinned fits of seeded distributions -------------------------------------------
+
+TAILS = pathlib.Path(__file__).parent / "fixtures" / "tails"
+
+# (gamma, x_min, ks) as float.hex, then n_tail, of fit_power_law_tail on the
+# positive values of each file: the in_links, cu_loc and bugs_per_cu
+# distributions of release r1 of the release-pair benchmark corpus, seed 7
+PINNED_FITS = {
+    ("bugs_per_cu", "discrete"): ("0x1.537bc30b3d9aap+1", "0x1.0000000000000p+2", "0x1.337d85a0a7e10p-5", 302),
+    ("bugs_per_cu", "continuous"): ("0x1.61692b8d52c1dp+1", "0x1.c000000000000p+2", "0x1.8618618618618p-3", 105),
+    ("in_links", "discrete"): ("0x1.20a62eb26be4ep+1", "0x1.8000000000000p+2", "0x1.ebda56686be10p-5", 90),
+    ("in_links", "continuous"): ("0x1.1dcf3e27cde88p+1", "0x1.0000000000000p+3", "0x1.0000000000000p-3", 56),
+    ("cu_loc", "discrete"): ("0x1.1c18cf7f54c82p+2", "0x1.1400000000000p+6", "0x1.4bec646963b10p-5", 75),
+    ("cu_loc", "continuous"): ("0x1.21aff493ca3b8p+2", "0x1.1400000000000p+6", "0x1.838625436a3e0p-5", 75),
+}
+
+
+@pytest.mark.parametrize("name, mode", sorted(PINNED_FITS))
+def test_fit_of_a_seeded_distribution_is_pinned_bit_for_bit(name, mode):
+    values = [float(v) for v in (TAILS / f"{name}-r1.txt").read_text().split()]
+    assert len(values) == 900
+    fit = fit_power_law_tail([v for v in values if v > 0], mode=mode)
+    gamma, x_min, ks, n_tail = PINNED_FITS[name, mode]
+    assert (fit.gamma.hex(), fit.x_min.hex(), fit.ks.hex(), fit.n_tail) == (gamma, x_min, ks, n_tail)
