@@ -1,48 +1,3 @@
 """Software-graph metrics, bug mapping, and heavy-tail statistics."""
 
-from .bugs import (
-    BugLedger,
-    CommitEntry,
-    FilterConfig,
-    IssueRegistry,
-    build_bug_ledger,
-    extract_issue_refs,
-    load_issue_registry,
-    parse_commit_log,
-)
-from .evolution import (
-    FamilyPartition,
-    FamilyStats,
-    ReleaseSnapshot,
-    classify_cus,
-    delta_metric_correlation,
-    family_significance,
-    family_stats,
-)
-from .facts import ClassFacts, CUFacts, MethodFacts, count_loc, dump_facts_file, load_facts_file
-from .graphs import ClassGraph, CUGraph, build_class_graph, build_cu_graph
-from .javaparse import parse_compilation_unit, parse_corpus_dir
-from .metrics import (
-    METRIC_NAMES,
-    ClassMetrics,
-    MetricVector,
-    class_metrics,
-    compute_metrics,
-    cu_metrics,
-)
-from .resolve import ResolvedCorpus, resolve_type_references
-from .tailstats import (
-    CCDFCurve,
-    ChiSquareResult,
-    TailFit,
-    ccdf,
-    chi_square_independence,
-    expected_max,
-    fit_power_law_tail,
-    loglog_slope,
-    pareto_samples,
-    pearson,
-    zeta_samples,
-)
-
 __version__ = "0.1.0"

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from operator import attrgetter
 
-from .errors import ConfigError, FormatError, read_utf8
+from .errors import ConfigError, FormatError, read_utf8, split_records
 
 DEFAULT_PATTERNS = (
     r"\bbug\s*#?\s*(\d+)",
@@ -47,10 +47,6 @@ class CommitEntry:
 @dataclass(frozen=True)
 class IssueRegistry:
     meta: dict[int, tuple[str, str]]  # id -> (open_date, release_tag)
-
-    @property
-    def ids(self) -> frozenset[int]:
-        return frozenset(self.meta)
 
     def __contains__(self, issue_id: int) -> bool:
         return issue_id in self.meta
@@ -139,7 +135,7 @@ def parse_commit_log(path) -> list[CommitEntry]:
 
 def parse_commit_log_text(text: str) -> list[CommitEntry]:
     entries: list[CommitEntry] = []
-    for idx, line in enumerate(text.splitlines(), start=1):
+    for idx, line in enumerate(split_records(text), start=1):
         if not line.strip():
             continue
         parts = line.split("\t")
@@ -159,7 +155,7 @@ def parse_commit_log_text(text: str) -> list[CommitEntry]:
 
 def load_issue_registry(path) -> IssueRegistry:
     text = read_utf8(path, FormatError)
-    lines = [ln for ln in text.splitlines() if ln.strip()]
+    lines = [ln for ln in split_records(text) if ln.strip()]
     if not lines:
         return IssueRegistry(meta={})
     header = lines[0].split("\t")

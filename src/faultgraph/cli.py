@@ -17,12 +17,12 @@ from .config import load_config
 from .errors import ConfigError, InputError
 from .pipeline import (
     STAGE_STATS,
-    StageFailure,
     _fmt,
     _selected_distributions,
     cmd_analyze,
     cmd_extract,
     run_releases,
+    stage,
     write_bugs,
     write_ccdfs,
     write_correlations,
@@ -34,12 +34,8 @@ from .pipeline import (
 from .tailstats import CONTINUOUS, DISCRETE, fit_power_law_tail, pareto_samples, zeta_samples
 
 
-def _out_dir(args, cfg=None) -> Path:
-    if args.out is not None:
-        return Path(args.out)
-    if cfg is not None:
-        return cfg.output_dir
-    return Path("out")
+def _out_dir(args, cfg) -> Path:
+    return Path(args.out) if args.out is not None else cfg.output_dir
 
 
 def _config(args):
@@ -91,29 +87,28 @@ def _parse_synthetic(spec: str):
 
 def run_fit(args) -> int:
     if args.synthetic is not None:
-        mode, gamma, n, x_min = _parse_synthetic(args.synthetic)
-        rng = np.random.default_rng(args.seed)
-        if mode == CONTINUOUS:
-            samples = pareto_samples(n, gamma, x_min, rng)
-        else:
-            samples = zeta_samples(n, gamma, x_min, rng)
-        fit = fit_power_law_tail(samples, mode=mode, x_min=x_min)
+        with stage(STAGE_STATS):
+            mode, gamma, n, x_min = _parse_synthetic(args.synthetic)
+            rng = np.random.default_rng(args.seed)
+            if mode == CONTINUOUS:
+                samples = pareto_samples(n, gamma, x_min, rng)
+            else:
+                samples = zeta_samples(n, gamma, x_min, rng)
+            fit = fit_power_law_tail(samples, mode=mode, x_min=x_min)
         print(
             f"distribution=synthetic mode={mode} status=ok gamma={_fmt(fit.gamma)} "
             f"x_min={_fmt(fit.x_min)} ks={_fmt(fit.ks)} n_tail={fit.n_tail}"
         )
         return 0
     if args.samples is not None:
-        try:
-            values = [float(line) for line in Path(args.samples).read_text().split()]
-        except OSError as exc:
-            raise InputError(f"cannot read samples file: {exc}") from exc
-        except ValueError as exc:
-            raise InputError(f"samples file must hold one number per line: {exc}") from exc
-        try:
+        with stage(STAGE_STATS):
+            try:
+                values = [float(line) for line in Path(args.samples).read_text().split()]
+            except OSError as exc:
+                raise InputError(f"cannot read samples file: {exc}") from exc
+            except ValueError as exc:
+                raise InputError(f"samples file must hold one number per line: {exc}") from exc
             fit = fit_power_law_tail(values, mode=args.mode, x_min=args.x_min)
-        except InputError as exc:
-            raise StageFailure(STAGE_STATS, exc) from exc
         print(
             f"distribution={Path(args.samples).name} mode={args.mode} status=ok "
             f"gamma={_fmt(fit.gamma)} x_min={_fmt(fit.x_min)} ks={_fmt(fit.ks)} n_tail={fit.n_tail}"
@@ -207,9 +202,6 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except StageFailure as exc:
-        print(f"faultgraph: {exc}", file=sys.stderr)
-        return 1 if exc.is_input_error else 2
     except InputError as exc:
         print(f"faultgraph: {exc}", file=sys.stderr)
         return 1

@@ -18,10 +18,13 @@ Schema:
 
 Relative paths are resolved against the config file's directory. Every
 referenced path must exist when the config is loaded. ``patterns: null``
-selects the default issue-reference patterns.
+selects the default issue-reference patterns. A field of the wrong JSON type
+is a ConfigError naming the field, and so is a config in which two release
+tags, or two release pairs, would give the same output file name.
 """
 
 import json
+import re
 from dataclasses import dataclass
 from datetime import datetime
 from pathlib import Path
@@ -60,9 +63,42 @@ class PipelineConfig:
         return rc.window
 
 
+def safe_tag(tag: str) -> str:
+    """A release tag as it appears in output file names."""
+    return re.sub(r"[^A-Za-z0-9._-]", "_", tag)
+
+
+def _distinct_file_names(named: list[tuple[str, str]], what: str) -> None:
+    """``named`` holds (label, file-name form) pairs; two labels with one
+    form would overwrite each other's outputs."""
+    seen: dict[str, str] = {}
+    for label, name in named:
+        if name in seen:
+            raise ConfigError(f"{what} {seen[name]} and {label} give the same output file name {name!r}")
+        seen[name] = label
+
+
+def _require(cond: bool, msg: str) -> None:
+    if not cond:
+        raise ConfigError(msg)
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _path(raw: dict, key: str, what: str, base: Path) -> Path | None:
+    """``base / raw[key]``, or None when the field is absent or null."""
+    value = raw.get(key)
+    if value is None:
+        return None
+    _require(isinstance(value, str) and value != "", f"{what} must be a non-empty string")
+    return base / value
+
+
 def _parse_window(raw, tag: str) -> tuple[datetime, datetime]:
-    if not (isinstance(raw, list) and len(raw) == 2):
-        raise ConfigError(f"release {tag!r}: window must be [start, end]")
+    if not (isinstance(raw, list) and len(raw) == 2 and all(isinstance(t, str) for t in raw)):
+        raise ConfigError(f"release {tag!r}: window must be [start, end] timestamp strings")
     try:
         start, end = parse_timestamp(raw[0]), parse_timestamp(raw[1])
     except ValueError as exc:
@@ -76,12 +112,10 @@ def _parse_release(raw, base: Path) -> ReleaseConfig:
     if not isinstance(raw, dict) or not isinstance(raw.get("tag"), str) or not raw["tag"]:
         raise ConfigError("each release needs a non-empty string tag")
     tag = raw["tag"]
-    corpus = raw.get("corpus")
-    facts = raw.get("facts")
-    if (corpus is None) == (facts is None):
+    corpus_path = _path(raw, "corpus", f"release {tag!r}: corpus", base)
+    facts_path = _path(raw, "facts", f"release {tag!r}: facts", base)
+    if (corpus_path is None) == (facts_path is None):
         raise ConfigError(f"release {tag!r}: specify exactly one of corpus or facts")
-    corpus_path = (base / corpus) if corpus else None
-    facts_path = (base / facts) if facts else None
     if corpus_path is not None and not corpus_path.is_dir():
         raise ConfigError(f"release {tag!r}: corpus directory not found: {corpus_path}")
     if facts_path is not None and not facts_path.is_file():
@@ -106,33 +140,40 @@ def load_config(path) -> PipelineConfig:
         raise ConfigError("config needs a non-empty releases list")
     releases = tuple(_parse_release(r, base) for r in releases_raw)
     tags = [r.tag for r in releases]
-    if len(tags) != len(set(tags)):
-        raise ConfigError("release tags must be unique")
+    _distinct_file_names([(repr(tag), safe_tag(tag)) for tag in tags], "release tags")
 
-    commit_log = None
-    if raw.get("commit_log") is not None:
-        commit_log = base / raw["commit_log"]
-        if not commit_log.is_file():
-            raise ConfigError(f"commit log not found (stage bug_mapping): {commit_log}")
-    issue_registry = None
-    if raw.get("issue_registry") is not None:
-        issue_registry = base / raw["issue_registry"]
-        if not issue_registry.is_file():
-            raise ConfigError(f"issue registry not found (stage bug_mapping): {issue_registry}")
+    commit_log = _path(raw, "commit_log", "commit_log", base)
+    if commit_log is not None and not commit_log.is_file():
+        raise ConfigError(f"commit log not found (stage bug_mapping): {commit_log}")
+    issue_registry = _path(raw, "issue_registry", "issue_registry", base)
+    if issue_registry is not None and not issue_registry.is_file():
+        raise ConfigError(f"issue registry not found (stage bug_mapping): {issue_registry}")
 
-    filt = raw.get("filter") or {}
-    if not isinstance(filt, dict):
-        raise ConfigError("filter must be an object")
+    filt = {} if raw.get("filter") is None else raw["filter"]
+    _require(isinstance(filt, dict), "filter must be an object")
     kwargs = {}
     if filt.get("min_id") is not None:
+        _require(_is_int(filt["min_id"]), "filter.min_id must be an integer")
         kwargs["min_id"] = filt["min_id"]
     if filt.get("excluded_intervals") is not None:
-        kwargs["excluded_intervals"] = tuple(tuple(iv) for iv in filt["excluded_intervals"])
+        intervals = filt["excluded_intervals"]
+        _require(
+            isinstance(intervals, list)
+            and all(isinstance(iv, list) and len(iv) == 2 and all(map(_is_int, iv)) for iv in intervals),
+            "filter.excluded_intervals must be a list of [low, high] integer pairs",
+        )
+        kwargs["excluded_intervals"] = tuple(tuple(iv) for iv in intervals)
     if filt.get("patterns") is not None:
-        kwargs["patterns"] = tuple(filt["patterns"])
+        patterns = filt["patterns"]
+        _require(
+            isinstance(patterns, list) and all(isinstance(p, str) for p in patterns),
+            "filter.patterns must be a list of strings or null",
+        )
+        kwargs["patterns"] = tuple(patterns)
     filter_config = FilterConfig(**kwargs)
 
-    pairs_raw = raw.get("release_pairs") or []
+    pairs_raw = [] if raw.get("release_pairs") is None else raw["release_pairs"]
+    _require(isinstance(pairs_raw, list), "release_pairs must be a list")
     pairs = []
     for pair in pairs_raw:
         if not (isinstance(pair, list) and len(pair) == 2):
@@ -142,8 +183,9 @@ def load_config(path) -> PipelineConfig:
             if tag not in tags:
                 raise ConfigError(f"release pair references unknown tag {tag!r}")
         pairs.append((a, b))
+    _distinct_file_names([(f"[{a!r}, {b!r}]", f"{safe_tag(a)}-{safe_tag(b)}") for a, b in pairs], "release pairs")
 
-    output_dir = base / (raw.get("output_dir") or "out")
+    output_dir = _path(raw, "output_dir", "output_dir", base) or base / "out"
     return PipelineConfig(
         releases=releases,
         commit_log=commit_log,

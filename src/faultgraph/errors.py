@@ -1,4 +1,5 @@
-"""Exception types shared across the toolchain, and the UTF-8 input reader.
+"""Exception types shared across the toolchain, and the UTF-8 input reader
+with the rule that splits an input file into records.
 
 Every error raised on bad *input* derives from InputError so the CLI can map
 it to exit code 1; anything else escaping a stage is treated as an internal
@@ -78,3 +79,10 @@ def read_utf8(path, error: type[InputError]) -> str:
             return fh.read()
     except UnicodeDecodeError as exc:
         raise error(f"{path}: not UTF-8 text (byte {exc.start}: {exc.reason})") from exc
+
+
+def split_records(text: str) -> list[str]:
+    r"""The lines of a record-per-line input. A record ends at ``\n`` only,
+    so a form feed or U+2028 inside a record stays in it; one trailing
+    ``\r`` is dropped, so CRLF files load too. Index ``i`` is record ``i + 1``."""
+    return [line.removesuffix("\r") for line in text.split("\n")]

@@ -17,7 +17,7 @@ import json
 import re
 from dataclasses import dataclass
 
-from .errors import FormatError, read_utf8
+from .errors import FormatError, read_utf8, split_records
 
 CLASS_KINDS = ("class", "interface")
 
@@ -271,7 +271,7 @@ def load_facts(text: str, memo: dict[str, CUFacts] | None = None) -> list[CUFact
     cus: list[CUFacts] = []
     lines: dict[str, CUFacts] = {}
     seen: set[str] = set()
-    for idx, line in enumerate(text.splitlines(), start=1):
+    for idx, line in enumerate(split_records(text), start=1):
         if not line.strip():
             continue
         cu = known.get(line)

@@ -8,19 +8,18 @@ aborting the run: on small systems they are expected outcomes, not faults.
 """
 
 import logging
-import re
 from collections.abc import Callable, Sequence
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 
 from .bugs import BugLedger, build_bug_ledger, load_issue_registry, parse_commit_log
-from .config import PipelineConfig, ReleaseConfig
+from .config import PipelineConfig, ReleaseConfig, safe_tag
 from .errors import (
     ConfigError,
     DegenerateInput,
     DegenerateTable,
     EmptyFamily,
-    FaultgraphError,
     InputError,
     InsufficientTail,
     ParseError,
@@ -37,7 +36,7 @@ from .facts import CUFacts, dump_facts_file, load_facts_file
 from .graphs import ClassGraph, CUGraph, build_class_graph, build_cu_graph
 from .javaparse import parse_corpus_dir
 from .metrics import METRIC_NAMES, ClassMetrics, MetricVector, compute_metrics, metric_value
-from .resolve import ClassId, ResolvedCorpus, resolve_type_references
+from .resolve import ClassId, resolve_type_references
 from .tailstats import CONTINUOUS, DISCRETE, ccdf, fit_power_law_tail, pearson
 
 log = logging.getLogger(__name__)
@@ -51,25 +50,29 @@ STAGE_STATS = "tail_stats"
 STAGE_EVOLUTION = "evolution"
 
 
-class StageFailure(FaultgraphError):
-    """An error bound to the pipeline stage it occurred in."""
+class StageFailure(InputError):
+    """An input error bound to the pipeline stage it occurred in."""
 
-    def __init__(self, stage: str, error: Exception):
+    def __init__(self, stage: str, error: InputError):
         self.stage = stage
         self.error = error
         super().__init__(f"stage {stage}: {error}")
 
-    @property
-    def is_input_error(self) -> bool:
-        return isinstance(self.error, InputError)
+
+@contextmanager
+def stage(name: str):
+    """Bind an InputError raised inside to stage ``name``. A StageFailure
+    passes unchanged, so the innermost stage is the one named."""
+    try:
+        yield
+    except StageFailure:
+        raise
+    except InputError as exc:
+        raise StageFailure(name, exc) from exc
 
 
 def _fmt(x: float) -> str:
     return "%.12g" % x
-
-
-def _safe_tag(tag: str) -> str:
-    return re.sub(r"[^A-Za-z0-9._-]", "_", tag)
 
 
 def write_table(path: Path, header: list[str], rows: list[list]) -> None:
@@ -88,7 +91,6 @@ def write_table(path: Path, header: list[str], rows: list[list]) -> None:
 class ReleaseData:
     tag: str
     facts: list[CUFacts]
-    corpus: ResolvedCorpus
     class_graph: ClassGraph
     cu_graph: CUGraph
     per_class: dict[ClassId, ClassMetrics]
@@ -140,15 +142,13 @@ def load_bug_ledgers(
     message is extracted once. A release whose ledger cannot be built (no
     window, say) maps to its InputError, which ``attach_ledger`` raises when
     that release gets its ledger."""
-    try:
+    with stage(STAGE_BUGS):
         if cfg.commit_log is None:
             raise ConfigError("config has no commit_log (required to map bugs)")
         if cfg.issue_registry is None:
             raise ConfigError("config has no issue_registry (required to map bugs)")
         commits = parse_commit_log(cfg.commit_log)
         registry = load_issue_registry(cfg.issue_registry)
-    except InputError as exc:
-        raise StageFailure(STAGE_BUGS, exc) from exc
     commits.sort(key=lambda c: c.timestamp)
     refs: dict[str, set[int]] = {}
     ledgers: dict[str, BugLedger | InputError] = {}
@@ -163,46 +163,32 @@ def load_bug_ledgers(
 
 def build_release(rc: ReleaseConfig, memo: RunMemo | None = None) -> ReleaseData:
     """Facts, graphs and metrics of one release; a file that fails to parse aborts it."""
-    try:
+    with stage(STAGE_SOURCE):
         facts, failures = load_release_facts(rc, memo)
         if failures:
             listing = "; ".join(f"{p}: {e}" for p, e in failures)
             raise InputError(f"release {rc.tag!r}: {len(failures)} file(s) failed to parse: {listing}")
         corpus = resolve_type_references(facts)
-    except InputError as exc:
-        raise StageFailure(STAGE_SOURCE, exc) from exc
-    try:
+    with stage(STAGE_GRAPH):
         cg = build_class_graph(corpus)
         cug = build_cu_graph(cg, corpus)
         per_class, per_cu = compute_metrics(corpus, cg, cug)
-    except FaultgraphError as exc:
-        raise StageFailure(STAGE_GRAPH, exc) from exc
-    return ReleaseData(
-        tag=rc.tag,
-        facts=facts,
-        corpus=corpus,
-        class_graph=cg,
-        cu_graph=cug,
-        per_class=per_class,
-        per_cu=per_cu,
-    )
+    return ReleaseData(tag=rc.tag, facts=facts, class_graph=cg, cu_graph=cug, per_class=per_class, per_cu=per_cu)
 
 
 def attach_ledger(data: ReleaseData, full: BugLedger | InputError) -> None:
     """Restrict the release's full ledger to its CUs and count the links dropped."""
-    try:
+    with stage(STAGE_BUGS):
         if isinstance(full, InputError):
             raise full
-        ledger = full.restricted_to(data.per_cu)
-        data.dropped_links = len(full.links) - len(ledger.links)
-        if data.dropped_links:
-            log.warning(
-                "release %s: dropped %d issue links to files outside the corpus",
-                data.tag, data.dropped_links,
-            )
-        data.ledger = ledger
-    except InputError as exc:
-        raise StageFailure(STAGE_BUGS, exc) from exc
+    ledger = full.restricted_to(data.per_cu)
+    data.dropped_links = len(full.links) - len(ledger.links)
+    if data.dropped_links:
+        log.warning(
+            "release %s: dropped %d issue links to files outside the corpus",
+            data.tag, data.dropped_links,
+        )
+    data.ledger = ledger
 
 
 # --------------------------------------------------------------------------
@@ -211,13 +197,13 @@ def attach_ledger(data: ReleaseData, full: BugLedger | InputError) -> None:
 
 
 def write_facts(data: ReleaseData, out: Path) -> list[Path]:
-    path = out / f"facts-{_safe_tag(data.tag)}.jsonl"
+    path = out / f"facts-{safe_tag(data.tag)}.jsonl"
     dump_facts_file(sorted(data.facts, key=lambda cu: cu.path), path)
     return [path]
 
 
 def write_graphs(data: ReleaseData, out: Path) -> list[Path]:
-    tag = _safe_tag(data.tag)
+    tag = safe_tag(data.tag)
     class_rows = sorted(
         [src[0], src[1], tgt[0], tgt[1], kind] for src, tgt, kind in data.class_graph.edges
     )
@@ -230,7 +216,7 @@ def write_graphs(data: ReleaseData, out: Path) -> list[Path]:
 
 
 def write_metrics(data: ReleaseData, out: Path) -> list[Path]:
-    tag = _safe_tag(data.tag)
+    tag = safe_tag(data.tag)
     class_rows = [
         [cid[0], cid[1], m.wmc, m.cbo, m.rfc, m.lcom, m.loc]
         for cid, m in sorted(data.per_class.items())
@@ -248,7 +234,7 @@ def write_metrics(data: ReleaseData, out: Path) -> list[Path]:
 
 def write_bugs(data: ReleaseData, out: Path) -> list[Path]:
     assert data.ledger is not None
-    tag = _safe_tag(data.tag)
+    tag = safe_tag(data.tag)
     p1 = out / f"bugs-per-cu-{tag}.tsv"
     write_table(
         p1,
@@ -283,7 +269,7 @@ def _selected_distributions(only: str | None) -> tuple[str, ...]:
 
 
 def write_ccdfs(data: ReleaseData, out: Path, only: str | None = None) -> list[Path]:
-    tag = _safe_tag(data.tag)
+    tag = safe_tag(data.tag)
     paths = []
     for name in _selected_distributions(only):
         samples = distribution_samples(data, name)
@@ -313,7 +299,7 @@ def write_tail_fits(data: ReleaseData, out: Path, only: str | None = None) -> li
             )
         except InsufficientTail:
             rows.append([name, mode, "insufficient-tail", "", "", "", len(positive)])
-    path = out / f"tailfit-{_safe_tag(data.tag)}.tsv"
+    path = out / f"tailfit-{safe_tag(data.tag)}.tsv"
     write_table(path, ["distribution", "mode", "status", "gamma", "x_min", "ks", "n_tail"], rows)
     return [path]
 
@@ -330,7 +316,7 @@ def write_correlations(data: ReleaseData, out: Path) -> list[Path]:
             rows.append([name, len(paths), _fmt(r), "ok"])
         except DegenerateInput:
             rows.append([name, len(paths), "", "degenerate"])
-    path = out / f"correlation-{_safe_tag(data.tag)}.tsv"
+    path = out / f"correlation-{safe_tag(data.tag)}.tsv"
     write_table(path, ["metric", "n", "r", "status"], rows)
     return [path]
 
@@ -340,18 +326,19 @@ def write_correlations(data: ReleaseData, out: Path) -> list[Path]:
 # --------------------------------------------------------------------------
 
 
-def write_evolution(prev: ReleaseData, nxt: ReleaseData, out: Path) -> list[Path]:
-    pair = f"{_safe_tag(prev.tag)}-{_safe_tag(nxt.tag)}"
-    prev_snap, next_snap = prev.snapshot, nxt.snapshot
+def write_evolution(prev: ReleaseSnapshot, nxt: ReleaseSnapshot, out: Path) -> list[Path]:
+    """Families, significance and delta correlations of one release pair,
+    from the two releases' snapshots alone."""
+    pair = f"{safe_tag(prev.release)}-{safe_tag(nxt.release)}"
     family_rows, chi_rows, delta_rows = [], [], []
     for metric in METRIC_NAMES:
-        partition = classify_cus(prev_snap, next_snap, metric)
+        partition = classify_cus(prev, nxt, metric)
         for family_name in FAMILY_NAMES:
             members = partition.family(family_name)
             if not members:
                 family_rows.append([metric, family_name, 0, "", "", ""])
                 continue
-            stats = family_stats(members, next_snap.ledger)
+            stats = family_stats(members, nxt.ledger)
             family_rows.append(
                 [
                     metric,
@@ -363,13 +350,13 @@ def write_evolution(prev: ReleaseData, nxt: ReleaseData, out: Path) -> list[Path
                 ]
             )
         try:
-            res = family_significance(partition, next_snap.ledger)
+            res = family_significance(partition, nxt.ledger)
             chi_rows.append([metric, _fmt(res.chi2), res.dof, _fmt(res.p_value), "ok"])
         except EmptyFamily:
             chi_rows.append([metric, "", "", "", "empty-family"])
         except DegenerateTable:
             chi_rows.append([metric, "", "", "", "degenerate"])
-        delta = delta_metric_correlation(partition, prev_snap, next_snap, metric)
+        delta = delta_metric_correlation(partition, prev, nxt, metric)
         r = _fmt(delta.r) if delta.r is not None else ""
         delta_rows.append([metric, delta.n_used, delta.n_excluded, r, delta.status])
     p1 = out / f"evolution-{pair}.tsv"
@@ -400,7 +387,7 @@ def run_releases(
     cfg: PipelineConfig,
     out_dir: Path,
     writers: Sequence[Callable[[ReleaseData, Path], list[Path]]],
-    pair_writers: Sequence[Callable[[ReleaseData, ReleaseData, Path], list[Path]]] = (),
+    pair_writers: Sequence[Callable[[ReleaseSnapshot, ReleaseSnapshot, Path], list[Path]]] = (),
     release: str | None = None,
     with_bugs: bool = True,
 ) -> list[Path]:
@@ -412,40 +399,41 @@ def run_releases(
     The releases share one ``RunMemo``: a source text is parsed once per run,
     and a facts-file line that the previous facts release also held is not
     decoded again.
-    With no ``release`` given, each pair writer runs as soon as both of its
-    releases are built, and a release no later pair needs is freed. Returns
-    the written paths: every release's in release order, then every pair's in
-    ``release_pairs`` order.
+    With no ``release`` given and some pair writer, a release that a pair
+    needs keeps only its snapshot (tag, per-CU metrics, ledger), each pair
+    writer runs on two snapshots as soon as both are taken, and a snapshot
+    no later pair needs is freed. A release's ``ReleaseData`` is dropped
+    once its writers finish. Returns the written paths: every release's in
+    release order, then every pair's in ``release_pairs`` order.
     """
     out_dir.mkdir(parents=True, exist_ok=True)
     selected = _select_releases(cfg, release)
     ledgers = load_bug_ledgers(cfg, selected) if with_bugs else None
     memo = RunMemo()
     emitted: list[Path] = []
-    todo = list(enumerate(cfg.release_pairs)) if release is None else []
+    todo = list(enumerate(cfg.release_pairs)) if release is None and pair_writers else []
     pair_paths: dict[int, list[Path]] = {}
-    built: dict[str, ReleaseData] = {}
+    snapshots: dict[str, ReleaseSnapshot] = {}
     for rc in selected:
-        data = built[rc.tag] = build_release(rc, memo=memo)
+        data = build_release(rc, memo=memo)
         if ledgers is not None:
             attach_ledger(data, ledgers.pop(rc.tag))
-        try:  # writers compute the statistics they write
+        with stage(STAGE_STATS):  # writers compute the statistics they write
             for writer in writers:
                 emitted.extend(writer(data, out_dir))
-        except FaultgraphError as exc:
-            raise StageFailure(STAGE_STATS, exc) from exc
+        if any(rc.tag in pair for _, pair in todo):
+            snapshots[rc.tag] = data.snapshot
+        del data  # freed before the next build: a pair needs only the snapshot
         waiting = []
-        try:
+        with stage(STAGE_EVOLUTION):
             for j, (a, b) in todo:
-                if a in built and b in built:
-                    pair_paths[j] = [p for w in pair_writers for p in w(built[a], built[b], out_dir)]
+                if a in snapshots and b in snapshots:
+                    pair_paths[j] = [p for w in pair_writers for p in w(snapshots[a], snapshots[b], out_dir)]
                 else:
                     waiting.append((j, (a, b)))
-        except FaultgraphError as exc:
-            raise StageFailure(STAGE_EVOLUTION, exc) from exc
         todo = waiting
         needed = {tag for _, pair in todo for tag in pair}
-        built = {tag: d for tag, d in built.items() if tag in needed}
+        snapshots = {tag: snap for tag, snap in snapshots.items() if tag in needed}
     return emitted + [p for j in sorted(pair_paths) for p in pair_paths[j]]
 
 
@@ -458,12 +446,10 @@ def cmd_extract(cfg: PipelineConfig, out_dir: Path, release: str | None = None):
     written: list[Path] = []
     failures: list[tuple[str, str, Exception]] = []
     for rc in _select_releases(cfg, release):
-        try:
+        with stage(STAGE_SOURCE):
             facts, failed = load_release_facts(rc, memo)
-        except InputError as exc:
-            raise StageFailure(STAGE_SOURCE, exc) from exc
         failures.extend((rc.tag, path, err) for path, err in failed)
-        path = out_dir / f"facts-{_safe_tag(rc.tag)}.jsonl"
+        path = out_dir / f"facts-{safe_tag(rc.tag)}.jsonl"
         dump_facts_file(sorted(facts, key=lambda cu: cu.path), path)
         written.append(path)
     return written, failures

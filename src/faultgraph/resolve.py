@@ -9,7 +9,6 @@ Ambiguous names are logged and resolved by the stated order with ties broken
 by lexicographic CU path.
 """
 
-import json
 import logging
 from dataclasses import dataclass
 
@@ -36,29 +35,11 @@ class ResolvedClass:
     depends: frozenset[ClassId]
     call_pairs: frozenset[tuple[str, str]]  # (resolved display name, method)
 
-    @property
-    def class_id(self) -> ClassId:
-        return (self.cu_path, self.facts.name)
-
 
 @dataclass(frozen=True)
 class ResolvedCorpus:
     cus: tuple[CUFacts, ...]  # sorted by path
     classes: dict[ClassId, ResolvedClass]
-
-    def to_json(self) -> str:
-        """Deterministic serialization of the resolved relationships."""
-        payload = {}
-        for cid in sorted(self.classes):
-            rc = self.classes[cid]
-            payload[class_id_str(cid)] = {
-                "kind": rc.facts.kind,
-                "inherits": sorted(map(class_id_str, rc.inherits)),
-                "composes": sorted(map(class_id_str, rc.composes)),
-                "depends": sorted(map(class_id_str, rc.depends)),
-                "call_pairs": sorted([t, m] for t, m in rc.call_pairs),
-            }
-        return json.dumps(payload, indent=1, sort_keys=True, ensure_ascii=True)
 
 
 class _Index:

@@ -73,14 +73,6 @@ class CCDFCurve:
         assert all(a >= b for a, b in zip(ps, ps[1:])), "probabilities must be non-increasing"
         assert ps and ps[0] == 1.0, "first CCDF value must be 1"
 
-    @property
-    def xs(self) -> np.ndarray:
-        return np.array([x for x, _ in self.points])
-
-    @property
-    def ps(self) -> np.ndarray:
-        return np.array([p for _, p in self.points])
-
 
 def ccdf(samples) -> CCDFCurve:
     """Empirical complementary CDF: for each distinct x, P(X >= x)."""

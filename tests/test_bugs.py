@@ -18,6 +18,7 @@ from faultgraph.bugs import (
     _unescape,
     build_bug_ledger,
     extract_issue_refs,
+    load_issue_registry,
     parse_commit_log_text,
     parse_timestamp,
 )
@@ -82,6 +83,31 @@ def test_partial_results_never_returned():
     text = "2007-02-10T09:00:00Z\tana\tok\ta.java\nbroken line\n"
     with pytest.raises(FormatError):
         parse_commit_log_text(text)
+
+
+@pytest.mark.parametrize("inside", ["\x0c", "\u2028", "\x1c", "\x85", "\r"])
+def test_a_record_ends_at_newline_only(inside):
+    text = f"2007-01-01T00:00:00Z\tdev\tpage{inside}break 500\ta.java\n"
+    (entry,) = parse_commit_log_text(text)
+    assert entry.message == f"page{inside}break 500"
+
+
+def test_crlf_log_loads_with_unchanged_record_indices():
+    good = "2007-02-10T09:00:00Z\tana\tFixed 120\ta.java"
+    assert parse_commit_log_text(f"{good}\r\n{good}\r\n") == parse_commit_log_text(f"{good}\n{good}\n")
+    with pytest.raises(FormatError) as err:
+        parse_commit_log_text(f"{good}\r\n\r\nbroken line\r\n")
+    assert err.value.record == 3
+
+
+def test_registry_records_end_at_newline_only(tmp_path):
+    path = tmp_path / "issues.tsv"
+    path.write_bytes("id\topen_date\trelease_tag\r\n5\t2007-01-01\tr\u20281\r\n7\t2007-01-02\tr2\r\n".encode())
+    assert load_issue_registry(path).meta == {5: ("2007-01-01", "r\u20281"), 7: ("2007-01-02", "r2")}
+    path.write_bytes(b"id\topen_date\trelease_tag\n5\t2007-01-01\x0cr1\n")
+    with pytest.raises(FormatError) as err:
+        load_issue_registry(path)
+    assert err.value.record == 2
 
 
 # -- issue extraction ---------------------------------------------------------
@@ -165,7 +191,7 @@ def test_patterns_are_compiled_once_case_insensitively():
 def test_extraction_subset_of_registry(message, ids):
     reg = registry_of(*ids)
     got = extract_issue_refs(message, reg, FilterConfig())
-    assert got <= set(reg.ids)
+    assert got <= set(reg.meta)
 
 
 @given(

@@ -3,6 +3,7 @@ import shutil
 
 import pytest
 
+from faultgraph import cli, pipeline
 from faultgraph.cli import main
 
 CONFIG = "tests/fixtures/pipeline_config.json"
@@ -257,7 +258,27 @@ def test_fit_samples_with_nonpositive_x_min_is_an_input_error(tmp_path, capsys, 
 def test_fit_missing_samples_file_is_an_input_error(tmp_path, capsys):
     code, _, err = run(capsys, "fit", "--samples", str(tmp_path / "missing.txt"))
     assert code == 1
-    assert "missing.txt" in err
+    assert "missing.txt" in err and "stage tail_stats" in err
+
+
+def test_fit_non_numeric_samples_file_names_its_stage(tmp_path, capsys):
+    path = tmp_path / "samples.txt"
+    path.write_text("1.5\n2.5\nthree\n")
+    code, _, err = run(capsys, "fit", "--samples", str(path))
+    assert code == 1
+    assert "stage tail_stats" in err and "'three'" in err and "internal error" not in err
+
+
+@pytest.mark.parametrize("command", ["metrics", "report"])
+def test_a_fault_in_a_writer_exits_2(tmp_path, capsys, monkeypatch, command):
+    def broken(data, out):
+        raise RuntimeError("writer fault")
+
+    monkeypatch.setattr(cli, "write_metrics", broken)
+    monkeypatch.setattr(pipeline, "write_metrics", broken)
+    code, _, err = run(capsys, command, "--config", CONFIG, "--out", str(tmp_path / "o"))
+    assert code == 2
+    assert "internal error: writer fault" in err
 
 
 @pytest.mark.parametrize("spec", ["continuous:2.5:abc", "continuous:2.5:-5", "continuous:x:100"])

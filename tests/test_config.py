@@ -102,3 +102,71 @@ def test_window_required_for_bug_mapping(tmp_path):
     cfg = load_config(write(tmp_path, payload))
     with pytest.raises(ConfigError):
         cfg.window_of("r1")
+
+
+def fixture_payload(fixtures_dir):
+    """The fixture config, made loadable from anywhere by absolute paths."""
+    payload = json.loads((fixtures_dir / "pipeline_config.json").read_text())
+    for rel in payload["releases"]:
+        rel["corpus"] = str(fixtures_dir / rel["corpus"])
+    for key in ("commit_log", "issue_registry"):
+        payload[key] = str(fixtures_dir / payload[key])
+    return payload
+
+
+MISTYPED = [
+    (("filter", "min_id"), "abc"),
+    (("filter", "min_id"), True),
+    (("filter", "excluded_intervals"), [[1, 2, 3]]),
+    (("filter", "excluded_intervals"), [["a", "b"]]),
+    (("filter", "excluded_intervals"), [[False, 3]]),
+    (("filter", "patterns"), "bug (\\d+)"),
+    (("filter",), []),
+    (("output_dir",), 5),
+    (("commit_log",), 5),
+    (("issue_registry",), ["issues.tsv"]),
+    (("releases", 0, "corpus"), 5),
+    (("releases", 0, "corpus"), ""),
+    (("releases", 0, "window"), [1, 2]),
+    (("release_pairs",), 5),
+]
+
+
+@pytest.mark.parametrize("path, value", MISTYPED, ids=[f"{'.'.join(map(str, p))}={v!r}" for p, v in MISTYPED])
+def test_a_mistyped_field_is_a_config_error_naming_it(tmp_path, fixtures_dir, path, value):
+    payload = fixture_payload(fixtures_dir)
+    node = payload
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    with pytest.raises(ConfigError) as err:
+        load_config(write(tmp_path, payload))
+    named = ".".join(k for k in path if k not in ("releases", 0))
+    assert named in str(err.value)
+
+
+@pytest.mark.parametrize(
+    "tags, pairs, clash",
+    [
+        (["r 1", "r_1"], [], "'r_1'"),
+        (["r1", "r1"], [], "'r1'"),
+        (["a-b", "c", "a", "b-c"], [["a-b", "c"], ["a", "b-c"]], "'a-b-c'"),
+        (["r1", "r2"], [["r1", "r2"], ["r1", "r2"]], "'r1-r2'"),
+        (["x/1", "x:1", "y"], [["x/1", "y"]], "'x_1'"),
+    ],
+)
+def test_two_tags_or_pairs_with_one_output_file_name_are_rejected(tmp_path, tags, pairs, clash):
+    payload = minimal(tmp_path)
+    payload["releases"] = [{"tag": tag, "corpus": "src"} for tag in tags]
+    payload["release_pairs"] = pairs
+    with pytest.raises(ConfigError) as err:
+        load_config(write(tmp_path, payload))
+    assert f"same output file name {clash}" in str(err.value)
+
+
+def test_distinct_tags_with_distinct_file_names_load(tmp_path):
+    payload = minimal(tmp_path)
+    payload["releases"] = [{"tag": tag, "corpus": "src"} for tag in ("r 1", "r-1", "r.1")]
+    payload["release_pairs"] = [["r 1", "r-1"], ["r-1", "r.1"], ["r 1", "r.1"]]
+    cfg = load_config(write(tmp_path, payload))
+    assert [rc.tag for rc in cfg.releases] == ["r 1", "r-1", "r.1"]

@@ -51,6 +51,21 @@ def test_malformed_json_reports_record_index():
     assert err.value.record == 1
 
 
+def test_a_raw_line_separator_inside_a_string_stays_in_its_record():
+    record = json.dumps({**VALID, "package": "a\u2028b\x0cc"}, ensure_ascii=False)
+    assert "\u2028" in record
+    (cu,) = load_facts(record + "\n")
+    assert cu.package == "a\u2028b\x0cc"
+
+
+def test_crlf_facts_load_with_unchanged_record_indices():
+    line = json.dumps(VALID)
+    assert load_facts(f"{line}\r\n") == load_facts(f"{line}\n")
+    with pytest.raises(FormatError) as err:
+        load_facts(f"{line}\r\n\r\n{{oops\r\n")
+    assert err.value.record == 3
+
+
 def test_missing_field_rejected():
     with pytest.raises(FormatError):
         load_facts('{"path": "a.java"}\n')

@@ -1,0 +1,72 @@
+"""No public surface without a caller.
+
+Every function, method and property defined in ``src/faultgraph`` must be
+referenced somewhere in ``src/`` outside its own body, be a name that the
+benchmark's tracer wraps (``perfbench/tracing.py`` ``WRAPPED``, loaded by
+path), or be on ``ALLOWED``. A method or property counts as referenced by
+an attribute of its name (``x.name``), a function also by a plain name.
+Names are matched, not bindings: any ``x.run`` keeps every ``run`` method.
+Dunder methods are called by Python itself and are not checked.
+"""
+
+import ast
+import importlib.util
+import pathlib
+from collections import Counter
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "faultgraph"
+TRACING = ROOT / "perfbench" / "tracing.py"
+
+# the acceptance tests' API: no program path calls them
+ALLOWED = {"expected_max", "loglog_slope"}
+
+
+def references(tree: ast.AST) -> tuple[Counter, Counter]:
+    """(attribute names, loaded plain names) used in ``tree``."""
+    attrs, names = Counter(), Counter()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute):
+            attrs[node.attr] += 1
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            names[node.id] += 1
+    return attrs, names
+
+
+def traced_names() -> set[str]:
+    spec = importlib.util.spec_from_file_location("faultgraph_bench_tracing", TRACING)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    return {qual.rsplit(".", 1)[-1] for names in tracing.WRAPPED.values() for qual in names}
+
+
+def orphans() -> list[str]:
+    trees = {path: ast.parse(path.read_text(encoding="utf-8")) for path in sorted(PACKAGE.glob("*.py"))}
+    attrs, names = Counter(), Counter()
+    for tree in trees.values():
+        a, n = references(tree)
+        attrs += a
+        names += n
+    kept = traced_names() | ALLOWED
+    found = []
+    for path, tree in trees.items():
+        methods = {
+            id(node) for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef) for node in cls.body
+        }
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            name = node.name
+            if name in kept or (name.startswith("__") and name.endswith("__")):
+                continue
+            own_attrs, own_names = references(node)
+            uses = attrs[name] - own_attrs[name]
+            if id(node) not in methods:
+                uses += names[name] - own_names[name]
+            if uses == 0:
+                found.append(f"{path.name}:{node.lineno} {name}")
+    return found
+
+
+def test_every_definition_has_a_caller():
+    assert orphans() == []

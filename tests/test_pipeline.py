@@ -10,7 +10,7 @@ import pytest
 from faultgraph import bugs, facts, javaparse, pipeline
 from faultgraph.cli import main
 from faultgraph.config import load_config
-from faultgraph.errors import ConfigError
+from faultgraph.errors import ConfigError, FormatError, InputError
 from faultgraph.facts import cu_to_dict
 from faultgraph.javaparse import parse_compilation_unit
 from faultgraph.pipeline import (
@@ -19,6 +19,7 @@ from faultgraph.pipeline import (
     build_release,
     cmd_analyze,
     load_bug_ledgers,
+    stage,
 )
 
 
@@ -139,6 +140,18 @@ def test_analyze_strict_on_missing_window(tmp_path):
         cmd_analyze(cfg, tmp_path / "out")
     assert err.value.stage == "bug_mapping"
     assert isinstance(err.value.error, ConfigError)
+
+
+def test_a_stage_binds_an_input_error_and_keeps_an_inner_stage():
+    with pytest.raises(StageFailure) as err:
+        with stage("outer"):
+            with stage("inner"):
+                raise FormatError("bad record")
+    assert err.value.stage == "inner" and isinstance(err.value.error, FormatError)
+    assert isinstance(err.value, InputError) and str(err.value) == "stage inner: bad record"
+    with pytest.raises(RuntimeError):
+        with stage("outer"):
+            raise RuntimeError("a fault, not an input error")
 
 
 def test_fit_rejects_unknown_distribution_before_parsing(big_release, capsys):
@@ -387,21 +400,31 @@ def test_release_is_freed_once_no_later_pair_needs_it(tmp_path, monkeypatch, cap
         rel["corpus"] = f"corpus_{rel['tag']}"
     cfg["release_pairs"] = [["r1", "r2"], ["r2", "r3"]]
     cfg_path = write_cfg(tmp_path, cfg)
-    built = {}
+    built, snapshots = {}, {}
     alive_at_build = {}
-    build = pipeline.build_release
+    build, snapshot = pipeline.build_release, pipeline.ReleaseSnapshot
+
+    def alive(refs):
+        return sorted(tag for tag, ref in refs.items() if ref() is not None)
 
     def track(rc, **kwargs):
         gc.collect()
-        alive_at_build[rc.tag] = sorted(tag for tag, ref in built.items() if ref() is not None)
+        alive_at_build[rc.tag] = (alive(built), alive(snapshots))
         data = build(rc, **kwargs)
         built[rc.tag] = weakref.ref(data)
         return data
 
+    def track_snapshot(**kwargs):
+        snap = snapshot(**kwargs)
+        snapshots[snap.release] = weakref.ref(snap)
+        return snap
+
     monkeypatch.setattr(pipeline, "build_release", track)
+    monkeypatch.setattr(pipeline, "ReleaseSnapshot", track_snapshot)
     assert main(["report", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 0
     printed = [line.rsplit("/", 1)[1] for line in capsys.readouterr().out.splitlines()]
-    assert alive_at_build == {"r1": [], "r2": ["r1"], "r3": ["r2"]}
+    # no release's whole build outlives its writers; a pending pair keeps its snapshot only
+    assert alive_at_build == {"r1": ([], []), "r2": ([], ["r1"]), "r3": ([], ["r2"])}
     pair_files = [name for name in printed if name.startswith(("evolution-", "significance-", "delta-correlation-"))]
     assert printed[-len(pair_files):] == pair_files
     assert [name.rsplit("-", 2)[1:] for name in pair_files] == [["r1", "r2.tsv"]] * 3 + [["r2", "r3.tsv"]] * 3
