@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from operator import attrgetter
 
-from .errors import ConfigError, FormatError, read_utf8, split_records
+from .errors import ConfigError, FormatError, read_utf8, records
 
 DEFAULT_PATTERNS = (
     r"\bbug\s*#?\s*(\d+)",
@@ -135,9 +135,7 @@ def parse_commit_log(path) -> list[CommitEntry]:
 
 def parse_commit_log_text(text: str) -> list[CommitEntry]:
     entries: list[CommitEntry] = []
-    for idx, line in enumerate(split_records(text), start=1):
-        if not line.strip():
-            continue
+    for idx, line in records(text):
         parts = line.split("\t")
         if len(parts) != 4:
             raise FormatError(f"expected 4 tab-separated fields, found {len(parts)}", record=idx)
@@ -154,15 +152,15 @@ def parse_commit_log_text(text: str) -> list[CommitEntry]:
 
 
 def load_issue_registry(path) -> IssueRegistry:
-    text = read_utf8(path, FormatError)
-    lines = [ln for ln in split_records(text) if ln.strip()]
-    if not lines:
+    lines = records(read_utf8(path, FormatError))
+    first = next(lines, None)
+    if first is None:
         return IssueRegistry(meta={})
-    header = lines[0].split("\t")
-    if header[:3] != ["id", "open_date", "release_tag"]:
-        raise FormatError(f"bad registry header {lines[0]!r}", record=1)
+    idx, header = first
+    if header.split("\t")[:3] != ["id", "open_date", "release_tag"]:
+        raise FormatError(f"bad registry header {header!r}", record=idx)
     meta: dict[int, tuple[str, str]] = {}
-    for idx, line in enumerate(lines[1:], start=2):
+    for idx, line in lines:
         parts = line.split("\t")
         if len(parts) != 3:
             raise FormatError("expected 3 tab-separated columns", record=idx)

@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from .config import load_config
-from .errors import ConfigError, InputError
+from .errors import ConfigError, InputError, read_utf8
 from .pipeline import (
     STAGE_STATS,
     _fmt,
@@ -85,6 +85,14 @@ def _parse_synthetic(spec: str):
     return mode, gamma, n, x_min
 
 
+def _print_fit(distribution: str, mode: str, fit) -> int:
+    print(
+        f"distribution={distribution} mode={mode} status=ok gamma={_fmt(fit.gamma)} "
+        f"x_min={_fmt(fit.x_min)} ks={_fmt(fit.ks)} n_tail={fit.n_tail}"
+    )
+    return 0
+
+
 def run_fit(args) -> int:
     if args.synthetic is not None:
         with stage(STAGE_STATS):
@@ -95,25 +103,15 @@ def run_fit(args) -> int:
             else:
                 samples = zeta_samples(n, gamma, x_min, rng)
             fit = fit_power_law_tail(samples, mode=mode, x_min=x_min)
-        print(
-            f"distribution=synthetic mode={mode} status=ok gamma={_fmt(fit.gamma)} "
-            f"x_min={_fmt(fit.x_min)} ks={_fmt(fit.ks)} n_tail={fit.n_tail}"
-        )
-        return 0
+        return _print_fit("synthetic", mode, fit)
     if args.samples is not None:
         with stage(STAGE_STATS):
             try:
-                values = [float(line) for line in Path(args.samples).read_text().split()]
-            except OSError as exc:
-                raise InputError(f"cannot read samples file: {exc}") from exc
+                values = [float(line) for line in read_utf8(args.samples, InputError).split()]
             except ValueError as exc:
                 raise InputError(f"samples file must hold one number per line: {exc}") from exc
             fit = fit_power_law_tail(values, mode=args.mode, x_min=args.x_min)
-        print(
-            f"distribution={Path(args.samples).name} mode={args.mode} status=ok "
-            f"gamma={_fmt(fit.gamma)} x_min={_fmt(fit.x_min)} ks={_fmt(fit.ks)} n_tail={fit.n_tail}"
-        )
-        return 0
+        return _print_fit(Path(args.samples).name, args.mode, fit)
     only = args.metric
     _selected_distributions(only)  # reject an unknown name before any release is built
     writers = [partial(write_ccdfs, only=only), partial(write_tail_fits, only=only)]

@@ -6,6 +6,8 @@ it to exit code 1; anything else escaping a stage is treated as an internal
 fault (exit code 2).
 """
 
+from collections.abc import Iterator
+
 
 class FaultgraphError(Exception):
     """Base class for all toolchain errors."""
@@ -73,16 +75,23 @@ class UnknownMetric(InputError):
 
 
 def read_utf8(path, error: type[InputError]) -> str:
-    """The text of an input file; bytes that are not UTF-8 raise ``error``."""
+    """The text of an input file; a file that cannot be read or whose bytes
+    are not UTF-8 raises ``error``."""
     try:
         with open(path, encoding="utf-8") as fh:
             return fh.read()
     except UnicodeDecodeError as exc:
         raise error(f"{path}: not UTF-8 text (byte {exc.start}: {exc.reason})") from exc
+    except OSError as exc:
+        raise error(f"{path}: cannot read: {exc.strerror or exc}") from exc
 
 
-def split_records(text: str) -> list[str]:
-    r"""The lines of a record-per-line input. A record ends at ``\n`` only,
-    so a form feed or U+2028 inside a record stays in it; one trailing
-    ``\r`` is dropped, so CRLF files load too. Index ``i`` is record ``i + 1``."""
-    return [line.removesuffix("\r") for line in text.split("\n")]
+def records(text: str) -> Iterator[tuple[int, str]]:
+    r"""(1-based line number, line) of each non-blank record of a
+    record-per-line input. A record ends at ``\n`` only, so a form feed or
+    U+2028 inside a record stays in it; one trailing ``\r`` is dropped, so
+    CRLF files load too."""
+    for number, line in enumerate(text.split("\n"), start=1):
+        line = line.removesuffix("\r")
+        if line.strip():
+            yield number, line

@@ -17,7 +17,7 @@ import json
 import re
 from dataclasses import dataclass
 
-from .errors import FormatError, read_utf8, split_records
+from .errors import FormatError, read_utf8, records
 
 CLASS_KINDS = ("class", "interface")
 
@@ -261,7 +261,7 @@ def dump_facts_file(cus: list[CUFacts], path) -> None:
 
 
 def load_facts(text: str, memo: dict[str, CUFacts] | None = None) -> list[CUFacts]:
-    """Parse facts-file text; raises FormatError with the 1-based record index.
+    """Parse facts-file text; raises FormatError with the 1-based line number.
 
     ``memo`` maps a line to its CUFacts. A line found there is not decoded
     again; on success the memo is left holding this text's lines only, and
@@ -271,9 +271,7 @@ def load_facts(text: str, memo: dict[str, CUFacts] | None = None) -> list[CUFact
     cus: list[CUFacts] = []
     lines: dict[str, CUFacts] = {}
     seen: set[str] = set()
-    for idx, line in enumerate(split_records(text), start=1):
-        if not line.strip():
-            continue
+    for idx, line in records(text):
         cu = known.get(line)
         if cu is None:
             try:

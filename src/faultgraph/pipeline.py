@@ -8,7 +8,7 @@ aborting the run: on small systems they are expected outcomes, not faults.
 """
 
 import logging
-from collections.abc import Callable, Sequence
+from collections.abc import Callable, Iterable, Sequence
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -75,7 +75,7 @@ def _fmt(x: float) -> str:
     return "%.12g" % x
 
 
-def write_table(path: Path, header: list[str], rows: list[list]) -> None:
+def write_table(path: Path, header: list[str], rows: Iterable[Sequence]) -> None:
     lines = ["\t".join(header)]
     for row in rows:
         lines.append("\t".join(str(cell) for cell in row))
@@ -215,6 +215,19 @@ def write_graphs(data: ReleaseData, out: Path) -> list[Path]:
     return [p1, p2]
 
 
+def distribution_samples(data: ReleaseData, name: str) -> list[int]:
+    """The release's column ``name``: a metric or ``bugs_per_cu`` per CU in
+    path order, or ``cus_per_bug`` per issue in id order. Every writer reads
+    these columns here."""
+    if name == "bugs_per_cu":
+        assert data.ledger is not None
+        return [data.ledger.count(p) for p in sorted(data.per_cu)]
+    if name == "cus_per_bug":
+        assert data.ledger is not None
+        return [n for _, n in sorted(data.ledger.cus_per_bug.items())]
+    return [metric_value(v, name) for _, v in sorted(data.per_cu.items())]
+
+
 def write_metrics(data: ReleaseData, out: Path) -> list[Path]:
     tag = safe_tag(data.tag)
     class_rows = [
@@ -223,12 +236,9 @@ def write_metrics(data: ReleaseData, out: Path) -> list[Path]:
     ]
     p1 = out / f"class-metrics-{tag}.tsv"
     write_table(p1, ["path", "class", "wmc", "cbo", "rfc", "lcom", "loc"], class_rows)
-    cu_rows = [
-        [path, *(metric_value(v, name) for name in METRIC_NAMES)]
-        for path, v in sorted(data.per_cu.items())
-    ]
+    columns = [distribution_samples(data, name) for name in METRIC_NAMES]
     p2 = out / f"metrics-{tag}.tsv"
-    write_table(p2, ["path", *METRIC_NAMES], cu_rows)
+    write_table(p2, ["path", *METRIC_NAMES], zip(sorted(data.per_cu), *columns))
     return [p1, p2]
 
 
@@ -236,28 +246,12 @@ def write_bugs(data: ReleaseData, out: Path) -> list[Path]:
     assert data.ledger is not None
     tag = safe_tag(data.tag)
     p1 = out / f"bugs-per-cu-{tag}.tsv"
-    write_table(
-        p1,
-        ["path", "bugs"],
-        [[path, data.ledger.count(path)] for path in sorted(data.per_cu)],
-    )
+    bugs = distribution_samples(data, "bugs_per_cu")
+    write_table(p1, ["path", "bugs"], zip(sorted(data.per_cu), bugs))
     p2 = out / f"cus-per-bug-{tag}.tsv"
-    write_table(
-        p2,
-        ["issue_id", "cus"],
-        [[i, n] for i, n in sorted(data.ledger.cus_per_bug.items())],
-    )
+    cus = distribution_samples(data, "cus_per_bug")
+    write_table(p2, ["issue_id", "cus"], zip(sorted(data.ledger.cus_per_bug), cus))
     return [p1, p2]
-
-
-def distribution_samples(data: ReleaseData, name: str) -> list[float]:
-    if name == "bugs_per_cu":
-        assert data.ledger is not None
-        return [float(data.ledger.count(p)) for p in sorted(data.per_cu)]
-    if name == "cus_per_bug":
-        assert data.ledger is not None
-        return [float(n) for _, n in sorted(data.ledger.cus_per_bug.items())]
-    return [float(metric_value(v, name)) for _, v in sorted(data.per_cu.items())]
 
 
 def _selected_distributions(only: str | None) -> tuple[str, ...]:
@@ -305,17 +299,14 @@ def write_tail_fits(data: ReleaseData, out: Path, only: str | None = None) -> li
 
 
 def write_correlations(data: ReleaseData, out: Path) -> list[Path]:
-    assert data.ledger is not None
-    paths = sorted(data.per_cu)
-    bugs = [data.ledger.count(p) for p in paths]
+    bugs = distribution_samples(data, "bugs_per_cu")
     rows = []
     for name in METRIC_NAMES:
-        xs = [metric_value(data.per_cu[p], name) for p in paths]
         try:
-            r = pearson(xs, bugs)
-            rows.append([name, len(paths), _fmt(r), "ok"])
+            r = pearson(distribution_samples(data, name), bugs)
+            rows.append([name, len(bugs), _fmt(r), "ok"])
         except DegenerateInput:
-            rows.append([name, len(paths), "", "degenerate"])
+            rows.append([name, len(bugs), "", "degenerate"])
     path = out / f"correlation-{safe_tag(data.tag)}.tsv"
     write_table(path, ["metric", "n", "r", "status"], rows)
     return [path]
@@ -377,6 +368,14 @@ def write_evolution(prev: ReleaseSnapshot, nxt: ReleaseSnapshot, out: Path) -> l
 # --------------------------------------------------------------------------
 
 
+def _make_out_dir(out_dir: Path) -> None:
+    """Create the output directory; a path that cannot be one is a ConfigError."""
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot create output directory {out_dir}: {exc.strerror or exc}") from exc
+
+
 def _select_releases(cfg: PipelineConfig, release: str | None) -> list[ReleaseConfig]:
     if release is None:
         return list(cfg.releases)
@@ -406,7 +405,7 @@ def run_releases(
     once its writers finish. Returns the written paths: every release's in
     release order, then every pair's in ``release_pairs`` order.
     """
-    out_dir.mkdir(parents=True, exist_ok=True)
+    _make_out_dir(out_dir)
     selected = _select_releases(cfg, release)
     ledgers = load_bug_ledgers(cfg, selected) if with_bugs else None
     memo = RunMemo()
@@ -441,7 +440,7 @@ def cmd_extract(cfg: PipelineConfig, out_dir: Path, release: str | None = None):
     """Parse corpora into facts files, sharing one ``RunMemo`` across releases.
     Failed files are reported and skipped; returns (written paths, failures)
     so the CLI can exit nonzero."""
-    out_dir.mkdir(parents=True, exist_ok=True)
+    _make_out_dir(out_dir)
     memo = RunMemo()
     written: list[Path] = []
     failures: list[tuple[str, str, Exception]] = []

@@ -33,7 +33,6 @@ class ResolvedClass:
     inherits: frozenset[ClassId]
     composes: frozenset[ClassId]
     depends: frozenset[ClassId]
-    call_pairs: frozenset[tuple[str, str]]  # (resolved display name, method)
 
 
 @dataclass(frozen=True)
@@ -126,16 +125,9 @@ def resolve_type_references(corpus: list[CUFacts]) -> ResolvedCorpus:
             else:
                 composes = frozenset(t for n in set(cls.field_types) if (t := bind(n)) is not None)
             used: set[str] = set()
-            pairs: set[tuple[str, str]] = set()
             for m in cls.methods:
                 used.update(m.referenced_types)
-                for recv, meth in m.external_calls:
-                    used.add(recv)
-                    target = _resolve_name(recv, cu, index)
-                    if target == cid:
-                        continue
-                    display = class_id_str(target) if target is not None else recv
-                    pairs.add((display, meth))
+                used.update(recv for recv, _ in m.external_calls)
             depends = frozenset(t for n in used if (t := bind(n)) is not None)
             classes[cid] = ResolvedClass(
                 cu_path=cu.path,
@@ -143,6 +135,5 @@ def resolve_type_references(corpus: list[CUFacts]) -> ResolvedCorpus:
                 inherits=inherits,
                 composes=composes,
                 depends=depends,
-                call_pairs=frozenset(pairs),
             )
     return ResolvedCorpus(cus=cus, classes=classes)

@@ -74,15 +74,22 @@ class CCDFCurve:
         assert ps and ps[0] == 1.0, "first CCDF value must be 1"
 
 
+def _at_least(arr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct values of the sorted, non-empty ``arr`` and the count of
+    samples at or above each: the empirical CCDF, unnormalised. numpy's
+    unique would import numpy.ma on its first call."""
+    values = arr[np.append(True, arr[1:] != arr[:-1])]
+    return values, arr.size - np.searchsorted(arr, values, side="left")
+
+
 def ccdf(samples) -> CCDFCurve:
     """Empirical complementary CDF: for each distinct x, P(X >= x)."""
-    arr = np.asarray(list(samples), dtype=float)
+    arr = np.sort(np.asarray(list(samples), dtype=float))
     if arr.size == 0:
         raise EmptyInput("ccdf of an empty sample set")
     if np.any(arr < 0) or np.any(~np.isfinite(arr)):
         raise DomainError("samples must be finite and non-negative")
-    values, counts = np.unique(arr, return_counts=True)
-    at_least = np.cumsum(counts[::-1])[::-1]  # count of samples >= values[i]
+    values, at_least = _at_least(arr)
     ps = at_least / arr.size
     return CCDFCurve(points=tuple((float(x), float(p)) for x, p in zip(values, ps)))
 
@@ -219,8 +226,9 @@ def _fitted_ccdf(values: np.ndarray, gamma: float, x_min: float, mode: str) -> n
 
 
 def _ks_distance(tail: np.ndarray, gamma: float, x_min: float, mode: str) -> float:
-    values, counts = np.unique(tail, return_counts=True)
-    emp = np.cumsum(counts[::-1])[::-1] / tail.size  # P(X >= v) at observed values
+    """KS distance of the fit to the sorted ``tail``."""
+    values, at_least = _at_least(tail)
+    emp = at_least / tail.size  # P(X >= v) at observed values
     fit = _fitted_ccdf(values, gamma, x_min, mode)
     d_at = float(np.max(np.abs(emp - fit)))
     if mode == DISCRETE:
@@ -254,7 +262,6 @@ def fit_power_law_tail(
     mode: str = DISCRETE,
     x_min: float | None = None,
     min_tail: int = 50,
-    max_candidates: int | None = None,
 ) -> TailFit:
     """Fit the right tail of ``samples`` with a power law.
 
@@ -262,8 +269,7 @@ def fit_power_law_tail(
     InsufficientTail when fewer than ``min_tail`` samples qualify or the tail
     is constant. Without ``x_min``, scans distinct sample values as
     candidates and keeps the fit with the smallest KS distance (ties toward
-    the smaller x_min). ``max_candidates`` bounds the scan deterministically
-    by taking evenly spaced candidates, for very large inputs.
+    the smaller x_min).
     """
     if mode not in FIT_MODES:
         raise DomainError(f"mode must be one of {FIT_MODES}")
@@ -289,14 +295,9 @@ def fit_power_law_tail(
             )
         return _fit_at(tail, float(x_min), mode)
 
-    # the distinct values of the sorted samples; np.unique would import
-    # numpy.ma on its first call
-    values = arr[np.append(True, arr[1:] != arr[:-1])]
-    above = arr.size - np.searchsorted(arr, values, side="left")  # samples >= each value
+    values, above = _at_least(arr)
     # a candidate needs min_tail samples at or above it
     cand = np.flatnonzero(above >= min_tail)
-    if max_candidates is not None and cand.size > max_candidates:
-        cand = cand[np.unique(np.linspace(0, cand.size - 1, max_candidates).round().astype(int))]
     if mode == CONTINUOUS:
         best = _scan_continuous(arr, values, above, cand)
     else:

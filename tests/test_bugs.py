@@ -19,6 +19,7 @@ from faultgraph.bugs import (
     build_bug_ledger,
     extract_issue_refs,
     load_issue_registry,
+    parse_commit_log,
     parse_commit_log_text,
     parse_timestamp,
 )
@@ -108,6 +109,31 @@ def test_registry_records_end_at_newline_only(tmp_path):
     with pytest.raises(FormatError) as err:
         load_issue_registry(path)
     assert err.value.record == 2
+
+
+@pytest.mark.parametrize(
+    "text, record",
+    [
+        ("id\topen_date\trelease_tag\n\n\n5\t2007-01-01\tr1\nx\t2007-01-02\tr1\n", 5),
+        ("\n\nid\topen\trelease\n", 3),
+    ],
+    ids=["row", "header"],
+)
+def test_registry_error_after_blank_lines_names_its_line(tmp_path, text, record):
+    path = tmp_path / "issues.tsv"
+    path.write_text(text)
+    with pytest.raises(FormatError) as err:
+        load_issue_registry(path)
+    assert err.value.record == record
+    assert str(err.value).startswith(f"record {record}: ")
+
+
+@pytest.mark.parametrize("load", [parse_commit_log, load_issue_registry])
+def test_unreadable_log_or_registry_is_a_format_error(tmp_path, load):
+    path = tmp_path / "dangling.tsv"
+    path.symlink_to(tmp_path / "missing.tsv")
+    with pytest.raises(FormatError, match="dangling.tsv: cannot read"):
+        load(path)
 
 
 # -- issue extraction ---------------------------------------------------------

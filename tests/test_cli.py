@@ -47,6 +47,27 @@ def test_extract_skips_malformed_file_but_reports_it(tmp_path, capsys, fixtures_
     assert "app/Alpha.java" in facts  # other CUs still emitted
 
 
+def test_an_out_path_that_cannot_be_a_directory_is_an_input_error(tmp_path, capsys):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    for command, out in (("report", blocker), ("extract", blocker / "sub")):
+        code, _, err = run(capsys, command, "--config", CONFIG, "--out", str(out))
+        assert code == 1
+        assert f"cannot create output directory {out}" in err and "internal error" not in err
+
+
+def test_a_dangling_java_symlink_is_a_failed_file(tmp_path, capsys, fixtures_dir):
+    cfg_path = write_config(tmp_path, fixtures_dir)
+    (tmp_path / "corpus_r1" / "app" / "Dangling.java").symlink_to(tmp_path / "missing.java")
+    code, _, err = run(capsys, "report", "--config", str(cfg_path), "--out", str(tmp_path / "r"))
+    assert code == 1
+    assert "stage source_facts" in err and "Dangling.java" in err and "internal error" not in err
+    code, _, err = run(capsys, "extract", "--config", str(cfg_path), "--out", str(tmp_path / "e"))
+    assert code == 1
+    assert "1 file(s) skipped" in err and "app/Dangling.java" in err and "internal error" not in err
+    assert "app/Alpha.java" in (tmp_path / "e" / "facts-r1.jsonl").read_text()
+
+
 def test_extract_empty_corpus_directory(tmp_path, capsys, fixtures_dir):
     cfg_path = write_config(tmp_path, fixtures_dir)
     empty = tmp_path / "empty_corpus"
@@ -259,6 +280,14 @@ def test_fit_missing_samples_file_is_an_input_error(tmp_path, capsys):
     code, _, err = run(capsys, "fit", "--samples", str(tmp_path / "missing.txt"))
     assert code == 1
     assert "missing.txt" in err and "stage tail_stats" in err
+
+
+def test_fit_samples_file_that_is_not_utf8_says_so(tmp_path, capsys):
+    path = tmp_path / "samples.txt"
+    path.write_bytes(b"1.5\n\xff2.5\n")
+    code, _, err = run(capsys, "fit", "--samples", str(path))
+    assert code == 1
+    assert "stage tail_stats" in err and "not UTF-8" in err
 
 
 def test_fit_non_numeric_samples_file_names_its_stage(tmp_path, capsys):

@@ -36,6 +36,13 @@ def test_empty_facts_file(tmp_path):
     assert load_facts_file(out) == []
 
 
+def test_unreadable_facts_file_is_a_format_error(tmp_path):
+    path = tmp_path / "facts.jsonl"
+    path.symlink_to(tmp_path / "missing.jsonl")
+    with pytest.raises(FormatError, match="facts.jsonl: cannot read"):
+        load_facts_file(path)
+
+
 def test_duplicate_path_rejected(corpus_r1_dir):
     facts, _ = parse_corpus_dir(corpus_r1_dir)
     text = dump_facts(facts[:1]) + dump_facts(facts[:1])

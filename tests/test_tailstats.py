@@ -28,9 +28,11 @@ from faultgraph.tailstats import (
     _SCAN_MAX_SLOPE,
     _SCAN_PROBES,
     _SCAN_TOL,
+    _at_least,
     _continuous_gamma,
     _fit_at,
     _ks_distance,
+    _scan_continuous,
     _Screen,
     ccdf,
     chi_square_independence,
@@ -59,6 +61,27 @@ def test_ccdf_constant_samples():
 def test_ccdf_empty_input():
     with pytest.raises(EmptyInput):
         ccdf([])
+
+
+tied_floats = st.lists(
+    st.sampled_from([0.0, -0.0, 1e-300, 0.5, 1.0, 3.7, 1e300]) | st.floats(0.0, 1e6), min_size=1, max_size=200
+)
+
+
+@given(tied_floats)
+def test_at_least_matches_unique_counts(samples):
+    arr = np.sort(np.asarray(samples))
+    values, at_least = _at_least(arr)
+    ref_values, counts = np.unique(arr, return_counts=True)
+    assert np.array_equal(values, ref_values)
+    assert np.array_equal(at_least, np.cumsum(counts[::-1])[::-1])
+
+
+@given(tied_floats)
+def test_ccdf_matches_unique_counts_bit_for_bit(samples):
+    values, counts = np.unique(np.asarray(samples), return_counts=True)
+    ps = np.cumsum(counts[::-1])[::-1] / len(samples)
+    assert ccdf(samples).points == tuple((float(x), float(p)) for x, p in zip(values, ps))
 
 
 @given(st.lists(st.integers(min_value=0, max_value=50), min_size=1, max_size=200))
@@ -163,14 +186,6 @@ def test_scan_minimizes_ks_with_ties_toward_smaller_x_min():
             assert best.x_min <= other.x_min
 
 
-def test_max_candidates_bounds_the_scan_deterministically():
-    rng = np.random.default_rng(4)
-    xs = pareto_samples(3000, 2.2, 1.0, rng)
-    a = fit_power_law_tail(xs, mode="continuous", max_candidates=25)
-    b = fit_power_law_tail(xs, mode="continuous", max_candidates=25)
-    assert a == b
-
-
 def test_fit_invariance_under_rescaling():
     rng = np.random.default_rng(3)
     xs = pareto_samples(1000, 2.5, 1.0, rng)
@@ -261,13 +276,6 @@ def test_continuous_scan_matches_oracle(xs):
     assert fit_power_law_tail(xs, mode="continuous") == scan_every_candidate(xs)
 
 
-def test_continuous_scan_matches_oracle_with_max_candidates():
-    xs = planted_body_and_tail(seed=7)
-    assert fit_power_law_tail(xs, mode="continuous", max_candidates=25) == scan_every_candidate(
-        xs, max_candidates=25
-    )
-
-
 @pytest.mark.parametrize("scale", [1e-3, 7.5, 1e6])
 def test_continuous_scan_matches_oracle_on_rescaled_input(scale):
     xs = pareto_samples(2000, 2.5, 1.0, np.random.default_rng(3)) * scale
@@ -275,9 +283,13 @@ def test_continuous_scan_matches_oracle_on_rescaled_input(scale):
 
 
 def test_continuous_scan_matches_oracle_on_wide_range():
+    # the oracle fits 100 evenly spaced candidates, and the scan gets the same
     xs = wide_range()
-    fit = fit_power_law_tail(xs, mode="continuous", max_candidates=100)
-    assert fit == scan_every_candidate(xs, max_candidates=100)
+    arr = np.sort(xs)
+    values, above = _at_least(arr)
+    cand = np.flatnonzero(above >= 50)
+    cand = cand[np.unique(np.linspace(0, cand.size - 1, 100).round().astype(int))]
+    assert _scan_continuous(arr, values, above, cand) == scan_every_candidate(xs, max_candidates=100)
 
 
 @given(st.lists(st.integers(min_value=0, max_value=40), min_size=1, max_size=150), st.integers(2, 30))
@@ -399,15 +411,15 @@ SRC = pathlib.Path(tailstats.__file__).parents[1]
 CONFIG = pathlib.Path(__file__).parent / "fixtures" / "pipeline_config.json"
 
 
-def scipy_loaded_by(*argv) -> list[str]:
-    """The scipy modules a fresh interpreter holds after importing
+def loaded_by(*argv, package="scipy") -> list[str]:
+    """The modules of ``package`` a fresh interpreter holds after importing
     faultgraph.cli and, given ``argv``, running ``main`` on it to exit 0;
     the probe prints them on the last line of its output."""
     probe = (
         "import sys, faultgraph.cli\n"
         "if sys.argv[1:]:\n"
         "    assert faultgraph.cli.main(sys.argv[1:]) == 0\n"
-        "print(' '.join(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))\n"
+        f"print(' '.join(m for m in sys.modules if m == {package!r} or m.startswith({package + '.'!r})))\n"
     )
     env = {**os.environ, "PYTHONPATH": str(SRC)}
     out = subprocess.run(
@@ -417,14 +429,20 @@ def scipy_loaded_by(*argv) -> list[str]:
 
 
 def test_cli_import_loads_no_scipy():
-    assert scipy_loaded_by() == []
+    assert loaded_by() == []
 
 
 def test_continuous_fits_load_no_scipy(tmp_path):
     samples = tmp_path / "samples.txt"
     samples.write_text("\n".join(map(str, pareto_samples(2000, 2.5, 1.0, np.random.default_rng(3)))))
-    assert scipy_loaded_by("fit", "--samples", str(samples), "--mode", "continuous") == []
-    assert scipy_loaded_by("fit", "--synthetic", "continuous:2.5:2000") == []
+    assert loaded_by("fit", "--samples", str(samples), "--mode", "continuous") == []
+    assert loaded_by("fit", "--synthetic", "continuous:2.5:2000") == []
+
+
+def test_fit_of_a_samples_file_loads_no_masked_arrays(tmp_path):
+    samples = tmp_path / "samples.txt"
+    samples.write_text("\n".join(map(str, pareto_samples(2000, 2.5, 1.0, np.random.default_rng(3)))))
+    assert loaded_by("fit", "--samples", str(samples), "--mode", "continuous", package="numpy.ma") == []
 
 
 def test_report_and_discrete_fits_leave_the_root_finder_unloaded(tmp_path):
@@ -435,7 +453,7 @@ def test_report_and_discrete_fits_leave_the_root_finder_unloaded(tmp_path):
         ("report", "--config", str(CONFIG), "--out", str(tmp_path / "out")),
         ("fit", "--synthetic", "discrete:2.5:2000"),
     ):
-        loaded = scipy_loaded_by(*argv)
+        loaded = loaded_by(*argv)
         assert "scipy.special" in loaded
         assert not [m for m in loaded if m == "scipy.optimize" or m.startswith("scipy.optimize.")]
 
