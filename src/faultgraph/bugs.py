@@ -4,6 +4,7 @@ Commit log format: one record per line,
 ``ISO-8601 timestamp TAB author TAB message TAB semicolon-separated files``,
 with tabs/newlines/backslashes inside the message escaped as ``\\t``, ``\\n``
 and ``\\\\``. Issue registry: TSV with header ``id  open_date  release_tag``.
+Of a commit only the author is not kept, and of the registry only the ids.
 
 An issue id is extracted from a message when a configured pattern captures
 it, it exists in the registry, it is at least ``min_id``, and it lies in no
@@ -22,8 +23,10 @@ distinct message once.
 
 import re
 from bisect import bisect_left, bisect_right
+from collections import Counter
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
+from functools import cached_property
 from operator import attrgetter
 
 from .errors import ConfigError, FormatError, read_utf8, records
@@ -39,17 +42,8 @@ DEFAULT_PATTERNS = (
 @dataclass(frozen=True)
 class CommitEntry:
     timestamp: datetime
-    author: str
     message: str
     files: tuple[str, ...]
-
-
-@dataclass(frozen=True)
-class IssueRegistry:
-    meta: dict[int, tuple[str, str]]  # id -> (open_date, release_tag)
-
-    def __contains__(self, issue_id: int) -> bool:
-        return issue_id in self.meta
 
 
 @dataclass(frozen=True)
@@ -87,17 +81,14 @@ class FilterConfig:
 class BugLedger:
     release: str
     links: frozenset[tuple[int, str]]  # (issue id, CU path)
-    bugs_per_cu: dict[str, int] = field(default_factory=dict, compare=False)
-    cus_per_bug: dict[int, int] = field(default_factory=dict, compare=False)
 
-    def __post_init__(self):
-        per_cu: dict[str, int] = {}
-        per_bug: dict[int, int] = {}
-        for issue_id, path in self.links:
-            per_cu[path] = per_cu.get(path, 0) + 1
-            per_bug[issue_id] = per_bug.get(issue_id, 0) + 1
-        object.__setattr__(self, "bugs_per_cu", per_cu)
-        object.__setattr__(self, "cus_per_bug", per_bug)
+    @cached_property
+    def bugs_per_cu(self) -> Counter[str]:
+        return Counter(path for _, path in self.links)
+
+    @cached_property
+    def cus_per_bug(self) -> Counter[int]:
+        return Counter(issue_id for issue_id, _ in self.links)
 
     def count(self, path: str) -> int:
         return self.bugs_per_cu.get(path, 0)
@@ -139,7 +130,7 @@ def parse_commit_log_text(text: str) -> list[CommitEntry]:
         parts = line.split("\t")
         if len(parts) != 4:
             raise FormatError(f"expected 4 tab-separated fields, found {len(parts)}", record=idx)
-        raw_ts, author, message, file_list = parts
+        raw_ts, _author, message, file_list = parts
         try:
             ts = parse_timestamp(raw_ts)
         except ValueError as exc:
@@ -147,41 +138,41 @@ def parse_commit_log_text(text: str) -> list[CommitEntry]:
         files = tuple(f.strip() for f in file_list.split(";") if f.strip())
         if not files:
             raise FormatError("commit record has no files", record=idx)
-        entries.append(CommitEntry(ts, author, _unescape(message), files))
+        entries.append(CommitEntry(ts, _unescape(message), files))
     return entries
 
 
-def load_issue_registry(path) -> IssueRegistry:
+def load_issue_registry(path) -> frozenset[int]:
+    """The registered issue ids; every row is checked, but only its id is kept."""
     lines = records(read_utf8(path, FormatError))
     first = next(lines, None)
     if first is None:
-        return IssueRegistry(meta={})
+        return frozenset()
     idx, header = first
     if header.split("\t")[:3] != ["id", "open_date", "release_tag"]:
         raise FormatError(f"bad registry header {header!r}", record=idx)
-    meta: dict[int, tuple[str, str]] = {}
+    ids: set[int] = set()
     for idx, line in lines:
         parts = line.split("\t")
         if len(parts) != 3:
             raise FormatError("expected 3 tab-separated columns", record=idx)
-        raw_id, open_date, release_tag = parts
+        raw_id = parts[0]
         try:
             issue_id = int(raw_id)
         except ValueError as exc:
             raise FormatError(f"bad issue id {raw_id!r}", record=idx) from exc
         if issue_id <= 0:
             raise FormatError(f"issue id must be positive, got {issue_id}", record=idx)
-        if issue_id in meta:
+        if issue_id in ids:
             raise FormatError(f"duplicate issue id {issue_id}", record=idx)
-        meta[issue_id] = (open_date, release_tag)
-    return IssueRegistry(meta=meta)
+        ids.add(issue_id)
+    return frozenset(ids)
 
 
-def extract_issue_refs(message: str, registry: IssueRegistry, cfg: FilterConfig) -> set[int]:
+def extract_issue_refs(message: str, registry: frozenset[int], cfg: FilterConfig) -> set[int]:
     """Issue ids the message cites that pass the filter; a capture that is
     not an integer raises ConfigError naming the pattern."""
     found: set[int] = set()
-    registered = registry.meta
     for rx in cfg.compiled:
         for m in rx.finditer(message):
             raw = m.group(1)
@@ -191,7 +182,7 @@ def extract_issue_refs(message: str, registry: IssueRegistry, cfg: FilterConfig)
                 raise ConfigError(
                     f"pattern {rx.pattern!r} captured {raw!r} in commit message {message!r}, not an issue number"
                 ) from None
-            if issue_id in registered and issue_id >= cfg.min_id and not cfg.excluded(issue_id):
+            if issue_id in registry and issue_id >= cfg.min_id and not cfg.excluded(issue_id):
                 found.add(issue_id)
     return found
 
@@ -201,7 +192,7 @@ _timestamp = attrgetter("timestamp")
 
 def build_bug_ledger(
     commits: list[CommitEntry],
-    registry: IssueRegistry,
+    registry: frozenset[int],
     cfg: FilterConfig,
     window: tuple[datetime, datetime],
     release: str,

@@ -93,29 +93,42 @@ def _print_fit(distribution: str, mode: str, fit) -> int:
     return 0
 
 
+# the flags each fit mode reads: a config's releases (the default), a
+# samples file, or synthetic draws
+FIT_FLAGS = {
+    "config": ("config", "metric", "release", "out"),
+    "samples": ("samples", "mode", "x_min"),
+    "synthetic": ("synthetic", "seed"),
+}
+
+
 def run_fit(args) -> int:
-    if args.synthetic is not None:
-        with stage(STAGE_STATS):
+    selected = "synthetic" if args.synthetic is not None else "samples" if args.samples is not None else "config"
+    stray = [
+        dest for m, dests in FIT_FLAGS.items() if m != selected for dest in dests if getattr(args, dest) is not None
+    ]
+    if stray:
+        flags = ", ".join("--" + dest.replace("_", "-") for dest in stray)
+        raise ConfigError(f"fit --{selected} cannot be combined with {flags}")
+    if selected == "config":
+        only = args.metric
+        _selected_distributions(only)  # reject an unknown name before any release is built
+        writers = [partial(write_ccdfs, only=only), partial(write_tail_fits, only=only)]
+        return _run_writers(args, writers, with_bugs=only in (None, "bugs_per_cu", "cus_per_bug"))
+    with stage(STAGE_STATS):
+        if selected == "synthetic":
             mode, gamma, n, x_min = _parse_synthetic(args.synthetic)
-            rng = np.random.default_rng(args.seed)
-            if mode == CONTINUOUS:
-                samples = pareto_samples(n, gamma, x_min, rng)
-            else:
-                samples = zeta_samples(n, gamma, x_min, rng)
-            fit = fit_power_law_tail(samples, mode=mode, x_min=x_min)
-        return _print_fit("synthetic", mode, fit)
-    if args.samples is not None:
-        with stage(STAGE_STATS):
+            rng = np.random.default_rng(0 if args.seed is None else args.seed)
+            draw = pareto_samples if mode == CONTINUOUS else zeta_samples
+            name, samples = "synthetic", draw(n, gamma, x_min, rng)
+        else:
+            mode, x_min, name = args.mode or DISCRETE, args.x_min, Path(args.samples).name
             try:
-                values = [float(line) for line in read_utf8(args.samples, InputError).split()]
+                samples = [float(line) for line in read_utf8(args.samples, InputError).split()]
             except ValueError as exc:
                 raise InputError(f"samples file must hold one number per line: {exc}") from exc
-            fit = fit_power_law_tail(values, mode=args.mode, x_min=args.x_min)
-        return _print_fit(Path(args.samples).name, args.mode, fit)
-    only = args.metric
-    _selected_distributions(only)  # reject an unknown name before any release is built
-    writers = [partial(write_ccdfs, only=only), partial(write_tail_fits, only=only)]
-    return _run_writers(args, writers, with_bugs=only in (None, "bugs_per_cu", "cus_per_bug"))
+        fit = fit_power_law_tail(samples, mode=mode, x_min=x_min)
+    return _print_fit(name, mode, fit)
 
 
 def run_evolve(args) -> int:
@@ -173,10 +186,10 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--metric", help="restrict to one distribution (metric name, bugs_per_cu, cus_per_bug)")
     p.add_argument("--samples", help="fit a plain file of numbers instead of a release")
-    p.add_argument("--mode", choices=[DISCRETE, CONTINUOUS], default=DISCRETE)
-    p.add_argument("--x-min", type=float, default=None)
+    p.add_argument("--mode", choices=[DISCRETE, CONTINUOUS], help=f"mode for --samples (default {DISCRETE})")
+    p.add_argument("--x-min", type=float, help="fixed x_min for --samples")
     p.add_argument("--synthetic", help="MODE:GAMMA:N[:XMIN] -- generate and fit synthetic samples")
-    p.add_argument("--seed", type=int, default=0, help="seed for --synthetic")
+    p.add_argument("--seed", type=int, help="seed for --synthetic (default 0)")
     p.set_defaults(func=run_fit)
 
     p = sub.add_parser("correlate", help="emit metric-bug Pearson tables")

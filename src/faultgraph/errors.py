@@ -1,5 +1,6 @@
-"""Exception types shared across the toolchain, and the UTF-8 input reader
-with the rule that splits an input file into records.
+"""Exception types shared across the toolchain, the one UTF-8 reader of
+input files and the one writer of output files, and the rule that splits an
+input file into records.
 
 Every error raised on bad *input* derives from InputError so the CLI can map
 it to exit code 1; anything else escaping a stage is treated as an internal
@@ -75,15 +76,26 @@ class UnknownMetric(InputError):
 
 
 def read_utf8(path, error: type[InputError]) -> str:
-    """The text of an input file; a file that cannot be read or whose bytes
-    are not UTF-8 raises ``error``."""
+    r"""The text of an input file with its line endings as written, so a lone
+    ``\r`` inside a record stays in it; a file that cannot be read or whose
+    bytes are not UTF-8 raises ``error``."""
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8", newline="") as fh:
             return fh.read()
     except UnicodeDecodeError as exc:
         raise error(f"{path}: not UTF-8 text (byte {exc.start}: {exc.reason})") from exc
     except OSError as exc:
         raise error(f"{path}: cannot read: {exc.strerror or exc}") from exc
+
+
+def write_utf8(path, text: str) -> None:
+    r"""Write an output file as UTF-8 with ``\n`` newlines; a file that cannot
+    be written raises ConfigError naming it."""
+    try:
+        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise ConfigError(f"cannot write output file {path}: {exc.strerror or exc}") from exc
 
 
 def records(text: str) -> Iterator[tuple[int, str]]:

@@ -91,13 +91,12 @@ def classify_cus(prev: ReleaseSnapshot, next_: ReleaseSnapshot, metric: str) -> 
 
 
 def family_stats(family, ledger: BugLedger) -> FamilyStats:
-    members = sorted(family)
-    if not members:
+    if not family:
         raise EmptyFamily("family has no members")
-    infected = [p for p in members if ledger.count(p) >= 1]
-    probability = len(infected) / len(members)
+    infected = [p for p in family if ledger.count(p) >= 1]
+    probability = len(infected) / len(family)
     mean = sum(ledger.count(p) for p in infected) / len(infected) if infected else None
-    return FamilyStats(probability, mean, n=len(members), infected=len(infected))
+    return FamilyStats(probability, mean, n=len(family), infected=len(infected))
 
 
 def delta_metric_correlation(
@@ -140,10 +139,14 @@ def fractional_changes(
     return changes, bug_counts
 
 
+def stats_significance(stats: list[FamilyStats | None]) -> ChiSquareResult:
+    """Chi-square independence test on the (family x infected) table of the
+    families' stats, in ``FAMILY_NAMES`` order; ``None`` is an empty family."""
+    if any(s is None for s in stats):
+        raise EmptyFamily("family has no members")
+    return chi_square_independence([[s.infected, s.n - s.infected] for s in stats])
+
+
 def family_significance(partition: FamilyPartition, ledger: BugLedger) -> ChiSquareResult:
     """Chi-square independence test on the 3x2 (family x infected) table."""
-    table = []
-    for name in FAMILY_NAMES:
-        stats = family_stats(partition.family(name), ledger)
-        table.append([stats.infected, stats.n - stats.infected])
-    return chi_square_independence(table)
+    return stats_significance([family_stats(partition.family(name), ledger) for name in FAMILY_NAMES])

@@ -17,7 +17,7 @@ import json
 import re
 from dataclasses import dataclass
 
-from .errors import FormatError, read_utf8, records
+from .errors import FormatError, read_utf8, records, write_utf8
 
 CLASS_KINDS = ("class", "interface")
 
@@ -256,8 +256,7 @@ def dump_facts(cus: list[CUFacts]) -> str:
 
 
 def dump_facts_file(cus: list[CUFacts], path) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(dump_facts(cus))
+    write_utf8(path, dump_facts(cus))
 
 
 def load_facts(text: str, memo: dict[str, CUFacts] | None = None) -> list[CUFacts]:

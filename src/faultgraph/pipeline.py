@@ -23,14 +23,15 @@ from .errors import (
     InputError,
     InsufficientTail,
     ParseError,
+    write_utf8,
 )
 from .evolution import (
     FAMILY_NAMES,
     ReleaseSnapshot,
     classify_cus,
     delta_metric_correlation,
-    family_significance,
     family_stats,
+    stats_significance,
 )
 from .facts import CUFacts, dump_facts_file, load_facts_file
 from .graphs import ClassGraph, CUGraph, build_class_graph, build_cu_graph
@@ -79,7 +80,7 @@ def write_table(path: Path, header: list[str], rows: Iterable[Sequence]) -> None
     lines = ["\t".join(header)]
     for row in rows:
         lines.append("\t".join(str(cell) for cell in row))
-    path.write_text("".join(line + "\n" for line in lines), encoding="utf-8", newline="\n")
+    write_utf8(path, "".join(line + "\n" for line in lines))
 
 
 # --------------------------------------------------------------------------
@@ -96,7 +97,6 @@ class ReleaseData:
     per_class: dict[ClassId, ClassMetrics]
     per_cu: dict[str, MetricVector]
     ledger: BugLedger | None = None
-    dropped_links: int = 0
 
     @property
     def snapshot(self) -> ReleaseSnapshot:
@@ -177,18 +177,14 @@ def build_release(rc: ReleaseConfig, memo: RunMemo | None = None) -> ReleaseData
 
 
 def attach_ledger(data: ReleaseData, full: BugLedger | InputError) -> None:
-    """Restrict the release's full ledger to its CUs and count the links dropped."""
+    """Restrict the release's full ledger to its CUs, warning of the links dropped."""
     with stage(STAGE_BUGS):
         if isinstance(full, InputError):
             raise full
-    ledger = full.restricted_to(data.per_cu)
-    data.dropped_links = len(full.links) - len(ledger.links)
-    if data.dropped_links:
-        log.warning(
-            "release %s: dropped %d issue links to files outside the corpus",
-            data.tag, data.dropped_links,
-        )
-    data.ledger = ledger
+    data.ledger = full.restricted_to(data.per_cu)
+    dropped = len(full.links) - len(data.ledger.links)
+    if dropped:
+        log.warning("release %s: dropped %d issue links to files outside the corpus", data.tag, dropped)
 
 
 # --------------------------------------------------------------------------
@@ -324,12 +320,15 @@ def write_evolution(prev: ReleaseSnapshot, nxt: ReleaseSnapshot, out: Path) -> l
     family_rows, chi_rows, delta_rows = [], [], []
     for metric in METRIC_NAMES:
         partition = classify_cus(prev, nxt, metric)
+        table = []  # each family's stats, None when it is empty
         for family_name in FAMILY_NAMES:
             members = partition.family(family_name)
             if not members:
+                table.append(None)
                 family_rows.append([metric, family_name, 0, "", "", ""])
                 continue
             stats = family_stats(members, nxt.ledger)
+            table.append(stats)
             family_rows.append(
                 [
                     metric,
@@ -341,7 +340,7 @@ def write_evolution(prev: ReleaseSnapshot, nxt: ReleaseSnapshot, out: Path) -> l
                 ]
             )
         try:
-            res = family_significance(partition, nxt.ledger)
+            res = stats_significance(table)
             chi_rows.append([metric, _fmt(res.chi2), res.dof, _fmt(res.p_value), "ok"])
         except EmptyFamily:
             chi_rows.append([metric, "", "", "", "empty-family"])

@@ -14,7 +14,6 @@ from faultgraph.bugs import (
     BugLedger,
     CommitEntry,
     FilterConfig,
-    IssueRegistry,
     _unescape,
     build_bug_ledger,
     extract_issue_refs,
@@ -23,7 +22,7 @@ from faultgraph.bugs import (
     parse_commit_log_text,
     parse_timestamp,
 )
-from faultgraph.config import PipelineConfig, ReleaseConfig
+from faultgraph.config import PipelineConfig, ReleaseConfig, load_config
 from faultgraph.errors import ConfigError, FormatError
 from faultgraph.pipeline import load_bug_ledgers
 
@@ -33,7 +32,7 @@ def utc(s):
 
 
 def registry_of(*ids):
-    return IssueRegistry(meta={i: ("2007-01-01", "r1") for i in ids})
+    return frozenset(ids)
 
 
 WINDOW = (utc("2007-01-01T00:00:00Z"), utc("2007-12-31T23:59:59Z"))
@@ -57,7 +56,7 @@ def test_five_record_fixture_matches_hand_table():
     entries = parse_commit_log_text(text)
     assert len(entries) == 5
     assert entries[0] == CommitEntry(
-        utc("2007-02-10T09:00:00Z"), "ana", "Fixed 120 in alpha pipeline", ("app/Alpha.java",)
+        utc("2007-02-10T09:00:00Z"), "Fixed 120 in alpha pipeline", ("app/Alpha.java",)
     )
     assert entries[1].files == ("app/Base.java", "app/Alpha.java")
     assert entries[3].message == "multi\tline\nnote"
@@ -104,7 +103,7 @@ def test_crlf_log_loads_with_unchanged_record_indices():
 def test_registry_records_end_at_newline_only(tmp_path):
     path = tmp_path / "issues.tsv"
     path.write_bytes("id\topen_date\trelease_tag\r\n5\t2007-01-01\tr\u20281\r\n7\t2007-01-02\tr2\r\n".encode())
-    assert load_issue_registry(path).meta == {5: ("2007-01-01", "r\u20281"), 7: ("2007-01-02", "r2")}
+    assert load_issue_registry(path) == {5, 7}
     path.write_bytes(b"id\topen_date\trelease_tag\n5\t2007-01-01\x0cr1\n")
     with pytest.raises(FormatError) as err:
         load_issue_registry(path)
@@ -126,6 +125,68 @@ def test_registry_error_after_blank_lines_names_its_line(tmp_path, text, record)
         load_issue_registry(path)
     assert err.value.record == record
     assert str(err.value).startswith(f"record {record}: ")
+
+
+REGISTRY_HEADER = "id\topen_date\trelease_tag\n"
+
+
+@pytest.mark.parametrize(
+    "text, record, message",
+    [
+        ("id\topen\trelease_tag\n", 1, "bad registry header"),
+        (REGISTRY_HEADER + "5\t2007-01-01\n", 2, "expected 3 tab-separated columns"),
+        (REGISTRY_HEADER + "5\t2007-01-01\tr1\tmore\n", 2, "expected 3 tab-separated columns"),
+        (REGISTRY_HEADER + "five\t2007-01-01\tr1\n", 2, "bad issue id 'five'"),
+        (REGISTRY_HEADER + "5.0\t2007-01-01\tr1\n", 2, "bad issue id '5.0'"),
+        (REGISTRY_HEADER + "0\t2007-01-01\tr1\n", 2, "issue id must be positive, got 0"),
+        (REGISTRY_HEADER + "-3\t2007-01-01\tr1\n", 2, "issue id must be positive, got -3"),
+        (REGISTRY_HEADER + "5\t2007-01-01\tr1\n5\t2007-02-01\tr2\n", 3, "duplicate issue id 5"),
+    ],
+)
+def test_the_registry_checks_every_row_it_keeps_only_the_id_of(tmp_path, text, record, message):
+    path = tmp_path / "issues.tsv"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(FormatError) as err:
+        load_issue_registry(path)
+    assert err.value.record == record
+    assert message in str(err.value)
+
+
+def test_the_registry_is_the_set_of_its_ids(tmp_path):
+    path = tmp_path / "issues.tsv"
+    path.write_text(REGISTRY_HEADER + "7\t2007-01-01\tr1\n5\t\t\n", encoding="utf-8")
+    assert load_issue_registry(path) == frozenset({5, 7})
+    path.write_text("", encoding="utf-8")
+    assert load_issue_registry(path) == frozenset()
+
+
+LONE_CR_FILES = [
+    (parse_commit_log, "2007-01-01T00:00:00Z\tdev\tpage\rbreak 500\ta.java\n", parse_commit_log_text),
+    (load_issue_registry, REGISTRY_HEADER + "5\t2007-01-01\tr\r1\n", lambda text: {5}),
+]
+
+
+@pytest.mark.parametrize("load, text, want", LONE_CR_FILES, ids=["log", "registry"])
+def test_a_lone_cr_read_from_a_file_stays_in_its_record(tmp_path, load, text, want):
+    path = tmp_path / "input.tsv"
+    path.write_bytes(text.encode("utf-8"))
+    assert load(path) == want(text)
+
+
+@pytest.mark.parametrize(
+    "load, text",
+    [
+        (parse_commit_log, "2007-02-10T09:00:00Z\tana\tFixed 120\ta.java\r\n\r\nbroken line\r\n"),
+        (load_issue_registry, "id\topen_date\trelease_tag\r\n\r\nx\t2007-01-01\tr1\r\n"),
+    ],
+    ids=["log", "registry"],
+)
+def test_a_crlf_file_keeps_its_record_numbers(tmp_path, load, text):
+    path = tmp_path / "input.tsv"
+    path.write_bytes(text.encode("utf-8"))
+    with pytest.raises(FormatError) as err:
+        load(path)
+    assert err.value.record == 3
 
 
 @pytest.mark.parametrize("load", [parse_commit_log, load_issue_registry])
@@ -217,7 +278,7 @@ def test_patterns_are_compiled_once_case_insensitively():
 def test_extraction_subset_of_registry(message, ids):
     reg = registry_of(*ids)
     got = extract_issue_refs(message, reg, FilterConfig())
-    assert got <= set(reg.meta)
+    assert got <= reg
 
 
 @given(
@@ -243,7 +304,7 @@ def test_enlarging_exclusions_never_grows_extraction(message, ids, raw_intervals
 
 
 def test_no_fixing_commits_gives_zero_ledger():
-    commits = [CommitEntry(utc("2007-03-01T00:00:00Z"), "a", "tidy imports", ("a.java",))]
+    commits = [CommitEntry(utc("2007-03-01T00:00:00Z"), "tidy imports", ("a.java",))]
     ledger = build_bug_ledger(commits, registry_of(500), FilterConfig(), WINDOW, "r1")
     assert ledger.links == frozenset()
     assert ledger.bugs_per_cu == {}
@@ -251,7 +312,7 @@ def test_no_fixing_commits_gives_zero_ledger():
 
 
 def test_single_commit_links_every_touched_file():
-    commits = [CommitEntry(utc("2007-03-01T00:00:00Z"), "a", "Fixed 500", ("a.java", "b.java"))]
+    commits = [CommitEntry(utc("2007-03-01T00:00:00Z"), "Fixed 500", ("a.java", "b.java"))]
     ledger = build_bug_ledger(commits, registry_of(500), FilterConfig(), WINDOW, "r1")
     assert ledger.bugs_per_cu == {"a.java": 1, "b.java": 1}
     assert ledger.cus_per_bug == {500: 2}
@@ -259,8 +320,8 @@ def test_single_commit_links_every_touched_file():
 
 def test_repeated_issue_file_pair_counts_once():
     commits = [
-        CommitEntry(utc("2007-03-01T00:00:00Z"), "a", "Fixed 500", ("a.java",)),
-        CommitEntry(utc("2007-04-01T00:00:00Z"), "b", "more work on 500", ("a.java",)),
+        CommitEntry(utc("2007-03-01T00:00:00Z"), "Fixed 500", ("a.java",)),
+        CommitEntry(utc("2007-04-01T00:00:00Z"), "more work on 500", ("a.java",)),
     ]
     ledger = build_bug_ledger(commits, registry_of(500), FilterConfig(), WINDOW, "r1")
     assert ledger.bugs_per_cu == {"a.java": 1}
@@ -269,9 +330,9 @@ def test_repeated_issue_file_pair_counts_once():
 
 def test_window_is_inclusive_and_filters_commits():
     commits = [
-        CommitEntry(utc("2007-01-01T00:00:00Z"), "a", "Fixed 500", ("a.java",)),
-        CommitEntry(utc("2007-12-31T23:59:59Z"), "a", "Fixed 501", ("b.java",)),
-        CommitEntry(utc("2008-01-01T00:00:00Z"), "a", "Fixed 502", ("c.java",)),
+        CommitEntry(utc("2007-01-01T00:00:00Z"), "Fixed 500", ("a.java",)),
+        CommitEntry(utc("2007-12-31T23:59:59Z"), "Fixed 501", ("b.java",)),
+        CommitEntry(utc("2008-01-01T00:00:00Z"), "Fixed 502", ("c.java",)),
     ]
     ledger = build_bug_ledger(commits, registry_of(500, 501, 502), FilterConfig(), WINDOW, "r1")
     assert set(ledger.cus_per_bug) == {500, 501}
@@ -279,7 +340,7 @@ def test_window_is_inclusive_and_filters_commits():
 
 def test_replay_is_idempotent():
     commits = [
-        CommitEntry(utc("2007-03-01T00:00:00Z"), "a", "Fixed 500 and 501", ("a.java", "b.java")),
+        CommitEntry(utc("2007-03-01T00:00:00Z"), "Fixed 500 and 501", ("a.java", "b.java")),
     ]
     reg = registry_of(500, 501)
     first = build_bug_ledger(commits, reg, FilterConfig(), WINDOW, "r1")
@@ -287,7 +348,7 @@ def test_replay_is_idempotent():
     assert first.links == second.links
 
 
-def synthetic_log(seed: int, n_commits: int = 1000) -> tuple[str, IssueRegistry]:
+def synthetic_log(seed: int, n_commits: int = 1000) -> tuple[str, frozenset[int]]:
     rng = random.Random(seed)
     ids = rng.sample(range(100, 5000), 60)
     files = [f"src/F{k}.java" for k in range(40)]
@@ -314,6 +375,18 @@ def test_ledger_double_count_identity_over_synthetic_logs(seed):
     assert len(commits) == 1000
     ledger = build_bug_ledger(commits, reg, FilterConfig(min_id=100), WINDOW, "r1")
     assert sum(ledger.bugs_per_cu.values()) == sum(ledger.cus_per_bug.values()) == len(ledger.links)
+
+
+def test_loaded_ledgers_build_their_counts_on_first_read(fixtures_dir):
+    cfg = load_config(fixtures_dir / "pipeline_config.json")
+    ledgers = load_bug_ledgers(cfg, cfg.releases)
+    assert ledgers and all(isinstance(ledger, BugLedger) for ledger in ledgers.values())
+    for ledger in ledgers.values():
+        assert "bugs_per_cu" not in vars(ledger) and "cus_per_bug" not in vars(ledger)
+    ledger = ledgers["r1"]
+    assert sum(ledger.bugs_per_cu.values()) == len(ledger.links)
+    assert "bugs_per_cu" in vars(ledger) and "cus_per_bug" not in vars(ledger)
+    assert ledger == BugLedger(ledger.release, ledger.links)
 
 
 def test_restricted_to_keeps_identity():
@@ -427,7 +500,7 @@ def test_ledgers_equal_the_per_release_scan(drawn):
         log, reg = Path(tmp) / "commits.tsv", Path(tmp) / "issues.tsv"
         log.write_text(text, encoding="utf-8")
         reg.write_text(
-            "id\topen_date\trelease_tag\n" + "".join(f"{i}\t2007-01-01\tr0\n" for i in registry.meta),
+            "id\topen_date\trelease_tag\n" + "".join(f"{i}\t2007-01-01\tr0\n" for i in sorted(registry)),
             encoding="utf-8",
         )
         cfg_all = PipelineConfig(releases, log, reg, cfg, (), Path(tmp))
@@ -452,7 +525,7 @@ def test_ledgers_equal_the_per_release_scan(drawn):
 
 def test_refs_memo_is_filled_once_per_distinct_message():
     commits = [
-        CommitEntry(utc(f"2007-0{month}-01T00:00:00Z"), "a", msg, ("a.java",))
+        CommitEntry(utc(f"2007-0{month}-01T00:00:00Z"), msg, ("a.java",))
         for month, msg in ((1, "Fixed 500"), (2, "tidy"), (3, "Fixed 500"))
     ]
     refs = {}

@@ -298,6 +298,64 @@ def test_fit_non_numeric_samples_file_names_its_stage(tmp_path, capsys):
     assert "stage tail_stats" in err and "'three'" in err and "internal error" not in err
 
 
+@pytest.mark.parametrize(
+    "command, blocked",
+    [
+        ("metrics", "metrics-r1.tsv"),
+        ("report", "facts-r1.jsonl"),
+        ("report", "significance-r1-r2.tsv"),
+        ("extract", "facts-r2.jsonl"),
+    ],
+)
+def test_an_output_file_that_cannot_be_written_exits_1(tmp_path, capsys, command, blocked):
+    out = tmp_path / "o"
+    (out / blocked).mkdir(parents=True)
+    code, _, err = run(capsys, command, "--config", CONFIG, "--out", str(out))
+    assert code == 1
+    assert f"cannot write output file {out / blocked}" in err
+    assert "internal error" not in err
+
+
+FIT_MODE_MIXES = [
+    (["--samples", "S", "--synthetic", "continuous:2.5:500"], "--samples"),
+    (["--config", CONFIG, "--samples", "S"], "--config"),
+    (["--config", CONFIG, "--synthetic", "continuous:2.5:500"], "--config"),
+    (["--samples", "S", "--metric", "cu_wmc"], "--metric"),
+    (["--samples", "S", "--release", "r1"], "--release"),
+    (["--samples", "S", "--out", "O"], "--out"),
+    (["--samples", "S", "--seed", "3"], "--seed"),
+    (["--synthetic", "continuous:2.5:500", "--mode", "continuous"], "--mode"),
+    (["--synthetic", "continuous:2.5:500", "--x-min", "2"], "--x-min"),
+    (["--config", CONFIG, "--mode", "continuous"], "--mode"),
+    (["--config", CONFIG, "--x-min", "2"], "--x-min"),
+    (["--config", CONFIG, "--seed", "7"], "--seed"),
+]
+
+
+@pytest.mark.parametrize("flags, named", FIT_MODE_MIXES)
+def test_fit_flags_of_another_mode_are_a_usage_error(tmp_path, capsys, flags, named):
+    samples = tmp_path / "samples.txt"
+    samples.write_text("".join(f"{1 + k / 7}\n" for k in range(500)))
+    out = tmp_path / "o"
+    argv = [str(samples) if f == "S" else str(out) if f == "O" else f for f in flags]
+    code, stdout, err = run(capsys, "fit", *argv)
+    assert code == 1
+    assert named in err and "internal error" not in err
+    assert stdout == "" and not out.exists()
+
+
+def test_fit_defaults_to_seed_0_and_discrete_samples(tmp_path, capsys):
+    from faultgraph.tailstats import zeta_samples
+    import numpy as np
+
+    _, seeded, _ = run(capsys, "fit", "--synthetic", "discrete:2.5:2000", "--seed", "0")
+    assert run(capsys, "fit", "--synthetic", "discrete:2.5:2000") == (0, seeded, "")
+    path = tmp_path / "samples.txt"
+    path.write_text("".join(f"{x}\n" for x in zeta_samples(2000, 2.5, 1, np.random.default_rng(3))))
+    code, out, _ = run(capsys, "fit", "--samples", str(path))
+    assert code == 0 and "mode=discrete status=ok" in out
+
+
 @pytest.mark.parametrize("command", ["metrics", "report"])
 def test_a_fault_in_a_writer_exits_2(tmp_path, capsys, monkeypatch, command):
     def broken(data, out):

@@ -65,6 +65,21 @@ def test_a_raw_line_separator_inside_a_string_stays_in_its_record():
     assert cu.package == "a\u2028b\x0cc"
 
 
+def test_a_lone_cr_read_from_a_facts_file_stays_in_its_record(tmp_path):
+    line = json.dumps(VALID)
+    path = tmp_path / "facts.jsonl"
+    path.write_bytes((line.replace(", ", ",\r", 1) + "\n").encode("utf-8"))  # CR as JSON whitespace
+    assert load_facts_file(path) == load_facts(line + "\n")
+
+
+def test_a_crlf_facts_file_keeps_its_record_numbers(tmp_path):
+    path = tmp_path / "facts.jsonl"
+    path.write_bytes(f"{json.dumps(VALID)}\r\n\r\n{{oops\r\n".encode("utf-8"))
+    with pytest.raises(FormatError) as err:
+        load_facts_file(path)
+    assert err.value.record == 3
+
+
 def test_crlf_facts_load_with_unchanged_record_indices():
     line = json.dumps(VALID)
     assert load_facts(f"{line}\r\n") == load_facts(f"{line}\n")

@@ -7,6 +7,10 @@ path), or be on ``ALLOWED``. A method or property counts as referenced by
 an attribute of its name (``x.name``), a function also by a plain name.
 Names are matched, not bindings: any ``x.run`` keeps every ``run`` method.
 Dunder methods are called by Python itself and are not checked.
+
+No field without a reader either: every field of a ``@dataclass`` in
+``src/faultgraph`` must be loaded as an attribute of its name somewhere in
+``src/``, unless its class is on ``READ_BY_NAME``.
 """
 
 import ast
@@ -20,6 +24,9 @@ TRACING = ROOT / "perfbench" / "tracing.py"
 
 # the acceptance tests' API: no program path calls them
 ALLOWED = {"expected_max", "loglog_slope"}
+
+# dataclasses whose fields are read through getattr by name
+READ_BY_NAME = {"MetricVector"}  # metrics.metric_value
 
 
 def references(tree: ast.AST) -> tuple[Counter, Counter]:
@@ -70,3 +77,35 @@ def orphans() -> list[str]:
 
 def test_every_definition_has_a_caller():
     assert orphans() == []
+
+
+def is_dataclass(cls: ast.ClassDef) -> bool:
+    for deco in cls.decorator_list:
+        target = deco.func if isinstance(deco, ast.Call) else deco
+        if isinstance(target, ast.Name) and target.id == "dataclass":
+            return True
+    return False
+
+
+def unread_fields() -> list[str]:
+    trees = {path: ast.parse(path.read_text(encoding="utf-8")) for path in sorted(PACKAGE.glob("*.py"))}
+    loaded = {
+        node.attr
+        for tree in trees.values()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+    }
+    found = []
+    for path, tree in trees.items():
+        for cls in ast.walk(tree):
+            if not isinstance(cls, ast.ClassDef) or not is_dataclass(cls) or cls.name in READ_BY_NAME:
+                continue
+            for node in cls.body:
+                if isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+                    if node.target.id not in loaded:
+                        found.append(f"{path.name}:{node.lineno} {cls.name}.{node.target.id}")
+    return found
+
+
+def test_every_dataclass_field_has_a_reader():
+    assert unread_fields() == []

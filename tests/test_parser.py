@@ -435,3 +435,13 @@ def apply_edits(text, edits):
 )
 def test_parser_matches_oracle_on_edited_sources(text, edits):
     assert_same_outcome(apply_edits(text, edits))
+
+
+@pytest.mark.parametrize("newline", ["\r", "\r\n"], ids=["cr", "crlf"])
+def test_cr_and_crlf_sources_parse_like_their_lf_twins(tmp_path, corpus_r1_dir, newline):
+    """CR, LF and CR LF each end a Java line (JLS 3.4)."""
+    for source in sorted(corpus_r1_dir.rglob("*.java")):
+        twin = tmp_path / source.relative_to(corpus_r1_dir)
+        twin.parent.mkdir(parents=True, exist_ok=True)
+        twin.write_bytes(source.read_bytes().replace(b"\n", newline.encode()))
+    assert parse_corpus_dir(tmp_path) == parse_corpus_dir(corpus_r1_dir)

@@ -7,7 +7,7 @@ import weakref
 import numpy as np
 import pytest
 
-from faultgraph import bugs, facts, javaparse, pipeline
+from faultgraph import bugs, evolution, facts, javaparse, pipeline
 from faultgraph.cli import main
 from faultgraph.config import load_config
 from faultgraph.errors import ConfigError, FormatError, InputError
@@ -90,9 +90,11 @@ def test_links_to_unknown_files_are_dropped_with_count(big_release, caplog):
 
     with caplog.at_level(logging.WARNING, logger="faultgraph.pipeline"):
         attach_ledger(data, ledgers["r1"])
-    assert data.dropped_links == 1  # the ghost/Gone.java link
     assert data.ledger.links == frozenset()
-    assert any("dropped 1" in rec.message for rec in caplog.records)
+    # the ghost/Gone.java link
+    assert [rec.getMessage() for rec in caplog.records] == [
+        "release r1: dropped 1 issue links to files outside the corpus"
+    ]
 
 
 def test_bugs_without_commit_log_names_stage(tmp_path, capsys):
@@ -198,6 +200,24 @@ def test_driver_reads_bug_inputs_once_and_builds_each_release_once(
     capsys.readouterr()
     assert len(log) == len(registry) == log_reads
     assert [rc.tag for (rc,) in built] == builds
+
+
+def test_report_computes_each_family_stats_once(tmp_path, monkeypatch, capsys, fixtures_dir):
+    calls = []
+    original = evolution.family_stats
+
+    def spy(family, ledger):
+        calls.append(family)
+        return original(family, ledger)
+
+    monkeypatch.setattr(evolution, "family_stats", spy)
+    monkeypatch.setattr(pipeline, "family_stats", spy)
+    out = tmp_path / "o"
+    assert main(["report", "--config", str(fixtures_dir / "pipeline_config.json"), "--out", str(out)]) == 0
+    capsys.readouterr()
+    rows = [line.split("\t") for line in (out / "evolution-r1-r2.tsv").read_text().splitlines()[1:]]
+    # one call per non-empty family: at most three per metric of the one pair
+    assert len(calls) == sum(row[2] != "0" for row in rows) == 19
 
 
 # --------------------------------------------------------------------------
