@@ -47,6 +47,11 @@ class ConfigError(InputError):
     """Invalid or incomplete pipeline configuration."""
 
 
+class OutputError(ConfigError):
+    """An output file that cannot be written: a fault of the output path,
+    not of the input a stage reads, so no stage is named."""
+
+
 class EmptyInput(InputError):
     """An operation received an empty sample set."""
 
@@ -90,12 +95,12 @@ def read_utf8(path, error: type[InputError]) -> str:
 
 def write_utf8(path, text: str) -> None:
     r"""Write an output file as UTF-8 with ``\n`` newlines; a file that cannot
-    be written raises ConfigError naming it."""
+    be written raises OutputError naming it."""
     try:
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(text)
     except OSError as exc:
-        raise ConfigError(f"cannot write output file {path}: {exc.strerror or exc}") from exc
+        raise OutputError(f"cannot write output file {path}: {exc.strerror or exc}") from exc
 
 
 def records(text: str) -> Iterator[tuple[int, str]]:

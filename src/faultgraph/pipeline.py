@@ -22,6 +22,7 @@ from .errors import (
     EmptyFamily,
     InputError,
     InsufficientTail,
+    OutputError,
     ParseError,
     write_utf8,
 )
@@ -63,10 +64,11 @@ class StageFailure(InputError):
 @contextmanager
 def stage(name: str):
     """Bind an InputError raised inside to stage ``name``. A StageFailure
-    passes unchanged, so the innermost stage is the one named."""
+    passes unchanged, so the innermost stage is the one named, and so does
+    an OutputError, which no stage's input caused."""
     try:
         yield
-    except StageFailure:
+    except (StageFailure, OutputError):
         raise
     except InputError as exc:
         raise StageFailure(name, exc) from exc

@@ -13,23 +13,28 @@ not given, every distinct sample value is a candidate and the one minimizing
 the Kolmogorov-Smirnov distance between the empirical tail CCDF and the
 fitted CCDF wins; ties go to the smaller x_min (larger tail).
 
-The continuous scan screens before it fits. Sorting once gives every
-candidate's tail count, and a reversed cumulative sum of log gaps gives
-every candidate's gamma in O(1). A screened KS distance, computed from those
-over the global array of distinct values, agrees with the exact one to well
-under 1e-11, and its maximum over any evenly spaced probe points of the tail
-bounds it from below. Candidates are visited in increasing order of a
-64-point bound until that bound passes the best screened distance plus a
-tolerance; a visited candidate is screened in full unless its 1024-point
-bound passes that mark too. Only the candidates within the tolerance of the
-best are fitted exactly, smallest x_min first, so the result is the one a
-fit at every candidate gives. Candidates too steep for the screen to track
-the exact distance (gamma - 1 above 1e5) are fitted outright. Of the ~10^4
+One scan serves both modes. The tail at a candidate is a suffix of the
+sorted samples, and a candidate whose tail is constant, or spans more than
+the double range above it, is dropped before any fit. The scan fits each
+finalist once, smallest x_min first, and keeps the smallest KS distance. In
+discrete mode every candidate is a finalist.
+
+In continuous mode a screen picks the finalists and fits nothing. Sorting
+once gives every candidate's tail count, and a reversed cumulative sum of
+log gaps gives every candidate's gamma in O(1). A screened KS distance,
+computed from those over the global array of distinct values, agrees with
+the exact one to well under 1e-11, and its maximum over any evenly spaced
+probe points of the tail bounds it from below. Candidates are visited in
+increasing order of a 64-point bound until that bound passes the best
+screened distance plus a tolerance; a visited candidate is screened in full
+unless its 1024-point bound passes that mark too. The finalists are the
+candidates within the tolerance of the best, so the result is the one a fit
+at every candidate gives. Candidates too steep for the screen to track the
+exact distance (gamma - 1 above 1e5) are always finalists. Of the ~10^4
 candidates of 10^4 Pareto draws, a few dozen to a few hundred need a full
-screen and one an exact fit. Where the bounds prune
-nothing the screen still costs a vectorised O(C * U) for C candidates and U
-distinct values, in chunks of fixed size. The discrete scan fits every
-candidate.
+screen and one is a finalist. Where the bounds prune nothing the screen
+still costs a vectorised O(C * U) for C candidates and U distinct values, in
+chunks of fixed size.
 
 scipy.special supplies the Hurwitz zeta function of the discrete fit and
 sampler and the regularized upper incomplete gamma function behind the
@@ -135,9 +140,12 @@ class TailFit:
 
 
 def _continuous_gamma(tail: np.ndarray, x_min: float) -> float:
-    log_sum = float(np.sum(np.log(tail / x_min)))
+    with np.errstate(over="ignore"):  # an overflow is reported below
+        log_sum = float(np.sum(np.log(tail / x_min)))
     if log_sum <= 0.0:
         raise InsufficientTail("tail has no spread above x_min")
+    if not math.isfinite(log_sum):
+        raise InsufficientTail("tail spans more than the double range above x_min")
     return 1.0 + tail.size / log_sum
 
 
@@ -297,18 +305,7 @@ def fit_power_law_tail(
 
     values, above = _at_least(arr)
     # a candidate needs min_tail samples at or above it
-    cand = np.flatnonzero(above >= min_tail)
-    if mode == CONTINUOUS:
-        best = _scan_continuous(arr, values, above, cand)
-    else:
-        best = None
-        for v in values[cand].tolist():
-            try:
-                fit = _fit_at(arr[arr >= v], v, mode)
-            except InsufficientTail:
-                continue
-            if best is None or fit.ks < best.ks:
-                best = fit
+    best = _scan(arr, values, above, np.flatnonzero(above >= min_tail), mode)
     if best is None:
         raise InsufficientTail(f"no candidate x_min keeps {min_tail} usable tail samples")
     return best
@@ -317,14 +314,14 @@ def fit_power_law_tail(
 # Continuous scan tuning. Where gamma - 1 <= _SCAN_MAX_SLOPE a screened KS
 # distance is within well under 1e-11 of the one _fit_at computes (the
 # tests hold it to _SCAN_TOL / 100); _SCAN_TOL is the margin that keeps the
-# exact winner among the candidates fitted exactly.
+# exact winner among the finalists.
 _SCAN_TOL = 1e-9
 _SCAN_CHUNK = 1 << 17  # elements per temporary array
 _SCAN_PROBES = (64, 1024)  # probe points per tail: every candidate, then those not yet pruned
 # The rounding of x / x_min inside _fit_at moves its gamma, and so the gap
 # between screened and exact distances grows with gamma - 1: about 1e-15 at
 # 10 and 1e-13 at 1e5 on clustered test data. Steeper candidates, whose tail
-# sits within a relative 1e-5 of x_min on average, are fitted outright.
+# sits within a relative 1e-5 of x_min on average, are always finalists.
 _SCAN_MAX_SLOPE = 1e5
 
 
@@ -344,7 +341,8 @@ class _Screen:
         self.values = values
         self.above = above
         self.after = np.append(above[1:], 0)
-        gaps = above[1:] * np.log1p(np.diff(values) / values[:-1])
+        with np.errstate(over="ignore"):  # only below a candidate _scan drops
+            gaps = above[1:] * np.log1p(np.diff(values) / values[:-1])
         self.slope = above[:-1] / np.cumsum(gaps[::-1])[::-1]  # defined for k < values.size - 1
 
     def terms(self, k: np.ndarray, j: np.ndarray) -> np.ndarray:
@@ -389,26 +387,43 @@ class _Screen:
         return out
 
 
-def _scan_continuous(arr: np.ndarray, values: np.ndarray, above: np.ndarray, cand: np.ndarray) -> TailFit | None:
-    """The smallest-KS continuous fit over x_min in ``values[cand]``, with
-    ties to the smaller x_min: the fit a loop over every candidate would
-    keep, or None when no candidate can be fitted."""
+def _scan(arr: np.ndarray, values: np.ndarray, above: np.ndarray, cand: np.ndarray, mode: str) -> TailFit | None:
+    """The smallest-KS fit over x_min in ``values[cand]``, with ties to the
+    smaller x_min, or None when no candidate can be fitted. The tail of
+    candidate k is the suffix of the sorted ``arr`` holding its ``above[k]``
+    samples. Continuous candidates are screened first and only the
+    finalists fitted, so the result is the one a fit at every candidate
+    gives."""
+    # _fit_at raises InsufficientTail on a tail whose every sample divided
+    # by x_min rounds to 1, and on one where that ratio overflows
+    with np.errstate(over="ignore"):
+        ratio = values[-1] / values[cand]
+    cand = cand[(ratio > 1.0) & (ratio < np.inf)]
+    if mode == CONTINUOUS:
+        cand = _scan_continuous(values, above, cand)
+    best = None
+    for k in cand.tolist():
+        try:
+            fit = _fit_at(arr[arr.size - above[k] :], float(values[k]), mode)
+        except InsufficientTail:
+            continue
+        if best is None or fit.ks < best.ks:
+            best = fit
+    return best
+
+
+def _scan_continuous(values: np.ndarray, above: np.ndarray, cand: np.ndarray) -> np.ndarray:
+    """The continuous finalists among ``cand``, in increasing order: every
+    candidate too steep to screen, and every other whose screened distance
+    is within _SCAN_TOL of the smallest screened distance. The exact winner
+    is among them: a steep one always is, and a screened one's screened
+    distance is within well under _SCAN_TOL of its exact distance."""
     screen = _Screen(values, above)
-    # _fit_at raises InsufficientTail exactly when every tail sample divided
-    # by x_min rounds to 1
-    cand = cand[values[-1] / values[cand] > 1.0]
+    steep = screen.slope[cand] > _SCAN_MAX_SLOPE
+    screened = np.where(steep, -np.inf, np.inf)
+    best = np.inf  # smallest screened distance so far
 
-    def fit(c: int) -> TailFit:
-        k = cand[c]
-        return _fit_at(arr[arr.size - above[k] :], float(values[k]), CONTINUOUS)
-
-    screened = np.full(cand.size, np.inf)
-    exact = {int(c): fit(c) for c in np.flatnonzero(screen.slope[cand] > _SCAN_MAX_SLOPE)}
-    for c, f in exact.items():
-        screened[c] = f.ks
-    best = float(screened.min(initial=np.inf))
-
-    todo = np.flatnonzero(np.isinf(screened))
+    todo = np.flatnonzero(~steep)
     coarse, fine = _SCAN_PROBES
     bound = screen.bounds(cand[todo], coarse)
     by_bound = np.argsort(bound, kind="stable")
@@ -422,13 +437,7 @@ def _scan_continuous(arr: np.ndarray, values: np.ndarray, above: np.ndarray, can
             screened[block] = screen.distances(cand[block])
             best = min(best, float(screened[block].min()))
         pos += step
-
-    result = None
-    for c in np.flatnonzero(screened <= best + _SCAN_TOL).tolist():
-        f = exact[c] if c in exact else fit(c)
-        if result is None or f.ks < result.ks:
-            result = f
-    return result
+    return cand[screened <= best + _SCAN_TOL]
 
 
 def expected_max(n: int, gamma: float) -> float:

@@ -1,6 +1,12 @@
 import pathlib
 
 import pytest
+from hypothesis import settings
+
+# Every run draws the same examples and keeps no example database, so
+# neither the run nor a left-over .hypothesis/ directory decides a verdict.
+settings.register_profile("deterministic", derandomize=True, database=None)
+settings.load_profile("deterministic")
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
 

@@ -256,6 +256,19 @@ def test_fit_samples_file(tmp_path, capsys):
     assert "status=ok" in out
 
 
+def test_a_continuous_tail_beyond_the_double_range_never_exits_2(tmp_path, capsys):
+    import numpy as np
+
+    path = tmp_path / "samples.txt"
+    path.write_text("".join("%.17g\n" % v for v in np.geomspace(1e-300, 1e300, 200)))
+    # the scan skips the candidates whose tail overflows x_min's ratio
+    code, out, _ = run(capsys, "fit", "--samples", str(path), "--mode", "continuous")
+    assert code == 0 and "status=ok" in out
+    code, _, err = run(capsys, "fit", "--samples", str(path), "--mode", "continuous", "--x-min", "1e-305")
+    assert code == 1
+    assert err == "faultgraph: stage tail_stats: tail spans more than the double range above x_min\n"
+
+
 def test_unknown_release_tag_is_an_input_error(capsys):
     code, _, err = run(capsys, "metrics", "--config", CONFIG, "--release", "r9", "--out", "/tmp/x")
     assert code == 1
@@ -312,8 +325,8 @@ def test_an_output_file_that_cannot_be_written_exits_1(tmp_path, capsys, command
     (out / blocked).mkdir(parents=True)
     code, _, err = run(capsys, command, "--config", CONFIG, "--out", str(out))
     assert code == 1
-    assert f"cannot write output file {out / blocked}" in err
-    assert "internal error" not in err
+    # a write failure is no stage's input error, so no stage is named
+    assert err.startswith(f"faultgraph: cannot write output file {out / blocked}: ")
 
 
 FIT_MODE_MIXES = [

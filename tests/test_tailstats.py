@@ -12,7 +12,7 @@ import pytest
 import scipy.optimize
 import scipy.special
 import scipy.stats
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from faultgraph import tailstats
@@ -21,6 +21,7 @@ from faultgraph.errors import (
     DegenerateTable,
     DomainError,
     EmptyInput,
+    InputError,
     InsufficientTail,
 )
 from faultgraph.tailstats import (
@@ -32,7 +33,7 @@ from faultgraph.tailstats import (
     _continuous_gamma,
     _fit_at,
     _ks_distance,
-    _scan_continuous,
+    _scan,
     _Screen,
     ccdf,
     chi_square_independence,
@@ -215,7 +216,7 @@ def test_zeta_sampler_matches_exact_weights():
         assert abs(emp[k] - (k**-3.0) / z) < 5e-3
 
 
-def scan_every_candidate(xs, min_tail=50, max_candidates=None):
+def scan_every_candidate(xs, min_tail=50, max_candidates=None, mode="continuous"):
     """Brute-force oracle: fit at every candidate x_min, keep the smallest
     KS distance, ties to the smaller x_min."""
     arr = np.sort(np.asarray(xs, dtype=float))
@@ -227,7 +228,7 @@ def scan_every_candidate(xs, min_tail=50, max_candidates=None):
     best = None
     for v in viable:
         try:
-            fit = _fit_at(arr[arr >= v], v, "continuous")
+            fit = _fit_at(arr[arr >= v], v, mode)
         except InsufficientTail:
             continue
         if best is None or fit.ks < best.ks:
@@ -289,7 +290,7 @@ def test_continuous_scan_matches_oracle_on_wide_range():
     values, above = _at_least(arr)
     cand = np.flatnonzero(above >= 50)
     cand = cand[np.unique(np.linspace(0, cand.size - 1, 100).round().astype(int))]
-    assert _scan_continuous(arr, values, above, cand) == scan_every_candidate(xs, max_candidates=100)
+    assert _scan(arr, values, above, cand, "continuous") == scan_every_candidate(xs, max_candidates=100)
 
 
 @given(st.lists(st.integers(min_value=0, max_value=40), min_size=1, max_size=150), st.integers(2, 30))
@@ -390,6 +391,32 @@ def test_screen_chunk_size_changes_no_bits(monkeypatch, xs):
     assert np.array_equal(whole[0], screen.bounds(cand, 64))
     assert np.array_equal(whole[1], screen.distances(cand))
     assert fit_power_law_tail(xs, mode="continuous") == scan_every_candidate(xs)
+
+
+def test_the_screen_fits_nothing_and_the_scan_fits_each_finalist_once(monkeypatch):
+    xs = clustered()
+    _, values, cand, screen = screen_of(xs)
+    steep = cand[screen.slope[cand] > _SCAN_MAX_SLOPE]
+    assert steep.size
+    screen_finalists = tailstats._scan_continuous
+    fitted, finalists = [], []
+
+    def recording_fit_at(tail, x_min, mode):
+        fitted.append(x_min)
+        return _fit_at(tail, x_min, mode)
+
+    def recording_screen(*args):
+        before = len(fitted)
+        finalists.append(screen_finalists(*args))
+        assert len(fitted) == before  # the screen makes no exact fit
+        return finalists[-1]
+
+    monkeypatch.setattr(tailstats, "_fit_at", recording_fit_at)
+    monkeypatch.setattr(tailstats, "_scan_continuous", recording_screen)
+    assert fit_power_law_tail(xs, mode="continuous") == scan_every_candidate(xs)
+    (picked,) = finalists
+    assert fitted == values[picked].tolist()  # each finalist once, smallest x_min first
+    assert set(steep.tolist()) <= set(picked.tolist())
 
 
 def test_continuous_scan_fits_only_the_finalists(monkeypatch):
@@ -649,7 +676,9 @@ def test_discrete_scan_matches_scipy_root_oracle(gamma, x_min):
     xs = zeta_samples(3000, gamma, x_min, np.random.default_rng(int(gamma * 10) + x_min))
     for min_tail in (10, 50):
         # equal finite non-zero doubles have equal bits
-        assert fit_power_law_tail(xs, mode="discrete", min_tail=min_tail) == discrete_scan_with_scipy(xs, min_tail)
+        fit = fit_power_law_tail(xs, mode="discrete", min_tail=min_tail)
+        assert fit == discrete_scan_with_scipy(xs, min_tail)
+        assert fit == scan_every_candidate(xs, min_tail, mode="discrete")
 
 
 # -- expected_max ---------------------------------------------------------------
@@ -734,6 +763,45 @@ def test_zeta_sampler_cost_follows_the_draws_not_the_cap():
     with mock.patch.object(scipy.special, "zeta", counted):
         zeta_samples(10, 3.0, 1, np.random.default_rng(0))
     assert sum(calls) < 10**4  # the default support cap is 10**6
+
+
+def geometric_span():
+    # 200 values from 1e-300 to 1e300: a tail above x_min = 1e-300 spans
+    # more than the double range
+    return np.geomspace(1e-300, 1e300, 200).tolist()
+
+
+def test_a_continuous_tail_beyond_the_double_range_is_skipped_or_refused():
+    xs = geometric_span()
+    fit = fit_power_law_tail(xs, mode="continuous")
+    assert (fit.x_min, fit.n_tail) == (xs[-103], 103)
+    assert fit == scan_every_candidate(xs)
+    with pytest.raises(InsufficientTail, match="double range"):
+        fit_power_law_tail(xs, mode="continuous", x_min=1e-305)
+
+
+EDGE_FLOATS = [0.0, -1.0, 1.0, 2.0, 3.0, 5e-324, 2.2250738585072014e-308, 1e-300, 1e300, 1.7976931348623157e308]
+any_sample = st.one_of(
+    st.floats(),  # NaN, infinities, subnormals and negatives included
+    st.integers(1, 60).map(float),  # ties, and integers for discrete mode
+    st.sampled_from(EDGE_FLOATS),
+    st.floats(1e290, 1e308),
+    st.floats(5e-324, 1e-300),
+)
+
+
+@settings(deadline=None)
+@given(
+    st.lists(any_sample, max_size=120),
+    st.sampled_from(["discrete", "continuous"]),
+    st.none() | st.floats() | st.integers(1, 60).map(float),
+    st.integers(2, 60),
+)
+@example(geometric_span(), "continuous", None, 50)
+@example(geometric_span(), "continuous", 1e-305, 50)
+def test_any_sample_list_fits_or_raises_an_input_error(xs, mode, x_min, min_tail):
+    with contextlib.suppress(InputError):
+        fit_power_law_tail(xs, mode=mode, x_min=x_min, min_tail=min_tail)
 
 
 def test_a_tail_piled_at_x_min_is_insufficient_not_a_crash():
@@ -882,6 +950,8 @@ PINNED_FITS = {
 def test_fit_of_a_seeded_distribution_is_pinned_bit_for_bit(name, mode):
     values = [float(v) for v in (TAILS / f"{name}-r1.txt").read_text().split()]
     assert len(values) == 900
-    fit = fit_power_law_tail([v for v in values if v > 0], mode=mode)
+    positive = [v for v in values if v > 0]
+    fit = fit_power_law_tail(positive, mode=mode)
     gamma, x_min, ks, n_tail = PINNED_FITS[name, mode]
     assert (fit.gamma.hex(), fit.x_min.hex(), fit.ks.hex(), fit.n_tail) == (gamma, x_min, ks, n_tail)
+    assert fit == scan_every_candidate(positive, mode=mode)
