@@ -21,6 +21,15 @@ from .errors import FormatError, read_utf8, records, write_utf8
 
 CLASS_KINDS = ("class", "interface")
 
+# a tab or line break in a CU path or class name would split a row of the
+# tab-separated bundle, so no such name gets past a loader
+_ROW_BREAKS = frozenset("\t\r\n")
+
+
+def splits_a_row(name: str) -> bool:
+    """Whether ``name`` holds a tab, CR or LF."""
+    return not _ROW_BREAKS.isdisjoint(name)
+
 
 # --------------------------------------------------------------------------
 # Source scanning: one regex pass per file blanks comments and skips over
@@ -213,6 +222,7 @@ def _method_from_dict(d: dict, record: int) -> MethodFacts:
 
 def _class_from_dict(d: dict, record: int) -> ClassFacts:
     _require(isinstance(d.get("name"), str), "class record needs a name", record)
+    _require(not splits_a_row(d["name"]), "class name holds a tab, CR or LF", record)
     _require(d.get("kind") in CLASS_KINDS, f"unknown class kind {d.get('kind')!r}", record)
     extends = d.get("extends")
     _require(extends is None or isinstance(extends, str), "extends must be a string or null", record)
@@ -233,6 +243,7 @@ def cu_from_dict(d: dict, record: int = 0) -> CUFacts:
     for key in ("path", "package", "imports", "classes", "loc"):
         _require(key in d, f"missing field {key!r}", record)
     _require(isinstance(d["path"], str) and d["path"] != "", "path must be a non-empty string", record)
+    _require(not splits_a_row(d["path"]), "path holds a tab, CR or LF", record)
     _require(isinstance(d["package"], str), "package must be a string", record)
     loc = _count(d["loc"], "loc", record)
     classes = tuple(_class_from_dict(c, record) for c in _objects(d["classes"], "classes", record))

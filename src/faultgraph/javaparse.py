@@ -15,6 +15,10 @@ literal with its quote, and anything else is a one-character punctuator, so
 newline the end-of-input sentinel. A token's column is worked out only when a
 ``ParseError`` reports it, by scanning its line again.
 
+One parser reads a file's one token list. A method body is scanned where it
+lies in that list: its own braces bound the scan, so every look-ahead stops
+at its closing ``}`` and every look-behind at its opening ``{``.
+
 Deliberate simplifications, chosen for determinism:
 - Named nested classes one level deep are separate classes; anything deeper,
   plus anonymous and local classes, folds into the nearest named class.
@@ -32,11 +36,10 @@ import os
 import re
 import string
 from bisect import bisect_left
-from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
 
 from .errors import ParseError, read_utf8
-from .facts import ClassFacts, CUFacts, MethodFacts, scan_source
+from .facts import ClassFacts, CUFacts, MethodFacts, scan_source, splits_a_row
 
 KEYWORDS = frozenset(
     """abstract assert boolean break byte case catch char class const continue
@@ -107,10 +110,10 @@ class _Parser:
     """Recursive descent over ``toks``, which ends with the ``_END`` sentinels.
 
     ``lines`` and ``text`` (the comment-free source) serve error positions
-    only; a parser given neither reports errors without a position.
+    only.
     """
 
-    def __init__(self, toks: list[str], lines: Sequence[int] = (), text: str = ""):
+    def __init__(self, toks: list[str], lines: list[int], text: str):
         self.toks = toks
         self.lines = lines
         self.text = text
@@ -135,8 +138,6 @@ class _Parser:
         """Raise ParseError at token index ``at`` (default: the current one);
         at the end of input the position is that of the last token."""
         i = min(self.pos if at is None else at, len(self.lines) - 1)
-        if i < 0:
-            raise ParseError(msg)
         line = self.lines[i]
         nth = i - bisect_left(self.lines, line)
         text = self.text.split("\n", line)[line - 1]
@@ -176,15 +177,21 @@ class _Parser:
             parts.append(nxt)
         return ".".join(parts)
 
-    def skip_annotation(self) -> bool:
-        if self.toks[self.pos] != "@":
-            return False
-        self.pos += 1
-        if self.toks[self.pos][0] in _IDENT_START:
-            self.dotted_name()
-        if self.toks[self.pos] == "(":
-            self.skip_balanced("(", ")")
-        return True
+    def comma_list(self, item) -> list[str]:
+        """``item (, item)*``, each read by ``item()``."""
+        names = [item()]
+        while self.accept(","):
+            names.append(item())
+        return names
+
+    def skip_annotations(self):
+        toks = self.toks
+        while toks[self.pos] == "@":
+            self.pos += 1
+            if toks[self.pos][0] in _IDENT_START:
+                self.dotted_name()
+            if toks[self.pos] == "(":
+                self.skip_balanced("(", ")")
 
     def skip_balanced(self, open_: str, close: str):
         self.expect(open_)
@@ -268,8 +275,7 @@ class _Parser:
             self.package = self.dotted_name()
             self.expect(";")
         while True:
-            while self.skip_annotation():
-                pass
+            self.skip_annotations()
             if self.accept("import"):
                 static = self.accept("static")
                 name = self.dotted_name()
@@ -288,8 +294,7 @@ class _Parser:
             break
         saw_type = False
         while self.toks[self.pos] != _EOF:
-            while self.skip_annotation():
-                pass
+            self.skip_annotations()
             tok = self.toks[self.pos]
             if tok == _EOF:
                 break
@@ -321,16 +326,8 @@ class _Parser:
         else:
             draft = _ClassDraft(name=name, kind=kind, start_line=start_line)
             self.drafts.append(draft)
-        extends: list[str] = []
-        implements: list[str] = []
-        if self.accept("extends"):
-            extends.append(self._supertype_name())
-            while self.accept(","):
-                extends.append(self._supertype_name())
-        if self.accept("implements"):
-            implements.append(self._supertype_name())
-            while self.accept(","):
-                implements.append(self._supertype_name())
+        extends = self.comma_list(self._supertype_name) if self.accept("extends") else []
+        implements = self.comma_list(self._supertype_name) if self.accept("implements") else []
         if not folded:
             if kind == "interface":
                 # superinterfaces all behave as implements
@@ -345,14 +342,13 @@ class _Parser:
 
     def parse_members(self, draft: _ClassDraft, depth: int):
         while True:
+            self.skip_annotations()
             tok = self.toks[self.pos]
             if tok == _EOF:
                 self.fail("unterminated class body")
             if tok == "}":
                 self.pos += 1
                 return
-            if self.skip_annotation():
-                continue
             if tok in MODIFIERS or tok == ";":
                 self.pos += 1
                 continue
@@ -427,8 +423,7 @@ class _Parser:
         params: list[tuple[str, _TypeExpr]] = []
         self.expect("(")
         while not self.accept(")"):
-            while self.skip_annotation():
-                pass
+            self.skip_annotations()
             self.accept("final")
             ptype = self.try_type()
             if ptype is None:
@@ -439,11 +434,7 @@ class _Parser:
             self.skip_dims()
             params.append((pname, ptype))
             self.accept(",")
-        throws: list[str] = []
-        if self.accept("throws"):
-            throws.append(self.dotted_name())
-            while self.accept(","):
-                throws.append(self.dotted_name())
+        throws = self.comma_list(self.dotted_name) if self.accept("throws") else []
         referenced: set[str] = set()
         if rtype is not None:
             referenced.update(rtype.names())
@@ -453,8 +444,12 @@ class _Parser:
         calls: set[tuple[str, str]] = set()
         used_fields: set[str] = set()
         if not self.accept(";"):
-            body = self.collect_body()
-            self.scan_body(body, draft, {p: t.base for p, t in params if p}, referenced, calls, used_fields)
+            start = self.pos + 1
+            self.skip_balanced("{", "}")
+            end = self.pos - 1  # the closing brace
+            self.pos = start
+            self.scan_body(end, draft, {p: t.base for p, t in params if p}, referenced, calls, used_fields)
+            self.pos = end + 1
         draft.methods.append(
             MethodFacts(
                 name=name,
@@ -465,73 +460,66 @@ class _Parser:
             )
         )
 
-    def collect_body(self) -> list[str]:
-        """The tokens between a body's braces, followed by the sentinels."""
-        start = self.pos
-        self.skip_balanced("{", "}")
-        body = self.toks[start + 1 : self.pos - 1]
-        body += _END
-        return body
-
     # -- method body scanning -------------------------------------------------
 
     def scan_body(
         self,
-        body: list[str],
+        end: int,
         draft: _ClassDraft,
         params: dict[str, str],
         referenced: set[str],
         calls: set[tuple[str, str]],
         used_fields: set[str],
     ):
+        """Scan the body ``toks[pos:end]`` in place; ``toks[end]`` is its
+        closing brace and the token before ``toks[pos]`` its opening one."""
+        toks = self.toks
+        start = self.pos
         locals_: dict[str, str] = {}
         # pass 1: local declarations (flow-insensitive); try_type hands
-        # dotted_name only names it accepts, so this parser never fails and
-        # needs no positions
-        sub = _Parser(body)
+        # dotted_name only names it accepts, so it never fails here
         boundary = True
-        while (tok := body[sub.pos]) != _EOF:
+        while self.pos < end:
+            tok = toks[self.pos]
             if tok == "new":
-                sub.pos += 1
-                t = sub.try_type()
+                self.pos += 1
+                t = self.try_type()
                 if t is not None:
                     referenced.update(t.names())
                 boundary = False
                 continue
             if boundary and tok[0] in _IDENT_START and (tok not in KEYWORDS or tok in PRIMITIVES):
-                mark = sub.pos
-                t = sub.try_type()
+                mark = self.pos
+                t = self.try_type()
                 if t is not None:
-                    nm = body[sub.pos]
-                    if nm[0] in _IDENT_START and nm not in KEYWORDS and body[sub.pos + 1] in _DECL_END:
+                    nm = toks[self.pos]
+                    if nm[0] in _IDENT_START and nm not in KEYWORDS and toks[self.pos + 1] in _DECL_END:
                         if t.base not in PRIMITIVES:
                             locals_[nm] = t.base
                         referenced.update(t.names())
-                        sub.pos += 1
+                        self.pos += 1
                         boundary = False
                         continue
-                sub.pos = mark
+                self.pos = mark
             boundary = tok in _BOUNDARY or tok == "final"
-            sub.pos += 1
+            self.pos += 1
         shadowed = set(params) | set(locals_)
-        # pass 2: call sites and field usage; body[-1] is a sentinel, so it
-        # stands in for the token before the first
+        # pass 2: call sites and field usage
         fields = draft.fields_by_name
-        for i in range(len(body) - 2):
-            tok = body[i]
+        for i in range(start, end):
+            tok = toks[i]
             if tok == "(":
-                self._record_call(body, i, draft, params, locals_, referenced, calls)
-            elif tok in fields and tok not in KEYWORDS and body[i + 1] != "(":
+                self._record_call(i, draft, params, locals_, referenced, calls)
+            elif tok in fields and tok not in KEYWORDS and toks[i + 1] != "(":
                 # a field read, not a call name
-                if body[i - 1] == ".":
-                    if body[i - 2] == "this":
+                if toks[i - 1] == ".":
+                    if toks[i - 2] == "this":
                         used_fields.add(tok)
                 elif tok not in shadowed:
                     used_fields.add(tok)
 
     def _record_call(
         self,
-        body: list[str],
         open_idx: int,
         draft: _ClassDraft,
         params: dict[str, str],
@@ -539,15 +527,16 @@ class _Parser:
         referenced: set[str],
         calls: set[tuple[str, str]],
     ):
-        method = body[open_idx - 1]
+        toks = self.toks
+        method = toks[open_idx - 1]
         if method[0] not in _IDENT_START or method in KEYWORDS:
             return
         j = open_idx - 2
-        if body[j] != ".":
+        if toks[j] != ".":
             return  # unqualified call: own class
         segs: list[str] = []
-        while body[j] == ".":  # ends at the sentinel body[-1] at the latest
-            prev = body[j - 1]
+        while toks[j] == ".":  # ends at the body's opening brace at the latest
+            prev = toks[j - 1]
             if prev[0] not in _IDENT_START:
                 return  # receiver is an expression; type unknown
             segs.append(prev)
@@ -634,12 +623,12 @@ def parse_corpus_dir(
 ) -> tuple[list[CUFacts], list[tuple[str, ParseError]]]:
     """Parse every .java file under root (sorted relative paths).
 
-    Returns (facts, failures); files that fail to parse or are not UTF-8 are
-    reported, never silently dropped. ``memo`` maps source text to its facts
-    or its ParseError; a text parsed before, in this call or in an earlier one
-    given the same memo, is not parsed again. The parser reads a file's path
-    only into ``CUFacts.path``, so a hit differs from a fresh parse in no other
-    field.
+    Returns (facts, failures); files that fail to parse, are not UTF-8, or
+    whose relative path holds a tab, CR or LF are reported, never silently
+    dropped. ``memo`` maps source text to its facts or its ParseError; a text
+    parsed before, in this call or in an earlier one given the same memo, is
+    not parsed again. The parser reads a file's path only into
+    ``CUFacts.path``, so a hit differs from a fresh parse in no other field.
     """
     if memo is None:
         memo = {}
@@ -654,6 +643,9 @@ def parse_corpus_dir(
     facts: list[CUFacts] = []
     failures: list[tuple[str, ParseError]] = []
     for rel in paths:
+        if splits_a_row(rel):
+            failures.append((rel, ParseError(f"path {rel!r} holds a tab, CR or LF")))
+            continue
         full = os.path.join(root, rel.replace("/", os.sep))
         try:
             text = read_utf8(full, ParseError)

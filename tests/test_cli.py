@@ -439,6 +439,41 @@ def test_non_utf8_java_file_is_a_reported_parse_failure(tmp_path, capsys, fixtur
     assert "stage source_facts" in err and "Latin.java" in err
 
 
+@pytest.mark.parametrize("char", ["\t", "\r", "\n"], ids=["tab", "cr", "lf"])
+def test_a_java_path_that_would_split_a_bundle_row_is_a_failed_file(tmp_path, capsys, fixtures_dir, char):
+    cfg_path = write_config(tmp_path, fixtures_dir)
+    (tmp_path / "corpus_r1" / "app" / f"Sp{char}lit.java").write_text("package app;\nclass Split {\n void m() {}\n}\n")
+    code, _, err = run(capsys, "report", "--config", str(cfg_path), "--out", str(tmp_path / "r"))
+    assert code == 1
+    assert "stage source_facts" in err and "holds a tab, CR or LF" in err and "internal error" not in err
+    code, _, err = run(capsys, "extract", "--config", str(cfg_path), "--out", str(tmp_path / "e"))
+    assert code == 1
+    assert "1 file(s) skipped" in err and "holds a tab, CR or LF" in err
+    facts = (tmp_path / "e" / "facts-r1.jsonl").read_text()
+    assert "app/Alpha.java" in facts and "Split" not in facts
+
+
+@pytest.mark.parametrize(
+    "old, new",
+    [('"path":"app/Alpha.java"', '"path":"app/Al\\tpha.java"'), ('"name":"Alpha"', '"name":"Al\\npha"')],
+    ids=["path", "class-name"],
+)
+def test_a_facts_name_that_would_split_a_bundle_row_exits_1(tmp_path, capsys, fixtures_dir, old, new):
+    cfg_path = write_config(tmp_path, fixtures_dir)
+    assert run(capsys, "extract", "--config", str(cfg_path), "--out", str(tmp_path / "e"))[0] == 0
+    text = (tmp_path / "e" / "facts-r1.jsonl").read_text()
+    assert text.count(old) == 1
+    (tmp_path / "facts.jsonl").write_text(text.replace(old, new))
+    cfg = json.loads(cfg_path.read_text())
+    del cfg["releases"][0]["corpus"]
+    cfg["releases"][0]["facts"] = "facts.jsonl"
+    cfg_path.write_text(json.dumps(cfg))
+    code, _, err = run(capsys, "metrics", "--config", str(cfg_path), "--out", str(tmp_path / "m"))
+    assert code == 1
+    assert "stage source_facts" in err and "record 1:" in err and "holds a tab, CR or LF" in err
+    assert not (tmp_path / "m" / "metrics-r1.tsv").exists()
+
+
 @pytest.mark.parametrize("name, stage", [("commits.tsv", "bug_mapping"), ("issues.tsv", "bug_mapping")])
 def test_non_utf8_bug_input_is_a_format_error(tmp_path, capsys, fixtures_dir, name, stage):
     cfg_path = write_config(tmp_path, fixtures_dir)

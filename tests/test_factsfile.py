@@ -175,6 +175,10 @@ def test_valid_record_loads():
         (("classes", 0, "methods", 0, "referenced_types"), [1]),
         (("classes", 0, "methods", 0, "external_calls"), [["Y", 2]]),
         (("classes", 0, "methods", 0, "used_fields"), "n"),
+        # a tab or line break would split a row of the bundle
+        (("path",), "a/A\tB.java"),
+        (("path",), "a/A\rB.java"),
+        (("classes", 0, "name"), "A\nB"),
     ],
 )
 def test_mistyped_field_is_a_format_error(path, value):
@@ -184,6 +188,8 @@ def test_mistyped_field_is_a_format_error(path, value):
 
 
 names = st.text(min_size=1, max_size=8)
+# a CU path or class name never holds a tab, CR or LF
+row_names = st.text(st.characters(exclude_characters="\t\r\n"), min_size=1, max_size=8)
 methods = st.builds(
     MethodFacts,
     name=names,
@@ -194,7 +200,7 @@ methods = st.builds(
 )
 classes = st.builds(
     ClassFacts,
-    name=names,
+    name=row_names,
     kind=st.sampled_from(CLASS_KINDS),
     extends=st.none() | names,
     implements=st.lists(names, max_size=3).map(tuple),
@@ -205,7 +211,7 @@ classes = st.builds(
 
 
 @st.composite
-def compilation_units(draw, path=names):
+def compilation_units(draw, path=row_names):
     members = draw(st.lists(classes, min_size=1, max_size=3, unique_by=lambda c: c.name))
     return CUFacts(
         path=draw(path),

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import javaparse_oracle
+from faultgraph import javaparse
 from faultgraph.errors import ParseError
 from faultgraph.facts import cu_to_dict, scan_source
 from faultgraph.javaparse import _END, _IDENT_START, _Parser, parse_compilation_unit, parse_corpus_dir, tokenize
@@ -435,6 +436,149 @@ def apply_edits(text, edits):
 )
 def test_parser_matches_oracle_on_edited_sources(text, edits):
     assert_same_outcome(apply_edits(text, edits))
+
+
+def in_class(members):
+    return "package p;\nclass A {\n" + members + "}\n"
+
+
+ARRAYS = in_class(
+    "    int[] xs;\n"
+    "    String[][] m;\n"
+    "    void main(String[] args, int... n) {\n"
+    "        int[] ys = new int[3];\n"
+    "        Item[] items = new Item[n];\n"
+    "        xs = ys;\n"
+    "    }\n"
+)
+THROWS = in_class(
+    "    void read() throws IOException, q.Bad {\n"
+    "        Helper.go();\n"
+    "    }\n"
+    "    abstract void close() throws Oops;\n"
+)
+
+# Each case reaches a parser branch that the fixtures and the generated
+# corpus never do.
+BRANCH_CASES = {
+    "array-types": ARRAYS,
+    "throws": THROWS,
+    "nested-generics": in_class(
+        "    Map<String, List<B>> index;\n"
+        "    void m() {\n"
+        "        Map<K, Set<V>> local = null;\n"
+        "    }\n"
+    ),
+    "comparisons": in_class(
+        "    int n;\n"
+        "    boolean m(int a, D b) {\n"
+        "        if (a < this.n) { return a < n; }\n"
+        "        call(int < 2, a < b.c > 1);\n"
+        "        return (a < 3) == (n > a);\n"
+        "    }\n"
+    ),
+    "method-type-parameters": in_class(
+        "    <T> T id(T x) {\n"
+        "        return x;\n"
+        "    }\n"
+        "    <K, V extends B> void put(K k, V v) {}\n"
+    ),
+    "malformed-type-parameters": in_class("    < 3 > void m() {}\n"),
+    "initializer-blocks": in_class(
+        "    int x;\n"
+        "    {\n"
+        "        x = 1;\n"
+        "    }\n"
+        "    static {\n"
+        "        Util.init();\n"
+        "    }\n"
+        "    void m() {}\n"
+    ),
+    "this-field-receiver": in_class(
+        "    D d;\n"
+        "    void m() {\n"
+        "        this.d.run();\n"
+        "        this.e.go();\n"
+        "        this.d.x.stop();\n"
+        "    }\n"
+    ),
+    "qualified-static-calls": in_class(
+        "    D d;\n"
+        "    void m(E e) {\n"
+        "        q.r.C.go();\n"
+        "        x.y.Z.run();\n"
+        "        a.b.c();\n"
+        "        d.x.Y.go();\n"
+        "        e.F.go();\n"
+        "    }\n"
+    ),
+    "enum-member": in_class("    enum Color { RED }\n"),
+    "record-member": in_class("    record Point(int x) {}\n"),
+    "malformed-supertype-arguments": "package p;\nclass A extends B<3> {\n    void m() {}\n}\n",
+    "malformed-class-type-parameters": "package p;\nclass A<3> {\n    void m() {}\n}\n",
+    "annotations-between-and-after-classes": (
+        "package p;\nclass A {\n    void a() {}\n}\n@Deprecated\nclass B {\n    void b() {}\n}\n@Trailing\n"
+    ),
+}
+
+
+@pytest.mark.parametrize("text", BRANCH_CASES.values(), ids=BRANCH_CASES.keys())
+def test_parser_matches_oracle_on_branch_cases(text):
+    assert_same_outcome(text)
+
+
+def test_array_types_and_dims_facts():
+    (cls,) = parse(ARRAYS).classes
+    assert cls.field_types == ("String",)
+    (m,) = cls.methods
+    assert m.name == "main"
+    assert m.param_types == ("String", "int")
+    assert m.referenced_types == {"String", "Item"}
+    assert m.external_calls == frozenset()
+    assert m.used_fields == {"xs"}
+    assert cls.loc == 9
+
+
+def test_throws_list_facts():
+    read, close = parse(THROWS).classes[0].methods
+    assert read.referenced_types == {"IOException", "q.Bad", "Helper"}
+    assert read.external_calls == {("Helper", "go")}
+    assert close.param_types == ()
+    assert close.referenced_types == {"Oops"}
+    assert close.external_calls == frozenset()
+
+
+SOUP_TOKENS = [
+    "f", "p", "x", "B", "C", "List", "q", "go",
+    "this", "super", "new", "int", "final",
+    *".()<>[],;={}",
+    "1", '"s"', "'c'",
+]
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.lists(st.sampled_from(SOUP_TOKENS), max_size=40), st.lists(st.integers(0, 40), max_size=3))
+def test_parser_matches_oracle_on_token_soup_bodies(soup, breaks):
+    """A method body of arbitrary tokens over a class with field ``f`` and
+    parameter ``p``; a few line breaks move the error positions around."""
+    for k in sorted(breaks, reverse=True):
+        soup.insert(min(k, len(soup)), "\n")
+    body = " ".join(soup)
+    assert_same_outcome(in_class(f"    B f;\n    void m(C p) {{\n        {body}\n    }}\n"))
+
+
+def test_one_parser_per_file(monkeypatch):
+    made = []
+
+    class CountingParser(javaparse._Parser):
+        def __init__(self, *args):
+            made.append(args)
+            super().__init__(*args)
+
+    monkeypatch.setattr(javaparse, "_Parser", CountingParser)
+    cu = parse(in_class("    void a() { b(); }\n    void b() { int x = 1; }\n    A() { a(); }\n"))
+    assert len(cu.classes[0].methods) == 3
+    assert len(made) == 1
 
 
 @pytest.mark.parametrize("newline", ["\r", "\r\n"], ids=["cr", "crlf"])

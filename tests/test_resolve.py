@@ -150,3 +150,32 @@ def test_fixture_resolution_matches_hand_oracle(corpus_r1_dir):
     assert base.depends == frozenset()  # Logger is external
     util = rc.classes[("lib/Util.java", "Util")]
     assert util.depends == {("lib/Util.java", "Text")}
+
+
+def test_package_qualified_names_bind_to_corpus_classes():
+    rc = resolve_type_references(
+        corpus(
+            (
+                "m/Main.java",
+                "package m;\n"
+                "class Main extends q.Base {\n"
+                "    q.r.C c;\n"
+                "    void m() {\n"
+                "        q.r.C.go();\n"
+                "        Object o = new q.Base();\n"
+                "        x.y.Z.run();\n"
+                "    }\n"
+                "}\n",
+            ),
+            ("q/Base.java", "package q;\nclass Base {\n    void b() {}\n}\n"),
+            ("q/r/C.java", "package q.r;\nclass C {\n    void go() {}\n}\n"),
+        )
+    )
+    main = rc.classes[("m/Main.java", "Main")]
+    base, c = ("q/Base.java", "Base"), ("q/r/C.java", "C")
+    assert main.inherits == {base}
+    assert main.composes == {c}
+    # x.y.Z names no corpus class, so its call stays external
+    assert main.depends == {base, c}
+    (m,) = main.facts.methods
+    assert m.external_calls == {("q.r.C", "go"), ("x.y.Z", "run")}

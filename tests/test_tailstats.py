@@ -419,6 +419,25 @@ def test_the_screen_fits_nothing_and_the_scan_fits_each_finalist_once(monkeypatc
     assert set(steep.tolist()) <= set(picked.tolist())
 
 
+def test_the_discrete_scan_passes_over_a_candidate_it_cannot_fit(monkeypatch):
+    # the tail at x_min = 1000 holds 60 of its 61 samples at 1000, too
+    # concentrated for a discrete fit
+    rng = np.random.default_rng(5)
+    xs = np.concatenate([zeta_samples(300, 2.5, 1, rng, support_cap=500), [1000] * 60, [1001]])
+    failed = []
+
+    def recording_fit_at(tail, x_min, mode):
+        try:
+            return _fit_at(tail, x_min, mode)
+        except InsufficientTail:
+            failed.append(x_min)
+            raise
+
+    monkeypatch.setattr(tailstats, "_fit_at", recording_fit_at)
+    assert fit_power_law_tail(xs, mode="discrete") == scan_every_candidate(xs, mode="discrete")
+    assert failed == [1000.0]
+
+
 def test_continuous_scan_fits_only_the_finalists(monkeypatch):
     calls = []
 
