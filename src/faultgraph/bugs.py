@@ -10,7 +10,8 @@ An issue id is extracted from a message when a configured pattern captures
 it, it exists in the registry, it is at least ``min_id``, and it lies in no
 excluded interval. Each pattern is compiled once, case-insensitively, when
 the ``FilterConfig`` is made, and its capture must be an integer: a capture
-that is not one (or a group that matched nothing) is a configuration error.
+that is not one (or a group that matched nothing) is a configuration error,
+while a run of ASCII digits too long for ``int()`` cites no registered id.
 A CU is hit by an issue when some in-window commit whose message cites the
 issue touches the CU; each (issue, CU) pair counts once per release no matter
 how many commits repeat it.
@@ -179,6 +180,8 @@ def extract_issue_refs(message: str, registry: frozenset[int], cfg: FilterConfig
             try:
                 issue_id = int(raw)
             except (TypeError, ValueError):
+                if raw is not None and raw.isascii() and raw.isdigit():
+                    continue  # too many digits for int(), so no registered id
                 raise ConfigError(
                     f"pattern {rx.pattern!r} captured {raw!r} in commit message {message!r}, not an issue number"
                 ) from None

@@ -14,8 +14,10 @@ from pathlib import Path
 import numpy as np
 
 from .config import load_config
-from .errors import ConfigError, InputError, read_utf8
+from .errors import ConfigError, InputError, printable, read_utf8
+from .metrics import METRIC_NAMES
 from .pipeline import (
+    DISTRIBUTIONS,
     STAGE_STATS,
     _fmt,
     _selected_distributions,
@@ -51,7 +53,7 @@ def run_extract(args) -> int:
     if failures:
         print(f"{len(failures)} file(s) skipped:", file=sys.stderr)
         for tag, path, err in failures:
-            print(f"  [{tag}] {path}: {err}", file=sys.stderr)
+            print(f"  [{tag}] {printable(path)}: {err}", file=sys.stderr)
         return 1
     return 0
 
@@ -74,7 +76,7 @@ def _parse_synthetic(spec: str):
         raise ConfigError("--synthetic takes MODE:GAMMA:N[:XMIN]")
     mode = parts[0]
     if mode not in (DISCRETE, CONTINUOUS):
-        raise ConfigError(f"synthetic mode must be {DISCRETE} or {CONTINUOUS}")
+        raise ConfigError(f"--synthetic mode must be {DISCRETE} or {CONTINUOUS}")
     try:
         gamma, n = float(parts[1]), int(parts[2])
         x_min = float(parts[3]) if len(parts) == 4 else 1.0
@@ -83,14 +85,6 @@ def _parse_synthetic(spec: str):
     if n < 1:
         raise ConfigError(f"--synthetic needs N >= 1, got {n}")
     return mode, gamma, n, x_min
-
-
-def _print_fit(distribution: str, mode: str, fit) -> int:
-    print(
-        f"distribution={distribution} mode={mode} status=ok gamma={_fmt(fit.gamma)} "
-        f"x_min={_fmt(fit.x_min)} ks={_fmt(fit.ks)} n_tail={fit.n_tail}"
-    )
-    return 0
 
 
 # the flags each fit mode reads: a config's releases (the default), a
@@ -114,7 +108,7 @@ def run_fit(args) -> int:
         only = args.metric
         _selected_distributions(only)  # reject an unknown name before any release is built
         writers = [partial(write_ccdfs, only=only), partial(write_tail_fits, only=only)]
-        return _run_writers(args, writers, with_bugs=only in (None, "bugs_per_cu", "cus_per_bug"))
+        return _run_writers(args, writers, with_bugs=only not in METRIC_NAMES)
     with stage(STAGE_STATS):
         if selected == "synthetic":
             mode, gamma, n, x_min = _parse_synthetic(args.synthetic)
@@ -128,7 +122,11 @@ def run_fit(args) -> int:
             except ValueError as exc:
                 raise InputError(f"samples file must hold one number per line: {exc}") from exc
         fit = fit_power_law_tail(samples, mode=mode, x_min=x_min)
-    return _print_fit(name, mode, fit)
+    print(
+        f"distribution={name} mode={mode} status=ok gamma={_fmt(fit.gamma)} "
+        f"x_min={_fmt(fit.x_min)} ks={_fmt(fit.ks)} n_tail={fit.n_tail}"
+    )
+    return 0
 
 
 def run_evolve(args) -> int:
@@ -184,7 +182,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("fit", help="emit CCDFs and power-law tail fits")
     common(p)
-    p.add_argument("--metric", help="restrict to one distribution (metric name, bugs_per_cu, cus_per_bug)")
+    p.add_argument("--metric", help=f"restrict to one distribution ({', '.join(DISTRIBUTIONS)})")
     p.add_argument("--samples", help="fit a plain file of numbers instead of a release")
     p.add_argument("--mode", choices=[DISCRETE, CONTINUOUS], help=f"mode for --samples (default {DISCRETE})")
     p.add_argument("--x-min", type=float, help="fixed x_min for --samples")

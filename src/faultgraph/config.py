@@ -30,7 +30,7 @@ from datetime import datetime
 from pathlib import Path
 
 from .bugs import FilterConfig, parse_timestamp
-from .errors import ConfigError, read_utf8
+from .errors import ConfigError, json_limit, read_utf8
 
 
 @dataclass(frozen=True)
@@ -66,6 +66,11 @@ class PipelineConfig:
 def safe_tag(tag: str) -> str:
     """A release tag as it appears in output file names."""
     return re.sub(r"[^A-Za-z0-9._-]", "_", tag)
+
+
+def pair_tag(a: str, b: str) -> str:
+    """A release pair as it appears in output file names."""
+    return f"{safe_tag(a)}-{safe_tag(b)}"
 
 
 def _distinct_file_names(named: list[tuple[str, str]], what: str) -> None:
@@ -132,6 +137,8 @@ def load_config(path) -> PipelineConfig:
         raw = json.loads(read_utf8(path, ConfigError))
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
+    except (RecursionError, ValueError) as exc:
+        raise ConfigError(f"config is not valid JSON: {json_limit(exc)}") from exc
     if not isinstance(raw, dict):
         raise ConfigError("config must be a JSON object")
     base = path.parent
@@ -183,7 +190,7 @@ def load_config(path) -> PipelineConfig:
             if tag not in tags:
                 raise ConfigError(f"release pair references unknown tag {tag!r}")
         pairs.append((a, b))
-    _distinct_file_names([(f"[{a!r}, {b!r}]", f"{safe_tag(a)}-{safe_tag(b)}") for a, b in pairs], "release pairs")
+    _distinct_file_names([(f"[{a!r}, {b!r}]", pair_tag(a, b)) for a, b in pairs], "release pairs")
 
     output_dir = _path(raw, "output_dir", "output_dir", base) or base / "out"
     return PipelineConfig(

@@ -1,12 +1,13 @@
 """Exception types shared across the toolchain, the one UTF-8 reader of
-input files and the one writer of output files, and the rule that splits an
-input file into records.
+input files and the one writer of output files, a name printed on one line,
+the limits of the JSON decoder, and the rule that splits a file into records.
 
 Every error raised on bad *input* derives from InputError so the CLI can map
 it to exit code 1; anything else escaping a stage is treated as an internal
 fault (exit code 2).
 """
 
+import sys
 from collections.abc import Iterator
 
 
@@ -80,6 +81,11 @@ class UnknownMetric(InputError):
     """Metric name not in the per-CU metric vector."""
 
 
+def printable(name: str) -> str:
+    """``name`` as a one-line message prints it: as it is, or as its repr if some character is not printable."""
+    return name if name.isprintable() else repr(name)
+
+
 def read_utf8(path, error: type[InputError]) -> str:
     r"""The text of an input file with its line endings as written, so a lone
     ``\r`` inside a record stays in it; a file that cannot be read or whose
@@ -88,9 +94,9 @@ def read_utf8(path, error: type[InputError]) -> str:
         with open(path, encoding="utf-8", newline="") as fh:
             return fh.read()
     except UnicodeDecodeError as exc:
-        raise error(f"{path}: not UTF-8 text (byte {exc.start}: {exc.reason})") from exc
+        raise error(f"{printable(str(path))}: not UTF-8 text (byte {exc.start}: {exc.reason})") from exc
     except OSError as exc:
-        raise error(f"{path}: cannot read: {exc.strerror or exc}") from exc
+        raise error(f"{printable(str(path))}: cannot read: {exc.strerror or exc}") from exc
 
 
 def write_utf8(path, text: str) -> None:
@@ -101,6 +107,13 @@ def write_utf8(path, text: str) -> None:
             fh.write(text)
     except OSError as exc:
         raise OutputError(f"cannot write output file {path}: {exc.strerror or exc}") from exc
+
+
+def json_limit(exc: RecursionError | ValueError) -> str:
+    """Which limit ``json.loads`` hit when it raised ``exc`` rather than a JSONDecodeError."""
+    if isinstance(exc, RecursionError):
+        return "nested too deeply"
+    return f"an integer literal has more than {sys.get_int_max_str_digits()} digits"
 
 
 def records(text: str) -> Iterator[tuple[int, str]]:

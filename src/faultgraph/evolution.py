@@ -48,11 +48,6 @@ class FamilyPartition:
         assert not ((self.updated | self.unchanged) & self.added)
         assert not ((self.updated | self.unchanged | self.added) & self.deleted)
 
-    def family(self, name: str) -> frozenset[str]:
-        if name not in FAMILY_NAMES:
-            raise EmptyFamily(f"unknown family {name!r}")
-        return getattr(self, name)
-
 
 @dataclass(frozen=True)
 class FamilyStats:
@@ -149,4 +144,4 @@ def stats_significance(stats: list[FamilyStats | None]) -> ChiSquareResult:
 
 def family_significance(partition: FamilyPartition, ledger: BugLedger) -> ChiSquareResult:
     """Chi-square independence test on the 3x2 (family x infected) table."""
-    return stats_significance([family_stats(partition.family(name), ledger) for name in FAMILY_NAMES])
+    return stats_significance([family_stats(getattr(partition, name), ledger) for name in FAMILY_NAMES])

@@ -17,7 +17,7 @@ import json
 import re
 from dataclasses import dataclass
 
-from .errors import FormatError, read_utf8, records, write_utf8
+from .errors import FormatError, json_limit, read_utf8, records, write_utf8
 
 CLASS_KINDS = ("class", "interface")
 
@@ -194,9 +194,10 @@ def _objects(value, what: str, record: int) -> list[dict]:
 
 
 def _count(value, what: str, record: int) -> int:
+    # 2**53 is the largest integer a double holds exactly, and a count is a float statistic's sample
     _require(
-        isinstance(value, int) and not isinstance(value, bool) and value >= 0,
-        f"{what} must be a non-negative integer",
+        isinstance(value, int) and not isinstance(value, bool) and 0 <= value <= 2**53,
+        f"{what} must be an integer from 0 to 2**53",
         record,
     )
     return value
@@ -288,6 +289,8 @@ def load_facts(text: str, memo: dict[str, CUFacts] | None = None) -> list[CUFact
                 raw = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise FormatError(f"invalid JSON: {exc.msg}", record=idx) from exc
+            except (RecursionError, ValueError) as exc:
+                raise FormatError(f"invalid JSON: {json_limit(exc)}", record=idx) from exc
             cu = cu_from_dict(raw, record=idx)
         if cu.path in seen:
             raise FormatError(f"duplicate CU path {cu.path!r}", record=idx)

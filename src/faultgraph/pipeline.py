@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .bugs import BugLedger, build_bug_ledger, load_issue_registry, parse_commit_log
-from .config import PipelineConfig, ReleaseConfig, safe_tag
+from .config import PipelineConfig, ReleaseConfig, pair_tag, safe_tag
 from .errors import (
     ConfigError,
     DegenerateInput,
@@ -24,6 +24,7 @@ from .errors import (
     InsufficientTail,
     OutputError,
     ParseError,
+    printable,
     write_utf8,
 )
 from .evolution import (
@@ -78,11 +79,12 @@ def _fmt(x: float) -> str:
     return "%.12g" % x
 
 
-def write_table(path: Path, header: list[str], rows: Iterable[Sequence]) -> None:
+def write_table(path: Path, header: list[str], rows: Iterable[Sequence]) -> Path:
     lines = ["\t".join(header)]
     for row in rows:
         lines.append("\t".join(str(cell) for cell in row))
     write_utf8(path, "".join(line + "\n" for line in lines))
+    return path
 
 
 # --------------------------------------------------------------------------
@@ -117,14 +119,10 @@ class RunMemo:
     lines: dict[str, CUFacts] = field(default_factory=dict)
 
 
-def load_release_facts(
-    rc: ReleaseConfig, memo: RunMemo | None = None
-) -> tuple[list[CUFacts], list[tuple[str, Exception]]]:
+def load_release_facts(rc: ReleaseConfig, memo: RunMemo) -> tuple[list[CUFacts], list[tuple[str, Exception]]]:
     """(facts, per-file parse failures) of a release; no CUs at all is an InputError.
     A corpus is parsed through ``memo.sources``, a facts file decoded
     through ``memo.lines``, which then holds this file's lines."""
-    if memo is None:
-        memo = RunMemo()
     if rc.facts is not None:
         facts, failures = load_facts_file(rc.facts, memo.lines), []
     else:
@@ -163,12 +161,12 @@ def load_bug_ledgers(
     return ledgers
 
 
-def build_release(rc: ReleaseConfig, memo: RunMemo | None = None) -> ReleaseData:
+def build_release(rc: ReleaseConfig, memo: RunMemo) -> ReleaseData:
     """Facts, graphs and metrics of one release; a file that fails to parse aborts it."""
     with stage(STAGE_SOURCE):
         facts, failures = load_release_facts(rc, memo)
         if failures:
-            listing = "; ".join(f"{p}: {e}" for p, e in failures)
+            listing = "; ".join(f"{printable(p)}: {e}" for p, e in failures)
             raise InputError(f"release {rc.tag!r}: {len(failures)} file(s) failed to parse: {listing}")
         corpus = resolve_type_references(facts)
     with stage(STAGE_GRAPH):
@@ -194,10 +192,15 @@ def attach_ledger(data: ReleaseData, full: BugLedger | InputError) -> None:
 # --------------------------------------------------------------------------
 
 
+def _write_facts_file(tag: str, facts: list[CUFacts], out: Path) -> Path:
+    """A release's facts file, records in path order, as ``report`` and ``extract`` write it."""
+    path = out / f"facts-{safe_tag(tag)}.jsonl"
+    dump_facts_file(sorted(facts, key=lambda cu: cu.path), path)
+    return path
+
+
 def write_facts(data: ReleaseData, out: Path) -> list[Path]:
-    path = out / f"facts-{safe_tag(data.tag)}.jsonl"
-    dump_facts_file(sorted(data.facts, key=lambda cu: cu.path), path)
-    return [path]
+    return [_write_facts_file(data.tag, data.facts, out)]
 
 
 def write_graphs(data: ReleaseData, out: Path) -> list[Path]:
@@ -205,12 +208,12 @@ def write_graphs(data: ReleaseData, out: Path) -> list[Path]:
     class_rows = sorted(
         [src[0], src[1], tgt[0], tgt[1], kind] for src, tgt, kind in data.class_graph.edges
     )
-    p1 = out / f"class-graph-{tag}.tsv"
-    write_table(p1, ["source_path", "source_class", "target_path", "target_class", "kind"], class_rows)
     cu_rows = sorted([s, t, k, w] for (s, t, k), w in data.cu_graph.weights.items())
-    p2 = out / f"cu-graph-{tag}.tsv"
-    write_table(p2, ["source", "target", "kind", "weight"], cu_rows)
-    return [p1, p2]
+    class_header = ["source_path", "source_class", "target_path", "target_class", "kind"]
+    return [
+        write_table(out / f"class-graph-{tag}.tsv", class_header, class_rows),
+        write_table(out / f"cu-graph-{tag}.tsv", ["source", "target", "kind", "weight"], cu_rows),
+    ]
 
 
 def distribution_samples(data: ReleaseData, name: str) -> list[int]:
@@ -232,24 +235,23 @@ def write_metrics(data: ReleaseData, out: Path) -> list[Path]:
         [cid[0], cid[1], m.wmc, m.cbo, m.rfc, m.lcom, m.loc]
         for cid, m in sorted(data.per_class.items())
     ]
-    p1 = out / f"class-metrics-{tag}.tsv"
-    write_table(p1, ["path", "class", "wmc", "cbo", "rfc", "lcom", "loc"], class_rows)
     columns = [distribution_samples(data, name) for name in METRIC_NAMES]
-    p2 = out / f"metrics-{tag}.tsv"
-    write_table(p2, ["path", *METRIC_NAMES], zip(sorted(data.per_cu), *columns))
-    return [p1, p2]
+    class_header = ["path", "class", "wmc", "cbo", "rfc", "lcom", "loc"]
+    return [
+        write_table(out / f"class-metrics-{tag}.tsv", class_header, class_rows),
+        write_table(out / f"metrics-{tag}.tsv", ["path", *METRIC_NAMES], zip(sorted(data.per_cu), *columns)),
+    ]
 
 
 def write_bugs(data: ReleaseData, out: Path) -> list[Path]:
     assert data.ledger is not None
     tag = safe_tag(data.tag)
-    p1 = out / f"bugs-per-cu-{tag}.tsv"
     bugs = distribution_samples(data, "bugs_per_cu")
-    write_table(p1, ["path", "bugs"], zip(sorted(data.per_cu), bugs))
-    p2 = out / f"cus-per-bug-{tag}.tsv"
     cus = distribution_samples(data, "cus_per_bug")
-    write_table(p2, ["issue_id", "cus"], zip(sorted(data.ledger.cus_per_bug), cus))
-    return [p1, p2]
+    return [
+        write_table(out / f"bugs-per-cu-{tag}.tsv", ["path", "bugs"], zip(sorted(data.per_cu), bugs)),
+        write_table(out / f"cus-per-bug-{tag}.tsv", ["issue_id", "cus"], zip(sorted(data.ledger.cus_per_bug), cus)),
+    ]
 
 
 def _selected_distributions(only: str | None) -> tuple[str, ...]:
@@ -265,13 +267,8 @@ def write_ccdfs(data: ReleaseData, out: Path, only: str | None = None) -> list[P
     paths = []
     for name in _selected_distributions(only):
         samples = distribution_samples(data, name)
-        rows: list[list] = []
-        if samples:
-            curve = ccdf(samples)
-            rows = [[_fmt(x), _fmt(p)] for x, p in curve.points]
-        path = out / f"ccdf-{tag}-{name}.tsv"
-        write_table(path, ["x", "p"], rows)
-        paths.append(path)
+        rows = [[_fmt(x), _fmt(p)] for x, p in ccdf(samples).points] if samples else []
+        paths.append(write_table(out / f"ccdf-{tag}-{name}.tsv", ["x", "p"], rows))
     return paths
 
 
@@ -291,9 +288,8 @@ def write_tail_fits(data: ReleaseData, out: Path, only: str | None = None) -> li
             )
         except InsufficientTail:
             rows.append([name, mode, "insufficient-tail", "", "", "", len(positive)])
-    path = out / f"tailfit-{safe_tag(data.tag)}.tsv"
-    write_table(path, ["distribution", "mode", "status", "gamma", "x_min", "ks", "n_tail"], rows)
-    return [path]
+    header = ["distribution", "mode", "status", "gamma", "x_min", "ks", "n_tail"]
+    return [write_table(out / f"tailfit-{safe_tag(data.tag)}.tsv", header, rows)]
 
 
 def write_correlations(data: ReleaseData, out: Path) -> list[Path]:
@@ -305,9 +301,7 @@ def write_correlations(data: ReleaseData, out: Path) -> list[Path]:
             rows.append([name, len(bugs), _fmt(r), "ok"])
         except DegenerateInput:
             rows.append([name, len(bugs), "", "degenerate"])
-    path = out / f"correlation-{safe_tag(data.tag)}.tsv"
-    write_table(path, ["metric", "n", "r", "status"], rows)
-    return [path]
+    return [write_table(out / f"correlation-{safe_tag(data.tag)}.tsv", ["metric", "n", "r", "status"], rows)]
 
 
 # --------------------------------------------------------------------------
@@ -318,29 +312,21 @@ def write_correlations(data: ReleaseData, out: Path) -> list[Path]:
 def write_evolution(prev: ReleaseSnapshot, nxt: ReleaseSnapshot, out: Path) -> list[Path]:
     """Families, significance and delta correlations of one release pair,
     from the two releases' snapshots alone."""
-    pair = f"{safe_tag(prev.release)}-{safe_tag(nxt.release)}"
+    pair = pair_tag(prev.release, nxt.release)
     family_rows, chi_rows, delta_rows = [], [], []
     for metric in METRIC_NAMES:
         partition = classify_cus(prev, nxt, metric)
         table = []  # each family's stats, None when it is empty
         for family_name in FAMILY_NAMES:
-            members = partition.family(family_name)
+            members = getattr(partition, family_name)
             if not members:
                 table.append(None)
                 family_rows.append([metric, family_name, 0, "", "", ""])
                 continue
             stats = family_stats(members, nxt.ledger)
             table.append(stats)
-            family_rows.append(
-                [
-                    metric,
-                    family_name,
-                    stats.n,
-                    stats.infected,
-                    _fmt(stats.infection_probability),
-                    _fmt(stats.mean_bugs_infected) if stats.mean_bugs_infected is not None else "",
-                ]
-            )
+            mean = _fmt(stats.mean_bugs_infected) if stats.mean_bugs_infected is not None else ""
+            family_rows.append([metric, family_name, stats.n, stats.infected, _fmt(stats.infection_probability), mean])
         try:
             res = stats_significance(table)
             chi_rows.append([metric, _fmt(res.chi2), res.dof, _fmt(res.p_value), "ok"])
@@ -351,17 +337,13 @@ def write_evolution(prev: ReleaseSnapshot, nxt: ReleaseSnapshot, out: Path) -> l
         delta = delta_metric_correlation(partition, prev, nxt, metric)
         r = _fmt(delta.r) if delta.r is not None else ""
         delta_rows.append([metric, delta.n_used, delta.n_excluded, r, delta.status])
-    p1 = out / f"evolution-{pair}.tsv"
-    write_table(
-        p1,
-        ["metric", "family", "n", "infected", "infection_probability", "mean_bugs_infected"],
-        family_rows,
-    )
-    p2 = out / f"significance-{pair}.tsv"
-    write_table(p2, ["metric", "chi2", "dof", "p_value", "status"], chi_rows)
-    p3 = out / f"delta-correlation-{pair}.tsv"
-    write_table(p3, ["metric", "n_used", "n_excluded", "r", "status"], delta_rows)
-    return [p1, p2, p3]
+    family_header = ["metric", "family", "n", "infected", "infection_probability", "mean_bugs_infected"]
+    delta_header = ["metric", "n_used", "n_excluded", "r", "status"]
+    return [
+        write_table(out / f"evolution-{pair}.tsv", family_header, family_rows),
+        write_table(out / f"significance-{pair}.tsv", ["metric", "chi2", "dof", "p_value", "status"], chi_rows),
+        write_table(out / f"delta-correlation-{pair}.tsv", delta_header, delta_rows),
+    ]
 
 
 # --------------------------------------------------------------------------
@@ -449,9 +431,7 @@ def cmd_extract(cfg: PipelineConfig, out_dir: Path, release: str | None = None):
         with stage(STAGE_SOURCE):
             facts, failed = load_release_facts(rc, memo)
         failures.extend((rc.tag, path, err) for path, err in failed)
-        path = out_dir / f"facts-{safe_tag(rc.tag)}.jsonl"
-        dump_facts_file(sorted(facts, key=lambda cu: cu.path), path)
-        written.append(path)
+        written.append(_write_facts_file(rc.tag, facts, out_dir))
     return written, failures
 
 

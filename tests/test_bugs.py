@@ -237,6 +237,15 @@ def test_pattern_only_config_restricts_bare_integers():
     assert extract_issue_refs("bug 500 related to 600", reg, cfg) == {500}
 
 
+def test_a_digit_run_too_long_for_int_cites_no_issue():
+    message = "bump " + "7" * 5000 + " and fix bug 500"
+    assert extract_issue_refs(message, registry_of(500), FilterConfig()) == {500}
+
+
+def test_a_naive_timestamp_is_read_as_utc():
+    assert parse_timestamp("2007-03-01T12:00:00") == utc("2007-03-01T12:00:00Z")
+
+
 def test_decimal_fragments_not_matched_as_bare_integers():
     cfg = FilterConfig()
     assert extract_issue_refs("bump to 3.141 tonight", registry_of(141), cfg) == set()
@@ -257,7 +266,7 @@ def test_a_capture_that_is_not_an_issue_number_is_a_config_error(pattern, bad, c
     assert extract_issue_refs(good, registry_of(500), cfg) == {500}
 
 
-@pytest.mark.parametrize("pattern", ["(unclosed", "((a)", 7])
+@pytest.mark.parametrize("pattern", ["(unclosed", "((a)", 7, r"bug \d+", r"(bug) (\d+)"])
 def test_an_invalid_pattern_is_a_config_error(pattern):
     with pytest.raises(ConfigError):
         FilterConfig(patterns=(pattern,))

@@ -381,7 +381,9 @@ def test_a_fault_in_a_writer_exits_2(tmp_path, capsys, monkeypatch, command):
     assert "internal error: writer fault" in err
 
 
-@pytest.mark.parametrize("spec", ["continuous:2.5:abc", "continuous:2.5:-5", "continuous:x:100"])
+@pytest.mark.parametrize(
+    "spec", ["continuous:2.5:abc", "continuous:2.5:-5", "continuous:x:100", "continuous:2.5", "uniform:2.5:100"]
+)
 def test_fit_malformed_synthetic_spec_is_a_config_error(capsys, spec):
     code, _, err = run(capsys, "fit", "--synthetic", spec)
     assert code == 1
@@ -535,3 +537,131 @@ def test_help_exits_0(capsys):
         main(["report", "--help"])
     assert exc.value.code == 0
     assert "--config" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "argv, said",
+    [
+        (["--samples", "S", "--mode", "discrete", "--x-min", "1.5"], "discrete x_min must be an integer >= 1"),
+        (["--synthetic", "continuous:2.5:100:-1"], "x_min must be finite and positive"),
+        (["--synthetic", "discrete:2.5:10:2000000"], "above the support cap"),
+    ],
+    ids=["discrete-samples", "continuous-synthetic", "discrete-synthetic"],
+)
+def test_fit_x_min_outside_its_domain_exits_1(tmp_path, capsys, argv, said):
+    samples = tmp_path / "samples.txt"
+    samples.write_text("".join(f"{k}\n" for k in range(1, 200)))
+    code, _, err = run(capsys, "fit", *[str(samples) if a == "S" else a for a in argv])
+    assert code == 1
+    assert "stage tail_stats" in err and said in err and "internal error" not in err
+
+
+def test_evolve_without_release_pairs_exits_1(tmp_path, capsys, fixtures_dir):
+    cfg_path = write_config(tmp_path, fixtures_dir, release_pairs=[])
+    code, _, err = run(capsys, "evolve", "--config", str(cfg_path), "--out", str(tmp_path / "o"))
+    assert code == 1
+    assert "no release_pairs" in err
+
+
+def test_bugs_without_an_issue_registry_exits_1_at_bug_mapping(tmp_path, capsys, fixtures_dir):
+    cfg_path = write_config(tmp_path, fixtures_dir, issue_registry=None)
+    code, _, err = run(capsys, "bugs", "--config", str(cfg_path), "--out", str(tmp_path / "o"))
+    assert code == 1
+    assert "stage bug_mapping: config has no issue_registry" in err
+
+
+def facts_release(tmp_path, fixtures_dir, edit_first_record):
+    """A fixture config whose r1 reads the extracted r1 facts with its first
+    record replaced by ``edit_first_record(record)``."""
+    cfg_path = write_config(tmp_path, fixtures_dir)
+    assert main(["extract", "--config", str(cfg_path), "--out", str(tmp_path / "e")]) == 0
+    first, *rest = (tmp_path / "e" / "facts-r1.jsonl").read_text().splitlines(keepends=True)
+    (tmp_path / "facts.jsonl").write_text(edit_first_record(first.rstrip("\n")) + "\n" + "".join(rest))
+    cfg = json.loads(cfg_path.read_text())
+    del cfg["releases"][0]["corpus"]
+    cfg["releases"][0]["facts"] = "facts.jsonl"
+    cfg_path.write_text(json.dumps(cfg))
+    return cfg_path
+
+
+def with_loc(record, cu_loc=None, class_loc=None):
+    d = json.loads(record)
+    if cu_loc is not None:
+        d["loc"] = cu_loc
+    if class_loc is not None:
+        d["classes"][0]["loc"] = class_loc
+    return json.dumps(d)
+
+
+DEEP = "[" * 100_000 + "]" * 100_000
+
+
+@pytest.mark.parametrize(
+    "edit, said",
+    [
+        (lambda record: DEEP, "invalid JSON: nested too deeply"),
+        (lambda record: record[: record.rindex(":") + 1] + "7" * 5000 + "}", "invalid JSON: an integer literal has"),
+        (lambda record: with_loc(record, cu_loc=10**400), "loc must be an integer from 0 to 2**53"),
+        (lambda record: with_loc(record, cu_loc=2**53 + 1), "loc must be an integer from 0 to 2**53"),
+        (lambda record: with_loc(record, class_loc=10**400), "class loc must be an integer from 0 to 2**53"),
+    ],
+    ids=["deep", "long-integer", "cu-loc", "cu-loc-past-2**53", "class-loc"],
+)
+def test_a_facts_record_past_a_number_or_nesting_limit_exits_1(tmp_path, capsys, fixtures_dir, edit, said):
+    cfg_path = facts_release(tmp_path, fixtures_dir, edit)
+    code, _, err = run(capsys, "fit", "--config", str(cfg_path), "--metric", "cu_loc", "--out", str(tmp_path / "o"))
+    assert code == 1
+    assert "stage source_facts" in err and f"record 1: {said}" in err and "internal error" not in err
+
+
+def test_a_loc_of_2_to_the_53_loads(tmp_path, capsys, fixtures_dir):
+    cfg_path = facts_release(tmp_path, fixtures_dir, lambda record: with_loc(record, cu_loc=2**53, class_loc=2**53))
+    code, _, err = run(capsys, "fit", "--config", str(cfg_path), "--metric", "cu_loc", "--out", str(tmp_path / "o"))
+    assert code == 0, err
+
+
+@pytest.mark.parametrize(
+    "text, said",
+    [(DEEP, "nested too deeply"), ('{"releases": ' + "7" * 5000 + "}", "an integer literal has")],
+    ids=["deep", "long-integer"],
+)
+def test_a_config_past_a_number_or_nesting_limit_exits_1(tmp_path, capsys, text, said):
+    path = tmp_path / "config.json"
+    path.write_text(text)
+    code, _, err = run(capsys, "report", "--config", str(path))
+    assert code == 1
+    assert f"config is not valid JSON: {said}" in err and "internal error" not in err
+
+
+def test_a_digit_run_too_long_for_an_issue_id_cites_nothing(tmp_path, capsys, fixtures_dir):
+    cfg_path = write_config(tmp_path, fixtures_dir)
+    assert run(capsys, "bugs", "--config", str(cfg_path), "--out", str(tmp_path / "without"))[0] == 0
+    with open(tmp_path / "commits.tsv", "a") as fh:
+        fh.write("2007-03-01T00:00:00Z\tdev\tbump " + "7" * 5000 + "\tapp/Alpha.java\n")
+    code, _, err = run(capsys, "bugs", "--config", str(cfg_path), "--out", str(tmp_path / "with"))
+    assert code == 0, err
+    without = sorted((tmp_path / "without").iterdir())
+    assert [p.name for p in without] == sorted(p.name for p in (tmp_path / "with").iterdir())
+    for path in without:
+        assert (tmp_path / "with" / path.name).read_bytes() == path.read_bytes(), path.name
+
+
+def test_a_failed_file_takes_one_line_of_the_failure_listing(tmp_path, capsys, fixtures_dir):
+    cfg_path = write_config(tmp_path, fixtures_dir)
+    app = tmp_path / "corpus_r1" / "app"
+    (app / "Broken.java").write_text("package app;\nclass {\n}\n")
+    (app / "Sp\nlit.java").write_text("package app;\nclass Split {\n void m() {}\n}\n")
+    (app / "V\vt.java").write_bytes(b"package app;\nclass Vt {\n" + NOT_UTF8 + b"}\n")
+    code, _, err = run(capsys, "extract", "--config", str(cfg_path), "--out", str(tmp_path / "e"))
+    assert code == 1
+    skipped, broken, split, vt = err.splitlines()  # splitlines also splits at a vertical tab
+    assert skipped == "3 file(s) skipped:"
+    assert broken.startswith("  [r1] app/Broken.java: ")  # an ordinary path prints as it is
+    assert split == "  [r1] 'app/Sp\\nlit.java': path 'app/Sp\\nlit.java' holds a tab, CR or LF"
+    assert vt.startswith("  [r1] 'app/V\\x0bt.java': '")
+    assert vt.endswith("/app/V\\x0bt.java': not UTF-8 text (byte 27: invalid start byte)")
+    code, _, err = run(capsys, "report", "--config", str(cfg_path), "--out", str(tmp_path / "r"))
+    assert code == 1
+    (line,) = err.splitlines()
+    assert "3 file(s) failed to parse: app/Broken.java: " in line
+    assert "; 'app/Sp\\nlit.java': path 'app/Sp\\nlit.java' holds a tab, CR or LF; 'app/V\\x0bt.java': '" in line

@@ -170,3 +170,44 @@ def test_distinct_tags_with_distinct_file_names_load(tmp_path):
     payload["release_pairs"] = [["r 1", "r-1"], ["r-1", "r.1"], ["r 1", "r.1"]]
     cfg = load_config(write(tmp_path, payload))
     assert [rc.tag for rc in cfg.releases] == ["r 1", "r-1", "r.1"]
+
+
+def _set(payload, path, value):
+    node = payload
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    return payload
+
+
+BAD_CONFIGS = {
+    "window-timestamp": (
+        lambda p: _set(p, ("releases", 0, "window"), ["2007-02-30T00:00:00Z", "2007-12-31T00:00:00Z"]),
+        "bad window timestamp",
+    ),
+    "release-not-an-object": (lambda p: _set(p, ("releases",), ["r1"]), "each release needs a non-empty string tag"),
+    "facts-file-absent": (
+        lambda p: _set(p, ("releases", 0), {"tag": "r1", "facts": "absent.jsonl"}),
+        "facts file not found",
+    ),
+    "not-an-object": (lambda p: [p], "config must be a JSON object"),
+    "no-releases": (lambda p: _set(p, ("releases",), []), "config needs a non-empty releases list"),
+    "commit-log-absent": (lambda p: _set(p, ("commit_log",), "absent.tsv"), "commit log not found"),
+    "pair-of-one": (lambda p: _set(p, ("release_pairs",), [["r1"]]), "each release pair must be [earlier, later]"),
+    "min-id-0": (lambda p: _set(p, ("filter",), {"min_id": 0}), "min_id must be a positive integer"),
+    "interval-backwards": (
+        lambda p: _set(p, ("filter",), {"excluded_intervals": [[5, 3]]}),
+        "excluded interval [5, 3] is not well-formed",
+    ),
+    "pattern-without-group": (
+        lambda p: _set(p, ("filter",), {"patterns": ["bug \\d+"]}),
+        "must have exactly one capture group",
+    ),
+}
+
+
+@pytest.mark.parametrize("change, said", BAD_CONFIGS.values(), ids=BAD_CONFIGS.keys())
+def test_a_bad_config_is_a_config_error_saying_why(tmp_path, change, said):
+    with pytest.raises(ConfigError) as err:
+        load_config(write(tmp_path, change(minimal(tmp_path))))
+    assert said in str(err.value)

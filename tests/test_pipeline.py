@@ -14,6 +14,7 @@ from faultgraph.errors import ConfigError, FormatError, InputError
 from faultgraph.facts import cu_to_dict
 from faultgraph.javaparse import parse_compilation_unit
 from faultgraph.pipeline import (
+    RunMemo,
     StageFailure,
     attach_ledger,
     build_release,
@@ -84,7 +85,7 @@ def test_large_corpus_reaches_ok_tail_fit_and_degenerate_correlation(big_release
 def test_links_to_unknown_files_are_dropped_with_count(big_release, caplog):
     cfg_path, _ = big_release
     cfg = load_config(cfg_path)
-    data = build_release(cfg.release("r1"))
+    data = build_release(cfg.release("r1"), RunMemo())
     ledgers = load_bug_ledgers(cfg, [cfg.release("r1")])
     import logging
 
