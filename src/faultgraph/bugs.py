@@ -64,7 +64,7 @@ class FilterConfig:
         for pat in self.patterns:
             try:
                 rx = re.compile(pat, re.IGNORECASE)
-            except (re.error, TypeError) as exc:
+            except (re.error, TypeError, OverflowError, RecursionError) as exc:
                 raise ConfigError(f"pattern {pat!r} is not a valid regular expression: {exc}") from exc
             if rx.groups != 1:
                 raise ConfigError(f"pattern {pat!r} must have exactly one capture group")
@@ -101,14 +101,21 @@ class BugLedger:
 
 
 def parse_timestamp(raw: str) -> datetime:
-    """ISO-8601, with a trailing Z accepted; naive values are taken as UTC."""
+    """ISO-8601, with a trailing Z accepted; naive values are taken as UTC.
+
+    Raises ValueError for text that is not a timestamp or one whose UTC
+    instant lies outside years 1 to 9999.
+    """
     text = raw.strip()
     if text.endswith("Z"):
         text = text[:-1] + "+00:00"
     ts = datetime.fromisoformat(text)
     if ts.tzinfo is None:
         ts = ts.replace(tzinfo=timezone.utc)
-    return ts.astimezone(timezone.utc)
+    try:
+        return ts.astimezone(timezone.utc)
+    except OverflowError as exc:
+        raise ValueError(f"{exc} in UTC") from exc
 
 
 _ESCAPE_RE = re.compile(r"\\([tn\\])")

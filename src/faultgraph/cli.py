@@ -112,9 +112,12 @@ def run_fit(args) -> int:
     with stage(STAGE_STATS):
         if selected == "synthetic":
             mode, gamma, n, x_min = _parse_synthetic(args.synthetic)
-            rng = np.random.default_rng(0 if args.seed is None else args.seed)
+            seed = 0 if args.seed is None else args.seed
+            if seed < 0:
+                raise ConfigError(f"--seed must be a non-negative integer, got {seed}")
             draw = pareto_samples if mode == CONTINUOUS else zeta_samples
-            name, samples = "synthetic", draw(n, gamma, x_min, rng)
+            with np.errstate(over="ignore"):  # an infinite draw is rejected by the fit
+                name, samples = "synthetic", draw(n, gamma, x_min, np.random.default_rng(seed))
         else:
             mode, x_min, name = args.mode or DISCRETE, args.x_min, Path(args.samples).name
             try:

@@ -32,49 +32,65 @@ def splits_a_row(name: str) -> bool:
 
 
 # --------------------------------------------------------------------------
-# Source scanning: one regex pass per file blanks comments and skips over
-# string/char literals; the parser tokenizes the stripped text and counts
-# lines of code from the same pass.
+# Source scanning: one regex pass per file is the whole lexer. It yields the
+# parser's tokens, the line of each, and which lines hold code.
 # --------------------------------------------------------------------------
 
+# line comment | block comment | identifier | number | string literal | char
+# literal | line break | any other non-blank character (a punctuator).
 # Leftmost match wins, so a comment marker inside a literal and a quote inside
 # a comment are both inert. Literals end at their closing quote, a newline
 # (Java literals do not span lines; an escape never consumes the newline) or
-# the end of the text; an unterminated block comment runs to the end.
-_COMMENT_OR_LITERAL = re.compile(
+# the end of the text; an unterminated block comment runs to the end. Only a
+# comment starts with "/" and is longer than one character.
+_LEXEME = re.compile(
     r"""//[^\n]*
       | /\*(?s:.*?)(?:\*/|\Z)
+      | [A-Za-z_$][A-Za-z0-9_$]*
+      | \d[0-9A-Fa-fxXbBlLfFdDuU_.]*
       | "(?:\\.|[^"\\\n])*"?
       | '(?:\\.|[^'\\\n])*'?
+      | \n
+      | \S
     """,
     re.VERBOSE,
 )
-_BLOCK_BLANK = re.compile(r"[^\t\n]")
 
 
-def _blank(m: re.Match) -> str:
-    s = m.group()
-    if s[0] != "/":
-        return s  # string or char literal, kept
-    if s[1] == "/":
-        return " " * len(s)
-    return _BLOCK_BLANK.sub(" ", s)
+def scan_source(text: str) -> tuple[list[bool], list[str], list[int]]:
+    """Lex source text with one regex pass.
 
-
-def scan_source(text: str) -> tuple[list[bool], str]:
-    """Scan source text once with a single regex pass over comments and literals.
-
-    Returns (line_has_code, stripped) where line_has_code[i] is True when
-    line i contains at least one non-whitespace character outside comments,
-    and stripped is the text with comments blanked to spaces (newlines and
-    tabs in block comments kept, string/char literals kept) so token
-    positions match the original.
+    Returns (line_has_code, tokens, token_lines): line_has_code[i] is True
+    when line i holds a token, that is a non-whitespace character outside
+    comments; tokens are the identifiers, numbers, literals and punctuators
+    in order, and token_lines[j] is the 1-based line of tokens[j]. No token
+    holds a newline.
     """
-    stripped = _COMMENT_OR_LITERAL.sub(_blank, text)
-    lines = stripped.split("\n")
-    if lines[-1] == "":
-        lines.pop()
-    return [bool(ln) and not ln.isspace() for ln in lines], stripped
+    tokens: list[str] = []
+    lines: list[int] = []
+    line = 1
+    for lexeme in _LEXEME.findall(text):
+        if lexeme == "\n":
+            line += 1
+        elif lexeme[0] == "/" and len(lexeme) > 1:  # a comment
+            line += lexeme.count("\n")
+        else:
+            tokens.append(lexeme)
+            lines.append(line)
+    has_code = [False] * (line - (not text or text.endswith("\n")))  # a final line break starts no line
+    for ln in set(lines):
+        has_code[ln - 1] = True
+    return has_code, tokens, lines
+
+
+def token_column(text: str, index: int) -> int:
+    """The 1-based column of token ``index`` of ``scan_source(text)``.
+
+    It lexes ``text`` again, so only an error report calls it.
+    """
+    starts = [m.start() for m in _LEXEME.finditer(text) if m.group() != "\n" and m.group()[:2] not in ("//", "/*")]
+    start = starts[index]
+    return start - text.rfind("\n", 0, start)
 
 
 def count_loc(source_text: str) -> int:
@@ -84,7 +100,7 @@ def count_loc(source_text: str) -> int:
     and block comments; string literal content is code. Empty input gives 0.
     One ``scan_source`` pass; the parser reuses its own pass instead.
     """
-    has_code, _ = scan_source(source_text)
+    has_code, _, _ = scan_source(source_text)
     return sum(has_code)
 
 

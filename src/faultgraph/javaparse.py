@@ -7,13 +7,15 @@ references, qualified call sites, and field usage. Generic types are stripped
 to their raw name with every type argument recorded as a reference
 (``List<A>`` contributes both ``List`` and ``A``).
 
-Tokens are plain strings, each with its 1-based line in a parallel list. A
-token's kind follows from its first character: an identifier or keyword
-starts with a letter, ``_`` or ``$``, a number with a digit, a string or char
-literal with its quote, and anything else is a one-character punctuator, so
-``tok == "("`` is a punctuator test. No token holds a newline, which makes a
-newline the end-of-input sentinel. A token's column is worked out only when a
-``ParseError`` reports it, by scanning its line again.
+Tokens come from ``facts.scan_source``, the one lexer, whose single pass
+also yields each token's 1-based line and the code lines a class's line
+count reads. Tokens are plain strings. A token's kind follows from its first
+character: an identifier or keyword starts with a letter, ``_`` or ``$``, a
+number with a digit, a string or char literal with its quote, and anything
+else is a one-character punctuator, so ``tok == "("`` is a punctuator test.
+No token holds a newline, which makes a newline the end-of-input sentinel. A
+token's column is worked out only when a ``ParseError`` reports it, by
+lexing the source text again (``facts.token_column``).
 
 One parser reads a file's one token list. A method body is scanned where it
 lies in that list: its own braces bound the scan, so every look-ahead stops
@@ -33,13 +35,11 @@ Deliberate simplifications, chosen for determinism:
 """
 
 import os
-import re
 import string
-from bisect import bisect_left
 from dataclasses import dataclass, field, replace
 
 from .errors import ParseError, read_utf8
-from .facts import ClassFacts, CUFacts, MethodFacts, scan_source, splits_a_row
+from .facts import ClassFacts, CUFacts, MethodFacts, scan_source, splits_a_row, token_column
 
 KEYWORDS = frozenset(
     """abstract assert boolean break byte case catch char class const continue
@@ -56,11 +56,6 @@ MODIFIERS = frozenset(
     "public protected private static final abstract synchronized native transient volatile strictfp default".split()
 )
 
-# identifier | number | string literal | char literal | punctuator; the
-# literals stop at a newline, so no token spans one
-_TOKEN_RE = re.compile(
-    r"""[A-Za-z_$][A-Za-z0-9_$]*|\d[0-9A-Fa-fxXbBlLfFdDuU_.]*|"(?:\\.|[^"\\\n])*"?|'(?:\\.|[^'\\\n])*'?|\S"""
-)
 _IDENT_START = frozenset(string.ascii_letters + "_$")
 _EOF = "\n"
 _END = (_EOF, _EOF)  # two, so a look-ahead of one token never runs off the list
@@ -69,18 +64,6 @@ _OPEN = frozenset("([{")
 _CLOSE = frozenset(")]}")
 _DECL_END = frozenset("=;,:)")
 _BOUNDARY = frozenset("{};(,:")
-
-
-def tokenize(stripped: str) -> tuple[list[str], list[int]]:
-    """The token values of comment-free text and the 1-based line of each."""
-    toks: list[str] = []
-    lines: list[int] = []
-    for ln, text in enumerate(stripped.split("\n"), 1):
-        found = _TOKEN_RE.findall(text)
-        if found:
-            toks += found
-            lines += [ln] * len(found)
-    return toks, lines
 
 
 @dataclass
@@ -109,8 +92,7 @@ class _ClassDraft:
 class _Parser:
     """Recursive descent over ``toks``, which ends with the ``_END`` sentinels.
 
-    ``lines`` and ``text`` (the comment-free source) serve error positions
-    only.
+    ``lines`` and ``text`` (the source) serve error positions only.
     """
 
     def __init__(self, toks: list[str], lines: list[int], text: str):
@@ -138,10 +120,7 @@ class _Parser:
         """Raise ParseError at token index ``at`` (default: the current one);
         at the end of input the position is that of the last token."""
         i = min(self.pos if at is None else at, len(self.lines) - 1)
-        line = self.lines[i]
-        nth = i - bisect_left(self.lines, line)
-        text = self.text.split("\n", line)[line - 1]
-        raise ParseError(msg, line, list(_TOKEN_RE.finditer(text))[nth].start() + 1)
+        raise ParseError(msg, self.lines[i], token_column(self.text, i))
 
     def accept(self, value: str) -> bool:
         if self.toks[self.pos] == value:
@@ -583,11 +562,14 @@ def _draft_loc(draft: _ClassDraft, has_code: list[bool]) -> int:
 
 def parse_compilation_unit(source_text: str, path: str) -> CUFacts:
     """Parse one source file into CUFacts. Raises ParseError with position."""
-    has_code, stripped = scan_source(source_text)
-    toks, lines = tokenize(stripped)
+    has_code, toks, lines = scan_source(source_text)
     toks += _END
-    parser = _Parser(toks, lines, stripped)
-    parser.parse_unit()
+    parser = _Parser(toks, lines, source_text)
+    try:
+        parser.parse_unit()
+    except RecursionError:  # parse_class recurses once per nested class
+        # no position: where the stack runs out depends on the caller's depth
+        raise ParseError("class declarations nested too deeply") from None
     names = [d.name for d in parser.drafts]
     if len(names) != len(set(names)):
         dup = sorted({n for n in names if names.count(n) > 1})[0]

@@ -1,10 +1,21 @@
-"""The parser that string tokens replaced, kept as a differential oracle.
+"""Oracles for the lexer and the parser, kept for differential tests.
 
-This is the object-token parser: ``tokenize`` yields ``Token(kind, value,
-line, col)`` tuples from one ``finditer`` over the stripped text, and
-``_Parser`` checks kinds and values on every step. ``parse_compilation_unit``
-here must give the same ``CUFacts``, or the same ``ParseError`` message, line
-and column, as ``faultgraph.javaparse.parse_compilation_unit`` on any text.
+Nothing here uses faultgraph's own scanning, so a lexer bug cannot be shared
+by the code under test and its oracle.
+
+- ``scan_by_character`` is the character-by-character state machine that
+  the regex scanner replaced (with its escape handling fixed so a backslash
+  never consumes a line break). It blanks comments to spaces, keeping line
+  breaks and tabs, so positions in its stripped text are source positions.
+- ``tokenize_with_whitespace_group`` is the tokenizer that matched
+  whitespace as a token of its own: ``(kind, value, line, column)`` of every
+  token of comment-free text.
+- ``scan_with_oracles`` runs the two in turn and returns what
+  ``faultgraph.facts.scan_source`` returns.
+- ``parse_compilation_unit`` is the object-token parser that string tokens
+  replaced: ``_Parser`` checks kinds and values on every step. It must give
+  the same ``CUFacts``, or the same ``ParseError`` message, line and column,
+  as ``faultgraph.javaparse.parse_compilation_unit`` on any text.
 """
 
 import re
@@ -13,18 +24,99 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 from faultgraph.errors import ParseError
-from faultgraph.facts import ClassFacts, CUFacts, MethodFacts, scan_source
+from faultgraph.facts import ClassFacts, CUFacts, MethodFacts
 from faultgraph.javaparse import KEYWORDS, MODIFIERS, PRIMITIVES
 
-_TOKEN_RE = re.compile(
-    r"""(?P<ident>[A-Za-z_$][A-Za-z0-9_$]*)
+_CODE, _LINE_COMMENT, _BLOCK_COMMENT, _STRING, _CHAR = range(5)
+
+
+def scan_by_character(text):
+    has_code, out = [], []
+    state, line_code = _CODE, False
+    i, n = 0, len(text)
+    while i < n:
+        c = text[i]
+        nxt = text[i + 1] if i + 1 < n else ""
+        if c == "\n":
+            if state in (_LINE_COMMENT, _STRING, _CHAR):
+                state = _CODE
+            has_code.append(line_code)
+            line_code = False
+            out.append("\n")
+            i += 1
+            continue
+        if state == _CODE:
+            if c == "/" and nxt in ("/", "*"):
+                state = _LINE_COMMENT if nxt == "/" else _BLOCK_COMMENT
+                out.append("  ")
+                i += 2
+                continue
+            if c == '"':
+                state = _STRING
+            elif c == "'":
+                state = _CHAR
+            if not c.isspace():
+                line_code = True
+            out.append(c)
+            i += 1
+        elif state == _LINE_COMMENT:
+            out.append(" ")
+            i += 1
+        elif state == _BLOCK_COMMENT:
+            if c == "*" and nxt == "/":
+                state = _CODE
+                out.append("  ")
+                i += 2
+            else:
+                out.append(" " if c != "\t" else "\t")
+                i += 1
+        else:
+            line_code = True
+            quote = '"' if state == _STRING else "'"
+            if c == "\\" and nxt and nxt != "\n":
+                out.append(c + nxt)
+                i += 2
+                continue
+            if c == quote:
+                state = _CODE
+            out.append(c)
+            i += 1
+    if text and not text.endswith("\n"):
+        has_code.append(line_code)
+    return has_code, "".join(out)
+
+
+_OLD_TOKEN_RE = re.compile(
+    r"""(?P<ws>\s+)
+      | (?P<ident>[A-Za-z_$][A-Za-z0-9_$]*)
       | (?P<number>\d[0-9A-Fa-fxXbBlLfFdDuU_.]*)
       | (?P<string>"(?:\\.|[^"\\\n])*"?)
       | (?P<char>'(?:\\.|[^'\\\n])*'?)
-      | (?P<punct>\S)
+      | (?P<punct>.)
     """,
     re.VERBOSE,
 )
+
+
+def tokenize_with_whitespace_group(stripped):
+    line_starts = [0]
+    for i, ch in enumerate(stripped):
+        if ch == "\n":
+            line_starts.append(i + 1)
+    out = []
+    for m in _OLD_TOKEN_RE.finditer(stripped):
+        if m.lastgroup == "ws":
+            continue
+        ln = bisect_right(line_starts, m.start())
+        out.append((m.lastgroup, m.group(), ln, m.start() - line_starts[ln - 1] + 1))
+    return out
+
+
+def scan_with_oracles(text):
+    """(line_has_code, tokens, token_lines), as ``facts.scan_source`` gives them."""
+    has_code, stripped = scan_by_character(text)
+    found = tokenize_with_whitespace_group(stripped)
+    return has_code, [value for _, value, _, _ in found], [line for _, _, line, _ in found]
 
 
 class Token(NamedTuple):
@@ -32,16 +124,6 @@ class Token(NamedTuple):
     value: str
     line: int
     col: int
-
-
-def tokenize(stripped: str) -> list[Token]:
-    line_starts = [0, *(m.end() for m in re.finditer("\n", stripped))]
-    out: list[Token] = []
-    for m in _TOKEN_RE.finditer(stripped):
-        start = m.start()
-        ln = bisect_right(line_starts, start)
-        out.append(Token(m.lastgroup, m.group(), ln, start - line_starts[ln - 1] + 1))
-    return out
 
 
 @dataclass
@@ -601,9 +683,8 @@ def _draft_loc(draft: _ClassDraft, has_code: list[bool]) -> int:
 
 def parse_compilation_unit(source_text: str, path: str) -> CUFacts:
     """Parse one source file into CUFacts. Raises ParseError with position."""
-    has_code, stripped = scan_source(source_text)
-    tokens = tokenize(stripped)
-    parser = _Parser(tokens)
+    has_code, stripped = scan_by_character(source_text)
+    parser = _Parser([Token(*found) for found in tokenize_with_whitespace_group(stripped)])
     parser.parse_unit()
     names = [d.name for d in parser.drafts]
     if len(names) != len(set(names)):

@@ -266,7 +266,18 @@ def test_a_capture_that_is_not_an_issue_number_is_a_config_error(pattern, bad, c
     assert extract_issue_refs(good, registry_of(500), cfg) == {500}
 
 
-@pytest.mark.parametrize("pattern", ["(unclosed", "((a)", 7, r"bug \d+", r"(bug) (\d+)"])
+@pytest.mark.parametrize(
+    "pattern",
+    [
+        "(unclosed",
+        "((a)",
+        7,
+        r"bug \d+",
+        r"(bug) (\d+)",
+        pytest.param(r"bug (\d{99999999999999999999})", id="repeat-past-the-limit"),
+        pytest.param("(" * 1000 + r"\d+" + ")" * 1000, id="groups-1000-deep"),
+    ],
+)
 def test_an_invalid_pattern_is_a_config_error(pattern):
     with pytest.raises(ConfigError):
         FilterConfig(patterns=(pattern,))

@@ -1,5 +1,6 @@
 import json
 import shutil
+import warnings
 
 import pytest
 
@@ -665,3 +666,42 @@ def test_a_failed_file_takes_one_line_of_the_failure_listing(tmp_path, capsys, f
     (line,) = err.splitlines()
     assert "3 file(s) failed to parse: app/Broken.java: " in line
     assert "; 'app/Sp\\nlit.java': path 'app/Sp\\nlit.java' holds a tab, CR or LF; 'app/V\\x0bt.java': '" in line
+
+
+def test_deep_class_nesting_is_a_failed_file(tmp_path, capsys, fixtures_dir):
+    cfg_path = write_config(tmp_path, fixtures_dir)
+    depth = 2000
+    (tmp_path / "corpus_r1" / "app" / "Deep.java").write_text(
+        "package app;\n" + "".join(f"class C{i} {{\n" for i in range(depth)) + "}\n" * depth
+    )
+    code, _, err = run(capsys, "extract", "--config", str(cfg_path), "--out", str(tmp_path / "e"))
+    assert code == 1
+    assert "  [r1] app/Deep.java: class declarations nested too deeply\n" in err and "internal error" not in err
+    code, _, err = run(capsys, "report", "--config", str(cfg_path), "--out", str(tmp_path / "r"))
+    assert code == 1
+    assert "stage source_facts" in err and "internal error" not in err
+
+
+def test_an_out_of_range_commit_timestamp_names_its_record(tmp_path, capsys, fixtures_dir):
+    cfg_path = write_config(tmp_path, fixtures_dir)
+    stamp = "9999-12-31T23:59:59-01:00"  # a valid local time whose UTC instant is past year 9999
+    records = len((tmp_path / "commits.tsv").read_text().splitlines())
+    with open(tmp_path / "commits.tsv", "a") as fh:
+        fh.write(f"{stamp}\tdev\tfix bug 101\tapp/Alpha.java\n")
+    code, _, err = run(capsys, "bugs", "--config", str(cfg_path), "--out", str(tmp_path / "o"))
+    assert code == 1
+    assert f"record {records + 1}: bad timestamp {stamp!r}" in err and "internal error" not in err
+
+
+def test_fit_synthetic_negative_seed_is_a_config_error(capsys):
+    code, _, err = run(capsys, "fit", "--synthetic", "continuous:2.5:100", "--seed", "-1")
+    assert code == 1
+    assert "--seed must be a non-negative integer, got -1" in err
+
+
+def test_fit_synthetic_draw_past_the_double_range_warns_nothing(capsys):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, _, err = run(capsys, "fit", "--synthetic", "continuous:1.0000000001:200")
+    assert code == 1
+    assert "samples must be finite and positive" in err and "internal error" not in err

@@ -185,6 +185,10 @@ BAD_CONFIGS = {
         lambda p: _set(p, ("releases", 0, "window"), ["2007-02-30T00:00:00Z", "2007-12-31T00:00:00Z"]),
         "bad window timestamp",
     ),
+    "window-end-past-year-9999": (
+        lambda p: _set(p, ("releases", 0, "window"), ["2007-01-01T00:00:00Z", "9999-12-31T23:59:59-01:00"]),
+        "bad window timestamp",
+    ),
     "release-not-an-object": (lambda p: _set(p, ("releases",), ["r1"]), "each release needs a non-empty string tag"),
     "facts-file-absent": (
         lambda p: _set(p, ("releases", 0), {"tag": "r1", "facts": "absent.jsonl"}),

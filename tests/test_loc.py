@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from faultgraph.facts import count_loc, scan_source
 from faultgraph.javaparse import parse_compilation_unit
+from javaparse_oracle import scan_with_oracles
 
 
 def test_empty_input():
@@ -56,69 +57,10 @@ def test_appending_blank_lines_is_invariant(text, k):
 
 
 # --------------------------------------------------------------------------
-# The regex scanner against the character-by-character state machine it
-# replaced (kept here as the oracle, with its escape handling fixed so a
-# backslash never consumes a line break).
+# The one-pass lexer against the two oracles it replaced, run in turn: the
+# character-by-character comment stripper, then the whitespace-group
+# tokenizer (javaparse_oracle).
 # --------------------------------------------------------------------------
-
-_CODE, _LINE_COMMENT, _BLOCK_COMMENT, _STRING, _CHAR = range(5)
-
-
-def scan_by_character(text):
-    has_code, out = [], []
-    state, line_code = _CODE, False
-    i, n = 0, len(text)
-    while i < n:
-        c = text[i]
-        nxt = text[i + 1] if i + 1 < n else ""
-        if c == "\n":
-            if state in (_LINE_COMMENT, _STRING, _CHAR):
-                state = _CODE
-            has_code.append(line_code)
-            line_code = False
-            out.append("\n")
-            i += 1
-            continue
-        if state == _CODE:
-            if c == "/" and nxt in ("/", "*"):
-                state = _LINE_COMMENT if nxt == "/" else _BLOCK_COMMENT
-                out.append("  ")
-                i += 2
-                continue
-            if c == '"':
-                state = _STRING
-            elif c == "'":
-                state = _CHAR
-            if not c.isspace():
-                line_code = True
-            out.append(c)
-            i += 1
-        elif state == _LINE_COMMENT:
-            out.append(" ")
-            i += 1
-        elif state == _BLOCK_COMMENT:
-            if c == "*" and nxt == "/":
-                state = _CODE
-                out.append("  ")
-                i += 2
-            else:
-                out.append(" " if c != "\t" else "\t")
-                i += 1
-        else:
-            line_code = True
-            quote = '"' if state == _STRING else "'"
-            if c == "\\" and nxt and nxt != "\n":
-                out.append(c + nxt)
-                i += 2
-                continue
-            if c == quote:
-                state = _CODE
-            out.append(c)
-            i += 1
-    if text and not text.endswith("\n"):
-        has_code.append(line_code)
-    return has_code, "".join(out)
-
 
 SCANNER_ALPHABET = "/*\"'\\\n\r\t\x0b\x0c\x85\u2028\u2003éa1{;<"
 
@@ -126,7 +68,7 @@ SCANNER_ALPHABET = "/*\"'\\\n\r\t\x0b\x0c\x85\u2028\u2003éa1{;<"
 @settings(max_examples=500)
 @given(st.text(alphabet=SCANNER_ALPHABET, max_size=200))
 def test_scan_matches_character_oracle(text):
-    assert scan_source(text) == scan_by_character(text)
+    assert scan_source(text) == scan_with_oracles(text)
 
 
 def test_scan_matches_character_oracle_on_fixtures(fixtures_dir):
@@ -134,7 +76,7 @@ def test_scan_matches_character_oracle_on_fixtures(fixtures_dir):
     assert paths
     for path in paths:
         text = path.read_text(encoding="utf-8")
-        assert scan_source(text) == scan_by_character(text), path
+        assert scan_source(text) == scan_with_oracles(text), path
 
 
 @pytest.mark.parametrize(
@@ -142,7 +84,7 @@ def test_scan_matches_character_oracle_on_fixtures(fixtures_dir):
     ["/* open", "/*/ x */ y", "a /**/ b", '"// no" // yes', "'/*' x", '"\\"" /* c */', "/*\t*/\t"],
 )
 def test_scan_edge_cases_match_oracle(text):
-    assert scan_source(text) == scan_by_character(text)
+    assert scan_source(text) == scan_with_oracles(text)
 
 
 def test_backslash_before_line_break_keeps_the_break():

@@ -2,7 +2,6 @@ import importlib.util
 import json
 import pathlib
 import re
-from bisect import bisect_right
 
 import numpy as np
 import pytest
@@ -13,7 +12,7 @@ import javaparse_oracle
 from faultgraph import javaparse
 from faultgraph.errors import ParseError
 from faultgraph.facts import cu_to_dict, scan_source
-from faultgraph.javaparse import _END, _IDENT_START, _Parser, parse_compilation_unit, parse_corpus_dir, tokenize
+from faultgraph.javaparse import _END, _IDENT_START, _Parser, parse_compilation_unit, parse_corpus_dir
 
 TESTS = pathlib.Path(__file__).resolve().parent
 GEN = TESTS.parent / "perfbench" / "gen.py"
@@ -254,6 +253,22 @@ def test_parse_error_carries_position():
     assert err.value.line == 2
 
 
+@pytest.mark.parametrize(
+    "text, line, column",
+    [
+        ("package p;\n/* a\n b */ class /* x */\t{\n}\n", 3, 21),
+        ('package p; // c\nclass A {\n  void m() { "/*" ; } /* x\n */ int // y\n}\n', 5, 1),
+    ],
+    ids=["after-block-comment", "after-literal-and-comments"],
+)
+def test_parse_error_position_matches_oracle(text, line, column):
+    """A column is counted in the source text, across comments and tabs."""
+    with pytest.raises(ParseError) as err:
+        parse(text)
+    assert (err.value.line, err.value.column) == (line, column)
+    assert_same_outcome(text)
+
+
 def test_unsupported_top_level_construct():
     with pytest.raises(ParseError):
         parse("package p;\nenum Color { RED }\n")
@@ -286,36 +301,11 @@ def test_corpus_dir_reports_failures_without_dropping_others(tmp_path):
 
 
 # --------------------------------------------------------------------------
-# The tokenizer against the whitespace-matching tokenizer it replaced, kept
-# here as the oracle: same token values, kinds, lines and columns. The kind
+# The one-pass lexer against the two oracles it replaced, run in turn
+# (javaparse_oracle): same token values, kinds, lines and columns. The kind
 # follows from a token's first character; the column is the one a ParseError
 # at that token reports.
 # --------------------------------------------------------------------------
-
-_OLD_TOKEN_RE = re.compile(
-    r"""(?P<ws>\s+)
-      | (?P<ident>[A-Za-z_$][A-Za-z0-9_$]*)
-      | (?P<number>\d[0-9A-Fa-fxXbBlLfFdDuU_.]*)
-      | (?P<string>"(?:\\.|[^"\\\n])*"?)
-      | (?P<char>'(?:\\.|[^'\\\n])*'?)
-      | (?P<punct>.)
-    """,
-    re.VERBOSE,
-)
-
-
-def tokenize_with_whitespace_group(stripped):
-    line_starts = [0]
-    for i, ch in enumerate(stripped):
-        if ch == "\n":
-            line_starts.append(i + 1)
-    out = []
-    for m in _OLD_TOKEN_RE.finditer(stripped):
-        if m.lastgroup == "ws":
-            continue
-        ln = bisect_right(line_starts, m.start())
-        out.append((m.lastgroup, m.group(), ln, m.start() - line_starts[ln - 1] + 1))
-    return out
 
 
 def kind_of(value):
@@ -327,10 +317,10 @@ def kind_of(value):
     return {'"': "string", "'": "char"}.get(value[0], "punct")
 
 
-def string_tokens(stripped):
-    """(kind, value, line, column) of every token of the string tokenizer."""
-    toks, lines = tokenize(stripped)
-    parser = _Parser([*toks, *_END], lines, stripped)
+def string_tokens(text):
+    """(kind, value, line, column) of every token of ``scan_source``."""
+    _, toks, lines = scan_source(text)
+    parser = _Parser([*toks, *_END], lines, text)
     out = []
     for i, (value, line) in enumerate(zip(toks, lines)):
         with pytest.raises(ParseError) as err:
@@ -340,29 +330,33 @@ def string_tokens(stripped):
     return out
 
 
+def oracle_tokens(text):
+    return javaparse_oracle.tokenize_with_whitespace_group(javaparse_oracle.scan_by_character(text)[1])
+
+
 TOKENIZER_ALPHABET = "/*\"'\\\n\r\t\x0b\x0c\x85\u2028\u2003éa1{;<xX_$.L\u0663"
 
 
 @settings(max_examples=500)
 @given(st.text(alphabet=TOKENIZER_ALPHABET, max_size=200))
-def test_tokenize_matches_whitespace_group_oracle(text):
-    assert string_tokens(text) == tokenize_with_whitespace_group(text)
+def test_tokens_match_whitespace_group_oracle(text):
+    assert string_tokens(text) == oracle_tokens(text)
 
 
-def test_tokenize_matches_oracle_on_fixtures(fixtures_dir):
+def test_tokens_match_oracle_on_fixtures(fixtures_dir):
     paths = sorted(fixtures_dir.rglob("*.java"))
     assert paths
     for path in paths:
-        _, stripped = scan_source(path.read_text(encoding="utf-8"))
-        assert string_tokens(stripped) == tokenize_with_whitespace_group(stripped), path
-        toks, lines = tokenize(stripped)
+        text = path.read_text(encoding="utf-8")
+        assert string_tokens(text) == oracle_tokens(text), path
+        _, toks, lines = scan_source(text)
         assert all(type(t) is str for t in toks) and all(type(n) is int for n in lines)
 
 
 @settings(max_examples=300)
 @given(st.text(alphabet=TOKENIZER_ALPHABET, max_size=200))
 def test_no_token_spans_a_newline(text):
-    toks, lines = tokenize(text)
+    _, toks, lines = scan_source(text)
     assert len(toks) == len(lines)
     rows = text.split("\n")
     for tok, line in zip(toks, lines):
