@@ -70,6 +70,10 @@ def _run_writers(args, writers, with_bugs: bool) -> int:
     return _print_paths(run_releases(cfg, out, writers, release=args.release, with_bugs=with_bugs))
 
 
+# more 8-byte draws than this would span more bytes than the address space
+_MAX_SYNTHETIC = sys.maxsize // 8
+
+
 def _parse_synthetic(spec: str):
     parts = spec.split(":")
     if len(parts) not in (3, 4):
@@ -82,8 +86,8 @@ def _parse_synthetic(spec: str):
         x_min = float(parts[3]) if len(parts) == 4 else 1.0
     except ValueError as exc:
         raise ConfigError(f"--synthetic takes MODE:GAMMA:N[:XMIN]: {exc}") from exc
-    if n < 1:
-        raise ConfigError(f"--synthetic needs N >= 1, got {n}")
+    if not 1 <= n <= _MAX_SYNTHETIC:
+        raise ConfigError(f"--synthetic needs 1 <= N <= {_MAX_SYNTHETIC}, got {n}")
     return mode, gamma, n, x_min
 
 
@@ -116,8 +120,11 @@ def run_fit(args) -> int:
             if seed < 0:
                 raise ConfigError(f"--seed must be a non-negative integer, got {seed}")
             draw = pareto_samples if mode == CONTINUOUS else zeta_samples
-            with np.errstate(over="ignore"):  # an infinite draw is rejected by the fit
-                name, samples = "synthetic", draw(n, gamma, x_min, np.random.default_rng(seed))
+            try:
+                with np.errstate(over="ignore"):  # an infinite draw is rejected by the fit
+                    name, samples = "synthetic", draw(n, gamma, x_min, np.random.default_rng(seed))
+            except MemoryError as exc:
+                raise ConfigError(f"--synthetic N={n} draws more samples than memory holds") from exc
         else:
             mode, x_min, name = args.mode or DISCRETE, args.x_min, Path(args.samples).name
             try:

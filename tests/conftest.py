@@ -1,11 +1,15 @@
 import pathlib
 
 import pytest
-from hypothesis import settings
+from hypothesis import HealthCheck, settings
 
-# Every run draws the same examples and keeps no example database, so
-# neither the run nor a left-over .hypothesis/ directory decides a verdict.
-settings.register_profile("deterministic", derandomize=True, database=None)
+# Every run draws the same examples and keeps no example database, and no
+# health check times how fast they are drawn, so neither the run, a
+# left-over .hypothesis/ directory nor the speed of the host decides a
+# verdict. too_slow is the one timing-based health check.
+settings.register_profile(
+    "deterministic", derandomize=True, database=None, suppress_health_check=[HealthCheck.too_slow]
+)
 settings.load_profile("deterministic")
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"

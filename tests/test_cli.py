@@ -1,5 +1,6 @@
 import json
 import shutil
+import sys
 import warnings
 
 import pytest
@@ -697,6 +698,25 @@ def test_fit_synthetic_negative_seed_is_a_config_error(capsys):
     code, _, err = run(capsys, "fit", "--synthetic", "continuous:2.5:100", "--seed", "-1")
     assert code == 1
     assert "--seed must be a non-negative integer, got -1" in err
+
+
+@pytest.mark.parametrize("n", [str(sys.maxsize), "1" + "0" * 30], ids=["maxsize", "1e30"])
+@pytest.mark.parametrize("mode", ["continuous", "discrete"])
+def test_fit_synthetic_n_past_the_address_space_is_a_config_error(capsys, mode, n):
+    code, _, err = run(capsys, "fit", "--synthetic", f"{mode}:2.5:{n}")
+    assert code == 1
+    assert f"--synthetic needs 1 <= N <= {sys.maxsize // 8}, got {n}" in err and "internal error" not in err
+
+
+def test_fit_synthetic_n_beyond_memory_is_a_config_error(capsys, monkeypatch):
+    def unallocatable(n, *args):
+        raise MemoryError(f"Unable to allocate {n * 8 / 2**30:.0f} GiB")
+
+    monkeypatch.setattr(cli, "pareto_samples", unallocatable)
+    code, _, err = run(capsys, "fit", "--synthetic", "continuous:2.5:100000000000")
+    assert code == 1
+    assert "--synthetic N=100000000000 draws more samples than memory holds" in err
+    assert "internal error" not in err
 
 
 def test_fit_synthetic_draw_past_the_double_range_warns_nothing(capsys):

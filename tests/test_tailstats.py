@@ -5,6 +5,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -27,7 +28,6 @@ from faultgraph.errors import (
 from faultgraph.tailstats import (
     DISCRETE,
     _SCAN_MAX_SLOPE,
-    _SCAN_PROBES,
     _SCAN_TOL,
     _at_least,
     _continuous_gamma,
@@ -330,6 +330,19 @@ def screen_of(xs):
     return arr, values, np.flatnonzero(above >= 50)[:-1], _Screen(values, above)
 
 
+def tail_terms(screen, k):
+    """Every term of candidate k, at j = k .. values.size - 1, and its fitted
+    CCDF there."""
+    j = np.arange(k, screen.values.size)
+    return screen.terms(np.full(j.size, k), j)
+
+
+def screened_distances(screen, cand):
+    """Reference screened distances: the largest of each candidate's terms,
+    all of them evaluated."""
+    return np.array([tail_terms(screen, k)[0].max() for k in cand.tolist()])
+
+
 def exact_distances(arr, values, cand):
     out = []
     for k in cand.tolist():
@@ -338,23 +351,88 @@ def exact_distances(arr, values, cand):
     return np.array(out)
 
 
+def ulp_runs(seed=4):
+    # 300 Pareto draws, each followed by its next seven doubles
+    v = pareto_samples(300, 2.5, 1.0, np.random.default_rng(seed))
+    runs = [v]
+    for _ in range(7):
+        v = np.nextafter(v, np.inf)
+        runs.append(v)
+    return np.concatenate(runs)
+
+
+def assert_segment_bounds_hold(screen, k, term, fit):
+    """Every segment of candidate k's tail whose ends are adjacent grid
+    points, adjacent points of a grid segment cut _SCAN_SPLIT ways, or two
+    apart: its upper bound is at least its largest term."""
+    j, valid = screen.grid_points(np.array([k]))
+    grid = j[valid]
+    ends = [grid] + [
+        p + np.arange(tailstats._SCAN_SPLIT + 1) * (q - p) // tailstats._SCAN_SPLIT
+        for p, q in zip(grid[:-1].tolist(), grid[1:].tolist())
+    ]
+    p = np.concatenate([e[:-1] for e in ends])
+    q = np.concatenate([e[1:] for e in ends])
+    p, q = p[q - p > 1], q[q - p > 1]
+    largest = [term[a - k + 1 : b - k].max() for a, b in zip(p.tolist(), q.tolist())]
+    # every single point between its neighbours
+    p = np.concatenate([p, np.arange(k, screen.values.size - 2)])
+    q = np.concatenate([q, np.arange(k + 2, screen.values.size)])
+    largest = np.concatenate([largest, term[1:-1]])
+    assert np.all(largest <= screen.upper(np.full(p.size, k), p, q, fit[p - k], fit[q - k]))
+
+
 @pytest.mark.parametrize(
     "xs, max_candidates",
     [
         (pareto_samples(2000, 2.5, 1.0, np.random.default_rng(21)), None),
         (two_digit_ties(), None),
+        (ulp_runs(), None),
         (wide_range(), 100),
     ],
-    ids=["pareto", "ties", "wide-range"],
+    ids=["pareto", "ties", "ulp-runs", "wide-range"],
 )
 def test_screened_distance_tracks_exact_distance(xs, max_candidates):
+    # and the screen's bounds hold: each grid bound is a term at most the
+    # screened distance, and each segment bound at least the segment's terms
     arr, values, cand, screen = screen_of(xs)
     if max_candidates is not None:
         cand = cand[np.linspace(0, cand.size - 1, max_candidates).round().astype(int)]
-    screened = screen.distances(cand)
-    for probes in _SCAN_PROBES:
-        assert np.all(screen.bounds(cand, probes) <= screened)
+    screened = screened_distances(screen, cand)
+    fits, lower, where = screen.grid(cand)
+    assert np.all(lower <= screened)
+    for i in range(0, cand.size, max(1, cand.size // 40)):
+        k = int(cand[i])
+        term, fit = tail_terms(screen, k)
+        assert_segment_bounds_hold(screen, k, term, fit)
+        j, valid = screen.grid_points(cand[i : i + 1])
+        assert np.array_equal(fits[i][valid[0]], fit[j[valid] - k])
+        assert lower[i] == term[j[valid] - k].max() == term[where[i] - k]
     assert np.all(np.abs(screened - exact_distances(arr, values, cand)) <= _SCAN_TOL / 100)
+
+
+def test_the_segment_slack_covers_a_fitted_ccdf_that_rises_by_an_ulp(monkeypatch):
+    # np.log and np.exp need not be monotone to the last ulp; emulate one
+    # that is not by moving each fitted value of a tail whose values lie one
+    # ulp apart up or down by two ulps, and take each term from it
+    _, values, cand, screen = screen_of(ulp_runs())
+    rng = np.random.default_rng(0)
+    k = int(cand[cand.size // 3])
+    _, fit = tail_terms(screen, k)
+    fit = fit + rng.choice([-2, 0, 2], fit.size) * np.spacing(fit)
+    j = np.arange(k, values.size)
+    m = screen.above[k]
+    term = np.maximum(screen.above[j] / m - fit, fit - screen.after[j] / m)
+    assert np.any(np.diff(fit) > 0)
+    assert_segment_bounds_hold(screen, k, term, fit)
+    monkeypatch.setattr(tailstats, "_SCAN_SLACK", 0.0)
+    with pytest.raises(AssertionError):
+        assert_segment_bounds_hold(screen, k, term, fit)
+
+
+def test_continuous_scan_matches_oracle_on_ulp_runs():
+    xs = ulp_runs()
+    assert fit_power_law_tail(xs, mode="continuous") == scan_every_candidate(xs)
 
 
 def test_candidates_too_steep_to_screen_are_fitted_outright(monkeypatch):
@@ -362,7 +440,7 @@ def test_candidates_too_steep_to_screen_are_fitted_outright(monkeypatch):
     # than the tolerance, below it by far less
     xs = top_cluster()
     arr, values, cand, screen = screen_of(xs)
-    error = np.abs(screen.distances(cand) - exact_distances(arr, values, cand))
+    error = np.abs(screened_distances(screen, cand) - exact_distances(arr, values, cand))
     steep = screen.slope[cand] > _SCAN_MAX_SLOPE
     assert error[steep].max() > _SCAN_TOL
     assert error[~steep].max() <= _SCAN_TOL / 100
@@ -384,13 +462,49 @@ def test_candidates_too_steep_to_screen_are_fitted_outright(monkeypatch):
     ids=["ties", "pareto"],
 )
 def test_screen_chunk_size_changes_no_bits(monkeypatch, xs):
-    _, _, cand, screen = screen_of(xs)
-    whole = screen.bounds(cand, 64), screen.distances(cand)
-    # long tails go in pieces, and the scan screens one candidate at a time
+    _, values, cand, screen = screen_of(xs)
+    above = screen.above
+    whole = screen.grid(cand), tailstats._scan_continuous(values, above, cand)
+    # the grid pass takes three candidates at a time, and each round of
+    # the refinement four segments
     monkeypatch.setattr(tailstats, "_SCAN_CHUNK", 64)
-    assert np.array_equal(whole[0], screen.bounds(cand, 64))
-    assert np.array_equal(whole[1], screen.distances(cand))
+    small = screen.grid(cand), tailstats._scan_continuous(values, above, cand)
+    for a, b in zip(whole[0], small[0]):
+        assert np.array_equal(a, b, equal_nan=a.dtype.kind == "f")
+    assert np.array_equal(whole[1], small[1])
     assert fit_power_law_tail(xs, mode="continuous") == scan_every_candidate(xs)
+
+
+def test_the_screen_evaluates_each_point_once_and_far_fewer_than_every_term(monkeypatch):
+    xs = pareto_samples(30_000, 2.5, 1.0, np.random.default_rng(7))
+    points = []
+    terms = _Screen.terms
+
+    def recording_terms(self, k, j):
+        points.append(k * self.values.size + j)
+        return terms(self, k, j)
+
+    monkeypatch.setattr(_Screen, "terms", recording_terms)
+    fit_power_law_tail(xs, mode="continuous")
+    evaluated = np.concatenate(points)
+    # the screen of 64- and 1024-point probes before it evaluated 8,216,918
+    # terms for this fit; every candidate's whole tail is 450 million
+    assert evaluated.size < 8_216_918 / 4
+    assert np.unique(evaluated).size == evaluated.size
+
+
+def test_the_screen_memory_follows_the_tail():
+    # 139 distinct values: the probe screen before it held 5.4 MB at its peak
+    xs = np.floor(pareto_samples(900, 2.5, 20.0, np.random.default_rng(5)))
+    assert np.unique(xs).size == 139
+    fit_power_law_tail(xs[:100], mode="continuous", min_tail=10)  # first-call allocations
+    tracemalloc.start()
+    try:
+        fit_power_law_tail(xs, mode="continuous")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
 
 
 def test_the_screen_fits_nothing_and_the_scan_fits_each_finalist_once(monkeypatch):
