@@ -166,7 +166,10 @@ def load_issue_registry(path) -> frozenset[int]:
             raise FormatError("expected 3 tab-separated columns", record=idx)
         raw_id = parts[0]
         try:
-            issue_id = int(raw_id)
+            # int() alone would also read '+7', '1_2', ' 7' and non-ASCII digits
+            if not re.fullmatch("-?[0-9]+", raw_id):
+                raise ValueError(raw_id)
+            issue_id = int(raw_id)  # and this raises past int()'s digit limit
         except ValueError as exc:
             raise FormatError(f"bad issue id {raw_id!r}", record=idx) from exc
         if issue_id <= 0:

@@ -25,7 +25,8 @@ Deliberate simplifications, chosen for determinism:
 - Named nested classes one level deep are separate classes; anything deeper,
   plus anonymous and local classes, folds into the nearest named class.
 - Interfaces report their superinterfaces through ``implements``.
-- Constructors count as methods, named after the class.
+- A type name followed by ``(`` is a constructor, recorded as a method
+  with that name.
 - Receiver types of calls come from declared parameter/local/field types or
   from an uppercase-initial qualifier (static call); chained calls and
   initializer blocks are ignored.
@@ -253,25 +254,22 @@ class _Parser:
         if self.accept("package"):
             self.package = self.dotted_name()
             self.expect(";")
-        while True:
+        self.skip_annotations()
+        while self.accept("import"):
+            static = self.accept("static")
+            name = self.dotted_name()
+            if self.accept("."):
+                self.expect("*")
+                name += ".*"
+            if static:
+                # import static p.C.member -> the type is p.C
+                if name.endswith(".*"):
+                    name = name[:-2]
+                elif "." in name:
+                    name = name.rsplit(".", 1)[0]
+            self.expect(";")
+            self.imports.append(name)
             self.skip_annotations()
-            if self.accept("import"):
-                static = self.accept("static")
-                name = self.dotted_name()
-                if self.accept("."):
-                    self.expect("*")
-                    name += ".*"
-                if static:
-                    # import static p.C.member -> the type is p.C
-                    if name.endswith(".*"):
-                        name = name[:-2]
-                    elif "." in name:
-                        name = name.rsplit(".", 1)[0]
-                self.expect(";")
-                self.imports.append(name)
-                continue
-            break
-        saw_type = False
         while self.toks[self.pos] != _EOF:
             self.skip_annotations()
             tok = self.toks[self.pos]
@@ -282,15 +280,16 @@ class _Parser:
                 continue
             if tok in ("class", "interface"):
                 self.parse_class(depth=0, fold_into=None)
-                saw_type = True
                 continue
             self.fail(f"unsupported top-level construct {tok!r}")
-        if not saw_type:
+        if not self.drafts:
             raise ParseError("no class or interface declarations", self._last_line())
 
     # -- class declarations ---------------------------------------------------
 
-    def parse_class(self, depth: int, fold_into: _ClassDraft | None) -> None:
+    def parse_class(self, depth: int, fold_into: _ClassDraft | None) -> _ClassDraft:
+        """Read a class into a new draft, or into ``fold_into`` when given;
+        return the draft read into."""
         start_line = self.lines[self.pos]
         kind = self.next()  # class | interface
         name_at = self.pos
@@ -299,25 +298,23 @@ class _Parser:
             self.fail("expected class name", name_at)
         if self.toks[self.pos] == "<" and self.try_generic_args() is None:
             self.fail("malformed type parameter list")
-        folded = fold_into is not None
-        if folded:
-            draft = fold_into
-        else:
-            draft = _ClassDraft(name=name, kind=kind, start_line=start_line)
-            self.drafts.append(draft)
         extends = self.comma_list(self._supertype_name) if self.accept("extends") else []
         implements = self.comma_list(self._supertype_name) if self.accept("implements") else []
-        if not folded:
+        draft = fold_into
+        if draft is None:
+            draft = _ClassDraft(name=name, kind=kind, start_line=start_line)
             if kind == "interface":
                 # superinterfaces all behave as implements
                 draft.implements = extends + implements
             else:
                 draft.extends = extends[0] if extends else None
                 draft.implements = implements
+            self.drafts.append(draft)
         self.expect("{")
         self.parse_members(draft, depth)
-        if not folded:
-            draft.end_line = self.lines[self.pos - 1]
+        # a folded class's end is overwritten when its named class ends
+        draft.end_line = self.lines[self.pos - 1]
+        return draft
 
     def parse_members(self, draft: _ClassDraft, depth: int):
         while True:
@@ -336,9 +333,7 @@ class _Parser:
                 continue
             if tok in ("class", "interface"):
                 if depth == 0:
-                    child = len(self.drafts)
-                    self.parse_class(depth=1, fold_into=None)
-                    draft.children.append(self.drafts[child])
+                    draft.children.append(self.parse_class(depth=1, fold_into=None))
                 else:
                     self.parse_class(depth=depth + 1, fold_into=draft)
                 continue
@@ -348,18 +343,12 @@ class _Parser:
                 if self.try_generic_args() is None:
                     self.fail("malformed type parameter list")
                 continue
-            # constructor: ClassName (
-            if tok == draft.name and self.toks[self.pos + 1] == "(":
-                self.pos += 1
-                self.parse_method(draft, name=draft.name, rtype=None)
-                continue
             rtype = self.try_type()
             if rtype is None:
                 self.fail(f"unsupported class member near {tok!r}")
             name = self.accept_ident()
             if name is None:
-                if self.toks[self.pos] == "(":
-                    # constructor of a folded nested class
+                if self.toks[self.pos] == "(":  # a constructor
                     self.parse_method(draft, name=rtype.base, rtype=None)
                     continue
                 self.fail("expected member name")
@@ -434,7 +423,7 @@ class _Parser:
                 name=name,
                 param_types=tuple(t.base for _, t in params),
                 referenced_types=frozenset(referenced),
-                external_calls=frozenset((t, m) for t, m in calls if t != draft.name),
+                external_calls=frozenset(calls),
                 used_fields=frozenset(used_fields),
             )
         )
@@ -483,12 +472,14 @@ class _Parser:
             boundary = tok in _BOUNDARY or tok == "final"
             self.pos += 1
         shadowed = set(params) | set(locals_)
+        # a name's type: a local's, else a parameter's, else a field's
+        scope = {**draft.fields_by_name, **params, **locals_}
         # pass 2: call sites and field usage
         fields = draft.fields_by_name
         for i in range(start, end):
             tok = toks[i]
             if tok == "(":
-                self._record_call(i, draft, params, locals_, referenced, calls)
+                self._record_call(i, draft, scope, referenced, calls)
             elif tok in fields and tok not in KEYWORDS and toks[i + 1] != "(":
                 # a field read, not a call name
                 if toks[i - 1] == ".":
@@ -501,11 +492,12 @@ class _Parser:
         self,
         open_idx: int,
         draft: _ClassDraft,
-        params: dict[str, str],
-        locals_: dict[str, str],
+        scope: dict[str, str],
         referenced: set[str],
         calls: set[tuple[str, str]],
     ):
+        """Record the call whose ``(`` is at ``open_idx``; ``scope`` maps a
+        variable in scope to its declared type."""
         toks = self.toks
         method = toks[open_idx - 1]
         if method[0] not in _IDENT_START or method in KEYWORDS:
@@ -523,25 +515,19 @@ class _Parser:
         segs.reverse()
         rtype: str | None = None
         if segs[0] == "this":
-            if len(segs) == 2 and segs[1] in draft.fields_by_name:
-                rtype = draft.fields_by_name[segs[1]]
+            if len(segs) == 2:
+                rtype = draft.fields_by_name.get(segs[1])
         elif segs[0] == "super":
             if len(segs) == 1 and draft.extends:
                 rtype = draft.extends
         elif len(segs) == 1:
             s = segs[0]
-            if s in locals_:
-                rtype = locals_[s]
-            elif s in params:
-                rtype = params[s]
-            elif s in draft.fields_by_name:
-                rtype = draft.fields_by_name[s]
-            elif s[0].isupper():
+            rtype = scope.get(s)
+            if rtype is None and s[0].isupper():
                 rtype = s
-                if s not in PRIMITIVES:
-                    referenced.add(s)
+                referenced.add(s)
         else:
-            if segs[0] in locals_ or segs[0] in params or segs[0] in draft.fields_by_name:
+            if segs[0] in scope:
                 return  # member access chain on an object
             if segs[-1][0].isupper():
                 rtype = ".".join(segs)
@@ -615,8 +601,7 @@ def parse_corpus_dir(
     if memo is None:
         memo = {}
     paths: list[str] = []
-    for dirpath, dirnames, filenames in os.walk(root):
-        dirnames.sort()
+    for dirpath, _, filenames in os.walk(root):
         for fn in filenames:
             if fn.endswith(".java"):
                 rel = os.path.relpath(os.path.join(dirpath, fn), root)

@@ -96,7 +96,7 @@ def _at_least(arr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def ccdf(samples) -> CCDFCurve:
     """Empirical complementary CDF: for each distinct x, P(X >= x)."""
-    arr = np.sort(np.asarray(list(samples), dtype=float))
+    arr = np.sort(np.asarray(samples, dtype=float))
     if arr.size == 0:
         raise EmptyInput("ccdf of an empty sample set")
     if np.any(arr < 0) or np.any(~np.isfinite(arr)):
@@ -289,7 +289,7 @@ def fit_power_law_tail(
     if mode not in FIT_MODES:
         raise DomainError(f"mode must be one of {FIT_MODES}")
     min_tail = max(int(min_tail), 2)
-    arr = np.sort(np.asarray(list(samples), dtype=float))
+    arr = np.sort(np.asarray(samples, dtype=float))
     if arr.size == 0:
         raise EmptyInput("cannot fit an empty sample set")
     if np.any(arr <= 0) or np.any(~np.isfinite(arr)):

@@ -138,6 +138,10 @@ REGISTRY_HEADER = "id\topen_date\trelease_tag\n"
         (REGISTRY_HEADER + "5\t2007-01-01\tr1\tmore\n", 2, "expected 3 tab-separated columns"),
         (REGISTRY_HEADER + "five\t2007-01-01\tr1\n", 2, "bad issue id 'five'"),
         (REGISTRY_HEADER + "5.0\t2007-01-01\tr1\n", 2, "bad issue id '5.0'"),
+        (REGISTRY_HEADER + "1_20\t2007-01-01\tr1\n", 2, "bad issue id '1_20'"),
+        (REGISTRY_HEADER + "+145\t2007-01-01\tr1\n", 2, "bad issue id '+145'"),
+        (REGISTRY_HEADER + " 7\t2007-01-01\tr1\n", 2, "bad issue id ' 7'"),
+        (REGISTRY_HEADER + "\u0661\u0662\u0660\t2007-01-01\tr1\n", 2, "bad issue id '\u0661\u0662\u0660'"),
         (REGISTRY_HEADER + "0\t2007-01-01\tr1\n", 2, "issue id must be positive, got 0"),
         (REGISTRY_HEADER + "-3\t2007-01-01\tr1\n", 2, "issue id must be positive, got -3"),
         (REGISTRY_HEADER + "5\t2007-01-01\tr1\n5\t2007-02-01\tr2\n", 3, "duplicate issue id 5"),

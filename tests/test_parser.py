@@ -451,12 +451,37 @@ THROWS = in_class(
     "    }\n"
     "    abstract void close() throws Oops;\n"
 )
+# The parser is flow-insensitive, so a local may share a parameter's name.
+RECEIVERS = in_class(
+    "    F x;\n"
+    "    void local(P x) {\n"
+    "        L x = null;\n"
+    "        x.go();\n"
+    "    }\n"
+    "    void param(P x) {\n"
+    "        x.go();\n"
+    "    }\n"
+    "    void field() {\n"
+    "        x.go();\n"
+    "    }\n"
+)
+CONSTRUCTORS = in_class(
+    "    A(B b) {}\n"
+    "    class Inner {\n"
+    "        class Leaf {\n"
+    "            Leaf() {}\n"
+    "        }\n"
+    "    }\n"
+    "    Other() {}\n"
+)
 
 # Each case reaches a parser branch that the fixtures and the generated
 # corpus never do.
 BRANCH_CASES = {
     "array-types": ARRAYS,
     "throws": THROWS,
+    "receiver-scopes": RECEIVERS,
+    "constructors": CONSTRUCTORS,
     "nested-generics": in_class(
         "    Map<String, List<B>> index;\n"
         "    void m() {\n"
@@ -540,6 +565,31 @@ def test_throws_list_facts():
     assert close.param_types == ()
     assert close.referenced_types == {"Oops"}
     assert close.external_calls == frozenset()
+
+
+
+def test_a_receiver_resolves_through_a_local_then_a_parameter_then_a_field():
+    local, param, field_ = parse(RECEIVERS).classes[0].methods
+    assert local.external_calls == {("L", "go")}
+    assert local.referenced_types == {"P", "L"}
+    assert param.external_calls == {("P", "go")}
+    assert param.referenced_types == {"P"}
+    assert field_.external_calls == {("F", "go")}
+    assert field_.referenced_types == {"F"}
+    assert local.used_fields == param.used_fields == frozenset()
+    assert field_.used_fields == {"x"}
+
+
+def test_a_type_name_before_a_parenthesis_is_a_constructor():
+    outer, inner = parse(CONSTRUCTORS).classes
+    own, other = outer.methods
+    (leaf,) = inner.methods  # Leaf folds into Inner
+    assert (own.name, other.name, leaf.name) == ("A", "Other", "Leaf")
+    assert own.param_types == ("B",)
+    assert own.referenced_types == {"B"}
+    assert other.param_types == leaf.param_types == ()
+    assert other.referenced_types == leaf.referenced_types == frozenset()
+    assert own.external_calls == other.external_calls == leaf.external_calls == frozenset()
 
 
 SOUP_TOKENS = [
