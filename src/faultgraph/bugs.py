@@ -5,13 +5,16 @@ Commit log format: one record per line,
 with tabs/newlines/backslashes inside the message escaped as ``\\t``, ``\\n``
 and ``\\\\``. Issue registry: TSV with header ``id  open_date  release_tag``.
 Of a commit only the author is not kept, and of the registry only the ids.
+A commit's paths are interned, so a path that many commits touch is one
+string, the same one as the CU's path.
 
 An issue id is extracted from a message when a configured pattern captures
 it, it exists in the registry, it is at least ``min_id``, and it lies in no
 excluded interval. Each pattern is compiled once, case-insensitively, when
 the ``FilterConfig`` is made, and its capture must be an integer: a capture
 that is not one (or a group that matched nothing) is a configuration error,
-while a run of ASCII digits too long for ``int()`` cites no registered id.
+while a run of digits too long for ``int()`` or not all ASCII cites no
+registered id.
 A CU is hit by an issue when some in-window commit whose message cites the
 issue touches the CU; each (issue, CU) pair counts once per release no matter
 how many commits repeat it.
@@ -23,6 +26,7 @@ distinct message once.
 """
 
 import re
+import sys
 from bisect import bisect_left, bisect_right
 from collections import Counter
 from dataclasses import dataclass, field
@@ -143,7 +147,7 @@ def parse_commit_log_text(text: str) -> list[CommitEntry]:
             ts = parse_timestamp(raw_ts)
         except ValueError as exc:
             raise FormatError(f"bad timestamp {raw_ts!r}", record=idx) from exc
-        files = tuple(f.strip() for f in file_list.split(";") if f.strip())
+        files = tuple(sys.intern(f.strip()) for f in file_list.split(";") if f.strip())
         if not files:
             raise FormatError("commit record has no files", record=idx)
         entries.append(CommitEntry(ts, _unescape(message), files))
@@ -190,11 +194,13 @@ def extract_issue_refs(message: str, registry: frozenset[int], cfg: FilterConfig
             try:
                 issue_id = int(raw)
             except (TypeError, ValueError):
-                if raw is not None and raw.isascii() and raw.isdigit():
+                if raw is not None and raw.isdigit():
                     continue  # too many digits for int(), so no registered id
                 raise ConfigError(
                     f"pattern {rx.pattern!r} captured {raw!r} in commit message {message!r}, not an issue number"
                 ) from None
+            if not raw.isascii():
+                continue  # non-ASCII digits, in which no registered id is written
             if issue_id in registry and issue_id >= cfg.min_id and not cfg.excluded(issue_id):
                 found.add(issue_id)
     return found

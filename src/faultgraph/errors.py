@@ -1,6 +1,7 @@
-"""Exception types shared across the toolchain, the one UTF-8 reader of
-input files and the one writer of output files, a name printed on one line,
-the limits of the JSON decoder, and the rule that splits a file into records.
+"""Exception types shared across the toolchain, how a kept error lets go of
+its frames, the one UTF-8 reader of input files and the one writer of
+output files, a name printed on one line, the limits of the JSON decoder,
+and the rule that splits a file into records.
 
 Every error raised on bad *input* derives from InputError so the CLI can map
 it to exit code 1; anything else escaping a stage is treated as an internal
@@ -79,6 +80,15 @@ class EmptyFamily(InputError):
 
 class UnknownMetric(InputError):
     """Metric name not in the per-CU metric vector."""
+
+
+def detached(exc: InputError) -> InputError:
+    """``exc`` without its traceback and the errors it was raised from, for an
+    error kept after its handler ends. Its traceback's frames would hold the
+    keeper, and all the keeper's frame holds, in a cycle that only the cyclic
+    collector frees, and ``cli.main`` turns that collector off."""
+    exc.__traceback__ = exc.__cause__ = exc.__context__ = None
+    return exc
 
 
 def printable(name: str) -> str:

@@ -15,6 +15,8 @@ Set-valued fields are serialized sorted so the writer is byte-deterministic.
 
 import json
 import re
+import string
+import sys
 from dataclasses import dataclass
 
 from .errors import FormatError, json_limit, read_utf8, records, write_utf8
@@ -55,6 +57,9 @@ _LEXEME = re.compile(
     """,
     re.VERBOSE,
 )
+# the characters an identifier lexeme starts with: only identifiers are
+# interned, as facts keep names but no number or literal
+_NAME_START = frozenset(string.ascii_letters + "_$")
 
 
 def scan_source(text: str) -> tuple[list[bool], list[str], list[int]]:
@@ -64,7 +69,9 @@ def scan_source(text: str) -> tuple[list[bool], list[str], list[int]]:
     when line i holds a token, that is a non-whitespace character outside
     comments; tokens are the identifiers, numbers, literals and punctuators
     in order, and token_lines[j] is the 1-based line of tokens[j]. No token
-    holds a newline.
+    holds a newline. Identifiers are interned, so a name is one string
+    however many files spell it; numbers and literals, which no facts keep,
+    are not.
     """
     tokens: list[str] = []
     lines: list[int] = []
@@ -75,7 +82,7 @@ def scan_source(text: str) -> tuple[list[bool], list[str], list[int]]:
         elif lexeme[0] == "/" and len(lexeme) > 1:  # a comment
             line += lexeme.count("\n")
         else:
-            tokens.append(lexeme)
+            tokens.append(sys.intern(lexeme) if lexeme[0] in _NAME_START else lexeme)
             lines.append(line)
     has_code = [False] * (line - (not text or text.endswith("\n")))  # a final line break starts no line
     for ln in set(lines):
@@ -108,6 +115,15 @@ def count_loc(source_text: str) -> int:
 # Domain types
 # --------------------------------------------------------------------------
 
+# CPython makes a new empty frozenset on each call, and most methods leave
+# some of their sets empty, so every empty set of a run is this one object
+_EMPTY: frozenset = frozenset()
+
+
+def frozen(items) -> frozenset:
+    """``frozenset(items)``, or the one shared empty frozenset."""
+    return frozenset(items) if items else _EMPTY
+
 
 @dataclass(frozen=True)
 class MethodFacts:
@@ -120,9 +136,9 @@ class MethodFacts:
 
     name: str
     param_types: tuple[str, ...] = ()
-    referenced_types: frozenset[str] = frozenset()
-    external_calls: frozenset[tuple[str, str]] = frozenset()
-    used_fields: frozenset[str] = frozenset()
+    referenced_types: frozenset[str] = _EMPTY
+    external_calls: frozenset[tuple[str, str]] = _EMPTY
+    used_fields: frozenset[str] = _EMPTY
 
 
 @dataclass(frozen=True)
@@ -197,7 +213,7 @@ def _strings(value, what: str, record: int) -> list[str]:
         f"{what} must be a list of strings",
         record,
     )
-    return value
+    return [sys.intern(v) for v in value]
 
 
 def _objects(value, what: str, record: int) -> list[dict]:
@@ -229,11 +245,11 @@ def _method_from_dict(d: dict, record: int) -> MethodFacts:
         record,
     )
     return MethodFacts(
-        name=d["name"],
+        name=sys.intern(d["name"]),
         param_types=tuple(_strings(d.get("param_types", []), "param_types", record)),
-        referenced_types=frozenset(_strings(d.get("referenced_types", []), "referenced_types", record)),
-        external_calls=frozenset((t, n) for t, n in calls),
-        used_fields=frozenset(_strings(d.get("used_fields", []), "used_fields", record)),
+        referenced_types=frozen(_strings(d.get("referenced_types", []), "referenced_types", record)),
+        external_calls=frozen([(sys.intern(t), sys.intern(n)) for t, n in calls]),
+        used_fields=frozen(_strings(d.get("used_fields", []), "used_fields", record)),
     )
 
 
@@ -244,9 +260,9 @@ def _class_from_dict(d: dict, record: int) -> ClassFacts:
     extends = d.get("extends")
     _require(extends is None or isinstance(extends, str), "extends must be a string or null", record)
     return ClassFacts(
-        name=d["name"],
-        kind=d["kind"],
-        extends=extends,
+        name=sys.intern(d["name"]),
+        kind=sys.intern(d["kind"]),
+        extends=extends if extends is None else sys.intern(extends),
         implements=tuple(_strings(d.get("implements", []), "implements", record)),
         field_types=tuple(sorted(_strings(d.get("field_types", []), "field_types", record))),
         methods=tuple(_method_from_dict(m, record) for m in _objects(d.get("methods", []), "methods", record)),
@@ -255,7 +271,9 @@ def _class_from_dict(d: dict, record: int) -> ClassFacts:
 
 
 def cu_from_dict(d: dict, record: int = 0) -> CUFacts:
-    """One facts record; any missing or mistyped field raises FormatError."""
+    """One facts record; any missing or mistyped field raises FormatError.
+    Its strings are interned and its empty sets are the shared one, as in
+    parsed facts, so a name decoded from many lines is one string."""
     _require(isinstance(d, dict), "record must be a JSON object", record)
     for key in ("path", "package", "imports", "classes", "loc"):
         _require(key in d, f"missing field {key!r}", record)
@@ -269,8 +287,8 @@ def cu_from_dict(d: dict, record: int = 0) -> CUFacts:
     _require(len(names) == len(set(names)), "duplicate class name within CU", record)
     _require(loc >= len(classes), "loc smaller than the number of declared classes", record)
     return CUFacts(
-        path=d["path"],
-        package=d["package"],
+        path=sys.intern(d["path"]),
+        package=sys.intern(d["package"]),
         imports=tuple(_strings(d["imports"], "imports", record)),
         classes=classes,
         loc=loc,

@@ -37,10 +37,11 @@ Deliberate simplifications, chosen for determinism:
 
 import os
 import string
+import sys
 from dataclasses import dataclass, field, replace
 
-from .errors import ParseError, read_utf8
-from .facts import ClassFacts, CUFacts, MethodFacts, scan_source, splits_a_row, token_column
+from .errors import ParseError, detached, read_utf8
+from .facts import ClassFacts, CUFacts, MethodFacts, frozen, scan_source, splits_a_row, token_column
 
 KEYWORDS = frozenset(
     """abstract assert boolean break byte case catch char class const continue
@@ -422,9 +423,9 @@ class _Parser:
             MethodFacts(
                 name=name,
                 param_types=tuple(t.base for _, t in params),
-                referenced_types=frozenset(referenced),
-                external_calls=frozenset(calls),
-                used_fields=frozenset(used_fields),
+                referenced_types=frozen(referenced),
+                external_calls=frozen(calls),
+                used_fields=frozen(used_fields),
             )
         )
 
@@ -594,18 +595,21 @@ def parse_corpus_dir(
     Returns (facts, failures); files that fail to parse, are not UTF-8, or
     whose relative path holds a tab, CR or LF are reported, never silently
     dropped. ``memo`` maps source text to its facts or its ParseError; a text
-    parsed before, in this call or in an earlier one given the same memo, is
-    not parsed again. The parser reads a file's path only into
+    parsed before, in this call or in the previous one given the same memo,
+    is not parsed again. On return the memo holds this call's texts only, so
+    consecutive releases share their unchanged files and no older release's
+    texts stay alive. The parser reads a file's path only into
     ``CUFacts.path``, so a hit differs from a fresh parse in no other field.
+    Paths are interned, so a CU's path is the string the commit log names.
     """
-    if memo is None:
-        memo = {}
+    known = {} if memo is None else memo
+    texts: dict[str, CUFacts | ParseError] = {}
     paths: list[str] = []
     for dirpath, _, filenames in os.walk(root):
         for fn in filenames:
             if fn.endswith(".java"):
                 rel = os.path.relpath(os.path.join(dirpath, fn), root)
-                paths.append(rel.replace(os.sep, "/"))
+                paths.append(sys.intern(rel.replace(os.sep, "/")))
     paths.sort()
     facts: list[CUFacts] = []
     failures: list[tuple[str, ParseError]] = []
@@ -617,19 +621,22 @@ def parse_corpus_dir(
         try:
             text = read_utf8(full, ParseError)
         except ParseError as exc:
-            failures.append((rel, exc))
+            failures.append((rel, detached(exc)))
             continue
         if "\r" in text:  # CR, LF and CR LF each end a Java line (JLS 3.4)
             text = text.replace("\r\n", "\n").replace("\r", "\n")
-        hit = memo.get(text)
+        hit = texts.get(text, known.get(text))
         if hit is None:
             try:
                 hit = parse_compilation_unit(text, rel)
             except ParseError as exc:
-                hit = exc
-            memo[text] = hit
+                hit = detached(exc)
+        texts[text] = hit
         if isinstance(hit, ParseError):
             failures.append((rel, hit))
         else:
             facts.append(hit if hit.path == rel else replace(hit, path=rel))
+    if memo is not None:
+        memo.clear()
+        memo.update(texts)
     return facts, failures

@@ -24,6 +24,7 @@ from .errors import (
     InsufficientTail,
     OutputError,
     ParseError,
+    detached,
     printable,
     write_utf8,
 )
@@ -110,10 +111,12 @@ class ReleaseData:
 
 @dataclass
 class RunMemo:
-    """What a run decodes once. ``sources`` maps a source text to its facts or
-    its ParseError and lives as long as the run. ``lines`` maps a facts-file
-    line to its CUFacts and holds the lines of the last facts release loaded
-    only, so consecutive facts releases share their unchanged records."""
+    """What consecutive releases of a run share. ``sources`` maps a source
+    text to its facts or its ParseError and holds the texts of the last
+    corpus release parsed only; ``lines`` maps a facts-file line to its
+    CUFacts and holds the lines of the last facts release loaded only. So
+    consecutive releases share their unchanged files, and a text or line
+    from two releases back is decoded again, to equal facts."""
 
     sources: dict[str, CUFacts | ParseError] = field(default_factory=dict)
     lines: dict[str, CUFacts] = field(default_factory=dict)
@@ -121,8 +124,9 @@ class RunMemo:
 
 def load_release_facts(rc: ReleaseConfig, memo: RunMemo) -> tuple[list[CUFacts], list[tuple[str, Exception]]]:
     """(facts, per-file parse failures) of a release; no CUs at all is an InputError.
-    A corpus is parsed through ``memo.sources``, a facts file decoded
-    through ``memo.lines``, which then holds this file's lines."""
+    A corpus is parsed through ``memo.sources``, which then holds this
+    corpus's texts, a facts file decoded through ``memo.lines``, which then
+    holds this file's lines."""
     if rc.facts is not None:
         facts, failures = load_facts_file(rc.facts, memo.lines), []
     else:
@@ -157,7 +161,7 @@ def load_bug_ledgers(
             window = cfg.window_of(rc.tag)
             ledgers[rc.tag] = build_bug_ledger(commits, registry, cfg.filter_config, window, rc.tag, refs)
         except InputError as exc:
-            ledgers[rc.tag] = exc
+            ledgers[rc.tag] = detached(exc)  # its frame would hold the commits
     return ledgers
 
 
@@ -378,9 +382,8 @@ def run_releases(
     It reads the commit log and the registry once, building every selected
     release's ledger before any source is parsed, so the commits are freed
     first. It builds each selected release once and runs the writers on it.
-    The releases share one ``RunMemo``: a source text is parsed once per run,
-    and a facts-file line that the previous facts release also held is not
-    decoded again.
+    The releases share one ``RunMemo``: a source text or facts-file line
+    that the previous release of its kind also held is not decoded again.
     With no ``release`` given and some pair writer, a release that a pair
     needs keeps only its snapshot (tag, per-CU metrics, ledger), each pair
     writer runs on two snapshots as soon as both are taken, and a snapshot

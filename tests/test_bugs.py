@@ -246,6 +246,20 @@ def test_a_digit_run_too_long_for_int_cites_no_issue():
     assert extract_issue_refs(message, registry_of(500), FilterConfig()) == {500}
 
 
+@pytest.mark.parametrize(
+    "message, patterns, ascii_twin",
+    [
+        ("Fixed bug #١٢٠ and issue １４５", None, "Fixed bug #120 and issue 145"),  # Arabic-Indic, fullwidth
+        ("fix 1２0 and 14٥", None, "fix 120 and 145"),  # ASCII and non-ASCII digits in one run
+        ("bug-١٢٠ and bug-²", (r"\bbug-(\w+)",), "bug-120 and bug-145"),  # ² is a digit int() does not read
+    ],
+)
+def test_non_ascii_digits_cite_no_issue(message, patterns, ascii_twin):
+    cfg = FilterConfig() if patterns is None else FilterConfig(patterns=patterns)
+    assert extract_issue_refs(message, registry_of(120, 145), cfg) == set()
+    assert extract_issue_refs(ascii_twin, registry_of(120, 145), cfg) == {120, 145}
+
+
 def test_a_naive_timestamp_is_read_as_utc():
     assert parse_timestamp("2007-03-01T12:00:00") == utc("2007-03-01T12:00:00Z")
 

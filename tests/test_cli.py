@@ -1,3 +1,4 @@
+import gc
 import json
 import shutil
 import sys
@@ -725,3 +726,70 @@ def test_fit_synthetic_draw_past_the_double_range_warns_nothing(capsys):
         code, _, err = run(capsys, "fit", "--synthetic", "continuous:1.0000000001:200")
     assert code == 1
     assert "samples must be finite and positive" in err and "internal error" not in err
+
+
+# -- the collector policy: off while a command runs, as before once it returns --
+
+
+@pytest.fixture()
+def collector_state():
+    """Restore the test process's collector state whatever a test sets."""
+    enabled = gc.isenabled()
+    yield
+    (gc.enable if enabled else gc.disable)()
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["on", "off"])
+def test_main_restores_the_collector_state_on_every_exit(tmp_path, capsys, monkeypatch, collector_state, enabled):
+    during = []
+
+    def broken(data, out):
+        during.append(gc.isenabled())
+        raise RuntimeError("writer fault")
+
+    monkeypatch.setattr(cli, "write_metrics", broken)
+    (gc.enable if enabled else gc.disable)()
+    for argv, code in [
+        (["fit", "--synthetic", "continuous:2.5:200"], 0),
+        (["report"], 1),  # no --config
+        (["metrics", "--config", CONFIG, "--out", str(tmp_path / "o")], 2),
+    ]:
+        assert run(capsys, *argv)[0] == code
+        assert gc.isenabled() is enabled
+    with pytest.raises(SystemExit):
+        main(["report", "--no-such-flag"])
+    capsys.readouterr()
+    assert gc.isenabled() is enabled
+    assert during == [False]
+
+
+def cyclic_garbage(capsys, *argv) -> tuple[int, int]:
+    """(exit code, objects in reference cycles the command leaves unreachable).
+    The command runs once before it is counted, so the modules it imports
+    lazily are not counted."""
+    run(capsys, *argv)
+    gc.collect()
+    gc.disable()
+    code = run(capsys, *argv)[0]
+    return code, gc.collect()
+
+
+# Measured on Python 3.11: each command leaves 372 objects, every one of them
+# made by argparse while build_parser runs. A failed file's error kept with its
+# traceback held the whole release's facts in a cycle: 563 to 569 objects here.
+GARBAGE_BOUND = 450
+
+
+def test_a_report_leaves_bounded_cyclic_garbage(tmp_path, capsys, collector_state):
+    code, garbage = cyclic_garbage(capsys, "report", "--config", CONFIG, "--out", str(tmp_path / "o"))
+    assert code == 0 and garbage <= GARBAGE_BOUND
+
+
+@pytest.mark.parametrize("failing", [b"package app;\nclass {\n}\n", b"class \xe9 {}\n"], ids=["syntax", "not-utf8"])
+def test_an_extract_with_a_failing_file_leaves_bounded_cyclic_garbage(
+    tmp_path, capsys, fixtures_dir, collector_state, failing
+):
+    cfg_path = write_config(tmp_path, fixtures_dir)
+    (tmp_path / "corpus_r1" / "app" / "Broken.java").write_bytes(failing)
+    code, garbage = cyclic_garbage(capsys, "extract", "--config", str(cfg_path), "--out", str(tmp_path / "o"))
+    assert code == 1 and garbage <= GARBAGE_BOUND

@@ -7,6 +7,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from faultgraph import facts as facts_module
+from faultgraph import javaparse
 from faultgraph.errors import FormatError
 from faultgraph.facts import (
     CLASS_KINDS,
@@ -358,3 +359,39 @@ def test_a_failed_decode_is_never_memoised():
             load_facts(f"{bad}\n", memo)
         assert decode.call_count == 1
         assert memo == before
+
+
+# -- the source memo shared by consecutive corpus releases -----------------------
+
+
+def counted_parses():
+    return mock.patch.object(javaparse, "parse_compilation_unit", wraps=javaparse.parse_compilation_unit)
+
+
+def write_corpus(root, files):
+    root.mkdir()
+    for name, text in files.items():
+        (root / name).write_text(text)
+    return root
+
+
+SOURCES = {name: f"package p;\n\nclass {name[:-5]} {{\n    int n;\n}}\n" for name in ("A.java", "B.java", "C.java")}
+
+
+def test_a_text_seen_in_the_previous_release_is_not_parsed_again(tmp_path):
+    a, b, c = SOURCES["A.java"], SOURCES["B.java"], SOURCES["C.java"]
+    r1 = write_corpus(tmp_path / "r1", {"A.java": a, "B.java": b})
+    r2 = write_corpus(tmp_path / "r2", {"B.java": b, "C.java": c})
+    memo = {}
+    first, _ = parse_corpus_dir(r1, memo)
+    assert memo == {a: first[0], b: first[1]}
+    with counted_parses() as parse:
+        second, _ = parse_corpus_dir(r2, memo)
+    assert parse.call_count == 1  # C only
+    assert second == parse_corpus_dir(r2)[0] and second[0] is first[1]
+    assert memo == {b: second[0], c: second[1]}  # the previous release's texts are let go
+    with counted_parses() as parse:
+        third, _ = parse_corpus_dir(r1, memo)  # r1 -> r2 -> r1: A is two releases back
+    assert parse.call_count == 1  # A again
+    assert third == first and third[1] is first[1]
+    assert memo == {a: third[0], b: third[1]}

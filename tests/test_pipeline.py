@@ -408,6 +408,40 @@ def test_commit_log_is_freed_before_any_source_is_parsed(tmp_path, monkeypatch, 
     assert refs and alive and max(alive) == 0
 
 
+@pytest.mark.parametrize("windowless", [None, "r2"])
+def test_the_commit_log_is_freed_with_the_collector_off(tmp_path, monkeypatch, capsys, fixtures_dir, windowless):
+    # main turns the cyclic collector off, so only reference counts free the commits;
+    # a release without a window keeps its ledger error, which must not hold them
+    cfg = json.loads((fixtures_dir / "pipeline_config.json").read_text())
+    for rel in cfg["releases"]:
+        rel["corpus"] = str(fixtures_dir / rel["corpus"])
+        if rel["tag"] == windowless:
+            del rel["window"]
+    for key in ("commit_log", "issue_registry"):
+        cfg[key] = str(fixtures_dir / cfg[key])
+    refs = []
+    read_log = pipeline.parse_commit_log
+
+    def keep_refs(path):
+        commits = read_log(path)
+        refs.extend(weakref.ref(c) for c in commits)
+        return commits
+
+    monkeypatch.setattr(pipeline, "parse_commit_log", keep_refs)
+    alive = []
+    parse = javaparse.parse_compilation_unit
+
+    def check_then_parse(text, path):
+        alive.append(sum(ref() is not None for ref in refs))
+        return parse(text, path)
+
+    monkeypatch.setattr(javaparse, "parse_compilation_unit", check_then_parse)
+    code = main(["report", "--config", str(write_cfg(tmp_path, cfg)), "--out", str(tmp_path / "o")])
+    capsys.readouterr()
+    assert code == (0 if windowless is None else 1)
+    assert refs and alive and max(alive) == 0
+
+
 def test_release_is_freed_once_no_later_pair_needs_it(tmp_path, monkeypatch, capsys, fixtures_dir):
     for tag, corpus in (("r1", "corpus_r1"), ("r2", "corpus_r2"), ("r3", "corpus_r1")):
         shutil.copytree(fixtures_dir / corpus, tmp_path / f"corpus_{tag}")
