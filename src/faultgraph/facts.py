@@ -10,7 +10,9 @@ fixed top-level keys ``path``, ``package``, ``imports``, ``classes``, ``loc``.
 Class records carry ``name``, ``kind``, ``extends``, ``implements``,
 ``field_types``, ``methods``, ``loc``; method records carry ``name``,
 ``param_types``, ``referenced_types``, ``external_calls``, ``used_fields``.
-Set-valued fields are serialized sorted so the writer is byte-deterministic.
+A method's name sets (``referenced_types``, ``external_calls``,
+``used_fields``) are held as sorted tuples of distinct values, the form the
+file lists them in, so the writer is byte-deterministic.
 """
 
 import json
@@ -115,14 +117,13 @@ def count_loc(source_text: str) -> int:
 # Domain types
 # --------------------------------------------------------------------------
 
-# CPython makes a new empty frozenset on each call, and most methods leave
-# some of their sets empty, so every empty set of a run is this one object
-_EMPTY: frozenset = frozenset()
 
+def name_set(items: set) -> tuple:
+    """A method's name set as held and written: sorted, each value once.
 
-def frozen(items) -> frozenset:
-    """``frozenset(items)``, or the one shared empty frozenset."""
-    return frozenset(items) if items else _EMPTY
+    An empty set gives CPython's one empty tuple.
+    """
+    return tuple(sorted(items))
 
 
 @dataclass(frozen=True)
@@ -132,13 +133,15 @@ class MethodFacts:
     external_calls holds (receiver type name, method name) pairs for calls
     whose receiver type is not the enclosing class; used_fields holds names
     of the enclosing class's fields the body reads or writes (cohesion input).
+    These two and referenced_types are sets held as ``name_set`` tuples,
+    sorted with each value once.
     """
 
     name: str
     param_types: tuple[str, ...] = ()
-    referenced_types: frozenset[str] = _EMPTY
-    external_calls: frozenset[tuple[str, str]] = _EMPTY
-    used_fields: frozenset[str] = _EMPTY
+    referenced_types: tuple[str, ...] = ()
+    external_calls: tuple[tuple[str, str], ...] = ()
+    used_fields: tuple[str, ...] = ()
 
 
 @dataclass(frozen=True)
@@ -174,9 +177,9 @@ def _method_to_dict(m: MethodFacts) -> dict:
     return {
         "name": m.name,
         "param_types": list(m.param_types),
-        "referenced_types": sorted(m.referenced_types),
-        "external_calls": sorted([t, n] for t, n in m.external_calls),
-        "used_fields": sorted(m.used_fields),
+        "referenced_types": list(m.referenced_types),
+        "external_calls": [list(p) for p in m.external_calls],
+        "used_fields": list(m.used_fields),
     }
 
 
@@ -247,9 +250,9 @@ def _method_from_dict(d: dict, record: int) -> MethodFacts:
     return MethodFacts(
         name=sys.intern(d["name"]),
         param_types=tuple(_strings(d.get("param_types", []), "param_types", record)),
-        referenced_types=frozen(_strings(d.get("referenced_types", []), "referenced_types", record)),
-        external_calls=frozen([(sys.intern(t), sys.intern(n)) for t, n in calls]),
-        used_fields=frozen(_strings(d.get("used_fields", []), "used_fields", record)),
+        referenced_types=name_set(set(_strings(d.get("referenced_types", []), "referenced_types", record))),
+        external_calls=name_set({(sys.intern(t), sys.intern(n)) for t, n in calls}),
+        used_fields=name_set(set(_strings(d.get("used_fields", []), "used_fields", record))),
     )
 
 
@@ -272,8 +275,9 @@ def _class_from_dict(d: dict, record: int) -> ClassFacts:
 
 def cu_from_dict(d: dict, record: int = 0) -> CUFacts:
     """One facts record; any missing or mistyped field raises FormatError.
-    Its strings are interned and its empty sets are the shared one, as in
-    parsed facts, so a name decoded from many lines is one string."""
+    Its strings are interned, as in parsed facts, so a name decoded from
+    many lines is one string; a method's name sets are read in any order
+    and with repeats, and held as ``name_set`` tuples."""
     _require(isinstance(d, dict), "record must be a JSON object", record)
     for key in ("path", "package", "imports", "classes", "loc"):
         _require(key in d, f"missing field {key!r}", record)

@@ -2,9 +2,10 @@
 
 Both graphs are directed with typed edges: inheritance (extends/implements),
 composition (field types), dependence (types used or called inside method
-bodies). A CU edge aggregates the class edges of one kind crossing between
-two compilation units; its weight is the number of distinct class-level
-edges it carries. Intra-CU class relationships never produce a CU edge.
+bodies). The class graph holds the edges that ``resolve`` binds. A CU edge
+aggregates the class edges of one kind crossing between two compilation
+units; its weight is the number of distinct class-level edges it carries.
+Intra-CU class relationships never produce a CU edge.
 
 Each graph builds its per-node adjacency once, at construction, so a
 neighbour query costs O(degree) rather than a scan of the whole edge set.
@@ -14,14 +15,8 @@ part in equality or ``repr``.
 
 from dataclasses import dataclass, field
 
-from .resolve import ClassId, ResolvedCorpus
+from .resolve import COMPOSITION, DEPENDENCE, EDGE_KINDS, INHERITANCE, ClassEdge, ClassId, ResolvedCorpus
 
-INHERITANCE = "inheritance"
-COMPOSITION = "composition"
-DEPENDENCE = "dependence"
-EDGE_KINDS = (INHERITANCE, COMPOSITION, DEPENDENCE)
-
-ClassEdge = tuple[ClassId, ClassId, str]
 CUEdgeKey = tuple[str, str, str]
 
 
@@ -77,23 +72,12 @@ class CUGraph:
 
 
 def build_class_graph(corpus: ResolvedCorpus) -> ClassGraph:
-    nodes = frozenset(corpus.classes)
-    edges: set[ClassEdge] = set()
-    for cid, rc in corpus.classes.items():
-        for tgt in rc.inherits:
-            edges.add((cid, tgt, INHERITANCE))
-        for tgt in rc.composes:
-            edges.add((cid, tgt, COMPOSITION))
-        for tgt in rc.depends:
-            edges.add((cid, tgt, DEPENDENCE))
-    return ClassGraph(nodes=nodes, edges=frozenset(edges))
+    return ClassGraph(nodes=frozenset(corpus.classes), edges=corpus.edges)
 
 
 def build_cu_graph(cg: ClassGraph, corpus: ResolvedCorpus) -> CUGraph:
-    cu_of = {cid: rc.cu_path for cid, rc in corpus.classes.items()}
     weights: dict[CUEdgeKey, int] = {}
-    for src, tgt, kind in cg.edges:
-        p, q = cu_of[src], cu_of[tgt]
+    for (p, _), (q, _), kind in cg.edges:
         if p == q:
             continue
         key = (p, q, kind)

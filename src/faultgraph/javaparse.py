@@ -38,10 +38,11 @@ Deliberate simplifications, chosen for determinism:
 import os
 import string
 import sys
+from collections import Counter
 from dataclasses import dataclass, field, replace
 
 from .errors import ParseError, detached, read_utf8
-from .facts import ClassFacts, CUFacts, MethodFacts, frozen, scan_source, splits_a_row, token_column
+from .facts import ClassFacts, CUFacts, MethodFacts, name_set, scan_source, splits_a_row, token_column
 
 KEYWORDS = frozenset(
     """abstract assert boolean break byte case catch char class const continue
@@ -423,9 +424,9 @@ class _Parser:
             MethodFacts(
                 name=name,
                 param_types=tuple(t.base for _, t in params),
-                referenced_types=frozen(referenced),
-                external_calls=frozen(calls),
-                used_fields=frozen(used_fields),
+                referenced_types=name_set(referenced),
+                external_calls=name_set(calls),
+                used_fields=name_set(used_fields),
             )
         )
 
@@ -557,9 +558,9 @@ def parse_compilation_unit(source_text: str, path: str) -> CUFacts:
     except RecursionError:  # parse_class recurses once per nested class
         # no position: where the stack runs out depends on the caller's depth
         raise ParseError("class declarations nested too deeply") from None
-    names = [d.name for d in parser.drafts]
-    if len(names) != len(set(names)):
-        dup = sorted({n for n in names if names.count(n) > 1})[0]
+    counts = Counter(d.name for d in parser.drafts)
+    if len(counts) != len(parser.drafts):
+        dup = min(n for n, k in counts.items() if k > 1)
         raise ParseError(f"duplicate class name {dup!r} in compilation unit")
     classes = tuple(
         ClassFacts(

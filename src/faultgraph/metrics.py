@@ -57,14 +57,9 @@ def class_metrics(c: ClassFacts, cu_path: str, cg: ClassGraph) -> ClassMetrics:
     cid: ClassId = (cu_path, c.name)
     coupled = cg.out_neighbors(cid, kinds=(COMPOSITION, DEPENDENCE))
     pairs = {pair for m in c.methods for pair in m.external_calls}
-    cohesive = 0
-    non_cohesive = 0
-    for i in range(len(c.methods)):
-        for j in range(i + 1, len(c.methods)):
-            if c.methods[i].used_fields & c.methods[j].used_fields:
-                cohesive += 1
-            else:
-                non_cohesive += 1
+    used = [set(m.used_fields) for m in c.methods]
+    cohesive = sum(not a.isdisjoint(b) for i, a in enumerate(used) for b in used[i + 1 :])
+    non_cohesive = len(used) * (len(used) - 1) // 2 - cohesive
     return ClassMetrics(
         wmc=len(c.methods),
         cbo=len(coupled),
@@ -93,8 +88,6 @@ def compute_metrics(
     corpus: ResolvedCorpus, cg: ClassGraph, cug: CUGraph
 ) -> tuple[dict[ClassId, ClassMetrics], dict[str, MetricVector]]:
     """Evaluate both suites for a whole release snapshot."""
-    per_class = {
-        cid: class_metrics(rc.facts, rc.cu_path, cg) for cid, rc in corpus.classes.items()
-    }
+    per_class = {cid: class_metrics(cls, cid[0], cg) for cid, cls in corpus.classes.items()}
     per_cu = {cu.path: cu_metrics(cu, cug, per_class) for cu in corpus.cus}
     return per_class, per_cu

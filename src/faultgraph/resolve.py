@@ -7,9 +7,15 @@ lies outside the corpus), wildcard imports (only when exactly one corpus
 package matches). Dotted names resolve as package-qualified class names.
 Ambiguous names are logged and resolved by the stated order with ties broken
 by lexicographic CU path.
+
+Each bound reference is one typed class edge: inheritance (extends or
+implements), composition (a field type; an interface composes nothing) or
+dependence (a type used or called inside a method body). A reference that
+binds to its own class makes no edge.
 """
 
 import logging
+from collections import Counter
 from dataclasses import dataclass
 
 from .errors import FormatError
@@ -18,6 +24,12 @@ from .facts import ClassFacts, CUFacts
 log = logging.getLogger(__name__)
 
 ClassId = tuple[str, str]  # (CU path, class simple name)
+ClassEdge = tuple[ClassId, ClassId, str]  # (source class, target class, kind)
+
+INHERITANCE = "inheritance"
+COMPOSITION = "composition"
+DEPENDENCE = "dependence"
+EDGE_KINDS = (INHERITANCE, COMPOSITION, DEPENDENCE)
 
 
 def class_id_str(cid: ClassId) -> str:
@@ -25,20 +37,10 @@ def class_id_str(cid: ClassId) -> str:
 
 
 @dataclass(frozen=True)
-class ResolvedClass:
-    """One corpus class with its name references bound to corpus classes."""
-
-    cu_path: str
-    facts: ClassFacts
-    inherits: frozenset[ClassId]
-    composes: frozenset[ClassId]
-    depends: frozenset[ClassId]
-
-
-@dataclass(frozen=True)
 class ResolvedCorpus:
     cus: tuple[CUFacts, ...]  # sorted by path
-    classes: dict[ClassId, ResolvedClass]
+    classes: dict[ClassId, ClassFacts]
+    edges: frozenset[ClassEdge]
 
 
 class _Index:
@@ -103,37 +105,31 @@ def _resolve_name(name: str, cu: CUFacts, index: _Index) -> ClassId | None:
 
 def resolve_type_references(corpus: list[CUFacts]) -> ResolvedCorpus:
     """Bind all recorded type names to corpus classes or mark them external."""
-    paths = [cu.path for cu in corpus]
-    if len(paths) != len(set(paths)):
-        dup = sorted({p for p in paths if paths.count(p) > 1})[0]
+    counts = Counter(cu.path for cu in corpus)
+    if len(counts) != len(corpus):
+        dup = min(p for p, k in counts.items() if k > 1)
         raise FormatError(f"duplicate CU path {dup!r} in corpus")
     cus = tuple(sorted(corpus, key=lambda c: c.path))
     index = _Index(list(cus))
-    classes: dict[ClassId, ResolvedClass] = {}
+    classes: dict[ClassId, ClassFacts] = {}
+    edges: set[ClassEdge] = set()
     for cu in cus:
         for cls in cu.classes:
             cid = (cu.path, cls.name)
+            classes[cid] = cls
 
-            def bind(name: str) -> ClassId | None:
-                got = _resolve_name(name, cu, index)
-                return None if got == cid else got
+            def link(names, kind: str) -> None:
+                for name in names:
+                    target = _resolve_name(name, cu, index)
+                    if target is not None and target != cid:
+                        edges.add((cid, target, kind))
 
-            inherit_names = ([cls.extends] if cls.extends else []) + list(cls.implements)
-            inherits = frozenset(t for n in inherit_names if (t := bind(n)) is not None)
-            if cls.kind == "interface":
-                composes = frozenset()
-            else:
-                composes = frozenset(t for n in set(cls.field_types) if (t := bind(n)) is not None)
+            link(([cls.extends] if cls.extends else []) + list(cls.implements), INHERITANCE)
+            if cls.kind != "interface":
+                link(set(cls.field_types), COMPOSITION)
             used: set[str] = set()
             for m in cls.methods:
                 used.update(m.referenced_types)
                 used.update(recv for recv, _ in m.external_calls)
-            depends = frozenset(t for n in used if (t := bind(n)) is not None)
-            classes[cid] = ResolvedClass(
-                cu_path=cu.path,
-                facts=cls,
-                inherits=inherits,
-                composes=composes,
-                depends=depends,
-            )
-    return ResolvedCorpus(cus=cus, classes=classes)
+            link(used, DEPENDENCE)
+    return ResolvedCorpus(cus=cus, classes=classes, edges=frozenset(edges))

@@ -665,15 +665,6 @@ class ChiSquareResult:
         assert 0.0 <= self.p_value <= 1.0
 
 
-def regularized_gamma_q(a: float, x: float) -> float:
-    """Regularized upper incomplete gamma Q(a, x)."""
-    if not (math.isfinite(a) and math.isfinite(x) and a > 0.0 and x >= 0.0):
-        raise DomainError(f"regularized_gamma_q needs finite a > 0 and x >= 0, got a={a}, x={x}")
-    from scipy.special import gammaincc
-
-    return float(gammaincc(a, x))
-
-
 def chi_square_independence(table) -> ChiSquareResult:
     """Pearson chi-square test of independence on an R x C count table."""
     obs = np.asarray(table, dtype=float)
@@ -689,4 +680,6 @@ def chi_square_independence(table) -> ChiSquareResult:
     expected = np.outer(row_sums, col_sums) / total
     chi2 = float(((obs - expected) ** 2 / expected).sum())
     dof = (obs.shape[0] - 1) * (obs.shape[1] - 1)
-    return ChiSquareResult(chi2=chi2, dof=dof, p_value=regularized_gamma_q(dof / 2.0, chi2 / 2.0))
+    from scipy.special import gammaincc
+
+    return ChiSquareResult(chi2=chi2, dof=dof, p_value=float(gammaincc(dof / 2.0, chi2 / 2.0)))

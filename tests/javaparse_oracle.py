@@ -535,9 +535,9 @@ class _Parser:
             MethodFacts(
                 name=name,
                 param_types=tuple(t.base for _, t in params),
-                referenced_types=frozenset(referenced),
-                external_calls=frozenset((t, m) for t, m in calls if t != draft.name),
-                used_fields=frozenset(used_fields),
+                referenced_types=tuple(sorted(referenced)),
+                external_calls=tuple(sorted((t, m) for t, m in calls if t != draft.name)),
+                used_fields=tuple(sorted(used_fields)),
             )
         )
 

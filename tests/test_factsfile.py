@@ -158,6 +158,29 @@ def test_valid_record_loads():
     assert cu.classes[0].implements == ("Runnable",)
 
 
+def test_name_sets_load_and_dump_sorted_and_distinct():
+    # a facts file may list set-valued entries in any order and with repeats
+    record = copy.deepcopy(VALID)
+    record["classes"][0]["methods"][0].update(
+        referenced_types=["Z", "Y", "Z"],
+        external_calls=[["Z", "go"], ["Y", "run"], ["Z", "go"], ["Y", "go"]],
+        used_fields=["n", "m", "n"],
+    )
+    canonical = copy.deepcopy(record)
+    canonical["classes"][0]["methods"][0].update(
+        referenced_types=["Y", "Z"],
+        external_calls=[["Y", "go"], ["Y", "run"], ["Z", "go"]],
+        used_fields=["m", "n"],
+    )
+    (cu,) = load_facts(json.dumps(record) + "\n")
+    assert [cu] == load_facts(json.dumps(canonical) + "\n")
+    (m,) = cu.classes[0].methods
+    assert m.referenced_types == ("Y", "Z")
+    assert m.external_calls == (("Y", "go"), ("Y", "run"), ("Z", "go"))
+    assert m.used_fields == ("m", "n")
+    assert json.loads(dump_facts([cu])) == canonical
+
+
 @pytest.mark.parametrize(
     "path, value",
     [
@@ -195,9 +218,10 @@ methods = st.builds(
     MethodFacts,
     name=names,
     param_types=st.lists(names, max_size=3).map(tuple),
-    referenced_types=st.frozensets(names, max_size=3),
-    external_calls=st.frozensets(st.tuples(names, names), max_size=3),
-    used_fields=st.frozensets(names, max_size=3),
+    # the loader holds a method's name sets sorted, each value once
+    referenced_types=st.frozensets(names, max_size=3).map(lambda s: tuple(sorted(s))),
+    external_calls=st.frozensets(st.tuples(names, names), max_size=3).map(lambda s: tuple(sorted(s))),
+    used_fields=st.frozensets(names, max_size=3).map(lambda s: tuple(sorted(s))),
 )
 classes = st.builds(
     ClassFacts,

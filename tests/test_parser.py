@@ -2,6 +2,7 @@ import importlib.util
 import json
 import pathlib
 import re
+import time
 
 import numpy as np
 import pytest
@@ -38,8 +39,8 @@ def test_declaration_reading():
     assert cls.implements == ("C",)
     assert cls.field_types == ("D",)
     (method,) = cls.methods
-    assert method.external_calls == {("D", "run")}
-    assert method.used_fields == {"d"}
+    assert method.external_calls == (("D", "run"),)
+    assert method.used_fields == ("d",)
 
 
 def test_two_top_level_classes():
@@ -91,7 +92,7 @@ def test_generics_stripped_to_raw_plus_arguments():
     (cls,) = cu.classes
     assert sorted(cls.field_types) == ["B", "C", "List", "Map", "String"]
     (m,) = cls.methods
-    assert {"List", "D"} <= m.referenced_types
+    assert {"List", "D"} <= set(m.referenced_types)
 
 
 def test_nested_class_is_separate_one_level_deep():
@@ -163,12 +164,12 @@ def test_static_call_receiver_and_super_call():
         "}\n"
     )
     (m,) = cu.classes[0].methods
-    assert m.external_calls == {("Text", "pad"), ("B", "close")}
+    assert m.external_calls == (("B", "close"), ("Text", "pad"))
 
 
 def test_self_static_call_is_not_external():
     cu = parse("package p;\nclass A {\n    void m() {\n        A.make();\n    }\n}\n")
-    assert cu.classes[0].methods[0].external_calls == frozenset()
+    assert cu.classes[0].methods[0].external_calls == ()
 
 
 def test_undeclared_lowercase_receiver_is_skipped():
@@ -176,8 +177,8 @@ def test_undeclared_lowercase_receiver_is_skipped():
     # call contributes nothing rather than a bogus pair
     cu = parse("package p;\nclass A {\n    void m() {\n        e.run();\n    }\n}\n")
     (m,) = cu.classes[0].methods
-    assert m.external_calls == frozenset()
-    assert m.referenced_types == frozenset()
+    assert m.external_calls == ()
+    assert m.referenced_types == ()
 
 
 def test_field_shadowed_by_parameter_needs_this():
@@ -194,8 +195,8 @@ def test_field_shadowed_by_parameter_needs_this():
         "}\n"
     )
     set_m, read_m = cu.classes[0].methods
-    assert set_m.used_fields == {"width"}
-    assert read_m.used_fields == {"width"}
+    assert set_m.used_fields == ("width",)
+    assert read_m.used_fields == ("width",)
 
 
 def test_annotations_are_skipped_everywhere():
@@ -216,7 +217,7 @@ def test_annotations_are_skipped_everywhere():
     assert cls.field_types == ("Util",)
     (m,) = cls.methods
     assert m.param_types == ("Sink",)
-    assert m.external_calls == {("Sink", "write")}
+    assert m.external_calls == (("Sink", "write"),)
 
 
 def test_static_import_contributes_type():
@@ -288,6 +289,16 @@ def test_more_classes_than_code_lines_rejected():
 def test_duplicate_class_names_rejected():
     with pytest.raises(ParseError):
         parse("package p;\nclass A {\n void x() {}\n}\nclass A {\n void y() {}\n}\n")
+
+
+def test_duplicates_among_many_classes_are_found_in_one_pass():
+    # C20000 repeats before C10000 does; the message names the smaller one
+    names = [f"C{i}" for i in range(29_998)] + ["C20000", "C10000"]
+    text = "package p;\n" + "".join(f"class {n} {{ void m() {{}} }}\n" for n in names)
+    start = time.monotonic()
+    with pytest.raises(ParseError, match="duplicate class name 'C10000'"):
+        parse(text)
+    assert time.monotonic() - start < 5.0  # a count per name took about 16 s
 
 
 def test_corpus_dir_reports_failures_without_dropping_others(tmp_path):
@@ -552,32 +563,32 @@ def test_array_types_and_dims_facts():
     (m,) = cls.methods
     assert m.name == "main"
     assert m.param_types == ("String", "int")
-    assert m.referenced_types == {"String", "Item"}
-    assert m.external_calls == frozenset()
-    assert m.used_fields == {"xs"}
+    assert m.referenced_types == ("Item", "String")
+    assert m.external_calls == ()
+    assert m.used_fields == ("xs",)
     assert cls.loc == 9
 
 
 def test_throws_list_facts():
     read, close = parse(THROWS).classes[0].methods
-    assert read.referenced_types == {"IOException", "q.Bad", "Helper"}
-    assert read.external_calls == {("Helper", "go")}
+    assert read.referenced_types == ("Helper", "IOException", "q.Bad")
+    assert read.external_calls == (("Helper", "go"),)
     assert close.param_types == ()
-    assert close.referenced_types == {"Oops"}
-    assert close.external_calls == frozenset()
+    assert close.referenced_types == ("Oops",)
+    assert close.external_calls == ()
 
 
 
 def test_a_receiver_resolves_through_a_local_then_a_parameter_then_a_field():
     local, param, field_ = parse(RECEIVERS).classes[0].methods
-    assert local.external_calls == {("L", "go")}
-    assert local.referenced_types == {"P", "L"}
-    assert param.external_calls == {("P", "go")}
-    assert param.referenced_types == {"P"}
-    assert field_.external_calls == {("F", "go")}
-    assert field_.referenced_types == {"F"}
-    assert local.used_fields == param.used_fields == frozenset()
-    assert field_.used_fields == {"x"}
+    assert local.external_calls == (("L", "go"),)
+    assert local.referenced_types == ("L", "P")
+    assert param.external_calls == (("P", "go"),)
+    assert param.referenced_types == ("P",)
+    assert field_.external_calls == (("F", "go"),)
+    assert field_.referenced_types == ("F",)
+    assert local.used_fields == param.used_fields == ()
+    assert field_.used_fields == ("x",)
 
 
 def test_a_type_name_before_a_parenthesis_is_a_constructor():
@@ -586,10 +597,10 @@ def test_a_type_name_before_a_parenthesis_is_a_constructor():
     (leaf,) = inner.methods  # Leaf folds into Inner
     assert (own.name, other.name, leaf.name) == ("A", "Other", "Leaf")
     assert own.param_types == ("B",)
-    assert own.referenced_types == {"B"}
+    assert own.referenced_types == ("B",)
     assert other.param_types == leaf.param_types == ()
-    assert other.referenced_types == leaf.referenced_types == frozenset()
-    assert own.external_calls == other.external_calls == leaf.external_calls == frozenset()
+    assert other.referenced_types == leaf.referenced_types == ()
+    assert own.external_calls == other.external_calls == leaf.external_calls == ()
 
 
 SOUP_TOKENS = [

@@ -1,12 +1,21 @@
+import time
+
 import pytest
 
 from faultgraph.errors import FormatError
+from faultgraph.facts import ClassFacts, CUFacts
 from faultgraph.javaparse import parse_compilation_unit, parse_corpus_dir
-from faultgraph.resolve import resolve_type_references
+from faultgraph.resolve import COMPOSITION, DEPENDENCE, INHERITANCE, resolve_type_references
 
 
 def corpus(*sources):
     return [parse_compilation_unit(text, path) for path, text in sources]
+
+
+def targets(rc, cid, kind):
+    """The classes that ``cid``, a corpus class, has an edge of ``kind`` to."""
+    assert cid in rc.classes
+    return {tgt for src, tgt, k in rc.edges if src == cid and k == kind}
 
 
 def test_same_package_rule():
@@ -16,8 +25,8 @@ def test_same_package_rule():
             ("p/B.java", "package p;\nclass B {\n    void x() {}\n}\n"),
         )
     )
-    main = rc.classes[("p/Main.java", "Main")]
-    assert main.composes == {("p/B.java", "B")}
+    main = ("p/Main.java", "Main")
+    assert targets(rc, main, COMPOSITION) == {("p/B.java", "B")}
 
 
 def test_unmatched_qualified_name_is_external():
@@ -29,8 +38,8 @@ def test_unmatched_qualified_name_is_external():
             ),
         )
     )
-    main = rc.classes[("p/Main.java", "Main")]
-    assert main.depends == frozenset()
+    main = ("p/Main.java", "Main")
+    assert targets(rc, main, DEPENDENCE) == set()
 
 
 def test_first_matching_explicit_import_wins():
@@ -44,8 +53,8 @@ def test_first_matching_explicit_import_wins():
             ("b/Shape.java", "package b;\nclass Shape {\n void b() {}\n}\n"),
         )
     )
-    main = rc.classes[("m/Main.java", "Main")]
-    assert main.composes == {("a/Shape.java", "Shape")}
+    main = ("m/Main.java", "Main")
+    assert targets(rc, main, COMPOSITION) == {("a/Shape.java", "Shape")}
 
 
 def test_import_binds_name_even_when_target_not_in_corpus():
@@ -60,8 +69,8 @@ def test_import_binds_name_even_when_target_not_in_corpus():
             ("q/List.java", "package q;\nclass List {\n void x() {}\n}\n"),
         )
     )
-    main = rc.classes[("m/Main.java", "Main")]
-    assert main.composes == frozenset()
+    main = ("m/Main.java", "Main")
+    assert targets(rc, main, COMPOSITION) == set()
 
 
 def test_wildcard_import_resolves_only_unique_package():
@@ -75,14 +84,14 @@ def test_wildcard_import_resolves_only_unique_package():
             *sources,
         )
     )
-    assert unique.classes[("m/One.java", "One")].composes == {("a/Shape.java", "Shape")}
+    assert targets(unique, ("m/One.java", "One"), COMPOSITION) == {("a/Shape.java", "Shape")}
     ambiguous = resolve_type_references(
         corpus(
             ("m/Two.java", "package m;\nimport a.*;\nimport b.*;\nclass Two {\n    Shape s;\n}\n"),
             *sources,
         )
     )
-    assert ambiguous.classes[("m/Two.java", "Two")].composes == frozenset()
+    assert targets(ambiguous, ("m/Two.java", "Two"), COMPOSITION) == set()
 
 
 def test_same_cu_beats_same_package():
@@ -95,8 +104,8 @@ def test_same_cu_beats_same_package():
             ("p/Helper.java", "package p;\nclass Helper {\n void y() {}\n}\n"),
         )
     )
-    main = rc.classes[("p/Main.java", "Main")]
-    assert main.composes == {("p/Main.java", "Helper")}
+    main = ("p/Main.java", "Main")
+    assert targets(rc, main, COMPOSITION) == {("p/Main.java", "Helper")}
 
 
 def test_ambiguous_same_package_name_logged_and_resolved_by_path_order(caplog):
@@ -110,8 +119,8 @@ def test_ambiguous_same_package_name_logged_and_resolved_by_path_order(caplog):
                 ("p/A.java", "package p;\nclass Shape {\n void a() {}\n}\n"),
             )
         )
-    main = rc.classes[("p/Main.java", "Main")]
-    assert main.composes == {("p/A.java", "Shape")}  # lexicographically first CU wins
+    main = ("p/Main.java", "Main")
+    assert targets(rc, main, COMPOSITION) == {("p/A.java", "Shape")}  # lexicographically first CU wins
     assert any("ambiguous" in rec.message for rec in caplog.records)
 
 
@@ -121,14 +130,22 @@ def test_duplicate_paths_rejected():
         resolve_type_references([cu, cu])
 
 
+def test_duplicates_among_many_paths_are_found_in_one_pass():
+    # p/C20000.java repeats before p/C10000.java does; the message names the smaller one
+    paths = [f"p/C{i}.java" for i in range(29_998)] + ["p/C20000.java", "p/C10000.java"]
+    cus = [CUFacts(path=p, package="p", classes=(ClassFacts(name="A", kind="class"),), loc=1) for p in paths]
+    start = time.monotonic()
+    with pytest.raises(FormatError, match="duplicate CU path 'p/C10000.java'"):
+        resolve_type_references(cus)
+    assert time.monotonic() - start < 5.0
+
+
 def test_resolution_never_leaves_corpus(corpus_r1_dir):
     facts, _ = parse_corpus_dir(corpus_r1_dir)
     rc = resolve_type_references(facts)
     ids = set(rc.classes)
-    for resolved in rc.classes.values():
-        assert resolved.inherits <= ids
-        assert resolved.composes <= ids
-        assert resolved.depends <= ids
+    for src, tgt, _ in rc.edges:
+        assert src in ids and tgt in ids
 
 
 def test_resolution_is_independent_of_input_order(corpus_r1_dir):
@@ -142,14 +159,14 @@ def test_resolution_is_independent_of_input_order(corpus_r1_dir):
 def test_fixture_resolution_matches_hand_oracle(corpus_r1_dir):
     facts, _ = parse_corpus_dir(corpus_r1_dir)
     rc = resolve_type_references(facts)
-    alpha = rc.classes[("app/Alpha.java", "Alpha")]
-    assert alpha.inherits == {("app/Base.java", "Base"), ("app/Runner.java", "Runner")}
-    assert alpha.composes == {("lib/Util.java", "Util")}
-    assert alpha.depends == {("lib/Util.java", "Util")}
-    base = rc.classes[("app/Base.java", "Base")]
-    assert base.depends == frozenset()  # Logger is external
-    util = rc.classes[("lib/Util.java", "Util")]
-    assert util.depends == {("lib/Util.java", "Text")}
+    alpha = ("app/Alpha.java", "Alpha")
+    assert targets(rc, alpha, INHERITANCE) == {("app/Base.java", "Base"), ("app/Runner.java", "Runner")}
+    assert targets(rc, alpha, COMPOSITION) == {("lib/Util.java", "Util")}
+    assert targets(rc, alpha, DEPENDENCE) == {("lib/Util.java", "Util")}
+    base = ("app/Base.java", "Base")
+    assert targets(rc, base, DEPENDENCE) == set()  # Logger is external
+    util = ("lib/Util.java", "Util")
+    assert targets(rc, util, DEPENDENCE) == {("lib/Util.java", "Text")}
 
 
 def test_package_qualified_names_bind_to_corpus_classes():
@@ -171,11 +188,11 @@ def test_package_qualified_names_bind_to_corpus_classes():
             ("q/r/C.java", "package q.r;\nclass C {\n    void go() {}\n}\n"),
         )
     )
-    main = rc.classes[("m/Main.java", "Main")]
+    main = ("m/Main.java", "Main")
     base, c = ("q/Base.java", "Base"), ("q/r/C.java", "C")
-    assert main.inherits == {base}
-    assert main.composes == {c}
+    assert targets(rc, main, INHERITANCE) == {base}
+    assert targets(rc, main, COMPOSITION) == {c}
     # x.y.Z names no corpus class, so its call stays external
-    assert main.depends == {base, c}
-    (m,) = main.facts.methods
-    assert m.external_calls == {("q.r.C", "go"), ("x.y.Z", "run")}
+    assert targets(rc, main, DEPENDENCE) == {base, c}
+    (m,) = rc.classes[main].methods
+    assert m.external_calls == (("q.r.C", "go"), ("x.y.Z", "run"))
