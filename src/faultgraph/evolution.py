@@ -98,12 +98,11 @@ def delta_metric_correlation(
     partition: FamilyPartition,
     prev: ReleaseSnapshot,
     next_: ReleaseSnapshot,
-    metric: str,
 ) -> DeltaCorrelation:
-    """Pearson correlation between the fractional metric change of updated CUs
-    and their bug count in the later release; members with a zero previous
-    value are excluded (undefined ratio)."""
-    changes, bug_counts = fractional_changes(partition, prev, next_, metric)
+    """Pearson correlation between the fractional change in the partition's
+    metric of updated CUs and their bug count in the later release; members
+    with a zero previous value are excluded (undefined ratio)."""
+    changes, bug_counts = fractional_changes(partition, prev, next_)
     n_used = len(changes)
     n_excluded = len(partition.updated) - n_used
     if n_used < 3:
@@ -118,10 +117,10 @@ def fractional_changes(
     partition: FamilyPartition,
     prev: ReleaseSnapshot,
     next_: ReleaseSnapshot,
-    metric: str,
 ) -> tuple[list[float], list[int]]:
     """(fractional changes, later-release bug counts) over usable updated CUs,
-    sorted by path."""
+    sorted by path; the metric is the partition's."""
+    metric = partition.metric
     changes: list[float] = []
     bug_counts: list[int] = []
     for path in sorted(partition.updated):

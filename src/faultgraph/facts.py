@@ -10,9 +10,11 @@ fixed top-level keys ``path``, ``package``, ``imports``, ``classes``, ``loc``.
 Class records carry ``name``, ``kind``, ``extends``, ``implements``,
 ``field_types``, ``methods``, ``loc``; method records carry ``name``,
 ``param_types``, ``referenced_types``, ``external_calls``, ``used_fields``.
-A method's name sets (``referenced_types``, ``external_calls``,
-``used_fields``) are held as sorted tuples of distinct values, the form the
-file lists them in, so the writer is byte-deterministic.
+Each list is in written order, which is the field order of ``CUFacts``,
+``ClassFacts`` and ``MethodFacts``. A method's name sets
+(``referenced_types``, ``external_calls``, ``used_fields``) are held as
+sorted tuples of distinct values, and a class's ``field_types`` sorted, the
+forms the file lists them in, so the writer is byte-deterministic.
 """
 
 import json
@@ -134,7 +136,8 @@ class MethodFacts:
     whose receiver type is not the enclosing class; used_fields holds names
     of the enclosing class's fields the body reads or writes (cohesion input).
     These two and referenced_types are sets held as ``name_set`` tuples,
-    sorted with each value once.
+    sorted with each value once; param_types keeps declaration order. Every
+    maker of facts holds them so, and the writer writes them as held.
     """
 
     name: str
@@ -146,13 +149,18 @@ class MethodFacts:
 
 @dataclass(frozen=True)
 class ClassFacts:
-    """One declared class or interface, with its own code line count."""
+    """One declared class or interface, with its own code line count.
+
+    field_types is a multiset held sorted, one entry per declared field's
+    type name; every maker of facts sorts it, and the writer writes it as
+    held.
+    """
 
     name: str
     kind: str  # "class" | "interface"
     extends: str | None = None
     implements: tuple[str, ...] = ()
-    field_types: tuple[str, ...] = ()  # multiset, one entry per declared field
+    field_types: tuple[str, ...] = ()
     methods: tuple[MethodFacts, ...] = ()
     loc: int = 0
 
@@ -171,38 +179,6 @@ class CUFacts:
 # --------------------------------------------------------------------------
 # Facts file IO
 # --------------------------------------------------------------------------
-
-
-def _method_to_dict(m: MethodFacts) -> dict:
-    return {
-        "name": m.name,
-        "param_types": list(m.param_types),
-        "referenced_types": list(m.referenced_types),
-        "external_calls": [list(p) for p in m.external_calls],
-        "used_fields": list(m.used_fields),
-    }
-
-
-def _class_to_dict(c: ClassFacts) -> dict:
-    return {
-        "name": c.name,
-        "kind": c.kind,
-        "extends": c.extends,
-        "implements": list(c.implements),
-        "field_types": sorted(c.field_types),
-        "methods": [_method_to_dict(m) for m in c.methods],
-        "loc": c.loc,
-    }
-
-
-def cu_to_dict(cu: CUFacts) -> dict:
-    return {
-        "path": cu.path,
-        "package": cu.package,
-        "imports": list(cu.imports),
-        "classes": [_class_to_dict(c) for c in cu.classes],
-        "loc": cu.loc,
-    }
 
 
 def _require(cond: bool, msg: str, record: int):
@@ -300,9 +276,20 @@ def cu_from_dict(d: dict, record: int = 0) -> CUFacts:
 
 
 def dump_facts(cus: list[CUFacts]) -> str:
-    """Serialize CUs to facts-file text (one JSON object per line)."""
-    lines = [json.dumps(cu_to_dict(cu), ensure_ascii=True, separators=(",", ":")) for cu in cus]
-    return "".join(line + "\n" for line in lines)
+    """Serialize CUs to facts-file text (one JSON object per line).
+
+    A record's layout is its types' field order: each CU, class and method
+    is written as its dataclass's fields, in declaration order, with tuples
+    as JSON arrays, so a field added to these types is written too. The
+    values are written as held; both makers of facts, the parser and the
+    loader, hold them in their canonical forms.
+    """
+    # not default=vars: on CPython 3.11+ that gives each object a __dict__
+    # it then keeps, and a run keeps its facts to the end
+    encode = json.JSONEncoder(
+        ensure_ascii=True, separators=(",", ":"), default=lambda o: {k: getattr(o, k) for k in o.__dataclass_fields__}
+    ).encode
+    return "".join(encode(cu) + "\n" for cu in cus)
 
 
 def dump_facts_file(cus: list[CUFacts], path) -> None:

@@ -15,7 +15,7 @@ part in equality or ``repr``.
 
 from dataclasses import dataclass, field
 
-from .resolve import COMPOSITION, DEPENDENCE, EDGE_KINDS, INHERITANCE, ClassEdge, ClassId, ResolvedCorpus
+from .resolve import EDGE_KINDS, ClassEdge, ClassId, ResolvedCorpus
 
 CUEdgeKey = tuple[str, str, str]
 

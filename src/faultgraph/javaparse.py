@@ -30,6 +30,9 @@ Deliberate simplifications, chosen for determinism:
 - Receiver types of calls come from declared parameter/local/field types or
   from an uppercase-initial qualifier (static call); chained calls and
   initializer blocks are ignored.
+- A field initializer is skipped, not scanned; type arguments inside it
+  (``new HashMap<String, Integer>()``) are skipped as types, so their commas
+  end no declarator.
 - A class's line count spans its declaration through its closing brace,
   excluding blank/comment lines and the spans of separately counted nested
   classes.
@@ -378,6 +381,8 @@ class _Parser:
                     t = toks[self.pos]
                     if t == _EOF:
                         self.fail("unterminated field initializer")
+                    if t == "<" and self.try_generic_args() is not None:
+                        continue  # type arguments; a failed scan leaves '<' an operator
                     if t in _OPEN:
                         level += 1
                     elif t in _CLOSE:

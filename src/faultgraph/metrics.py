@@ -20,8 +20,8 @@ from dataclasses import dataclass, fields
 
 from .errors import UnknownMetric
 from .facts import ClassFacts, CUFacts
-from .graphs import COMPOSITION, DEPENDENCE, INHERITANCE, ClassGraph, CUGraph
-from .resolve import ClassId, ResolvedCorpus
+from .graphs import ClassGraph, CUGraph
+from .resolve import COMPOSITION, DEPENDENCE, INHERITANCE, ClassId, ResolvedCorpus
 
 
 @dataclass(frozen=True)

@@ -338,7 +338,7 @@ def write_evolution(prev: ReleaseSnapshot, nxt: ReleaseSnapshot, out: Path) -> l
             chi_rows.append([metric, "", "", "", "empty-family"])
         except DegenerateTable:
             chi_rows.append([metric, "", "", "", "degenerate"])
-        delta = delta_metric_correlation(partition, prev, nxt, metric)
+        delta = delta_metric_correlation(partition, prev, nxt)
         r = _fmt(delta.r) if delta.r is not None else ""
         delta_rows.append([metric, delta.n_used, delta.n_excluded, r, delta.status])
     family_header = ["metric", "family", "n", "infected", "infection_probability", "mean_bugs_infected"]

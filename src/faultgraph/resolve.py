@@ -4,9 +4,12 @@ Every type name recorded in the facts is bound either to a corpus class or
 marked external. Simple names resolve in order: same compilation unit, same
 package, explicit imports (first matching import wins, even when its target
 lies outside the corpus), wildcard imports (only when exactly one corpus
-package matches). Dotted names resolve as package-qualified class names.
-Ambiguous names are logged and resolved by the stated order with ties broken
-by lexicographic CU path.
+package matches; a repeated on-demand import counts once). Dotted names
+resolve as package-qualified class names. Ambiguous names are logged and
+resolved by the stated order with ties broken by lexicographic CU path.
+A class's supertypes are resolved in declaration order, then its field
+types and then the names its methods use, each in name order; so its
+warnings come in that order, whatever the string hash seed.
 
 Each bound reference is one typed class edge: inheritance (extends or
 implements), composition (a field type; an interface composes nothing) or
@@ -85,20 +88,20 @@ def _resolve_name(name: str, cu: CUFacts, index: _Index) -> ClassId | None:
         if simple == name:
             # the import binds the name even if its target is not in the corpus
             return index.qualified(pkg, simple, cu.path)
-    matches: list[tuple[str, ClassId]] = []
+    matches: dict[str, ClassId] = {}  # a repeated on-demand import counts once
     for imp in cu.imports:
         if not imp.endswith(".*"):
             continue
         pkg = imp[:-2]
         cids = index.package_members.get(pkg, {}).get(name, [])
         if cids:
-            matches.append((pkg, cids[0]))
+            matches[pkg] = cids[0]
     if len(matches) == 1:
-        return matches[0][1]
+        return next(iter(matches.values()))
     if len(matches) > 1:
         log.warning(
             "wildcard imports of %s match packages %s in %s; leaving it external",
-            name, sorted(p for p, _ in matches), cu.path,
+            name, sorted(matches), cu.path,
         )
     return None
 
@@ -126,10 +129,10 @@ def resolve_type_references(corpus: list[CUFacts]) -> ResolvedCorpus:
 
             link(([cls.extends] if cls.extends else []) + list(cls.implements), INHERITANCE)
             if cls.kind != "interface":
-                link(set(cls.field_types), COMPOSITION)
+                link(dict.fromkeys(cls.field_types), COMPOSITION)
             used: set[str] = set()
             for m in cls.methods:
                 used.update(m.referenced_types)
                 used.update(recv for recv, _ in m.external_calls)
-            link(used, DEPENDENCE)
+            link(sorted(used), DEPENDENCE)
     return ResolvedCorpus(cus=cus, classes=classes, edges=frozenset(edges))

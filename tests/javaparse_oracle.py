@@ -477,6 +477,8 @@ class _Parser:
                     t = self.peek()
                     if t is None:
                         self.fail("unterminated field initializer")
+                    if t.kind == "punct" and t.value == "<" and self.try_generic_args() is not None:
+                        continue  # type arguments; a failed scan leaves '<' an operator
                     if t.kind == "punct" and t.value in "([{":
                         level += 1
                     elif t.kind == "punct" and t.value in ")]}":

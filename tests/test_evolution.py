@@ -149,7 +149,7 @@ def test_delta_correlation_proportional_is_one():
     locs_next = {"a": 11, "b": 12, "c": 13, "d": 14, "e": 15}
     bugs = {"a": 1, "b": 2, "c": 3, "d": 4, "e": 5}  # proportional to the change
     part, prev, nxt = two_release_fixture(bugs, locs_prev, locs_next)
-    res = delta_metric_correlation(part, prev, nxt, "cu_loc")
+    res = delta_metric_correlation(part, prev, nxt)
     assert res.r == pytest.approx(1.0, abs=1e-12)
     assert (res.n_used, res.n_excluded, res.status) == (5, 0, "ok")
 
@@ -160,7 +160,7 @@ def test_delta_correlation_hand_computed():
     locs_next = {"a": 20, "b": 30, "c": 40, "d": 50}
     bugs = {"a": 1, "b": 3, "c": 2, "d": 4}
     part, prev, nxt = two_release_fixture(bugs, locs_prev, locs_next)
-    assert abs(delta_metric_correlation(part, prev, nxt, "cu_loc").r - 0.8) < 1e-12
+    assert abs(delta_metric_correlation(part, prev, nxt).r - 0.8) < 1e-12
 
 
 def test_delta_correlation_constant_bugs_degenerate():
@@ -168,7 +168,7 @@ def test_delta_correlation_constant_bugs_degenerate():
     locs_next = {"a": 11, "b": 12, "c": 13}
     bugs = {"a": 2, "b": 2, "c": 2}
     part, prev, nxt = two_release_fixture(bugs, locs_prev, locs_next)
-    res = delta_metric_correlation(part, prev, nxt, "cu_loc")
+    res = delta_metric_correlation(part, prev, nxt)
     assert (res.n_used, res.n_excluded, res.r, res.status) == (3, 0, None, "degenerate")
 
 
@@ -176,7 +176,7 @@ def test_delta_correlation_too_few_updated():
     locs_prev = {"a": 10, "b": 10, "c": 0, "d": 10}
     locs_next = {"a": 11, "b": 12, "c": 13, "d": 10}  # d unchanged, c has no ratio
     part, prev, nxt = two_release_fixture({"a": 1, "b": 2}, locs_prev, locs_next)
-    res = delta_metric_correlation(part, prev, nxt, "cu_loc")
+    res = delta_metric_correlation(part, prev, nxt)
     assert (res.n_used, res.n_excluded, res.r, res.status) == (2, 1, None, "too-few-updated")
 
 
@@ -185,9 +185,9 @@ def test_zero_previous_value_members_are_excluded():
     locs_next = {"a": 5, "b": 12, "c": 14, "d": 16, "e": 18}
     bugs = {"b": 1, "c": 2, "d": 3, "e": 4}
     part, prev, nxt = two_release_fixture(bugs, locs_prev, locs_next)
-    changes, counts = fractional_changes(part, prev, nxt, "cu_loc")
+    changes, counts = fractional_changes(part, prev, nxt)
     assert len(part.updated) - len(changes) == 1  # the zero-prev member
-    res = delta_metric_correlation(part, prev, nxt, "cu_loc")
+    res = delta_metric_correlation(part, prev, nxt)
     assert (res.n_used, res.n_excluded) == (4, 1)
     assert res.r == pytest.approx(1.0, abs=1e-12)
 
@@ -197,11 +197,11 @@ def test_delta_correlation_invariant_under_bug_rescaling():
     locs_next = {"a": 20, "b": 30, "c": 40, "d": 50}
     bugs = {"a": 1, "b": 3, "c": 2, "d": 4}
     part, prev, nxt = two_release_fixture(bugs, locs_prev, locs_next)
-    r1 = delta_metric_correlation(part, prev, nxt, "cu_loc").r
+    r1 = delta_metric_correlation(part, prev, nxt).r
     scaled = ReleaseSnapshot(
         "r2", nxt.metrics, ledger_of("r2", {p: 3 * n for p, n in bugs.items()})
     )
-    r2 = delta_metric_correlation(part, prev, scaled, "cu_loc").r
+    r2 = delta_metric_correlation(part, prev, scaled).r
     assert abs(r1 - r2) < 1e-12
 
 

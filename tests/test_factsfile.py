@@ -1,5 +1,6 @@
 import copy
 import json
+from dataclasses import fields
 from unittest import mock
 
 import pytest
@@ -14,7 +15,6 @@ from faultgraph.facts import (
     ClassFacts,
     CUFacts,
     MethodFacts,
-    cu_to_dict,
     dump_facts,
     dump_facts_file,
     load_facts,
@@ -252,6 +252,26 @@ def test_dump_load_round_trip(cus):
     assert load_facts(dump_facts(cus)) == cus
 
 
+@given(st.lists(compilation_units(), max_size=4, unique_by=lambda cu: cu.path))
+def test_canonical_facts_text_is_a_fixed_point(cus):
+    text = dump_facts(cus)
+    assert dump_facts(load_facts(text)) == text
+
+
+def field_names(cls):
+    return [f.name for f in fields(cls)]
+
+
+@given(compilation_units())
+def test_record_keys_are_the_field_order(cu):
+    record = json.loads(dump_facts([cu]))
+    assert list(record) == field_names(CUFacts)
+    for c in record["classes"]:
+        assert list(c) == field_names(ClassFacts)
+        for m in c["methods"]:
+            assert list(m) == field_names(MethodFacts)
+
+
 json_values = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
     lambda kids: st.lists(kids, max_size=4) | st.dictionaries(st.text(max_size=6), kids, max_size=4),
@@ -262,7 +282,7 @@ json_values = st.recursive(
 @st.composite
 def mutated_records(draw):
     """A valid record with one nested value replaced by any JSON value."""
-    record = cu_to_dict(draw(compilation_units()))
+    record = json.loads(dump_facts([draw(compilation_units())]))
     node = record
     while True:
         key = draw(st.sampled_from(sorted(node) if isinstance(node, dict) else range(len(node))))

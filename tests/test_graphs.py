@@ -4,19 +4,10 @@ from collections import Counter
 import pytest
 
 from faultgraph.facts import ClassFacts, CUFacts, MethodFacts
-from faultgraph.graphs import (
-    COMPOSITION,
-    DEPENDENCE,
-    EDGE_KINDS,
-    INHERITANCE,
-    ClassGraph,
-    CUGraph,
-    build_class_graph,
-    build_cu_graph,
-)
+from faultgraph.graphs import EDGE_KINDS, ClassGraph, CUGraph, build_class_graph, build_cu_graph
 from faultgraph.javaparse import parse_compilation_unit, parse_corpus_dir
 from faultgraph.metrics import compute_metrics
-from faultgraph.resolve import resolve_type_references
+from faultgraph.resolve import COMPOSITION, DEPENDENCE, INHERITANCE, resolve_type_references
 
 
 def graph_for(*sources):

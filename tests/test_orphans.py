@@ -11,6 +11,10 @@ Dunder methods are called by Python itself and are not checked.
 No field without a reader either: every field of a ``@dataclass`` in
 ``src/faultgraph`` must be loaded as an attribute of its name somewhere in
 ``src/``, unless its class is on ``READ_BY_NAME``.
+
+No import without a use: every name a ``src/faultgraph`` module imports must
+be loaded as a plain name in that module. A name imported only so that
+another module can take it from this one (a re-export) is not a use.
 """
 
 import ast
@@ -25,8 +29,10 @@ TRACING = ROOT / "perfbench" / "tracing.py"
 # the acceptance tests' API: no program path calls them
 ALLOWED = {"expected_max", "loglog_slope"}
 
-# dataclasses whose fields are read through getattr by name
-READ_BY_NAME = {"MetricVector"}  # metrics.metric_value
+# dataclasses whose fields are read through getattr by name: a MetricVector's
+# by metrics.metric_value, a MethodFacts's by the facts writer, which is the
+# only reader of param_types
+READ_BY_NAME = {"MetricVector", "MethodFacts"}
 
 
 def references(tree: ast.AST) -> tuple[Counter, Counter]:
@@ -109,3 +115,21 @@ def unread_fields() -> list[str]:
 
 def test_every_dataclass_field_has_a_reader():
     assert unread_fields() == []
+
+
+def unused_imports() -> list[str]:
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        _, loaded = references(tree)
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    bound = alias.asname or alias.name.split(".")[0]
+                    if loaded[bound] == 0:
+                        found.append(f"{path.name}:{node.lineno} {bound}")
+    return found
+
+
+def test_every_import_is_used():
+    assert unused_imports() == []

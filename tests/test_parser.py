@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 import javaparse_oracle
 from faultgraph import javaparse
 from faultgraph.errors import ParseError
-from faultgraph.facts import cu_to_dict, scan_source
+from faultgraph.facts import dump_facts, scan_source
 from faultgraph.javaparse import _END, _IDENT_START, _Parser, parse_compilation_unit, parse_corpus_dir
 
 TESTS = pathlib.Path(__file__).resolve().parent
@@ -52,7 +52,7 @@ def test_two_top_level_classes():
 def test_fixture_corpus_matches_hand_built_table(corpus_r1_dir, fixtures_dir):
     facts, failures = parse_corpus_dir(corpus_r1_dir)
     assert failures == []
-    got = [cu_to_dict(cu) for cu in facts]
+    got = [json.loads(line) for line in dump_facts(facts).splitlines()]
     expected = json.loads((fixtures_dir / "corpus_r1_expected_facts.json").read_text())
     assert got == expected
 
@@ -488,7 +488,15 @@ CONSTRUCTORS = in_class(
 
 # Each case reaches a parser branch that the fixtures and the generated
 # corpus never do.
+GENERIC_INITIALIZER = in_class(
+    "    Map<String, Integer> m = new HashMap<String, Integer>();\n"
+    "    boolean b = 1 < 2, c;\n"
+    "    void run() {\n"
+    "        Integer n = c ? 1 : 2;\n"
+    "    }\n"
+)
 BRANCH_CASES = {
+    "generic-field-initializer": GENERIC_INITIALIZER,
     "array-types": ARRAYS,
     "throws": THROWS,
     "receiver-scopes": RECEIVERS,
@@ -567,6 +575,14 @@ def test_array_types_and_dims_facts():
     assert m.external_calls == ()
     assert m.used_fields == ("xs",)
     assert cls.loc == 9
+
+
+def test_type_arguments_in_a_field_initializer_declare_no_field():
+    (cls,) = parse(GENERIC_INITIALIZER).classes
+    assert cls.field_types == ("Integer", "Map", "String")
+    (run,) = cls.methods
+    assert run.referenced_types == ("Integer",)
+    assert run.used_fields == ("c",)  # the comma after `1 < 2` still ends a declarator
 
 
 def test_throws_list_facts():

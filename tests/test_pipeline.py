@@ -11,7 +11,6 @@ from faultgraph import bugs, evolution, facts, javaparse, pipeline
 from faultgraph.cli import main
 from faultgraph.config import load_config
 from faultgraph.errors import ConfigError, FormatError, InputError
-from faultgraph.facts import cu_to_dict
 from faultgraph.javaparse import parse_compilation_unit
 from faultgraph.pipeline import (
     RunMemo,
@@ -296,7 +295,7 @@ def test_same_text_at_two_paths_gives_facts_differing_only_in_path(tmp_path, mon
     r1, r2 = facts_records(out / "facts-r1.jsonl"), facts_records(out / "facts-r2.jsonl")
     assert r2["p/A.java"] == r1["p/A.java"]
     assert r2["p/Moved.java"] == {**r1["p/B.java"], "path": "p/Moved.java"}
-    assert r2["p/Moved.java"] == cu_to_dict(parse_compilation_unit(MOVED, "p/Moved.java"))
+    assert r2["p/Moved.java"] == json.loads(facts.dump_facts([parse_compilation_unit(MOVED, "p/Moved.java")]))
 
 
 def test_extract_shares_the_memo_and_reports_a_repeated_failure_per_release(tmp_path, monkeypatch, capsys):

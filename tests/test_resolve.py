@@ -1,3 +1,9 @@
+import json
+import logging
+import os
+import pathlib
+import subprocess
+import sys
 import time
 
 import pytest
@@ -94,6 +100,44 @@ def test_wildcard_import_resolves_only_unique_package():
     assert targets(ambiguous, ("m/Two.java", "Two"), COMPOSITION) == set()
 
 
+def test_repeated_wildcard_import_counts_once(caplog):
+    with caplog.at_level(logging.WARNING, logger="faultgraph.resolve"):
+        rc = resolve_type_references(
+            corpus(
+                ("b/Y.java", "package b;\nimport a.*;\nimport a.*;\nclass Y {\n    X x;\n}\n"),
+                ("a/X.java", "package a;\nclass X {\n void a() {}\n}\n"),
+            )
+        )
+    assert targets(rc, ("b/Y.java", "Y"), COMPOSITION) == {("a/X.java", "X")}
+    assert caplog.records == []
+
+
+def test_resolver_warnings_do_not_depend_on_the_hash_seed(tmp_path):
+    # three field types and two names used only in a method body, each
+    # declared in two CUs of the class's own package
+    corpus_dir = tmp_path / "corpus" / "p"
+    corpus_dir.mkdir(parents=True)
+    (corpus_dir / "Main.java").write_text(
+        "package p;\nclass Main {\n    Alpha a;\n    Beta b;\n    Gamma g;\n"
+        "    void m() {\n        Delta d = null;\n        Epsilon.run();\n    }\n}\n"
+    )
+    twin = "package p;\n" + "".join(f"class {n} {{\n}}\n" for n in ("Alpha", "Beta", "Gamma", "Delta", "Epsilon"))
+    (corpus_dir / "One.java").write_text(twin)
+    (corpus_dir / "Two.java").write_text(twin)
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({"releases": [{"tag": "r1", "corpus": "corpus"}]}))
+    src = pathlib.Path(__file__).resolve().parents[1] / "src"
+    run = "import sys, faultgraph.cli\nsys.exit(faultgraph.cli.main(sys.argv[1:]))\n"
+    stderrs = set()
+    for seed in range(4):
+        env = {**os.environ, "PYTHONPATH": str(src), "PYTHONHASHSEED": str(seed)}
+        argv = ["graph", "--config", str(cfg), "--out", str(tmp_path / f"out{seed}")]
+        done = subprocess.run([sys.executable, "-c", run, *argv], env=env, capture_output=True, text=True, check=True)
+        assert done.stderr.count("ambiguous class") == 5
+        stderrs.add(done.stderr)
+    assert len(stderrs) == 1
+
+
 def test_same_cu_beats_same_package():
     rc = resolve_type_references(
         corpus(
@@ -109,8 +153,6 @@ def test_same_cu_beats_same_package():
 
 
 def test_ambiguous_same_package_name_logged_and_resolved_by_path_order(caplog):
-    import logging
-
     with caplog.at_level(logging.WARNING, logger="faultgraph.resolve"):
         rc = resolve_type_references(
             corpus(
