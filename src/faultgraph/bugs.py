@@ -14,7 +14,8 @@ excluded interval. Each pattern is compiled once, case-insensitively, when
 the ``FilterConfig`` is made, and its capture must be an integer: a capture
 that is not one (or a group that matched nothing) is a configuration error,
 while a run of digits too long for ``int()`` or not all ASCII cites no
-registered id.
+registered id. The excluded intervals are sorted by low end once, too, so an
+id is tested against all of them by one bisection.
 A CU is hit by an issue when some in-window commit whose message cites the
 issue touches the CU; each (issue, CU) pair counts once per release no matter
 how many commits repeat it.
@@ -32,6 +33,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from functools import cached_property
+from itertools import accumulate
 from operator import attrgetter
 
 from .errors import ConfigError, FormatError, read_utf8, records
@@ -57,6 +59,11 @@ class FilterConfig:
     excluded_intervals: tuple[tuple[int, int], ...] = ()
     patterns: tuple[str, ...] = DEFAULT_PATTERNS
     compiled: tuple[re.Pattern, ...] = field(init=False, repr=False, compare=False)
+    # the intervals' low ends in order, and at each the highest high end so
+    # far: an id is excluded when the reach of the last low end at or below
+    # it is at or above it
+    starts: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    reach: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.min_id < 1:
@@ -74,12 +81,13 @@ class FilterConfig:
                 raise ConfigError(f"pattern {pat!r} must have exactly one capture group")
             compiled.append(rx)
         object.__setattr__(self, "compiled", tuple(compiled))
+        intervals = sorted(self.excluded_intervals)
+        object.__setattr__(self, "starts", tuple(lo for lo, _ in intervals))
+        object.__setattr__(self, "reach", tuple(accumulate((hi for _, hi in intervals), max)))
 
     def excluded(self, issue_id: int) -> bool:
-        for lo, hi in self.excluded_intervals:
-            if lo <= issue_id <= hi:
-                return True
-        return False
+        i = bisect_right(self.starts, issue_id)
+        return i > 0 and self.reach[i - 1] >= issue_id
 
 
 @dataclass(frozen=True)

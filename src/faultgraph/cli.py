@@ -9,7 +9,7 @@ import argparse
 import gc
 import logging
 import sys
-from functools import partial
+from functools import cache, partial
 from pathlib import Path
 
 import numpy as np
@@ -161,7 +161,11 @@ class _ArgumentParser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command line's parser, built once per process: its hundreds of
+    argparse objects hold one another in cycles, and parsing does not change
+    it."""
     parser = _ArgumentParser(
         prog="faultgraph",
         description="Software-graph metrics, bug mapping, and heavy-tail statistics for Java-like corpora.",

@@ -61,9 +61,10 @@ _LEXEME = re.compile(
     """,
     re.VERBOSE,
 )
-# the characters an identifier lexeme starts with: only identifiers are
-# interned, as facts keep names but no number or literal
-_NAME_START = frozenset(string.ascii_letters + "_$")
+# the characters an identifier or keyword starts with, for the lexer and the
+# parser: only identifiers are interned, as facts keep names but no number or
+# literal
+_IDENT_START = frozenset(string.ascii_letters + "_$")
 
 
 def scan_source(text: str) -> tuple[list[bool], list[str], list[int]]:
@@ -86,7 +87,7 @@ def scan_source(text: str) -> tuple[list[bool], list[str], list[int]]:
         elif lexeme[0] == "/" and len(lexeme) > 1:  # a comment
             line += lexeme.count("\n")
         else:
-            tokens.append(sys.intern(lexeme) if lexeme[0] in _NAME_START else lexeme)
+            tokens.append(sys.intern(lexeme) if lexeme[0] in _IDENT_START else lexeme)
             lines.append(line)
     has_code = [False] * (line - (not text or text.endswith("\n")))  # a final line break starts no line
     for ln in set(lines):

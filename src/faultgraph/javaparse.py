@@ -19,7 +19,9 @@ lexing the source text again (``facts.token_column``).
 
 One parser reads a file's one token list. A method body is scanned where it
 lies in that list: its own braces bound the scan, so every look-ahead stops
-at its closing ``}`` and every look-behind at its opening ``{``.
+at its closing ``}`` and every look-behind at its opening ``{``. The parser
+remembers each ``<`` whose type-argument scan is known to fail, so a body
+of many comparisons is not read again from each of them.
 
 Deliberate simplifications, chosen for determinism:
 - Named nested classes one level deep are separate classes; anything deeper,
@@ -39,13 +41,12 @@ Deliberate simplifications, chosen for determinism:
 """
 
 import os
-import string
 import sys
 from collections import Counter
 from dataclasses import dataclass, field, replace
 
 from .errors import ParseError, detached, read_utf8
-from .facts import ClassFacts, CUFacts, MethodFacts, name_set, scan_source, splits_a_row, token_column
+from .facts import _IDENT_START, ClassFacts, CUFacts, MethodFacts, name_set, scan_source, splits_a_row, token_column
 
 KEYWORDS = frozenset(
     """abstract assert boolean break byte case catch char class const continue
@@ -62,7 +63,6 @@ MODIFIERS = frozenset(
     "public protected private static final abstract synchronized native transient volatile strictfp default".split()
 )
 
-_IDENT_START = frozenset(string.ascii_letters + "_$")
 _EOF = "\n"
 _END = (_EOF, _EOF)  # two, so a look-ahead of one token never runs off the list
 _GENERIC = frozenset("<>,?[].")
@@ -109,6 +109,7 @@ class _Parser:
         self.package = ""
         self.imports: list[str] = []
         self.drafts: list[_ClassDraft] = []  # named classes, pre-order
+        self.no_args: set[int] = set()  # indices of '<' that open no type arguments
 
     # -- token helpers -----------------------------------------------------
 
@@ -194,33 +195,42 @@ class _Parser:
 
     def try_generic_args(self) -> list[str] | None:
         """Scan <...> starting at the current '<'; return collected type names,
-        or None (position unchanged) when the contents are not a type list."""
+        or None (position unchanged) when the contents are not a type list.
+
+        A failed scan stops at a token that a scan from any '<' it left open
+        would also read on to and stop at. Those '<' go into ``no_args``, and
+        a scan that starts at or reaches one fails at once, so a body of many
+        comparisons is not read again from each of its '<'."""
         start = self.pos
+        if start in self.no_args:
+            return None
         self.pos += 1
-        depth = 1
+        opened = [start]  # the '<' this scan opened and has not closed
         args: list[str] = []
-        while depth:
+        while opened:
             tok = self.toks[self.pos]
             if tok[0] in _IDENT_START:
                 if tok in ("extends", "super"):
                     self.pos += 1
                     continue
                 if tok in KEYWORDS and tok not in PRIMITIVES:
-                    self.pos = start
-                    return None
+                    break
                 name = self.dotted_name()
                 if name not in PRIMITIVES:
                     args.append(name)
                 continue
-            if tok not in _GENERIC:
-                self.pos = start
-                return None
-            self.pos += 1
+            if tok not in _GENERIC or self.pos in self.no_args:
+                break
             if tok == "<":
-                depth += 1
+                opened.append(self.pos)
             elif tok == ">":
-                depth -= 1
-        return args
+                opened.pop()
+            self.pos += 1
+        else:
+            return args
+        self.no_args.update(opened)
+        self.pos = start
+        return None
 
     def _supertype_name(self) -> str:
         """Name in an extends/implements clause, stripped to its raw type.

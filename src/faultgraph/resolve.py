@@ -11,6 +11,14 @@ A class's supertypes are resolved in declaration order, then its field
 types and then the names its methods use, each in name order; so its
 warnings come in that order, whatever the string hash seed.
 
+A name is bound by lookups, never by a walk over imports: one index per
+corpus maps a simple name to the packages that define it and, in each, to
+its first class in CU path order, and a count keeps how many more classes
+share that name and package (the ambiguous ones); each CU's imports are read
+once into a table from a simple name to the package of its first single-type
+import, and the set of packages it imports on demand. A wildcard import
+matches where that set meets the packages of the index entry.
+
 Each bound reference is one typed class edge: inheritance (extends or
 implements), composition (a field type; an interface composes nothing) or
 dependence (a type used or called inside a method body). A reference that
@@ -35,75 +43,11 @@ DEPENDENCE = "dependence"
 EDGE_KINDS = (INHERITANCE, COMPOSITION, DEPENDENCE)
 
 
-def class_id_str(cid: ClassId) -> str:
-    return f"{cid[0]}::{cid[1]}"
-
-
 @dataclass(frozen=True)
 class ResolvedCorpus:
     cus: tuple[CUFacts, ...]  # sorted by path
     classes: dict[ClassId, ClassFacts]
     edges: frozenset[ClassEdge]
-
-
-class _Index:
-    def __init__(self, cus: list[CUFacts]):
-        self.cu_classes: dict[str, dict[str, ClassId]] = {}
-        self.package_members: dict[str, dict[str, list[ClassId]]] = {}
-        for cu in cus:
-            per_cu: dict[str, ClassId] = {}
-            for cls in cu.classes:
-                cid = (cu.path, cls.name)
-                per_cu[cls.name] = cid
-                self.package_members.setdefault(cu.package, {}).setdefault(cls.name, []).append(cid)
-            self.cu_classes[cu.path] = per_cu
-        for members in self.package_members.values():
-            for cids in members.values():
-                cids.sort()
-
-    def qualified(self, pkg: str, simple: str, context: str) -> ClassId | None:
-        cids = self.package_members.get(pkg, {}).get(simple, [])
-        if len(cids) > 1:
-            log.warning(
-                "ambiguous class %s.%s (%d definitions) referenced from %s; using %s",
-                pkg, simple, len(cids), context, class_id_str(cids[0]),
-            )
-        return cids[0] if cids else None
-
-
-def _resolve_name(name: str, cu: CUFacts, index: _Index) -> ClassId | None:
-    if "." in name:
-        pkg, simple = name.rsplit(".", 1)
-        return index.qualified(pkg, simple, cu.path)
-    hit = index.cu_classes[cu.path].get(name)
-    if hit is not None:
-        return hit
-    hit = index.qualified(cu.package, name, cu.path)
-    if hit is not None:
-        return hit
-    for imp in cu.imports:
-        if imp.endswith(".*"):
-            continue
-        pkg, _, simple = imp.rpartition(".")
-        if simple == name:
-            # the import binds the name even if its target is not in the corpus
-            return index.qualified(pkg, simple, cu.path)
-    matches: dict[str, ClassId] = {}  # a repeated on-demand import counts once
-    for imp in cu.imports:
-        if not imp.endswith(".*"):
-            continue
-        pkg = imp[:-2]
-        cids = index.package_members.get(pkg, {}).get(name, [])
-        if cids:
-            matches[pkg] = cids[0]
-    if len(matches) == 1:
-        return next(iter(matches.values()))
-    if len(matches) > 1:
-        log.warning(
-            "wildcard imports of %s match packages %s in %s; leaving it external",
-            name, sorted(matches), cu.path,
-        )
-    return None
 
 
 def resolve_type_references(corpus: list[CUFacts]) -> ResolvedCorpus:
@@ -113,26 +57,68 @@ def resolve_type_references(corpus: list[CUFacts]) -> ResolvedCorpus:
         dup = min(p for p, k in counts.items() if k > 1)
         raise FormatError(f"duplicate CU path {dup!r} in corpus")
     cus = tuple(sorted(corpus, key=lambda c: c.path))
-    index = _Index(list(cus))
-    classes: dict[ClassId, ClassFacts] = {}
-    edges: set[ClassEdge] = set()
+    # name -> package -> its first class (cus is in path order), and how many
+    # more classes a first class shares its name and package with: counts in
+    # place of lists of ids keep the index smaller
+    index: dict[str, dict[str, ClassId]] = {}
+    more: Counter[ClassId] = Counter()
     for cu in cus:
         for cls in cu.classes:
             cid = (cu.path, cls.name)
+            if (first := index.setdefault(cls.name, {}).setdefault(cu.package, cid)) is not cid:
+                more[first] += 1
+
+    def qualified(pkg: str, simple: str, context: str) -> ClassId | None:
+        cid = index.get(simple, {}).get(pkg)
+        if more.get(cid):
+            log.warning(
+                "ambiguous class %s.%s (%d definitions) referenced from %s; using %s::%s",
+                pkg, simple, more[cid] + 1, context, *cid,
+            )
+        return cid
+
+    classes: dict[ClassId, ClassFacts] = {}
+    edges: set[ClassEdge] = set()
+    for cu in cus:
+        own = {cls.name: (cu.path, cls.name) for cls in cu.classes}
+        single: dict[str, str] = {}  # simple name -> package of its first import
+        wild: set[str] = set()  # a repeated on-demand import counts once
+        for imp in cu.imports:
+            if imp.endswith(".*"):
+                wild.add(imp[:-2])
+            else:
+                pkg, _, simple = imp.rpartition(".")
+                single.setdefault(simple, pkg)
+
+        def bind(name: str) -> ClassId | None:
+            if "." in name:  # package-qualified
+                return qualified(*name.rsplit(".", 1), cu.path)
+            hit = own.get(name) or qualified(cu.package, name, cu.path)
+            if hit is not None:
+                return hit
+            if name in single:
+                # the import binds the name even if its target is not in the corpus
+                return qualified(single[name], name, cu.path)
+            by_pkg = index.get(name, {})
+            matches = by_pkg.keys() & wild
+            if len(matches) > 1:
+                log.warning(
+                    "wildcard imports of %s match packages %s in %s; leaving it external",
+                    name, sorted(matches), cu.path,
+                )
+            return by_pkg[matches.pop()] if len(matches) == 1 else None
+
+        for cls in cu.classes:
+            cid = own[cls.name]
             classes[cid] = cls
-
-            def link(names, kind: str) -> None:
-                for name in names:
-                    target = _resolve_name(name, cu, index)
-                    if target is not None and target != cid:
-                        edges.add((cid, target, kind))
-
-            link(([cls.extends] if cls.extends else []) + list(cls.implements), INHERITANCE)
-            if cls.kind != "interface":
-                link(dict.fromkeys(cls.field_types), COMPOSITION)
+            inherits = ([cls.extends] if cls.extends else []) + list(cls.implements)
+            composes = dict.fromkeys(cls.field_types) if cls.kind != "interface" else ()
             used: set[str] = set()
             for m in cls.methods:
                 used.update(m.referenced_types)
                 used.update(recv for recv, _ in m.external_calls)
-            link(sorted(used), DEPENDENCE)
+            for names, kind in ((inherits, INHERITANCE), (composes, COMPOSITION), (sorted(used), DEPENDENCE)):
+                for target in map(bind, names):
+                    if target not in (None, cid):
+                        edges.add((cid, target, kind))
     return ResolvedCorpus(cus=cus, classes=classes, edges=frozenset(edges))

@@ -230,6 +230,33 @@ def test_excluded_interval_filter():
     assert extract_issue_refs("issue 303 workaround", registry_of(303), cfg) == set()
 
 
+# short intervals over a few dozen ids: overlapping, nested, adjacent and
+# repeated ones are common
+INTERVALS = st.lists(
+    st.tuples(st.integers(0, 40), st.integers(0, 12)).map(lambda t: (t[0], t[0] + t[1])), max_size=12
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(INTERVALS)
+def test_excluded_matches_a_walk_over_every_interval(intervals):
+    cfg = FilterConfig(excluded_intervals=tuple(intervals))
+    for issue_id in range(-2, 56):
+        assert cfg.excluded(issue_id) == any(lo <= issue_id <= hi for lo, hi in intervals), issue_id
+
+
+@pytest.mark.parametrize(
+    "intervals",
+    [((5, 20), (8, 9)), ((5, 9), (8, 12)), ((5, 9), (10, 12)), ((10, 12), (5, 6), (5, 30)), ((7, 7), (7, 7))],
+    ids=["nested", "overlapping", "adjacent", "unsorted", "repeated"],
+)
+def test_excluded_on_each_interval_shape(intervals):
+    cfg = FilterConfig(excluded_intervals=intervals)
+    assert [i for i in range(35) if cfg.excluded(i)] == [
+        i for i in range(35) if any(lo <= i <= hi for lo, hi in intervals)
+    ]
+
+
 def test_bare_integer_matches_by_default():
     cfg = FilterConfig()
     assert extract_issue_refs("see 500 for details", registry_of(500), cfg) == {500}

@@ -774,10 +774,11 @@ def cyclic_garbage(capsys, *argv) -> tuple[int, int]:
     return code, gc.collect()
 
 
-# Measured on Python 3.11: each command leaves 372 objects, every one of them
-# made by argparse while build_parser runs. A failed file's error kept with its
-# traceback held the whole release's facts in a cycle: 563 to 569 objects here.
-GARBAGE_BOUND = 450
+# Measured on Python 3.11: each command leaves no object in a cycle. Before
+# the parser was built once per process, every command left the 372 argparse
+# objects of its own parser; and a failed file's error kept with its traceback
+# held the whole release's facts in a cycle: 563 to 569 objects here.
+GARBAGE_BOUND = 0
 
 
 def test_a_report_leaves_bounded_cyclic_garbage(tmp_path, capsys, collector_state):

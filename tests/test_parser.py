@@ -243,6 +243,13 @@ def test_wildcard_generics_collect_bound_types():
     assert sorted(cls.field_types) == ["Brush", "List", "Map", "Shape"]
 
 
+def test_a_failed_type_argument_scan_keeps_the_lists_it_closed():
+    # the scan from `a <` reads `List<String>` whole and then fails at `)`;
+    # the scan from `List <`, at the next boundary, still succeeds
+    cu = parse("class A {\n    void m() {\n        f(a < b, List<String> x);\n    }\n}\n")
+    assert cu.classes[0].methods[0].referenced_types == ("List", "String")
+
+
 def test_unterminated_class_body_is_eof_error():
     with pytest.raises(ParseError):
         parse("package p;\nclass A {\n    void m() {\n")

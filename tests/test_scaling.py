@@ -1,0 +1,106 @@
+"""No input drives a stage superlinear: one test per input shape that once did.
+
+Each shape was probed at n, 2n and 4n, in process, on a 2-vCPU VM with
+Python 3.11 (the best of two or three runs; seconds):
+
+Mended, before -> after, at n = 1,000 / 2,000 / 4,000:
+
+- parse, one method body calling ``f(a < b, a < b, ...)`` with n
+  comparisons: 0.73 / 2.44 / 7.92 -> 0.006 / 0.011 / 0.021. Every boundary
+  token started a type-argument scan that read on to the closing ``)``.
+- resolve, one CU with n single-type imports and n field types, each
+  naming a corpus class: 0.095 / 0.37 / 1.45 -> 0.005 / 0.011 / 0.025
+  (10,000: 9.2 -> 0.069). Each name walked the imports.
+- resolve, the same with n wildcard imports: 0.65 / 1.50 / 6.39 ->
+  0.006 / 0.012 / 0.027. Each name walked the imports twice.
+- bug mapping, one commit message citing n registered ids against n
+  excluded intervals: 0.026 / 0.10 / 0.35 -> 0.002 / 0.004 / 0.009
+  (20,000: 9.5 -> 0.035). Each id walked the intervals.
+
+Linear already, at n = 2,000 / 8,000:
+
+- a class of n methods, parsed and resolved: 0.022 / 0.093;
+- one body of n qualified calls ``X.f()`` over 50 receivers, parsed and
+  resolved: 0.010 / 0.046;
+- one receiver chain ``a.b1.b2...f()`` of n segments, parsed: 0.004 / 0.015;
+- n fields, each used in one body, parsed: 0.021 / 0.054.
+
+Quadratic still, and to be mended: parse, one body calling
+``f(Map<A, Map<A, ... B>...>)`` with the list nested n deep, at n = 500 /
+1,000 / 2,000: 0.16 / 0.62 / 2.54. The scan from each ``,`` inside it
+succeeds and reads the rest of the nest again.
+
+The one quadratic shape allowed: lcom counts the method pairs of a class
+that share no field, which is the orthogonal-vectors problem, for which no
+subquadratic algorithm is known (R. Williams 2005, "A new algorithm for
+optimal 2-constraint satisfaction and its implications", TCS 348:357). The
+metrics of one class of 1,000 / 2,000 / 4,000 methods, each using its own
+field, take 0.027 / 0.11 / 0.45.
+
+Each test below is sized so that the code before its mend took at least
+ten times its bound, and times only the stage under test; where the work
+has a natural count, the test asserts on the count, so the speed of the
+host cannot decide it.
+"""
+
+import time
+
+from faultgraph.bugs import FilterConfig, extract_issue_refs
+from faultgraph.facts import ClassFacts, CUFacts
+from faultgraph.javaparse import _Parser, parse_compilation_unit
+from faultgraph.resolve import COMPOSITION, resolve_type_references
+
+
+def test_a_failed_type_argument_scan_is_read_once(monkeypatch):
+    # each comparison is one boundary (`(` or `,`) whose type scan reads a
+    # name, and the first scan reads every name up to `)`: about 3n reads.
+    # Scanning again from every `<` read about n*n: a million at n = 1,000.
+    reads = 0
+    dotted_name = _Parser.dotted_name
+
+    def counted(self):
+        nonlocal reads
+        reads += 1
+        return dotted_name(self)
+
+    monkeypatch.setattr(_Parser, "dotted_name", counted)
+    n = 1000
+    source = "class A {\n    void m() {\n        f(" + ", ".join(["a < b"] * n) + ");\n    }\n}\n"
+    cu = parse_compilation_unit(source, "A.java")
+    assert reads <= 4 * n
+    assert cu.classes[0].methods[0].referenced_types == ()
+
+
+def imports_corpus(n: int, wildcard: bool) -> list[CUFacts]:
+    """``m/Main.java`` importing each of the n packages ``p<i>``, which
+    declares ``T<i>``, and composing every ``T<i>``."""
+    imports = tuple(f"p{i}.*" if wildcard else f"p{i}.T{i}" for i in range(n))
+    fields = tuple(sorted(f"T{i}" for i in range(n)))
+    main = CUFacts("m/Main.java", "m", imports, (ClassFacts("Main", "class", field_types=fields),))
+    return [main, *(CUFacts(f"p{i}/T{i}.java", f"p{i}", (), (ClassFacts(f"T{i}", "class"),)) for i in range(n))]
+
+
+def resolve_in_time(corpus: list[CUFacts], n: int, bound: float) -> None:
+    start = time.monotonic()
+    rc = resolve_type_references(corpus)
+    assert time.monotonic() - start < bound
+    assert sum(kind == COMPOSITION for _, _, kind in rc.edges) == n
+
+
+def test_single_type_imports_are_read_once_per_cu():
+    resolve_in_time(imports_corpus(10_000, wildcard=False), 10_000, 0.5)  # took 9.2 s
+
+
+def test_wildcard_imports_are_read_once_per_cu():
+    resolve_in_time(imports_corpus(4_000, wildcard=True), 4_000, 0.5)  # took 6.4 s
+
+
+def test_excluded_intervals_are_searched_not_walked():
+    n = 20_000
+    intervals = tuple((10 * i, 10 * i + 2) for i in range(n))
+    ids = [10 * i + 5 for i in range(n)]  # each between two intervals
+    message = " ".join(map(str, ids))
+    start = time.monotonic()
+    refs = extract_issue_refs(message, frozenset(ids), FilterConfig(excluded_intervals=intervals))
+    assert time.monotonic() - start < 0.5  # took 9.5 s
+    assert refs == set(ids)
