@@ -21,7 +21,6 @@ from .pipeline import (
     DISTRIBUTIONS,
     STAGE_STATS,
     _fmt,
-    _selected_distributions,
     cmd_analyze,
     cmd_extract,
     run_releases,
@@ -110,10 +109,11 @@ def run_fit(args) -> int:
         flags = ", ".join("--" + dest.replace("_", "-") for dest in stray)
         raise ConfigError(f"fit --{selected} cannot be combined with {flags}")
     if selected == "config":
-        only = args.metric
-        _selected_distributions(only)  # reject an unknown name before any release is built
-        writers = [partial(write_ccdfs, only=only), partial(write_tail_fits, only=only)]
-        return _run_writers(args, writers, with_bugs=only not in METRIC_NAMES)
+        if args.metric not in (None, *DISTRIBUTIONS):  # rejected before any release is built
+            raise ConfigError(f"unknown distribution {args.metric!r}; expected one of {', '.join(DISTRIBUTIONS)}")
+        names = DISTRIBUTIONS if args.metric is None else (args.metric,)
+        writers = [partial(write_ccdfs, names=names), partial(write_tail_fits, names=names)]
+        return _run_writers(args, writers, with_bugs=args.metric not in METRIC_NAMES)
     with stage(STAGE_STATS):
         if selected == "synthetic":
             mode, gamma, n, x_min = _parse_synthetic(args.synthetic)

@@ -5,14 +5,18 @@ both snapshots is *updated* (metric changed) or *unchanged*; CUs only in the
 later release are *added*; CUs only in the earlier one are *deleted* and
 excluded from the statistics. CU identity across releases is the file path,
 so renames count as delete plus add.
+
+This module computes numbers only. Which status a pair's row carries (an
+empty family, too few updated CUs, a degenerate table) is decided by
+``pipeline.write_evolution``.
 """
 
 from dataclasses import dataclass
 
 from .bugs import BugLedger
-from .errors import DegenerateInput, EmptyFamily
+from .errors import EmptyFamily
 from .metrics import MetricVector, metric_value
-from .tailstats import ChiSquareResult, chi_square_independence, pearson
+from .tailstats import ChiSquareResult, chi_square_independence
 
 FAMILY_NAMES = ("updated", "unchanged", "added")
 
@@ -57,16 +61,6 @@ class FamilyStats:
     infected: int  # members with at least one bug
 
 
-@dataclass(frozen=True)
-class DeltaCorrelation:
-    """``status`` is ok (``r`` set), too-few-updated (under 3 usable CUs) or degenerate."""
-
-    n_used: int
-    n_excluded: int
-    r: float | None
-    status: str
-
-
 def classify_cus(prev: ReleaseSnapshot, next_: ReleaseSnapshot, metric: str) -> FamilyPartition:
     """Partition CUs into updated/unchanged/added/deleted for one metric."""
     prev_paths = set(prev.metrics)
@@ -94,32 +88,14 @@ def family_stats(family, ledger: BugLedger) -> FamilyStats:
     return FamilyStats(probability, mean, n=len(family), infected=len(infected))
 
 
-def delta_metric_correlation(
-    partition: FamilyPartition,
-    prev: ReleaseSnapshot,
-    next_: ReleaseSnapshot,
-) -> DeltaCorrelation:
-    """Pearson correlation between the fractional change in the partition's
-    metric of updated CUs and their bug count in the later release; members
-    with a zero previous value are excluded (undefined ratio)."""
-    changes, bug_counts = fractional_changes(partition, prev, next_)
-    n_used = len(changes)
-    n_excluded = len(partition.updated) - n_used
-    if n_used < 3:
-        return DeltaCorrelation(n_used, n_excluded, None, "too-few-updated")
-    try:
-        return DeltaCorrelation(n_used, n_excluded, pearson(changes, bug_counts), "ok")
-    except DegenerateInput:
-        return DeltaCorrelation(n_used, n_excluded, None, "degenerate")
-
-
 def fractional_changes(
     partition: FamilyPartition,
     prev: ReleaseSnapshot,
     next_: ReleaseSnapshot,
 ) -> tuple[list[float], list[int]]:
     """(fractional changes, later-release bug counts) over usable updated CUs,
-    sorted by path; the metric is the partition's."""
+    sorted by path; the metric is the partition's. An updated CU whose
+    previous value is zero has no ratio and is left out."""
     metric = partition.metric
     changes: list[float] = []
     bug_counts: list[int] = []
@@ -133,11 +109,9 @@ def fractional_changes(
     return changes, bug_counts
 
 
-def stats_significance(stats: list[FamilyStats | None]) -> ChiSquareResult:
+def stats_significance(stats: list[FamilyStats]) -> ChiSquareResult:
     """Chi-square independence test on the (family x infected) table of the
-    families' stats, in ``FAMILY_NAMES`` order; ``None`` is an empty family."""
-    if any(s is None for s in stats):
-        raise EmptyFamily("family has no members")
+    families' stats, in ``FAMILY_NAMES`` order."""
     return chi_square_independence([[s.infected, s.n - s.infected] for s in stats])
 
 

@@ -21,7 +21,9 @@ One parser reads a file's one token list. A method body is scanned where it
 lies in that list: its own braces bound the scan, so every look-ahead stops
 at its closing ``}`` and every look-behind at its opening ``{``. The parser
 remembers each ``<`` whose type-argument scan is known to fail, so a body
-of many comparisons is not read again from each of them.
+of many comparisons is not read again from each of them, and each ``<`` a
+scan closed, with where its list ends and the names it holds, so a list
+nested n deep is read once rather than again from each of its ``,``.
 
 Deliberate simplifications, chosen for determinism:
 - Named nested classes one level deep are separate classes; anything deeper,
@@ -110,6 +112,9 @@ class _Parser:
         self.imports: list[str] = []
         self.drafts: list[_ClassDraft] = []  # named classes, pre-order
         self.no_args: set[int] = set()  # indices of '<' that open no type arguments
+        # index of a '<' a scan closed -> (index past its '>', the scan's
+        # names, where this list's names start and end in them)
+        self.has_args: dict[int, tuple[int, list[str], int, int]] = {}
 
     # -- token helpers -----------------------------------------------------
 
@@ -200,12 +205,19 @@ class _Parser:
         A failed scan stops at a token that a scan from any '<' it left open
         would also read on to and stop at. Those '<' go into ``no_args``, and
         a scan that starts at or reaches one fails at once, so a body of many
-        comparisons is not read again from each of its '<'."""
+        comparisons is not read again from each of its '<'. A successful scan
+        records every '<' it closed in ``has_args``, and a scan that starts at
+        one returns its names and jumps past it, so a nested list is not read
+        again from each of its ','."""
         start = self.pos
         if start in self.no_args:
             return None
+        known = self.has_args.get(start)
+        if known is not None:
+            self.pos, names, first, last = known
+            return names[first:last]
         self.pos += 1
-        opened = [start]  # the '<' this scan opened and has not closed
+        opened = [(start, 0)]  # each '<' this scan opened and has not closed, and len(args) there
         args: list[str] = []
         while opened:
             tok = self.toks[self.pos]
@@ -222,13 +234,14 @@ class _Parser:
             if tok not in _GENERIC or self.pos in self.no_args:
                 break
             if tok == "<":
-                opened.append(self.pos)
+                opened.append((self.pos, len(args)))
             elif tok == ">":
-                opened.pop()
+                at, first = opened.pop()
+                self.has_args[at] = (self.pos + 1, args, first, len(args))
             self.pos += 1
         else:
             return args
-        self.no_args.update(opened)
+        self.no_args.update(at for at, _ in opened)
         self.pos = start
         return None
 

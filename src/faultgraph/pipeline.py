@@ -3,8 +3,10 @@
 Every emitted file is plain tab-separated text with a fixed header row,
 sorted rows, and floats rendered with %.12g, so reruns on identical inputs
 produce byte-identical bundles. Statistical non-results (too small a tail,
-zero variance, an empty family) are recorded as status rows rather than
-aborting the run: on small systems they are expected outcomes, not faults.
+zero variance, an empty family, too few updated CUs) are recorded as status
+rows rather than aborting the run: on small systems they are expected
+outcomes, not faults. The writers here decide every status a row carries;
+the modules they call compute numbers or raise.
 """
 
 import logging
@@ -19,7 +21,6 @@ from .errors import (
     ConfigError,
     DegenerateInput,
     DegenerateTable,
-    EmptyFamily,
     InputError,
     InsufficientTail,
     OutputError,
@@ -32,8 +33,8 @@ from .evolution import (
     FAMILY_NAMES,
     ReleaseSnapshot,
     classify_cus,
-    delta_metric_correlation,
     family_stats,
+    fractional_changes,
     stats_significance,
 )
 from .facts import CUFacts, dump_facts_file, load_facts_file
@@ -258,27 +259,19 @@ def write_bugs(data: ReleaseData, out: Path) -> list[Path]:
     ]
 
 
-def _selected_distributions(only: str | None) -> tuple[str, ...]:
-    if only is None:
-        return DISTRIBUTIONS
-    if only not in DISTRIBUTIONS:
-        raise ConfigError(f"unknown distribution {only!r}; expected one of {', '.join(DISTRIBUTIONS)}")
-    return (only,)
-
-
-def write_ccdfs(data: ReleaseData, out: Path, only: str | None = None) -> list[Path]:
+def write_ccdfs(data: ReleaseData, out: Path, names: Sequence[str] = DISTRIBUTIONS) -> list[Path]:
     tag = safe_tag(data.tag)
     paths = []
-    for name in _selected_distributions(only):
+    for name in names:
         samples = distribution_samples(data, name)
         rows = [[_fmt(x), _fmt(p)] for x, p in ccdf(samples).points] if samples else []
         paths.append(write_table(out / f"ccdf-{tag}-{name}.tsv", ["x", "p"], rows))
     return paths
 
 
-def write_tail_fits(data: ReleaseData, out: Path, only: str | None = None) -> list[Path]:
+def write_tail_fits(data: ReleaseData, out: Path, names: Sequence[str] = DISTRIBUTIONS) -> list[Path]:
     rows = []
-    for name in _selected_distributions(only):
+    for name in names:
         # count distributions are discrete; only the LOC scale is continuous
         mode = CONTINUOUS if name == "cu_loc" else DISCRETE
         positive = [s for s in distribution_samples(data, name) if s > 0]
@@ -315,32 +308,41 @@ def write_correlations(data: ReleaseData, out: Path) -> list[Path]:
 
 def write_evolution(prev: ReleaseSnapshot, nxt: ReleaseSnapshot, out: Path) -> list[Path]:
     """Families, significance and delta correlations of one release pair,
-    from the two releases' snapshots alone."""
+    from the two releases' snapshots alone. Every status of these rows is
+    decided here: the chi-square row is empty-family when some family has no
+    members; the delta row is too-few-updated under 3 usable changes."""
     pair = pair_tag(prev.release, nxt.release)
     family_rows, chi_rows, delta_rows = [], [], []
     for metric in METRIC_NAMES:
         partition = classify_cus(prev, nxt, metric)
-        table = []  # each family's stats, None when it is empty
+        table = []  # the stats of each family that has members
         for family_name in FAMILY_NAMES:
             members = getattr(partition, family_name)
             if not members:
-                table.append(None)
                 family_rows.append([metric, family_name, 0, "", "", ""])
                 continue
             stats = family_stats(members, nxt.ledger)
             table.append(stats)
             mean = _fmt(stats.mean_bugs_infected) if stats.mean_bugs_infected is not None else ""
             family_rows.append([metric, family_name, stats.n, stats.infected, _fmt(stats.infection_probability), mean])
-        try:
-            res = stats_significance(table)
-            chi_rows.append([metric, _fmt(res.chi2), res.dof, _fmt(res.p_value), "ok"])
-        except EmptyFamily:
+        if len(table) < len(FAMILY_NAMES):
             chi_rows.append([metric, "", "", "", "empty-family"])
-        except DegenerateTable:
-            chi_rows.append([metric, "", "", "", "degenerate"])
-        delta = delta_metric_correlation(partition, prev, nxt)
-        r = _fmt(delta.r) if delta.r is not None else ""
-        delta_rows.append([metric, delta.n_used, delta.n_excluded, r, delta.status])
+        else:
+            try:
+                res = stats_significance(table)
+                chi_rows.append([metric, _fmt(res.chi2), res.dof, _fmt(res.p_value), "ok"])
+            except DegenerateTable:
+                chi_rows.append([metric, "", "", "", "degenerate"])
+        changes, bug_counts = fractional_changes(partition, prev, nxt)
+        n_used = len(changes)
+        n_excluded = len(partition.updated) - n_used
+        if n_used < 3:
+            delta_rows.append([metric, n_used, n_excluded, "", "too-few-updated"])
+        else:
+            try:
+                delta_rows.append([metric, n_used, n_excluded, _fmt(pearson(changes, bug_counts)), "ok"])
+            except DegenerateInput:
+                delta_rows.append([metric, n_used, n_excluded, "", "degenerate"])
     family_header = ["metric", "family", "n", "infected", "infection_probability", "mean_bugs_infected"]
     delta_header = ["metric", "n_used", "n_excluded", "r", "status"]
     return [

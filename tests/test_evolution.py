@@ -6,12 +6,12 @@ from faultgraph.evolution import (
     FamilyPartition,
     ReleaseSnapshot,
     classify_cus,
-    delta_metric_correlation,
     family_significance,
     family_stats,
     fractional_changes,
 )
 from faultgraph.metrics import METRIC_NAMES, MetricVector
+from faultgraph.pipeline import write_evolution
 
 
 def vector(**overrides) -> MetricVector:
@@ -130,6 +130,8 @@ def test_family_stats_empty_family():
 
 
 # -- delta metric correlation ------------------------------------------------------
+# The delta row's status is decided by the pair writer, so these tests read the
+# cu_loc row of the delta-correlation table that ``write_evolution`` writes.
 
 
 def two_release_fixture(bug_counts, locs_prev, locs_next):
@@ -144,64 +146,72 @@ def two_release_fixture(bug_counts, locs_prev, locs_next):
     return part, prev, nxt
 
 
-def test_delta_correlation_proportional_is_one():
+def delta_row(prev, nxt, out) -> dict[str, str]:
+    """The cu_loc row of the pair's delta-correlation table."""
+    write_evolution(prev, nxt, out)
+    header, *rows = [line.split("\t") for line in (out / "delta-correlation-r1-r2.tsv").read_text().splitlines()]
+    (row,) = [dict(zip(header, cells)) for cells in rows if cells[0] == "cu_loc"]
+    return row
+
+
+def test_delta_correlation_proportional_is_one(tmp_path):
     locs_prev = {"a": 10, "b": 10, "c": 10, "d": 10, "e": 10}
     locs_next = {"a": 11, "b": 12, "c": 13, "d": 14, "e": 15}
     bugs = {"a": 1, "b": 2, "c": 3, "d": 4, "e": 5}  # proportional to the change
-    part, prev, nxt = two_release_fixture(bugs, locs_prev, locs_next)
-    res = delta_metric_correlation(part, prev, nxt)
-    assert res.r == pytest.approx(1.0, abs=1e-12)
-    assert (res.n_used, res.n_excluded, res.status) == (5, 0, "ok")
+    _, prev, nxt = two_release_fixture(bugs, locs_prev, locs_next)
+    row = delta_row(prev, nxt, tmp_path)
+    assert float(row["r"]) == pytest.approx(1.0, abs=1e-12)
+    assert (row["n_used"], row["n_excluded"], row["status"]) == ("5", "0", "ok")
 
 
-def test_delta_correlation_hand_computed():
+def test_delta_correlation_hand_computed(tmp_path):
     # fractional changes 1,2,3,4 against bugs 1,3,2,4: the 0.8 case
     locs_prev = {"a": 10, "b": 10, "c": 10, "d": 10}
     locs_next = {"a": 20, "b": 30, "c": 40, "d": 50}
     bugs = {"a": 1, "b": 3, "c": 2, "d": 4}
-    part, prev, nxt = two_release_fixture(bugs, locs_prev, locs_next)
-    assert abs(delta_metric_correlation(part, prev, nxt).r - 0.8) < 1e-12
+    _, prev, nxt = two_release_fixture(bugs, locs_prev, locs_next)
+    assert abs(float(delta_row(prev, nxt, tmp_path)["r"]) - 0.8) < 1e-12
 
 
-def test_delta_correlation_constant_bugs_degenerate():
+def test_delta_correlation_constant_bugs_degenerate(tmp_path):
     locs_prev = {"a": 10, "b": 10, "c": 10}
     locs_next = {"a": 11, "b": 12, "c": 13}
     bugs = {"a": 2, "b": 2, "c": 2}
-    part, prev, nxt = two_release_fixture(bugs, locs_prev, locs_next)
-    res = delta_metric_correlation(part, prev, nxt)
-    assert (res.n_used, res.n_excluded, res.r, res.status) == (3, 0, None, "degenerate")
+    _, prev, nxt = two_release_fixture(bugs, locs_prev, locs_next)
+    row = delta_row(prev, nxt, tmp_path)
+    assert (row["n_used"], row["n_excluded"], row["r"], row["status"]) == ("3", "0", "", "degenerate")
 
 
-def test_delta_correlation_too_few_updated():
+def test_delta_correlation_too_few_updated(tmp_path):
     locs_prev = {"a": 10, "b": 10, "c": 0, "d": 10}
     locs_next = {"a": 11, "b": 12, "c": 13, "d": 10}  # d unchanged, c has no ratio
-    part, prev, nxt = two_release_fixture({"a": 1, "b": 2}, locs_prev, locs_next)
-    res = delta_metric_correlation(part, prev, nxt)
-    assert (res.n_used, res.n_excluded, res.r, res.status) == (2, 1, None, "too-few-updated")
+    _, prev, nxt = two_release_fixture({"a": 1, "b": 2}, locs_prev, locs_next)
+    row = delta_row(prev, nxt, tmp_path)
+    assert (row["n_used"], row["n_excluded"], row["r"], row["status"]) == ("2", "1", "", "too-few-updated")
 
 
-def test_zero_previous_value_members_are_excluded():
+def test_zero_previous_value_members_are_excluded(tmp_path):
     locs_prev = {"a": 0, "b": 10, "c": 10, "d": 10, "e": 10}
     locs_next = {"a": 5, "b": 12, "c": 14, "d": 16, "e": 18}
     bugs = {"b": 1, "c": 2, "d": 3, "e": 4}
     part, prev, nxt = two_release_fixture(bugs, locs_prev, locs_next)
     changes, counts = fractional_changes(part, prev, nxt)
     assert len(part.updated) - len(changes) == 1  # the zero-prev member
-    res = delta_metric_correlation(part, prev, nxt)
-    assert (res.n_used, res.n_excluded) == (4, 1)
-    assert res.r == pytest.approx(1.0, abs=1e-12)
+    row = delta_row(prev, nxt, tmp_path)
+    assert (row["n_used"], row["n_excluded"]) == ("4", "1")
+    assert float(row["r"]) == pytest.approx(1.0, abs=1e-12)
 
 
-def test_delta_correlation_invariant_under_bug_rescaling():
+def test_delta_correlation_invariant_under_bug_rescaling(tmp_path):
     locs_prev = {"a": 10, "b": 10, "c": 10, "d": 10}
     locs_next = {"a": 20, "b": 30, "c": 40, "d": 50}
     bugs = {"a": 1, "b": 3, "c": 2, "d": 4}
-    part, prev, nxt = two_release_fixture(bugs, locs_prev, locs_next)
-    r1 = delta_metric_correlation(part, prev, nxt).r
+    _, prev, nxt = two_release_fixture(bugs, locs_prev, locs_next)
+    r1 = float(delta_row(prev, nxt, tmp_path)["r"])
     scaled = ReleaseSnapshot(
         "r2", nxt.metrics, ledger_of("r2", {p: 3 * n for p, n in bugs.items()})
     )
-    r2 = delta_metric_correlation(part, prev, scaled).r
+    r2 = float(delta_row(prev, scaled, tmp_path)["r"])
     assert abs(r1 - r2) < 1e-12
 
 

@@ -1,0 +1,132 @@
+"""Whole-run metamorphic relations: input changes a report must not see.
+
+Each relation changes the seed-11 release-pair inputs of the benchmark's
+generator (built as ``test_generated_bundle.py`` builds them) in a way the
+analysis must ignore, runs ``faultgraph report`` on them and compares the
+bundle and stderr, byte for byte, with those of the untouched inputs. Every
+run is a fresh interpreter under ``PYTHONHASHSEED=0`` unless a relation sets
+another seed: ``logging.basicConfig`` binds the stderr that exists at a
+process's first command, so stderr is compared across processes.
+
+Each relation fails on a matching defect: the hash seeds on a set of names
+iterated unsorted, the duplicated commits on a link counted once per commit
+line, the shuffled registry on rows assumed to be in id order, the appended
+comments on a comment line counted as code, and the two added commits on a
+window or registry filter that lets them through.
+"""
+
+import importlib.util
+import json
+import os
+import pathlib
+import random
+import shutil
+import subprocess
+import sys
+
+import pytest
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+GEN = ROOT / "perfbench" / "gen.py"
+SEED = 11
+
+
+def report(inputs: pathlib.Path, out: pathlib.Path, hash_seed: int = 0) -> tuple[dict[str, bytes], str]:
+    """The bundle (file name -> bytes) and stderr of one ``report`` run."""
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src"), "PYTHONHASHSEED": str(hash_seed)}
+    argv = ["report", "--config", str(inputs / "config.json"), "--out", str(out)]
+    done = subprocess.run([sys.executable, "-m", "faultgraph.cli", *argv], env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    return {p.name: p.read_bytes() for p in sorted(out.iterdir())}, done.stderr
+
+
+def assert_same_run(got, expected):
+    (bundle, stderr), (expected_bundle, expected_stderr) = got, expected
+    assert sorted(bundle) == sorted(expected_bundle)
+    assert [name for name in bundle if bundle[name] != expected_bundle[name]] == []
+    assert stderr == expected_stderr
+
+
+@pytest.fixture(scope="module")
+def baseline(tmp_path_factory):
+    spec = importlib.util.spec_from_file_location("faultgraph_bench_gen", GEN)
+    gen = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(gen)
+    root = tmp_path_factory.mktemp("metamorphic")
+    inputs = root / "pair"
+    gen.report_inputs(inputs, SEED, 2, 200, 800, 0.10, 0.30, 0.02, "corpus")
+    run = report(inputs, root / "out")
+    assert "dropped" in run[1]  # the stderr compared is not empty
+    return inputs, run
+
+
+def read_lines(path: pathlib.Path) -> list[str]:
+    return path.read_text(encoding="utf-8").splitlines()
+
+
+def write_lines(path: pathlib.Path, lines: list[str]) -> None:
+    path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+
+
+def a_corpus_file(inputs: pathlib.Path) -> str:
+    """A file of r1's corpus, as a commit names it."""
+    corpus = inputs / "corpus_r1"
+    return min(corpus.rglob("*.java")).relative_to(corpus).as_posix()
+
+
+def shuffle_commits_with_duplicates(inputs):
+    rng = random.Random(SEED)
+    lines = read_lines(inputs / "commits.tsv")
+    lines += rng.sample(lines, len(lines) // 3)
+    rng.shuffle(lines)
+    write_lines(inputs / "commits.tsv", lines)
+
+
+def shuffle_registry_rows(inputs):
+    rng = random.Random(SEED)
+    header, *rows = read_lines(inputs / "issues.tsv")
+    rng.shuffle(rows)
+    write_lines(inputs / "issues.tsv", [header, *rows])
+
+
+def append_comments(inputs):
+    for path in inputs.rglob("*.java"):
+        with path.open("a", encoding="utf-8") as f:
+            f.write("// a line comment\n\n\n/* a block\n   comment */\n")
+
+
+def add_commit_before_every_window(inputs):
+    lines = read_lines(inputs / "commits.tsv")
+    lines.append(f"2000-01-01T00:00:00Z\tdev\tFixed 150 in parser handling\t{a_corpus_file(inputs)}")
+    write_lines(inputs / "commits.tsv", lines)
+
+
+def cite_an_unregistered_id_in_r1(inputs):
+    start, _ = json.loads((inputs / "config.json").read_text(encoding="utf-8"))["releases"][0]["window"]
+    lines = read_lines(inputs / "commits.tsv")
+    lines.append(f"{start}\tdev\tFixed 987654321 in parser handling\t{a_corpus_file(inputs)}")
+    write_lines(inputs / "commits.tsv", lines)
+
+
+RELATIONS = {
+    "commits-shuffled-and-duplicated": shuffle_commits_with_duplicates,
+    "registry-rows-shuffled": shuffle_registry_rows,
+    "comments-appended": append_comments,
+    "commit-before-every-window": add_commit_before_every_window,
+    "unregistered-id-in-a-window": cite_an_unregistered_id_in_r1,
+}
+
+
+@pytest.mark.parametrize("hash_seed", [1, 12345])
+def test_a_report_does_not_depend_on_the_hash_seed(baseline, tmp_path, hash_seed):
+    inputs, expected = baseline
+    assert_same_run(report(inputs, tmp_path / "out", hash_seed), expected)
+
+
+@pytest.mark.parametrize("change", RELATIONS.values(), ids=RELATIONS.keys())
+def test_a_report_ignores_an_input_change_it_must_not_see(baseline, tmp_path, change):
+    inputs, expected = baseline
+    changed = tmp_path / "pair"
+    shutil.copytree(inputs, changed)
+    change(changed)
+    assert_same_run(report(changed, tmp_path / "out"), expected)

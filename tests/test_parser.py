@@ -529,6 +529,14 @@ BRANCH_CASES = {
         "    <K, V extends B> void put(K k, V v) {}\n"
     ),
     "malformed-type-parameters": in_class("    < 3 > void m() {}\n"),
+    # a scan from a '<' that an earlier scan closed returns the names recorded then
+    "nested-type-argument-lists": in_class(
+        "    void m() {\n"
+        "        f(Map<A, Map<K, List<B>>>, x);\n"
+        "        Map<A, Map<K, Set<V>>> local = null;\n"
+        "        call(a < b, Set<List<C>> s);\n"
+        "    }\n"
+    ),
     "initializer-blocks": in_class(
         "    int x;\n"
         "    {\n"

@@ -1,8 +1,10 @@
+import ast
 import gc
 import json
 import re
 import shutil
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -507,3 +509,36 @@ def test_a_release_error_keeps_its_stage_before_a_later_missing_window(tmp_path)
         cmd_analyze(load_config(cfg_path), tmp_path / "out")
     assert err.value.stage == "source_facts"
     assert "Broken.java" in str(err.value)
+
+
+FORMATS = Path(__file__).resolve().parents[1] / "docs" / "formats.md"
+
+
+def documented_statuses() -> set[str]:
+    """The ``status`` values that docs/formats.md lists."""
+    listing = re.search(r"`status` values: (.*?)\.", FORMATS.read_text(encoding="utf-8"), re.S).group(1)
+    return set(re.findall(r"`([^`]+)`", listing))
+
+
+def row_literals(tree: ast.AST) -> set[str]:
+    """The non-empty string constants of every list display that also holds
+    a computed cell, as a writer's rows do (a header holds constants only)."""
+    return {
+        cell.value
+        for node in ast.walk(tree)
+        if isinstance(node, ast.List) and any(not isinstance(e, (ast.Constant, ast.Starred)) for e in node.elts)
+        for cell in node.elts
+        if isinstance(cell, ast.Constant) and isinstance(cell.value, str) and cell.value
+    }
+
+
+def test_every_status_string_lives_in_the_writers():
+    statuses = documented_statuses()
+    package = Path(pipeline.__file__).parent
+    assert row_literals(ast.parse((package / "pipeline.py").read_text(encoding="utf-8"))) == statuses
+    for path in sorted(package.glob("*.py")):
+        if path.name == "pipeline.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        held = {node.value for node in ast.walk(tree) if isinstance(node, ast.Constant)} & statuses
+        assert not held, f"{path.name} holds status strings {sorted(held)}"

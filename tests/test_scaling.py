@@ -8,6 +8,10 @@ Mended, before -> after, at n = 1,000 / 2,000 / 4,000:
 - parse, one method body calling ``f(a < b, a < b, ...)`` with n
   comparisons: 0.73 / 2.44 / 7.92 -> 0.006 / 0.011 / 0.021. Every boundary
   token started a type-argument scan that read on to the closing ``)``.
+- parse, one body calling ``f(Map<A, Map<A, ... B>...>)`` with the list
+  nested n deep, at n = 500 / 1,000 / 2,000: 0.16 / 0.62 / 2.54 -> 0.007 /
+  0.013 / 0.029. The scan from each ``,`` inside it succeeded and read the
+  rest of the nest again.
 - resolve, one CU with n single-type imports and n field types, each
   naming a corpus class: 0.095 / 0.37 / 1.45 -> 0.005 / 0.011 / 0.025
   (10,000: 9.2 -> 0.069). Each name walked the imports.
@@ -25,10 +29,11 @@ Linear already, at n = 2,000 / 8,000:
 - one receiver chain ``a.b1.b2...f()`` of n segments, parsed: 0.004 / 0.015;
 - n fields, each used in one body, parsed: 0.021 / 0.054.
 
-Quadratic still, and to be mended: parse, one body calling
-``f(Map<A, Map<A, ... B>...>)`` with the list nested n deep, at n = 500 /
-1,000 / 2,000: 0.16 / 0.62 / 2.54. The scan from each ``,`` inside it
-succeeds and reads the rest of the nest again.
+Superlinear still, and to be mended: the continuous tail fit's x_min
+screen on a "comb", m log-spaced values (``np.exp(np.linspace(0, 20, m))``)
+each repeated 50 times with 1e-9 relative jitter, takes 0.32 / 0.78 /
+2.01 / 5.61 at 25,000 / 50,000 / 100,000 / 200,000 samples, about
+n^1.4; 100,000 Pareto draws take 0.18.
 
 The one quadratic shape allowed: lcom counts the method pairs of a class
 that share no field, which is the orthogonal-vectors problem, for which no
@@ -69,6 +74,38 @@ def test_a_failed_type_argument_scan_is_read_once(monkeypatch):
     cu = parse_compilation_unit(source, "A.java")
     assert reads <= 4 * n
     assert cu.classes[0].methods[0].referenced_types == ()
+
+
+def nested_call(n: int) -> str:
+    """One body calling ``f(Map<A, Map<A, ... B>...>)``, the list nested n deep."""
+    return "class A {\n    void m() {\n        f(" + "Map<A, " * n + "B" + ">" * n + ");\n    }\n}\n"
+
+
+def test_a_nested_type_argument_list_is_read_once(monkeypatch):
+    # the scan from the outermost `<` reads each of the 2n + 1 names once,
+    # and the scan from each of the n `,` boundaries reads `Map` before
+    # jumping past its recorded list: 3n + 3 reads. Reading the rest of the
+    # nest again from each `,` read about n*n: a million at n = 1,000.
+    reads = 0
+    dotted_name = _Parser.dotted_name
+
+    def counted(self):
+        nonlocal reads
+        reads += 1
+        return dotted_name(self)
+
+    monkeypatch.setattr(_Parser, "dotted_name", counted)
+    n = 1000
+    cu = parse_compilation_unit(nested_call(n), "A.java")
+    assert reads <= 4 * n
+    assert cu.classes[0].methods[0].referenced_types == ()
+
+
+def test_a_nested_type_argument_list_parses_in_linear_time():
+    source = nested_call(2000)
+    start = time.monotonic()
+    parse_compilation_unit(source, "A.java")
+    assert time.monotonic() - start < 0.5  # took 2.5 s
 
 
 def imports_corpus(n: int, wildcard: bool) -> list[CUFacts]:
