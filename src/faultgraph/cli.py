@@ -3,14 +3,26 @@
 Subcommands: extract, graph, metrics, bugs, fit, correlate, evolve, report
 (report runs the full battery). Exit codes: 0 success, 1 input error,
 2 internal invariant violation.
+
+This module owns the process's run-time policies: the cyclic garbage
+collector is off while a command runs (see ``main``), and BLAS runs on one
+thread. No command calls a BLAS routine, yet numpy's and scipy's OpenBLAS
+each start a pool of worker threads on import whose idle workers spin and
+slow start-up, so ``OPENBLAS_NUM_THREADS`` is set to 1 before numpy is
+first imported, unless the environment already sets it.
 """
 
 import argparse
 import gc
 import logging
+import os
 import sys
 from functools import cache, partial
 from pathlib import Path
+
+# before the first numpy import of the process: an OpenBLAS pool that no
+# command uses costs start-up time in its idle workers' busy-wait
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 import numpy as np
 

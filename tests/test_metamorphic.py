@@ -11,8 +11,10 @@ process's first command, so stderr is compared across processes.
 Each relation fails on a matching defect: the hash seeds on a set of names
 iterated unsorted, the duplicated commits on a link counted once per commit
 line, the shuffled registry on rows assumed to be in id order, the appended
-comments on a comment line counted as code, and the two added commits on a
-window or registry filter that lets them through.
+comments on a comment line counted as code, the four added commits on a
+window, registry, ``min_id`` or excluded-interval filter that lets them
+through, the run from facts on a facts writer that drops a field, and the
+renamed output directory on a writer that puts the output path in a row.
 """
 
 import importlib.util
@@ -23,6 +25,7 @@ import random
 import shutil
 import subprocess
 import sys
+from functools import partial
 
 import pytest
 
@@ -31,13 +34,19 @@ GEN = ROOT / "perfbench" / "gen.py"
 SEED = 11
 
 
-def report(inputs: pathlib.Path, out: pathlib.Path, hash_seed: int = 0) -> tuple[dict[str, bytes], str]:
-    """The bundle (file name -> bytes) and stderr of one ``report`` run."""
+def faultgraph(*argv: str, hash_seed: int = 0) -> str:
+    """Run one command in a fresh interpreter, require exit 0 and return its
+    stderr."""
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src"), "PYTHONHASHSEED": str(hash_seed)}
-    argv = ["report", "--config", str(inputs / "config.json"), "--out", str(out)]
     done = subprocess.run([sys.executable, "-m", "faultgraph.cli", *argv], env=env, capture_output=True, text=True)
     assert done.returncode == 0, done.stderr
-    return {p.name: p.read_bytes() for p in sorted(out.iterdir())}, done.stderr
+    return done.stderr
+
+
+def report(inputs: pathlib.Path, out: pathlib.Path, hash_seed: int = 0) -> tuple[dict[str, bytes], str]:
+    """The bundle (file name -> bytes) and stderr of one ``report`` run."""
+    stderr = faultgraph("report", "--config", str(inputs / "config.json"), "--out", str(out), hash_seed=hash_seed)
+    return {p.name: p.read_bytes() for p in sorted(out.iterdir())}, stderr
 
 
 def assert_same_run(got, expected):
@@ -101,19 +110,41 @@ def add_commit_before_every_window(inputs):
     write_lines(inputs / "commits.tsv", lines)
 
 
-def cite_an_unregistered_id_in_r1(inputs):
+def cite_in_r1(inputs, issue_id):
+    """Add a commit at the start of r1's window that fixes ``issue_id`` in a
+    file of r1's corpus."""
     start, _ = json.loads((inputs / "config.json").read_text(encoding="utf-8"))["releases"][0]["window"]
     lines = read_lines(inputs / "commits.tsv")
-    lines.append(f"{start}\tdev\tFixed 987654321 in parser handling\t{a_corpus_file(inputs)}")
+    lines.append(f"{start}\tdev\tFixed {issue_id} in parser handling\t{a_corpus_file(inputs)}")
     write_lines(inputs / "commits.tsv", lines)
 
 
+def report_from_extracted_facts(inputs):
+    """Extract the corpora into facts files, then point the config at those
+    files and delete the corpora, so that ``report`` can only read facts."""
+    config = inputs / "config.json"
+    faultgraph("extract", "--config", str(config), "--out", str(inputs / "facts"))
+    cfg = json.loads(config.read_text(encoding="utf-8"))
+    for rel in cfg["releases"]:
+        shutil.rmtree(inputs / rel.pop("corpus"))
+        rel["facts"] = f"facts/facts-{rel['tag']}.jsonl"
+    config.write_text(json.dumps(cfg, indent=1), encoding="utf-8")
+
+
+# Each relation changes a copy of the inputs in place. One that returns a
+# name has the report written into a directory of that name, not "out".
 RELATIONS = {
     "commits-shuffled-and-duplicated": shuffle_commits_with_duplicates,
     "registry-rows-shuffled": shuffle_registry_rows,
     "comments-appended": append_comments,
     "commit-before-every-window": add_commit_before_every_window,
-    "unregistered-id-in-a-window": cite_an_unregistered_id_in_r1,
+    "unregistered-id-in-a-window": partial(cite_in_r1, issue_id=987654321),
+    # the generator registers every id from 1, and its filter has min_id 100
+    "id-below-min-id-in-a-window": partial(cite_in_r1, issue_id=50),
+    # and excludes the interval [400, 419]
+    "excluded-id-in-a-window": partial(cite_in_r1, issue_id=405),
+    "report-from-extracted-facts": report_from_extracted_facts,
+    "output-directory-renamed": lambda inputs: "a renamed bundle",
 }
 
 
@@ -128,5 +159,5 @@ def test_a_report_ignores_an_input_change_it_must_not_see(baseline, tmp_path, ch
     inputs, expected = baseline
     changed = tmp_path / "pair"
     shutil.copytree(inputs, changed)
-    change(changed)
-    assert_same_run(report(changed, tmp_path / "out"), expected)
+    out = change(changed) or "out"
+    assert_same_run(report(changed, tmp_path / out), expected)

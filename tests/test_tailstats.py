@@ -1,11 +1,13 @@
 import contextlib
 import inspect
+import json
 import math
 import os
 import pathlib
 import subprocess
 import sys
 import tracemalloc
+from typing import NamedTuple
 from unittest import mock
 
 import numpy as np
@@ -570,38 +572,58 @@ SRC = pathlib.Path(tailstats.__file__).parents[1]
 CONFIG = pathlib.Path(__file__).parent / "fixtures" / "pipeline_config.json"
 
 
-def loaded_by(*argv, package="scipy") -> list[str]:
-    """The modules of ``package`` a fresh interpreter holds after importing
-    faultgraph.cli and, given ``argv``, running ``main`` on it to exit 0;
-    the probe prints them on the last line of its output."""
+# one entry per OS thread of the reading process, where Linux provides it
+TASKS = pathlib.Path("/proc/self/task")
+
+
+class StartUp(NamedTuple):
+    modules: list[str]  # the loaded modules of the package asked about
+    threads: int | None  # OS threads, or None where TASKS does not exist
+    blas_threads: str | None  # OPENBLAS_NUM_THREADS as the process reads it
+
+
+def loaded_by(*argv, package="scipy", blas_threads=None) -> StartUp:
+    """What a fresh interpreter holds after importing faultgraph.cli and,
+    given ``argv``, running ``main`` on it to exit 0: the modules of
+    ``package``, its OS thread count and its ``OPENBLAS_NUM_THREADS``. The
+    interpreter starts with that variable set to ``blas_threads``, or unset;
+    the probe prints all three on the last line of its output."""
     probe = (
-        "import sys, faultgraph.cli\n"
+        "import json, os, sys, faultgraph.cli\n"
         "if sys.argv[1:]:\n"
         "    assert faultgraph.cli.main(sys.argv[1:]) == 0\n"
-        f"print(' '.join(m for m in sys.modules if m == {package!r} or m.startswith({package + '.'!r})))\n"
+        f"modules = [m for m in sys.modules if m == {package!r} or m.startswith({package + '.'!r})]\n"
+        f"threads = len(os.listdir({str(TASKS)!r})) if os.path.isdir({str(TASKS)!r}) else None\n"
+        "print(json.dumps([modules, threads, os.environ.get('OPENBLAS_NUM_THREADS')]))\n"
     )
-    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    env["PYTHONPATH"] = str(SRC)
+    if blas_threads is not None:
+        env["OPENBLAS_NUM_THREADS"] = blas_threads
     out = subprocess.run(
         [sys.executable, "-c", probe, *argv], env=env, capture_output=True, text=True, check=True
     )
-    return out.stdout.splitlines()[-1].split()
+    return StartUp(*json.loads(out.stdout.splitlines()[-1]))
+
+
+@pytest.fixture
+def samples_file(tmp_path):
+    samples = tmp_path / "samples.txt"
+    samples.write_text("\n".join(map(str, pareto_samples(2000, 2.5, 1.0, np.random.default_rng(3)))))
+    return samples
 
 
 def test_cli_import_loads_no_scipy():
-    assert loaded_by() == []
+    assert loaded_by().modules == []
 
 
-def test_continuous_fits_load_no_scipy(tmp_path):
-    samples = tmp_path / "samples.txt"
-    samples.write_text("\n".join(map(str, pareto_samples(2000, 2.5, 1.0, np.random.default_rng(3)))))
-    assert loaded_by("fit", "--samples", str(samples), "--mode", "continuous") == []
-    assert loaded_by("fit", "--synthetic", "continuous:2.5:2000") == []
+def test_continuous_fits_load_no_scipy(samples_file):
+    assert loaded_by("fit", "--samples", str(samples_file), "--mode", "continuous").modules == []
+    assert loaded_by("fit", "--synthetic", "continuous:2.5:2000").modules == []
 
 
-def test_fit_of_a_samples_file_loads_no_masked_arrays(tmp_path):
-    samples = tmp_path / "samples.txt"
-    samples.write_text("\n".join(map(str, pareto_samples(2000, 2.5, 1.0, np.random.default_rng(3)))))
-    assert loaded_by("fit", "--samples", str(samples), "--mode", "continuous", package="numpy.ma") == []
+def test_fit_of_a_samples_file_loads_no_masked_arrays(samples_file):
+    assert loaded_by("fit", "--samples", str(samples_file), "--mode", "continuous", package="numpy.ma").modules == []
 
 
 def test_report_and_discrete_fits_leave_the_root_finder_unloaded(tmp_path):
@@ -612,9 +634,26 @@ def test_report_and_discrete_fits_leave_the_root_finder_unloaded(tmp_path):
         ("report", "--config", str(CONFIG), "--out", str(tmp_path / "out")),
         ("fit", "--synthetic", "discrete:2.5:2000"),
     ):
-        loaded = loaded_by(*argv)
+        loaded = loaded_by(*argv).modules
         assert "scipy.special" in loaded
         assert not [m for m in loaded if m == "scipy.optimize" or m.startswith("scipy.optimize.")]
+
+
+@pytest.mark.skipif(not TASKS.is_dir(), reason="no per-process thread listing to count")
+def test_commands_start_no_blas_thread_pool(tmp_path, samples_file):
+    # numpy's and scipy's OpenBLAS would each start a pool of idle workers
+    # on a host with two or more CPUs; no command calls BLAS
+    for argv in (
+        ("report", "--config", str(CONFIG), "--out", str(tmp_path / "report")),  # numpy and scipy.special
+        ("fit", "--samples", str(samples_file), "--mode", "continuous"),  # numpy only
+        ("fit", "--synthetic", "discrete:2.5:2000"),  # the Hurwitz zeta
+        ("extract", "--config", str(CONFIG), "--out", str(tmp_path / "facts")),
+    ):
+        assert loaded_by(*argv).threads == 1, argv
+
+
+def test_a_blas_thread_count_the_environment_sets_is_kept():
+    assert loaded_by("fit", "--synthetic", "discrete:2.5:2000", blas_threads="2").blas_threads == "2"
 
 
 # -- the discrete MLE's root search ------------------------------------------------
