@@ -43,14 +43,24 @@ takes a fixed number of segments, and the ordering pass keeps 17 fitted
 values per candidate. On 10^4 Pareto draws the screen evaluates about 20 to 25 terms
 per candidate, where a full screen evaluates 5,000 on average.
 
-scipy.special supplies the Hurwitz zeta function of the discrete fit and
-sampler and the regularized upper incomplete gamma function behind the
-chi-square p-value. It is imported by the functions that evaluate them, on
-first use, so a command that fits only continuous data loads numpy and no
-scipy. The discrete fit's root search is ``_brentq``, a port of scipy's
-Brent method that the tests hold to ``scipy.optimize.brentq`` bit for bit.
+In discrete mode the KS distance is the largest gap between the two CCDFs
+at the tail's distinct values, and it is found the way the screen bounds a
+segment: both CCDFs never rise along the tail, so the gaps at two values
+bound every gap between them. The fitted CCDF is evaluated at both ends of
+the tail, then segments are bisected, largest bound first, until no bound
+passes the largest gap found. The result is the full maximum.
+
+The math is ported, so that fits and tests need numpy alone: the discrete
+fit's Hurwitz zeta is ``_hurwitz_zeta``, Cephes' ``zeta(x, q)``, and its
+root search is ``_brentq``, scipy's Brent method; the tests hold both to
+scipy bit for bit. The chi-square p-value is a closed form over ``math``.
+scipy remains in one place: ``zeta_samples`` evaluates up to 10^6 CCDF
+points at once, where the ``scipy.special.zeta`` ufunc is more than ten
+times faster per point than the port, so it imports it on its first call.
+Of all commands only ``fit --synthetic discrete`` loads scipy.
 """
 
+import heapq
 import math
 from dataclasses import dataclass
 
@@ -200,23 +210,81 @@ def _brentq(f, a: float, b: float, xtol: float, rtol: float) -> float:
     raise RuntimeError(f"Failed to converge after 100 iterations, value is {xcur}")
 
 
+# Cephes' Euler-Maclaurin coefficients (2k)! / B_2k, and the relative size
+# of a term at which its sums stop
+_ZETA_A = (
+    12.0,
+    -720.0,
+    30240.0,
+    -1209600.0,
+    47900160.0,
+    -1.8924375803183791606e9,
+    7.47242496e10,
+    -2.950130727918164224e12,
+    1.1646782814350067249e14,
+    -4.5979787224074726105e15,
+    1.8152105401943546773e17,
+    -7.1661652561756670113e18,
+)
+_MACHEP = 1.11022302462515654042e-16
+
+
+def _hurwitz_zeta(x: float, q: float) -> float:
+    """The Hurwitz zeta, the sum of (q + k)^-x over k >= 0, for x > 1 and
+    q >= 1: Cephes' ``zeta(x, q)`` (Moshier, Methods and Programs for
+    Mathematical Functions, 1989) step for step, each power by libm's pow,
+    so the bits of ``scipy.special.zeta``."""
+    if q > 1e8:  # asymptotic expansion, DLMF 25.11.43
+        return (1 / (x - 1) + 1 / (2 * q)) * math.pow(q, 1 - x)
+    # direct sum of at least 9 terms, until q + i passes 9
+    s = math.pow(q, -x)
+    a = q
+    i = 0
+    b = 0.0
+    while i < 9 or a <= 9.0:
+        i += 1
+        a += 1.0
+        b = math.pow(a, -x)
+        s += b
+        # once the sum underflows to 0, C compares a NaN here: false
+        if s and abs(b / s) < _MACHEP:
+            return s
+    # Euler-Maclaurin for the rest
+    w = a
+    s += b * w / (x - 1.0)
+    s -= 0.5 * b
+    a = 1.0
+    k = 0.0
+    for coefficient in _ZETA_A:
+        a *= x + k
+        b /= w
+        t = a * b / coefficient
+        s = s + t
+        if s and abs(t / s) < _MACHEP:
+            return s
+        k += 1.0
+        a *= x + k
+        b /= w
+        k += 1.0
+    return s
+
+
 def _discrete_gamma(tail: np.ndarray, x_min: int) -> float:
     """Exact discrete MLE: solve d/dgamma [log zeta(gamma, x_min)] = -mean(log x)."""
-    from scipy.special import zeta as hurwitz_zeta
-
     mean_log = float(np.mean(np.log(tail)))
     if mean_log <= math.log(x_min) + 1e-12:
         raise InsufficientTail("tail has no spread above x_min")
 
     h = 1e-6
+    q = float(x_min)
 
     def g(gamma: float) -> float:
-        upper = hurwitz_zeta(gamma + h, x_min)
+        upper = _hurwitz_zeta(gamma + h, q)
         if upper == 0.0:
             # zeta(gamma, x_min) ~ x_min^-gamma underflows before the bracket
             # closes: the tail sits almost wholly at x_min
             raise InsufficientTail("tail too concentrated at x_min for a discrete fit")
-        dlog = (math.log(upper) - math.log(hurwitz_zeta(gamma - h, x_min))) / (2 * h)
+        dlog = (math.log(upper) - math.log(_hurwitz_zeta(gamma - h, q))) / (2 * h)
         return dlog + mean_log
 
     lo = 1.0 + 1e-4
@@ -232,29 +300,56 @@ def _discrete_gamma(tail: np.ndarray, x_min: int) -> float:
     return _brentq(g, lo, hi, xtol=1e-12, rtol=8.9e-16)
 
 
-def _fitted_ccdf(values: np.ndarray, gamma: float, x_min: float, mode: str) -> np.ndarray:
-    if mode == CONTINUOUS:
-        return (values / x_min) ** (-(gamma - 1.0))
-    from scipy.special import zeta as hurwitz_zeta
-
-    return hurwitz_zeta(gamma, values) / hurwitz_zeta(gamma, x_min)
-
-
 def _ks_distance(tail: np.ndarray, gamma: float, x_min: float, mode: str) -> float:
     """KS distance of the fit to the sorted ``tail``."""
     values, at_least = _at_least(tail)
     emp = at_least / tail.size  # P(X >= v) at observed values
-    fit = _fitted_ccdf(values, gamma, x_min, mode)
-    d_at = float(np.max(np.abs(emp - fit)))
     if mode == DISCRETE:
         # both curves are step functions jumping at integers; the observed
         # support points carry the supremum
-        return d_at
+        return _discrete_ks(values.tolist(), emp.tolist(), gamma, x_min)
+    fit = (values / x_min) ** (-(gamma - 1.0))
+    d_at = float(np.max(np.abs(emp - fit)))
     # continuous fit: just above each observed value the empirical CCDF has
     # already dropped to the next level while the fitted curve moves smoothly
     emp_after = np.concatenate([emp[1:], [0.0]])
     d_between = float(np.max(np.abs(emp_after - fit)))
     return max(d_at, d_between)
+
+
+def _discrete_ks(values: list[float], emp: list[float], gamma: float, x_min: float) -> float:
+    """The largest of |emp[i] - fit[i]| over the distinct tail ``values``,
+    where fit is the zeta CCDF zeta(gamma, v) / zeta(gamma, x_min). Neither
+    curve rises along the tail, so at p < i < q the gap is at most the
+    larger of emp[p + 1] - fit[q] and fit[p] - emp[q - 1], as in
+    _Screen.upper. The fit is taken at both ends of the tail, then segments
+    are bisected, largest bound first, until no bound plus _SCAN_SLACK
+    passes the largest gap found: that gap is the maximum over every value,
+    bit for bit."""
+    norm = _hurwitz_zeta(gamma, x_min)
+    fit = {}
+
+    def gap(i: int) -> float:
+        fit[i] = _hurwitz_zeta(gamma, values[i]) / norm
+        return abs(emp[i] - fit[i])
+
+    def push(p: int, q: int) -> None:
+        if q - p > 1:
+            bound = max(emp[p + 1] - fit[q], fit[p] - emp[q - 1]) + _SCAN_SLACK
+            if bound > best:
+                heapq.heappush(segments, (-bound, p, q))
+
+    last = len(values) - 1
+    best = max(gap(0), gap(last))
+    segments = []  # (-bound, p, q): the largest bound first
+    push(0, last)
+    while segments and -segments[0][0] > best:
+        _, p, q = heapq.heappop(segments)
+        m = (p + q) // 2
+        best = max(best, gap(m))
+        push(p, m)
+        push(m, q)
+    return best
 
 
 def _fit_at(tail: np.ndarray, x_min: float, mode: str) -> TailFit:
@@ -329,7 +424,8 @@ _SCAN_SPLIT = 8  # pieces a segment is cut into when it is refined
 _SCAN_LEAF = 16  # a segment with this many points or fewer is evaluated in full
 _SCAN_HOT = 16  # indices of recent largest terms, where segments are cut first
 # A segment bound assumes the fitted CCDF never rises along the tail; np.log
-# and np.exp can break that by an ulp or so.
+# and np.exp, and the rounding of a zeta ratio in _discrete_ks, can break
+# that by an ulp or so.
 _SCAN_SLACK = 1e-12
 # The rounding of x / x_min inside _fit_at moves its gamma, and so the gap
 # between screened and exact distances grows with gamma - 1: about 1e-15 at
@@ -680,6 +776,23 @@ def chi_square_independence(table) -> ChiSquareResult:
     expected = np.outer(row_sums, col_sums) / total
     chi2 = float(((obs - expected) ** 2 / expected).sum())
     dof = (obs.shape[0] - 1) * (obs.shape[1] - 1)
-    from scipy.special import gammaincc
+    return ChiSquareResult(chi2=chi2, dof=dof, p_value=_chi2_sf(chi2, dof))
 
-    return ChiSquareResult(chi2=chi2, dof=dof, p_value=float(gammaincc(dof / 2.0, chi2 / 2.0)))
+
+def _chi2_sf(chi2: float, dof: int) -> float:
+    """P(X >= chi2) for X chi-square with ``dof`` degrees of freedom: the
+    regularized upper incomplete gamma Q(dof / 2, y) at y = chi2 / 2, in
+    closed form. Q(a + 1, y) = Q(a, y) + y^a e^-y / Gamma(a + 1), from
+    Q(1, y) = e^-y for even dof and Q(1/2, y) = erfc(sqrt(y)) for odd dof:
+    a sum of positive terms, each taken as the exp of its log so that a
+    large dof neither overflows nor underflows. At dof 2 it is exactly
+    exp(-y)."""
+    y = chi2 / 2.0
+    if y == 0.0:
+        return 1.0
+    half = (dof % 2) / 2.0
+    log_y = math.log(y)
+    terms = [math.exp((j + half) * log_y - y - math.lgamma(j + half + 1.0)) for j in range(dof // 2)]
+    if half:
+        terms.append(math.erfc(math.sqrt(y)))
+    return min(1.0, math.fsum(terms))

@@ -15,6 +15,11 @@ comments on a comment line counted as code, the four added commits on a
 window, registry, ``min_id`` or excluded-interval filter that lets them
 through, the run from facts on a facts writer that drops a field, and the
 renamed output directory on a writer that puts the output path in a row.
+
+One relation is not an identity: a CU that references nothing and that
+nothing references, added to both corpora, adds its own rows to the metric
+tables and changes no other row. It fails on an ``in_links`` that counts
+every CU of the release.
 """
 
 import importlib.util
@@ -161,3 +166,35 @@ def test_a_report_ignores_an_input_change_it_must_not_see(baseline, tmp_path, ch
     shutil.copytree(inputs, changed)
     out = change(changed) or "out"
     assert_same_run(report(changed, tmp_path / out), expected)
+
+
+LONELY = """package lonely;
+
+/** A class that names no other type and that no other type names. */
+public class Lonely {
+    private int count = 0;
+    public int add(int x) {
+        count = count + x;
+        return count;
+    }
+}
+"""
+
+
+def test_a_cu_that_references_nothing_adds_only_its_own_metric_rows(baseline, tmp_path):
+    inputs, (expected, _) = baseline
+    changed = tmp_path / "pair"
+    shutil.copytree(inputs, changed)
+    for corpus in sorted(changed.glob("corpus_*")):
+        (corpus / "lonely").mkdir()
+        (corpus / "lonely" / "Lonely.java").write_text(LONELY, encoding="utf-8")
+    bundle, _ = report(changed, tmp_path / "out")
+    tables = sorted(name for name in expected if name.startswith(("metrics-", "class-metrics-")))
+    assert len(tables) == 4
+    for name in tables:
+        rows = bundle[name].decode("utf-8").splitlines()
+        own = [row for row in rows if row.startswith("lonely/Lonely.java\t")]
+        assert len(own) == 1, name
+        assert [row for row in rows if row not in own] == expected[name].decode("utf-8").splitlines(), name
+        if name.startswith("metrics-"):
+            assert own[0].split("\t")[1:3] == ["0", "0"]  # in_links, out_links

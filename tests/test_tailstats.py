@@ -1,4 +1,5 @@
 import contextlib
+import importlib.util
 import inspect
 import json
 import math
@@ -10,6 +11,7 @@ import tracemalloc
 from typing import NamedTuple
 from unittest import mock
 
+import mpmath
 import numpy as np
 import pytest
 import scipy.optimize
@@ -569,6 +571,7 @@ def test_continuous_scan_fits_only_the_finalists(monkeypatch):
 # -- start-up imports -------------------------------------------------------------
 
 SRC = pathlib.Path(tailstats.__file__).parents[1]
+GEN = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "gen.py"
 CONFIG = pathlib.Path(__file__).parent / "fixtures" / "pipeline_config.json"
 
 
@@ -626,17 +629,38 @@ def test_fit_of_a_samples_file_loads_no_masked_arrays(samples_file):
     assert loaded_by("fit", "--samples", str(samples_file), "--mode", "continuous", package="numpy.ma").modules == []
 
 
-def test_report_and_discrete_fits_leave_the_root_finder_unloaded(tmp_path):
-    # the fixture releases are too small for a tail fit, but their
-    # chi-square tests load scipy.special; the synthetic fit solves the
-    # discrete MLE
+@pytest.fixture(scope="module")
+def fitted_pair(tmp_path_factory):
+    """The seed-11 release pair of tests/test_generated_bundle.py, whose
+    discrete and continuous tail fits all read ``ok``."""
+    spec = importlib.util.spec_from_file_location("faultgraph_bench_gen", GEN)
+    gen = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(gen)
+    pair = tmp_path_factory.mktemp("fitted") / "pair"
+    gen.report_inputs(pair, 11, 2, 200, 800, 0.10, 0.30, 0.02, "corpus")
+    return pair / "config.json"
+
+
+def test_report_fit_and_evolve_load_no_scipy(tmp_path, fitted_pair):
+    # the fixture's chi-square tests, and the discrete fits of the seed-11
+    # pair with their Hurwitz zeta, run on numpy alone
     for argv in (
-        ("report", "--config", str(CONFIG), "--out", str(tmp_path / "out")),
-        ("fit", "--synthetic", "discrete:2.5:2000"),
+        ("report", "--config", str(CONFIG), "--out", str(tmp_path / "report")),
+        ("evolve", "--config", str(CONFIG), "--out", str(tmp_path / "evolve")),
+        ("report", "--config", str(fitted_pair), "--out", str(tmp_path / "fitted-report")),
+        ("fit", "--config", str(fitted_pair), "--out", str(tmp_path / "fitted-fit")),
     ):
-        loaded = loaded_by(*argv).modules
-        assert "scipy.special" in loaded
-        assert not [m for m in loaded if m == "scipy.optimize" or m.startswith("scipy.optimize.")]
+        assert loaded_by(*argv).modules == [], argv
+    tailfits = (tmp_path / "fitted-fit" / "tailfit-r1.tsv").read_text().splitlines()[1:]
+    assert [row.split("\t")[1:3] for row in tailfits].count(["discrete", "ok"]) == 8
+
+
+def test_a_synthetic_discrete_fit_loads_the_zeta_ufunc_and_no_root_finder():
+    # zeta_samples draws through scipy.special.zeta; the fit solves the
+    # discrete MLE with the ported zeta and root search
+    loaded = loaded_by("fit", "--synthetic", "discrete:2.5:2000").modules
+    assert "scipy.special" in loaded
+    assert not [m for m in loaded if m == "scipy.optimize" or m.startswith("scipy.optimize.")]
 
 
 @pytest.mark.skipif(not TASKS.is_dir(), reason="no per-process thread listing to count")
@@ -644,7 +668,7 @@ def test_commands_start_no_blas_thread_pool(tmp_path, samples_file):
     # numpy's and scipy's OpenBLAS would each start a pool of idle workers
     # on a host with two or more CPUs; no command calls BLAS
     for argv in (
-        ("report", "--config", str(CONFIG), "--out", str(tmp_path / "report")),  # numpy and scipy.special
+        ("report", "--config", str(CONFIG), "--out", str(tmp_path / "report")),  # numpy only
         ("fit", "--samples", str(samples_file), "--mode", "continuous"),  # numpy only
         ("fit", "--synthetic", "discrete:2.5:2000"),  # the Hurwitz zeta
         ("extract", "--config", str(CONFIG), "--out", str(tmp_path / "facts")),
@@ -822,8 +846,9 @@ def discrete_gamma_with_scipy(tail, x_min):
 
 def discrete_scan_with_scipy(xs, min_tail):
     """Oracle: the discrete scan as a fit at every candidate x_min, each
-    gamma from discrete_gamma_with_scipy, keeping the smallest KS distance
-    with ties to the smaller x_min."""
+    gamma from discrete_gamma_with_scipy and each KS distance from
+    discrete_ks_with_scipy, keeping the smallest KS distance with ties to
+    the smaller x_min."""
     arr = np.sort(np.asarray(xs, dtype=float))
     values = np.unique(arr)
     above = arr.size - np.searchsorted(arr, values, side="left")
@@ -836,10 +861,18 @@ def discrete_scan_with_scipy(xs, min_tail):
             gamma = discrete_gamma_with_scipy(tail, int(v))
         except InsufficientTail:
             continue
-        fit = tailstats.TailFit(gamma, v, _ks_distance(tail, gamma, v, "discrete"), int(tail.size))
+        fit = tailstats.TailFit(gamma, v, discrete_ks_with_scipy(tail, gamma, v), int(tail.size))
         if best is None or fit.ks < best.ks:
             best = fit
     return best
+
+
+def discrete_ks_with_scipy(tail, gamma, x_min):
+    """The discrete KS distance as the largest gap at every distinct value
+    of the sorted ``tail``, with the fitted CCDF from ``scipy.special.zeta``."""
+    values = np.unique(tail)
+    emp = (tail.size - np.searchsorted(tail, values, side="left")) / tail.size
+    return float(np.max(np.abs(emp - scipy.special.zeta(gamma, values) / scipy.special.zeta(gamma, x_min))))
 
 
 @pytest.mark.parametrize("gamma,x_min", [(1.6, 1), (2.4, 1), (3.0, 2), (4.2, 5)])
@@ -850,6 +883,141 @@ def test_discrete_scan_matches_scipy_root_oracle(gamma, x_min):
         fit = fit_power_law_tail(xs, mode="discrete", min_tail=min_tail)
         assert fit == discrete_scan_with_scipy(xs, min_tail)
         assert fit == scan_every_candidate(xs, min_tail, mode="discrete")
+
+
+# -- the Hurwitz zeta and the discrete KS distance --------------------------------
+
+
+def test_hurwitz_zeta_matches_scipy_bit_for_bit():
+    # the arguments the discrete fit's root search and KS distance can
+    # reach: x from the bracket's low end less the difference step to its
+    # high end plus it, q a positive integer up to 2^53, and some non-integer q
+    rng = np.random.default_rng(2009)
+    x = np.concatenate(
+        [
+            1.0 + np.exp(rng.uniform(math.log(1e-4 - 1e-6), math.log(2.0**20 - 1 + 1e-6), 20_000)),
+            rng.uniform(1.0, 6.0, 10_000),
+            [1.0 + 1e-4 - 1e-6, 2.0**20 + 1e-6, 2.0**20 + 1e-6, 3.0, 3.0, 1.5],
+        ]
+    )
+    q = np.concatenate(
+        [
+            np.floor(np.exp(rng.uniform(0.0, math.log(2.0**53), 20_000))),
+            np.exp(rng.uniform(0.0, 20.0, 10_000)),
+            [1.0, 1.0, 2.0, 1e8, 1e8 + 1, 2.0**53],
+        ]
+    )
+    got = np.array([tailstats._hurwitz_zeta(a, b) for a, b in zip(x.tolist(), q.tolist())])
+    want = scipy.special.zeta(x, q)
+    assert got.tobytes() == want.tobytes()
+    assert np.count_nonzero(q > 1e8) > 1000  # the asymptotic branch
+    assert np.count_nonzero((got == 0.0) & (q <= 1e8)) > 100  # a sum that underflows to 0
+    assert np.count_nonzero((got > 0.0) & (q <= 9.0) & (x < 6.0)) > 1000  # Euler-Maclaurin
+
+
+def wide_discrete_tail(seed=3):
+    # 3000 draws of floor(U^-20) held at 2^53: 1,919 distinct values
+    # spanning the whole range of integers a double holds exactly
+    u = np.random.default_rng(seed).random(3000)
+    with np.errstate(over="ignore", divide="ignore"):
+        return np.minimum(np.floor(u**-20.0), 2.0**53)
+
+
+@pytest.mark.parametrize(
+    "xs, every",
+    [
+        (zeta_samples(3000, 1.6, 1, np.random.default_rng(16), support_cap=10**6), 1),
+        (zeta_samples(2000, 3.5, 4, np.random.default_rng(35), support_cap=10**4), 1),
+        (np.floor(pareto_samples(1500, 1.3, 1e9, np.random.default_rng(13))), 3),
+        (wide_discrete_tail(), 9),
+    ],
+    ids=["gamma-1.6", "gamma-3.5", "x_min-1e9", "wide"],
+)
+def test_the_discrete_ks_distance_is_the_full_maximum_bit_for_bit(xs, every):
+    # at every candidate (or every few), at its fitted gamma and off it
+    arr = np.sort(xs)
+    values, above = _at_least(arr)
+    checked = 0
+    for k in np.flatnonzero(above >= 10)[:-1:every].tolist():
+        tail, x_min = arr[arr.size - above[k] :], float(values[k])
+        try:
+            gamma = tailstats._discrete_gamma(tail, int(x_min))
+        except InsufficientTail:
+            continue
+        for g in (gamma, gamma * 1.01, 1.0 + (gamma - 1.0) / 3):
+            assert _ks_distance(tail, g, x_min, DISCRETE) == discrete_ks_with_scipy(tail, g, x_min)
+        checked += 1
+    assert checked >= 20
+
+
+def test_the_discrete_ks_slack_covers_a_fitted_ccdf_that_rises_by_an_ulp(monkeypatch):
+    # the tail 2, 3, 4 at x_min = 1 with a fitted CCDF that rises by two
+    # ulps from 3 to 4: the largest gap, at 3, is two ulps above the bound
+    # on the segment between 2 and 4, which ties the gap at 2
+    fit = {1.0: 1.0, 2.0: 1.0 - (2 / 3 - 0.25), 3.0: 0.25 - 2.0**-54, 4.0: 0.25}
+    monkeypatch.setattr(tailstats, "_hurwitz_zeta", lambda gamma, q: fit[q])
+    tail = np.array([2.0, 3.0, 4.0])
+    gaps = [abs(e - fit[v]) for e, v in zip([1.0, 2 / 3, 1 / 3], [2.0, 3.0, 4.0])]
+    assert max(gaps) == gaps[1] == gaps[0] + 2.0**-54
+    assert _ks_distance(tail, 2.0, 1.0, DISCRETE) == gaps[1]
+    monkeypatch.setattr(tailstats, "_SCAN_SLACK", 0.0)
+    assert _ks_distance(tail, 2.0, 1.0, DISCRETE) == gaps[0]
+
+
+def test_the_discrete_ks_distance_holds_on_a_fitted_ccdf_off_by_ulps(monkeypatch):
+    # as the port could round: each zeta value moved up or down by two ulps,
+    # the same way wherever it is taken, on a tail of neighbouring integers
+    # near 2^50, whose fitted CCDF then rises here and there
+    rng = np.random.default_rng(50)
+    arr = np.sort(2.0**50 + np.floor(pareto_samples(2000, 1.5, 1.0, rng)))
+    values, above = _at_least(arr)
+    zeta = tailstats._hurwitz_zeta
+    memo = {}
+
+    def off_by_ulps(gamma, q):
+        if (gamma, q) not in memo:
+            memo[gamma, q] = zeta(gamma, q) * (1.0 + float(rng.choice([-2, 0, 2])) * 2.0**-52)
+        return memo[gamma, q]
+
+    monkeypatch.setattr(tailstats, "_hurwitz_zeta", off_by_ulps)
+    rises = 0
+    for k in np.flatnonzero(above >= 50)[:-1:5].tolist():
+        tail, x_min = arr[arr.size - above[k] :], float(values[k])
+        for gamma in (1.5, 3.0):
+            tail_values, at_least = _at_least(tail)
+            fit = np.array([off_by_ulps(gamma, v) for v in tail_values.tolist()]) / off_by_ulps(gamma, x_min)
+            rises += np.count_nonzero(np.diff(fit) > 0)
+            assert _ks_distance(tail, gamma, x_min, DISCRETE) == float(np.max(np.abs(at_least / tail.size - fit)))
+    assert rises > 100
+
+
+def test_the_discrete_scan_evaluates_a_fraction_of_the_ks_points(monkeypatch):
+    # on the wide tail a KS distance at every distinct value of every
+    # candidate's tail takes the zeta 1,844,139 times; the bisection takes
+    # it 114,640 times
+    xs = wide_discrete_tail()
+    counts = {"ks": 0, "full": 0}
+    in_ks = []
+    zeta, discrete_ks = tailstats._hurwitz_zeta, tailstats._discrete_ks
+
+    def counted_zeta(x, q):
+        counts["ks"] += bool(in_ks)
+        return zeta(x, q)
+
+    def counted_ks(values, emp, gamma, x_min):
+        counts["full"] += len(values) + 1  # and the norm
+        in_ks.append(True)
+        try:
+            return discrete_ks(values, emp, gamma, x_min)
+        finally:
+            in_ks.pop()
+
+    monkeypatch.setattr(tailstats, "_hurwitz_zeta", counted_zeta)
+    monkeypatch.setattr(tailstats, "_discrete_ks", counted_ks)
+    fit = fit_power_law_tail(xs, mode=DISCRETE)
+    assert fit.n_tail == 3000
+    assert counts["full"] == 1_844_139
+    assert counts["ks"] < counts["full"] / 10
 
 
 # -- expected_max ---------------------------------------------------------------
@@ -1074,6 +1242,38 @@ def test_chi2_random_tables_match_reference():
         assert abs(res.chi2 - ref_chi2) < 1e-6
         assert res.dof == ref_dof
         assert abs(res.p_value - ref_p) < 1e-6
+
+
+def relative_error(got: float, exact) -> float:
+    return float(abs((mpmath.mpf(got) - exact) / exact))
+
+
+def test_chi2_p_value_matches_mpmath():
+    # Q(dof / 2, chi2 / 2) at 40 digits; at dof 400 and chi2 near 1,000 the
+    # plain sum e^-y * y^j / j! overflows at y^j
+    with mpmath.workdps(40):
+        for dof in range(1, 10):
+            for chi2 in np.geomspace(1e-9, 200.0, 57).tolist():
+                exact = mpmath.gammainc(mpmath.mpf(dof) / 2, mpmath.mpf(chi2) / 2, regularized=True)
+                assert relative_error(tailstats._chi2_sf(chi2, dof), exact) < 1e-13, (dof, chi2)
+        for chi2 in (900.0, 1000.0, 1100.0):
+            exact = mpmath.gammainc(200, mpmath.mpf(chi2) / 2, regularized=True)
+            assert 0.0 < tailstats._chi2_sf(chi2, 400) < 1.0
+            assert relative_error(tailstats._chi2_sf(chi2, 400), exact) < 1e-12, chi2
+
+
+def test_chi2_p_value_at_dof_2_is_exp():
+    # every table the program builds is 3 x 2; there Q(1, y) = e^-y, which
+    # math.exp gives to within an ulp of its 40-digit value
+    rng = np.random.default_rng(2)
+    chi2s = np.concatenate([rng.uniform(0.0, 100.0, 2000), np.exp(rng.uniform(-60.0, 7.0, 2000))])
+    with mpmath.workdps(40):
+        for chi2 in chi2s.tolist():
+            p = tailstats._chi2_sf(chi2, 2)
+            assert p == math.exp(-chi2 / 2)
+            assert relative_error(p, mpmath.exp(-mpmath.mpf(chi2) / 2)) <= 2.0**-52
+    res = chi_square_independence([[12, 30], [44, 14], [9, 21]])
+    assert res.dof == 2 and res.p_value == math.exp(-res.chi2 / 2)
 
 
 def test_chi2_zero_iff_observed_equals_expected():
