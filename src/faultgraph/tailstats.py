@@ -27,28 +27,30 @@ the exact one to well under 1e-11. It is the largest of the candidate's
 terms, one per distinct value of its tail, and the screen evaluates few of
 them. Along a tail the empirical and fitted CCDFs never rise, so the terms
 at two points bound every term between them from above, and any term found
-bounds the distance from below. An ordering pass evaluates each candidate
-at 17 evenly spaced points of its tail. Candidates are then taken in
-increasing order of that bound until it passes the best screened distance
-plus a tolerance. A candidate taken in is refined: its segments are cut
-first at the indices where recently finished candidates had their largest
-terms, then eight ways, down to pieces of 16 points that are evaluated in
-full. A segment is dropped once its upper bound cannot raise the
-candidate's lower bound, and the candidate once that lower bound passes the
-mark. The finalists are the candidates within the tolerance of the best,
-so the result is the one a fit at every candidate gives. Candidates too
-steep for the screen to track the exact distance (gamma - 1 above 1e5) are
-always finalists. No point is evaluated twice, a round of refinement
-takes a fixed number of segments, and the ordering pass keeps 17 fitted
-values per candidate. On 10^4 Pareto draws the screen evaluates about 20 to 25 terms
-per candidate, where a full screen evaluates 5,000 on average.
+bounds the distance from below. A grid pass evaluates each candidate at 17
+evenly spaced points of its tail. Candidates are then taken in increasing
+order of that bound, in batches that double up to 256, until it passes the
+best screened distance plus a tolerance. Each round cuts every segment of
+the batch once, at an index where a recently screened candidate had its
+largest term if one lies inside, else at its midpoint, and drops a segment
+once its upper bound cannot raise the candidate's lower bound, or once
+that lower bound passes the mark. The finalists are the candidates within
+the tolerance of the best, which no order of search changes, so the result
+is the one a fit at every candidate gives. Candidates too steep for the
+screen to track the exact distance (gamma - 1 above 1e5) are always
+finalists. No point is evaluated twice, and the grid pass keeps 17 fitted
+values per candidate. On 10^4 to 2 x 10^5 Pareto draws the screen
+evaluates 19 to 23 terms per candidate, grid included, where a full screen
+evaluates 5,000 on average at 10^4.
 
 In discrete mode the KS distance is the largest gap between the two CCDFs
 at the tail's distinct values, and it is found the way the screen bounds a
 segment: both CCDFs never rise along the tail, so the gaps at two values
 bound every gap between them. The fitted CCDF is evaluated at both ends of
 the tail, then segments are bisected, largest bound first, until no bound
-passes the largest gap found. The result is the full maximum.
+passes the largest gap found. The result is the full maximum. Where
+zeta(gamma, x_min) lies below the double range, the root search and the KS
+distance take the zetas in units of x_min instead.
 
 The math is ported, so that fits and tests need numpy alone: the discrete
 fit's Hurwitz zeta is ``_hurwitz_zeta``, Cephes' ``zeta(x, q)``, and its
@@ -229,22 +231,24 @@ _ZETA_A = (
 _MACHEP = 1.11022302462515654042e-16
 
 
-def _hurwitz_zeta(x: float, q: float) -> float:
-    """The Hurwitz zeta, the sum of (q + k)^-x over k >= 0, for x > 1 and
-    q >= 1: Cephes' ``zeta(x, q)`` (Moshier, Methods and Programs for
-    Mathematical Functions, 1989) step for step, each power by libm's pow,
-    so the bits of ``scipy.special.zeta``."""
+def _hurwitz_zeta(x: float, q: float, unit: float = 1.0) -> float:
+    """The Hurwitz zeta in units of ``unit``, the sum of ((q + k) / unit)^-x
+    over k >= 0, for x > 1 and q >= 1: Cephes' ``zeta(x, q)`` (Moshier,
+    Methods and Programs for Mathematical Functions, 1989) step for step,
+    each power by libm's pow, so at ``unit`` 1 the bits of
+    ``scipy.special.zeta``. At ``unit`` q the first term is 1, so a zeta far
+    below the double range is still taken."""
     if q > 1e8:  # asymptotic expansion, DLMF 25.11.43
-        return (1 / (x - 1) + 1 / (2 * q)) * math.pow(q, 1 - x)
+        return (1 / (x - 1) + 1 / (2 * q)) * math.pow(q / unit, 1 - x) * unit
     # direct sum of at least 9 terms, until q + i passes 9
-    s = math.pow(q, -x)
+    s = math.pow(q / unit, -x)
     a = q
     i = 0
     b = 0.0
     while i < 9 or a <= 9.0:
         i += 1
         a += 1.0
-        b = math.pow(a, -x)
+        b = math.pow(a / unit, -x)
         s += b
         # once the sum underflows to 0, C compares a NaN here: false
         if s and abs(b / s) < _MACHEP:
@@ -280,11 +284,14 @@ def _discrete_gamma(tail: np.ndarray, x_min: int) -> float:
 
     def g(gamma: float) -> float:
         upper = _hurwitz_zeta(gamma + h, q)
-        if upper == 0.0:
+        if upper:
+            dlog = (math.log(upper) - math.log(_hurwitz_zeta(gamma - h, q))) / (2 * h)
+        else:
             # zeta(gamma, x_min) ~ x_min^-gamma underflows before the bracket
-            # closes: the tail sits almost wholly at x_min
-            raise InsufficientTail("tail too concentrated at x_min for a discrete fit")
-        dlog = (math.log(upper) - math.log(_hurwitz_zeta(gamma - h, q))) / (2 * h)
+            # closes: take it in units of x_min, and the derivative of
+            # log x_min^-gamma apart
+            upper = _hurwitz_zeta(gamma + h, q, q)
+            dlog = (math.log(upper) - math.log(_hurwitz_zeta(gamma - h, q, q))) / (2 * h) - math.log(q)
         return dlog + mean_log
 
     lo = 1.0 + 1e-4
@@ -326,11 +333,15 @@ def _discrete_ks(values: list[float], emp: list[float], gamma: float, x_min: flo
     are bisected, largest bound first, until no bound plus _SCAN_SLACK
     passes the largest gap found: that gap is the maximum over every value,
     bit for bit."""
+    unit = 1.0
     norm = _hurwitz_zeta(gamma, x_min)
+    if not norm:  # below the double range: take both zetas in units of x_min
+        unit = x_min
+        norm = _hurwitz_zeta(gamma, x_min, unit)
     fit = {}
 
     def gap(i: int) -> float:
-        fit[i] = _hurwitz_zeta(gamma, values[i]) / norm
+        fit[i] = _hurwitz_zeta(gamma, values[i], unit) / norm
         return abs(emp[i] - fit[i])
 
     def push(p: int, q: int) -> None:
@@ -419,9 +430,8 @@ def fit_power_law_tail(
 # exact winner among the finalists.
 _SCAN_TOL = 1e-9
 _SCAN_CHUNK = 1 << 16  # elements per temporary array
-_SCAN_GRID = 16  # segments of each tail in the ordering pass
-_SCAN_SPLIT = 8  # pieces a segment is cut into when it is refined
-_SCAN_LEAF = 16  # a segment with this many points or fewer is evaluated in full
+_SCAN_GRID = 16  # segments of each tail in the grid pass
+_SCAN_BATCH = 256  # most candidates refined at once; the segments held grow with it
 _SCAN_HOT = 16  # indices of recent largest terms, where segments are cut first
 # A segment bound assumes the fitted CCDF never rises along the tail; np.log
 # and np.exp, and the rounding of a zeta ratio in _discrete_ks, can break
@@ -482,7 +492,7 @@ class _Screen:
         return np.minimum(ks[:, None] + r * (n - 1) // (width - 1), self.values.size - 1), r < width
 
     def grid(self, ks: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The ordering pass. Returns each candidate's fitted CCDF at its
+        """The grid pass. Returns each candidate's fitted CCDF at its
         grid points (NaN past a short tail's end), the largest of its terms
         there, a lower bound on its screened distance, and where it lies."""
         fits = np.full((ks.size, _SCAN_GRID + 1), np.nan)
@@ -501,13 +511,13 @@ class _Screen:
 
     def segments(self, ks: np.ndarray, rows: np.ndarray, fits: np.ndarray) -> list[np.ndarray]:
         """The open segments between consecutive grid points of candidates
-        ``ks[rows]`` that hold a point, given their grid ``fits``: as
-        ``split`` gives them."""
+        ``ks[rows]`` that hold a point, given their grid ``fits``: row in
+        ks, ends p < q, and fitted CCDF at both."""
         j, valid = self.grid_points(ks[rows])
         pair = valid[:, 1:] & (j[:, 1:] - j[:, :-1] > 1)
         slot = rows[np.nonzero(pair)[0]]
         ends = j[:, :-1][pair], j[:, 1:][pair], fits[:, :-1][pair], fits[:, 1:][pair]
-        return [slot, *ends, self.upper(ks[slot], *ends)]
+        return [slot, *ends]
 
     def evaluate(self, ks, lower, where, at, j) -> np.ndarray:
         """Evaluate candidate ks[at[i]] at values[j[i]], raising its lower
@@ -518,31 +528,6 @@ class _Screen:
         top = term == lower[at]
         where[at[top]] = j[top]
         return fit
-
-    def split(self, ks, lower, where, segs, cuts, counts) -> list[np.ndarray]:
-        """Cut segment i of ``segs`` at its next ``counts[i]`` indices of
-        ``cuts``, which lie strictly inside it in increasing order, after
-        evaluating them. Returns the pieces that hold a point, as (row in
-        ks, ends p < q, fitted CCDF at both, upper bound)."""
-        slot, p, q, fit_p, fit_q = segs
-        fit = self.evaluate(ks, lower, where, np.repeat(slot, counts), cuts)
-        pieces = counts + 1
-        first = np.zeros(pieces.sum(), dtype=bool)
-        first[np.cumsum(pieces) - pieces] = True
-        last = np.zeros(pieces.sum(), dtype=bool)
-        last[np.cumsum(pieces) - 1] = True
-        start, end = np.empty(first.size, dtype=p.dtype), np.empty(first.size, dtype=p.dtype)
-        fit_start, fit_end = np.empty(first.size), np.empty(first.size)
-        start[first], start[~first], end[last], end[~last] = p, cuts, q, cuts
-        fit_start[first], fit_start[~first], fit_end[last], fit_end[~last] = fit_p, fit, fit_q, fit
-        held = end - start > 1
-        slot, start, end, fit_start, fit_end = (x[held] for x in (np.repeat(slot, pieces), start, end, fit_start, fit_end))
-        return [slot, start, end, fit_start, fit_end, self.upper(ks[slot], start, end, fit_start, fit_end)]
-
-
-def _ramp(counts: np.ndarray) -> np.ndarray:
-    """0, 1, .., counts[i] - 1 for each i in turn."""
-    return np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)
 
 
 def _scan(arr: np.ndarray, values: np.ndarray, above: np.ndarray, cand: np.ndarray, mode: str) -> TailFit | None:
@@ -577,82 +562,56 @@ def _scan_continuous(values: np.ndarray, above: np.ndarray, cand: np.ndarray) ->
     is among them: a steep one always is, and a screened one's screened
     distance is within well under _SCAN_TOL of its exact distance.
 
-    Candidates are taken in increasing order of their grid bound until it
-    passes the best screened distance plus _SCAN_TOL. A candidate taken in
-    is refined until its lower bound passes that mark too, or until no
-    segment of its tail can hold a term above its lower bound, which is
-    then its screened distance."""
+    Candidates are taken in increasing order of their grid bound, in
+    batches as large as the number already taken, up to _SCAN_BATCH, until
+    that bound passes the best screened distance plus _SCAN_TOL. Each round
+    drops every segment that cannot raise its candidate's lower bound, and
+    every segment of a candidate whose lower bound has passed that mark,
+    then cuts each segment left once: at the middle hot index inside it if
+    there is one, else at its midpoint. Once a batch has no segment left,
+    each of its candidates has its screened distance as its lower bound,
+    or a lower bound past the mark. So the finalists do not depend on the
+    batches or the cuts, only on never dropping a segment that could hold
+    a candidate's largest term."""
     screen = _Screen(values, above)
     steep = screen.slope[cand] > _SCAN_MAX_SLOPE
-    screened = np.where(steep, -np.inf, np.inf)
-    best = np.inf  # smallest screened distance so far
-
-    todo = np.flatnonzero(~steep)
-    ks = cand[todo]
+    ks = cand[~steep]
     fits, lower, where = screen.grid(ks)  # lower and where follow the terms found
-    by_bound = np.argsort(lower, kind="stable")
-    bound = lower[by_bound]
-    active = np.empty(0, dtype=np.intp)  # rows of ks being refined
-    pending = np.zeros(ks.size, dtype=bool)
-    # segments to look at: row in ks, ends p < q, fitted CCDF at both, upper bound
-    segs = [np.empty(0, dtype=np.intp)] * 3 + [np.empty(0)] * 3
+    order = np.argsort(lower, kind="stable")
+    best = np.inf  # smallest screened distance so far
     # Neighbouring candidates mostly have their largest terms at the same
-    # few indices, so every segment is cut first at the indices where the
-    # candidates finished last had theirs.
+    # few indices, so a segment is cut first at an index where one of the
+    # candidates screened last had its largest term.
     recent = []
-    per = max(1, _SCAN_CHUNK // (_SCAN_LEAF + 1))  # segments refined per round
-    pos = 0
-    while True:
-        mark = best + _SCAN_TOL
-        # take in candidates while there is room, but never more in
-        # refinement than have finished, so that the mark and the hot
-        # indices are known before many come in
-        room = max(1, (per - segs[0].size) // _SCAN_GRID) if segs[0].size < per else 0
-        finished = pos - active.size
-        room = max(0, min(room, max(1, finished) - active.size))
-        rows = by_bound[pos : pos + min(room, int(np.searchsorted(bound[pos:], mark, side="right")))]
+    pos = 0  # the candidates not yet taken still have their grid bounds as lower
+    while pos < ks.size and lower[order[pos]] <= best + _SCAN_TOL:
+        rows = order[pos : pos + min(max(pos, 1), _SCAN_BATCH)]
         pos += rows.size
-        active = np.concatenate([active, rows])
-        segs = [np.concatenate(pair) for pair in zip(segs, screen.segments(ks, rows, fits[rows]))]
-
-        # cut each segment at the hot indices inside it, hot[lo:lo + count]
-        hot = np.sort(np.array(recent, dtype=np.intp))
-        lo = np.searchsorted(hot, segs[1], side="right")
-        counts = np.searchsorted(hot, segs[2], side="left") - lo
-        hit = counts > 0
-        if hit.any():
-            lo, counts = lo[hit], counts[hit]
-            cuts = hot[np.repeat(lo, counts) + _ramp(counts)]
-            pieces = screen.split(ks, lower, where, [s[hit] for s in segs[:5]], cuts, counts)
-            segs = [np.concatenate([s[~hit], piece]) for s, piece in zip(segs, pieces)]
-
-        # a segment whose bound is at most its candidate's lower bound cannot
-        # hold that candidate's largest term; past the mark a candidate goes
-        slot, ub = segs[0], segs[5]
-        segs = [s[(lower[slot] <= mark) & (ub > lower[slot])] for s in segs]
-        pending[active] = False
-        pending[segs[0]] = True
-        done = active[~pending[active]]
-        if done.size:  # a pruned candidate's bound is past the mark, so it moves nothing
-            screened[todo[done]] = lower[done]
-            best = min(best, float(lower[done].min()))
-            active = active[pending[active]]
-            recent = list(dict.fromkeys(where[done].tolist() + recent))[:_SCAN_HOT]
-        if not segs[0].size and not (pos < ks.size and bound[pos] <= best + _SCAN_TOL):
-            return cand[screened <= best + _SCAN_TOL]
-
-        # refine the newest segments, so that few are held: one of at most
-        # _SCAN_LEAF points is cut at each of them, any other _SCAN_SPLIT ways
-        held = max(0, segs[0].size - per)
-        refined = [s[held:] for s in segs[:5]]
-        segs = [s[:held] for s in segs]
-        p, q = refined[1:3]
-        leaf = q - p <= _SCAN_LEAF + 1
-        counts = np.where(leaf, q - p - 1, _SCAN_SPLIT - 1)
-        span = np.repeat(np.where(leaf, _SCAN_SPLIT, q - p), counts)  # a leaf's cuts are one apart
-        cuts = np.repeat(p, counts) + (_ramp(counts) + 1) * span // _SCAN_SPLIT
-        pieces = screen.split(ks, lower, where, refined, cuts, counts)
-        segs = [np.concatenate(pair) for pair in zip(segs, pieces)]
+        hot = np.append(np.sort(np.array(recent, dtype=np.intp)), values.size)  # the end never lies inside a segment
+        mark = best + _SCAN_TOL
+        # segments: row in ks, ends p < q, and fitted CCDF at both
+        segs = screen.segments(ks, rows, fits[rows])
+        while True:
+            slot, p, q, fit_p, fit_q = segs
+            keep = (screen.upper(ks[slot], p, q, fit_p, fit_q) > lower[slot]) & (lower[slot] <= mark)
+            if not keep.any():
+                break
+            slot, p, q, fit_p, fit_q = segs = [s[keep] for s in segs]
+            lo, hi = np.searchsorted(hot, p, side="right"), np.searchsorted(hot, q, side="left")
+            cut = np.where(hi > lo, hot[(lo + hi) // 2], (p + q) // 2)
+            fit = screen.evaluate(ks, lower, where, slot, cut)
+            # the halves that hold a point; unpacking them at the next round
+            # frees this round's arrays before the new bounds are taken
+            left, right = cut - p > 1, q - cut > 1
+            halves = zip((slot, p, cut, fit_p, fit), (slot, cut, q, fit, fit_q))
+            segs = [np.concatenate((a[left], b[right])) for a, b in halves]
+        best = min(best, float(lower[rows].min()))
+        recent = list(dict.fromkeys(where[rows].tolist() + recent))[:_SCAN_HOT]
+    # a candidate not taken has its grid bound past the mark, and one
+    # dropped in its batch a lower bound past it
+    finalist = steep.copy()
+    finalist[~steep] = lower <= best + _SCAN_TOL
+    return cand[finalist]
 
 
 def expected_max(n: int, gamma: float) -> float:

@@ -31,9 +31,13 @@ Linear already, at n = 2,000 / 8,000:
 
 Superlinear still, and to be mended: the continuous tail fit's x_min
 screen on a "comb", m log-spaced values (``np.exp(np.linspace(0, 20, m))``)
-each repeated 50 times with 1e-9 relative jitter, takes 0.32 / 0.78 /
-2.01 / 5.61 at 25,000 / 50,000 / 100,000 / 200,000 samples, about
-n^1.4; 100,000 Pareto draws take 0.18.
+each repeated 50 times with 1e-9 relative jitter. A whole fit takes
+0.13-0.21 / 0.34-0.48 / 1.0-1.3 / 3.0-3.5 at 25,000 / 50,000 / 100,000 /
+200,000 samples (0.44-0.47 / 1.2 / 2.2-3.8 / 6.2-9.5 with the screen
+before batching, in the same two runs), and the screen evaluates 32 / 43
+/ 56 / 74 points per candidate, about n^0.4; 100,000 Pareto draws take
+0.16-0.26, at 23 points per candidate.
+``tests/test_tailstats.py`` gates both counts.
 
 The one quadratic shape allowed: lcom counts the method pairs of a class
 that share no field, which is the orthogonal-vectors problem, for which no

@@ -260,6 +260,13 @@ def wide_range(seed=12):
     return np.minimum(pareto_samples(100_000, 1.4, 1.0, np.random.default_rng(seed)), 1e12)
 
 
+def comb(teeth, seed=0):
+    # ``teeth`` log-spaced values over twenty e-folds, each repeated 50 times
+    # with 1e-9 relative jitter: a shape the screen once took superlinear work on
+    rng = np.random.default_rng(seed)
+    return np.repeat(np.exp(np.linspace(0.0, 20.0, teeth)), 50) * (1.0 + 1e-9 * rng.random(50 * teeth))
+
+
 @pytest.mark.parametrize("gamma", [1.5, 2.5, 3.5])
 def test_continuous_scan_matches_oracle_on_pure_pareto(gamma):
     xs = pareto_samples(2000, gamma, 1.0, np.random.default_rng(21))
@@ -273,8 +280,9 @@ def test_continuous_scan_matches_oracle_on_pure_pareto(gamma):
         two_digit_ties(),
         pareto_samples(53, 2.5, 1.0, np.random.default_rng(8)),
         clustered(),
+        comb(50),
     ],
-    ids=["planted", "ties", "just-above-min-tail", "clustered"],
+    ids=["planted", "ties", "just-above-min-tail", "clustered", "comb"],
 )
 def test_continuous_scan_matches_oracle(xs):
     assert fit_power_law_tail(xs, mode="continuous") == scan_every_candidate(xs)
@@ -366,16 +374,13 @@ def ulp_runs(seed=4):
 
 def assert_segment_bounds_hold(screen, k, term, fit):
     """Every segment of candidate k's tail whose ends are adjacent grid
-    points, adjacent points of a grid segment cut _SCAN_SPLIT ways, or two
-    apart: its upper bound is at least its largest term."""
+    points, the halves of a segment between them, or two apart: its upper
+    bound is at least its largest term."""
     j, valid = screen.grid_points(np.array([k]))
     grid = j[valid]
-    ends = [grid] + [
-        p + np.arange(tailstats._SCAN_SPLIT + 1) * (q - p) // tailstats._SCAN_SPLIT
-        for p, q in zip(grid[:-1].tolist(), grid[1:].tolist())
-    ]
-    p = np.concatenate([e[:-1] for e in ends])
-    q = np.concatenate([e[1:] for e in ends])
+    mid = (grid[:-1] + grid[1:]) // 2
+    p = np.concatenate([grid[:-1], grid[:-1], mid])
+    q = np.concatenate([grid[1:], mid, grid[1:]])
     p, q = p[q - p > 1], q[q - p > 1]
     largest = [term[a - k + 1 : b - k].max() for a, b in zip(p.tolist(), q.tolist())]
     # every single point between its neighbours
@@ -466,20 +471,57 @@ def test_candidates_too_steep_to_screen_are_fitted_outright(monkeypatch):
 )
 def test_screen_chunk_size_changes_no_bits(monkeypatch, xs):
     _, values, cand, screen = screen_of(xs)
-    above = screen.above
-    whole = screen.grid(cand), tailstats._scan_continuous(values, above, cand)
-    # the grid pass takes three candidates at a time, and each round of
-    # the refinement four segments
-    monkeypatch.setattr(tailstats, "_SCAN_CHUNK", 64)
-    small = screen.grid(cand), tailstats._scan_continuous(values, above, cand)
-    for a, b in zip(whole[0], small[0]):
+    whole = screen.grid(cand)
+    monkeypatch.setattr(tailstats, "_SCAN_CHUNK", 64)  # three candidates at a time
+    for a, b in zip(whole, screen.grid(cand)):
         assert np.array_equal(a, b, equal_nan=a.dtype.kind == "f")
-    assert np.array_equal(whole[1], small[1])
+
+
+@pytest.mark.parametrize(
+    "xs",
+    [two_digit_ties(), pareto_samples(2000, 2.5, 1.0, np.random.default_rng(21)), comb(50)],
+    ids=["ties", "pareto", "comb"],
+)
+def test_the_screen_batch_cap_changes_no_finalist(monkeypatch, xs):
+    # the finalists are every candidate within _SCAN_TOL of the smallest
+    # screened distance, however the candidates are batched
+    _, values, cand, screen = screen_of(xs)
+    batched = tailstats._scan_continuous(values, screen.above, cand)
+    monkeypatch.setattr(tailstats, "_SCAN_BATCH", 1)
+    assert np.array_equal(tailstats._scan_continuous(values, screen.above, cand), batched)
     assert fit_power_law_tail(xs, mode="continuous") == scan_every_candidate(xs)
 
 
-def test_the_screen_evaluates_each_point_once_and_far_fewer_than_every_term(monkeypatch):
-    xs = pareto_samples(30_000, 2.5, 1.0, np.random.default_rng(7))
+@pytest.mark.parametrize(
+    "xs",
+    [two_digit_ties(), pareto_samples(2000, 2.5, 1.0, np.random.default_rng(21)), comb(50), clustered(), ulp_runs()],
+    ids=["ties", "pareto", "comb", "clustered", "ulp-runs"],
+)
+def test_the_screen_finalists_are_every_candidate_within_the_tolerance(monkeypatch, xs):
+    # every candidate too steep to screen, and every other whose screened
+    # distance, with all its terms evaluated, is within _SCAN_TOL of the
+    # smallest; and the screen ends with that distance, bit for bit, as
+    # each screened finalist's lower bound
+    _, values, cand, screen = screen_of(xs)
+    steep = screen.slope[cand] > _SCAN_MAX_SLOPE
+    screened = screened_distances(screen, cand[~steep])
+    within = screened <= screened.min() + _SCAN_TOL
+    grid, lowers = _Screen.grid, []
+
+    def recording_grid(self, ks):
+        fits, lower, where = grid(self, ks)
+        lowers.append(lower)  # evaluate raises it in place
+        return fits, lower, where
+
+    monkeypatch.setattr(_Screen, "grid", recording_grid)
+    finalists = tailstats._scan_continuous(values, screen.above, cand)
+    assert np.array_equal(finalists, np.sort(np.concatenate([cand[steep], cand[~steep][within]])))
+    assert np.array_equal(lowers[0][within], screened[within])
+
+
+def screen_points(monkeypatch, xs):
+    """The points a continuous fit of ``xs`` evaluates, as k * values.size
+    + j for candidate k's term at values[j], and its candidate count."""
     points = []
     terms = _Screen.terms
 
@@ -489,10 +531,25 @@ def test_the_screen_evaluates_each_point_once_and_far_fewer_than_every_term(monk
 
     monkeypatch.setattr(_Screen, "terms", recording_terms)
     fit_power_law_tail(xs, mode="continuous")
-    evaluated = np.concatenate(points)
-    # the screen of 64- and 1024-point probes before it evaluated 8,216,918
-    # terms for this fit; every candidate's whole tail is 450 million
-    assert evaluated.size < 8_216_918 / 4
+    _, above = _at_least(np.sort(xs))
+    return np.concatenate(points), int(np.count_nonzero(above >= 50))
+
+
+def test_the_screen_evaluates_each_point_once_and_far_fewer_than_every_term(monkeypatch):
+    evaluated, candidates = screen_points(monkeypatch, pareto_samples(30_000, 2.5, 1.0, np.random.default_rng(7)))
+    # the 17 grid points of each candidate and a few more: 21.06 per
+    # candidate (the screen before the batched one took 21.99); every
+    # candidate's whole tail is 450 million points
+    assert evaluated.size <= 22 * candidates
+    assert np.unique(evaluated).size == evaluated.size
+
+
+def test_the_screen_work_on_a_comb_is_bounded(monkeypatch):
+    # 500 teeth of 50 samples: 32.2 points per candidate, where the screen
+    # that refined each segment eight ways took 68.3; at 50k and 100k
+    # samples the comb takes 42.7 and 55.6, about n^0.4 per candidate
+    evaluated, candidates = screen_points(monkeypatch, comb(500))
+    assert evaluated.size <= 40 * candidates
     assert np.unique(evaluated).size == evaluated.size
 
 
@@ -537,10 +594,10 @@ def test_the_screen_fits_nothing_and_the_scan_fits_each_finalist_once(monkeypatc
 
 
 def test_the_discrete_scan_passes_over_a_candidate_it_cannot_fit(monkeypatch):
-    # the tail at x_min = 1000 holds 60 of its 61 samples at 1000, too
-    # concentrated for a discrete fit
+    # the tail at x_min = 1e9 holds 60 of its 61 samples at 1e9, too
+    # concentrated for a discrete fit: its MLE lies past gamma 2^20
     rng = np.random.default_rng(5)
-    xs = np.concatenate([zeta_samples(300, 2.5, 1, rng, support_cap=500), [1000] * 60, [1001]])
+    xs = np.concatenate([zeta_samples(300, 2.5, 1, rng, support_cap=500), [1e9] * 60, [1e9 + 1]])
     failed = []
 
     def recording_fit_at(tail, x_min, mode):
@@ -552,7 +609,7 @@ def test_the_discrete_scan_passes_over_a_candidate_it_cannot_fit(monkeypatch):
 
     monkeypatch.setattr(tailstats, "_fit_at", recording_fit_at)
     assert fit_power_law_tail(xs, mode="discrete") == scan_every_candidate(xs, mode="discrete")
-    assert failed == [1000.0]
+    assert failed == [1e9]
 
 
 def test_continuous_scan_fits_only_the_finalists(monkeypatch):
@@ -867,6 +924,23 @@ def discrete_scan_with_scipy(xs, min_tail):
     return best
 
 
+def mpmath_discrete_gamma(tail, x_min, near):
+    """The discrete MLE at ``x_min``, the root nearest ``near``, from
+    mpmath's Hurwitz zeta and its derivative at 40 digits."""
+    with mpmath.workdps(40):
+        mean_log = mpmath.fsum(mpmath.log(int(v)) for v in tail) / len(tail)
+        return mpmath.findroot(lambda s: mpmath.zeta(s, int(x_min), 1) / mpmath.zeta(s, int(x_min)) + mean_log, near)
+
+
+def mpmath_discrete_ks(tail, gamma, x_min):
+    """The discrete KS distance, the fitted CCDF from mpmath at 40 digits."""
+    values, counts = np.unique(tail, return_counts=True)
+    emp = np.cumsum(counts[::-1])[::-1] / len(tail)
+    with mpmath.workdps(40):
+        norm = mpmath.zeta(gamma, int(x_min))
+        return float(max(abs(e - mpmath.zeta(gamma, int(v)) / norm) for v, e in zip(values.tolist(), emp.tolist())))
+
+
 def discrete_ks_with_scipy(tail, gamma, x_min):
     """The discrete KS distance as the largest gap at every distinct value
     of the sorted ``tail``, with the fitted CCDF from ``scipy.special.zeta``."""
@@ -945,7 +1019,10 @@ def test_the_discrete_ks_distance_is_the_full_maximum_bit_for_bit(xs, every):
         except InsufficientTail:
             continue
         for g in (gamma, gamma * 1.01, 1.0 + (gamma - 1.0) / 3):
-            assert _ks_distance(tail, g, x_min, DISCRETE) == discrete_ks_with_scipy(tail, g, x_min)
+            if scipy.special.zeta(g, x_min):
+                assert _ks_distance(tail, g, x_min, DISCRETE) == discrete_ks_with_scipy(tail, g, x_min)
+            else:  # the zeta's ratio is out of scipy's reach
+                assert abs(_ks_distance(tail, g, x_min, DISCRETE) - mpmath_discrete_ks(tail, g, x_min)) <= 1e-13
         checked += 1
     assert checked >= 20
 
@@ -955,7 +1032,7 @@ def test_the_discrete_ks_slack_covers_a_fitted_ccdf_that_rises_by_an_ulp(monkeyp
     # ulps from 3 to 4: the largest gap, at 3, is two ulps above the bound
     # on the segment between 2 and 4, which ties the gap at 2
     fit = {1.0: 1.0, 2.0: 1.0 - (2 / 3 - 0.25), 3.0: 0.25 - 2.0**-54, 4.0: 0.25}
-    monkeypatch.setattr(tailstats, "_hurwitz_zeta", lambda gamma, q: fit[q])
+    monkeypatch.setattr(tailstats, "_hurwitz_zeta", lambda gamma, q, unit=1.0: fit[q])
     tail = np.array([2.0, 3.0, 4.0])
     gaps = [abs(e - fit[v]) for e, v in zip([1.0, 2 / 3, 1 / 3], [2.0, 3.0, 4.0])]
     assert max(gaps) == gaps[1] == gaps[0] + 2.0**-54
@@ -974,10 +1051,10 @@ def test_the_discrete_ks_distance_holds_on_a_fitted_ccdf_off_by_ulps(monkeypatch
     zeta = tailstats._hurwitz_zeta
     memo = {}
 
-    def off_by_ulps(gamma, q):
-        if (gamma, q) not in memo:
-            memo[gamma, q] = zeta(gamma, q) * (1.0 + float(rng.choice([-2, 0, 2])) * 2.0**-52)
-        return memo[gamma, q]
+    def off_by_ulps(gamma, q, unit=1.0):
+        if (gamma, q, unit) not in memo:
+            memo[gamma, q, unit] = zeta(gamma, q, unit) * (1.0 + float(rng.choice([-2, 0, 2])) * 2.0**-52)
+        return memo[gamma, q, unit]
 
     monkeypatch.setattr(tailstats, "_hurwitz_zeta", off_by_ulps)
     rises = 0
@@ -993,16 +1070,17 @@ def test_the_discrete_ks_distance_holds_on_a_fitted_ccdf_off_by_ulps(monkeypatch
 
 def test_the_discrete_scan_evaluates_a_fraction_of_the_ks_points(monkeypatch):
     # on the wide tail a KS distance at every distinct value of every
-    # candidate's tail takes the zeta 1,844,139 times; the bisection takes
-    # it 114,640 times
+    # candidate's tail takes the zeta 1,844,157 times, 18 of them for the
+    # four candidates above 8.5e15, whose zeta is below the double range;
+    # the bisection takes it 114,659 times
     xs = wide_discrete_tail()
     counts = {"ks": 0, "full": 0}
     in_ks = []
     zeta, discrete_ks = tailstats._hurwitz_zeta, tailstats._discrete_ks
 
-    def counted_zeta(x, q):
+    def counted_zeta(x, q, unit=1.0):
         counts["ks"] += bool(in_ks)
-        return zeta(x, q)
+        return zeta(x, q, unit)
 
     def counted_ks(values, emp, gamma, x_min):
         counts["full"] += len(values) + 1  # and the norm
@@ -1016,7 +1094,7 @@ def test_the_discrete_scan_evaluates_a_fraction_of_the_ks_points(monkeypatch):
     monkeypatch.setattr(tailstats, "_discrete_ks", counted_ks)
     fit = fit_power_law_tail(xs, mode=DISCRETE)
     assert fit.n_tail == 3000
-    assert counts["full"] == 1_844_139
+    assert counts["full"] == 1_844_157
     assert counts["ks"] < counts["full"] / 10
 
 
@@ -1140,12 +1218,34 @@ def test_any_sample_list_fits_or_raises_an_input_error(xs, mode, x_min, min_tail
 
 
 def test_a_tail_piled_at_x_min_is_insufficient_not_a_crash():
-    # the discrete gamma's bracket grows past where zeta(gamma, x_min) underflows to 0
+    # the discrete gamma's bracket grows past 2^20 before it closes
     with pytest.raises(InsufficientTail, match="concentrated"):
-        _fit_at(np.array([1000.0] * 20 + [1001.0]), 1000.0, DISCRETE)
-    # a scan that meets such a candidate skips it
+        _fit_at(np.array([1e9] * 20 + [1e9 + 1]), 1e9, DISCRETE)
+    # a scan whose top candidate, 9,966 with its tail held at the cap of
+    # 10^4, once underflowed: it fits now, and the winner is the same
     xs = zeta_samples(95, 1.3125, 2, np.random.default_rng(71), support_cap=10**4)
     assert fit_power_law_tail(xs, mode=DISCRETE, min_tail=10).gamma > 1.0
+
+
+def test_a_discrete_tail_whose_zeta_underflows_fits_to_the_exact_mle():
+    # Near these MLEs, about gamma 52 at x_min 1e9 (the zeta's asymptotic
+    # branch) and 55 at 3e7 (Euler-Maclaurin), and past them in the root
+    # search's bracket, zeta(gamma, x_min) is below the double range. The
+    # gammas are 2.3e-8 and 1.7e-8 relative from the MLE: the likelihood is
+    # flat there, so the root magnifies the rounding of the difference.
+    rng = np.random.default_rng(3)
+    for x_min in (10**9, 3 * 10**7):
+        xs = np.floor(x_min * (1 - rng.random(400)) ** (-1 / 50))
+        assert tailstats._hurwitz_zeta(52.0, float(x_min)) == 0.0
+        fit = fit_power_law_tail(xs, mode=DISCRETE, x_min=x_min)
+        assert relative_error(fit.gamma, mpmath_discrete_gamma(xs, x_min, fit.gamma)) <= 1e-5
+        assert abs(fit.ks - mpmath_discrete_ks(xs, fit.gamma, x_min)) <= 1e-13
+    # the pile that once read as underflow: 20 samples at 1,000 and one at
+    # 1,001 fit near gamma 3,093, 3.3e-7 relative from the MLE
+    xs = np.array([1000.0] * 20 + [1001.0])
+    fit = _fit_at(xs, 1000.0, DISCRETE)
+    assert relative_error(fit.gamma, mpmath_discrete_gamma(xs, 1000, fit.gamma)) <= 1e-5
+    assert abs(fit.ks - mpmath_discrete_ks(xs, fit.gamma, 1000)) <= 1e-13
 
 
 def test_expected_max_monotonicity():
