@@ -33,8 +33,9 @@ from collections import Counter
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from functools import cached_property
-from itertools import accumulate
+from itertools import accumulate, repeat
 from operator import attrgetter
+from typing import NamedTuple
 
 from .errors import ConfigError, FormatError, read_utf8, records
 
@@ -46,8 +47,7 @@ DEFAULT_PATTERNS = (
 )
 
 
-@dataclass(frozen=True)
-class CommitEntry:
+class CommitEntry(NamedTuple):
     timestamp: datetime
     message: str
     files: tuple[str, ...]
@@ -155,10 +155,10 @@ def parse_commit_log_text(text: str) -> list[CommitEntry]:
             ts = parse_timestamp(raw_ts)
         except ValueError as exc:
             raise FormatError(f"bad timestamp {raw_ts!r}", record=idx) from exc
-        files = tuple(sys.intern(f.strip()) for f in file_list.split(";") if f.strip())
+        files = tuple(map(sys.intern, filter(None, map(str.strip, file_list.split(";")))))
         if not files:
             raise FormatError("commit record has no files", record=idx)
-        entries.append(CommitEntry(ts, _unescape(message), files))
+        entries.append(CommitEntry(ts, _unescape(message) if "\\" in message else message, files))
     return entries
 
 
@@ -244,5 +244,5 @@ def build_bug_ledger(
         if ids is None:
             ids = refs[commit.message] = extract_issue_refs(commit.message, registry, cfg)
         for issue_id in ids:
-            links.update((issue_id, path) for path in commit.files)
+            links.update(zip(repeat(issue_id), commit.files))
     return BugLedger(release=release, links=frozenset(links))

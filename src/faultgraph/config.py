@@ -25,24 +25,22 @@ tags, or two release pairs, would give the same output file name.
 
 import json
 import re
-from dataclasses import dataclass
 from datetime import datetime
 from pathlib import Path
+from typing import NamedTuple
 
 from .bugs import FilterConfig, parse_timestamp
 from .errors import ConfigError, json_limit, read_utf8
 
 
-@dataclass(frozen=True)
-class ReleaseConfig:
+class ReleaseConfig(NamedTuple):
     tag: str
     corpus: Path | None
     facts: Path | None
     window: tuple[datetime, datetime] | None
 
 
-@dataclass(frozen=True)
-class PipelineConfig:
+class PipelineConfig(NamedTuple):
     releases: tuple[ReleaseConfig, ...]
     commit_log: Path | None
     issue_registry: Path | None

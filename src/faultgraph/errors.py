@@ -1,7 +1,7 @@
 """Exception types shared across the toolchain, how a kept error lets go of
 its frames, the one UTF-8 reader of input files and the one writer of
 output files, a name printed on one line, the limits of the JSON decoder,
-and the rule that splits a file into records.
+the rule that splits a file into records, and the one way a warning is given.
 
 Every error raised on bad *input* derives from InputError so the CLI can map
 it to exit code 1; anything else escaping a stage is treated as an internal
@@ -135,3 +135,27 @@ def records(text: str) -> Iterator[tuple[int, str]]:
         line = line.removesuffix("\r")
         if line.strip():
             yield number, line
+
+
+# whether a warning goes to stderr as "LEVEL logger: message": the command
+# line asks for it (``warnings_to_stderr``); a library caller's own logging
+# configuration is left alone
+_stderr_warnings = False
+
+
+def warnings_to_stderr() -> None:
+    """Give every later warning on stderr, as ``LEVEL logger: message``."""
+    global _stderr_warnings
+    _stderr_warnings = True
+
+
+def warn(logger: str, msg: str, *args) -> None:
+    """Log a warning from the logger named ``logger``, formatted from ``msg``
+    and ``args`` as ``logging`` does. ``logging`` is imported here, at the
+    first warning, since no command needs it otherwise; so is the stderr
+    handler set up, on the stderr that exists then."""
+    import logging
+
+    if _stderr_warnings:
+        logging.basicConfig(level=logging.WARNING, stream=sys.stderr, format="%(levelname)s %(name)s: %(message)s")
+    logging.getLogger(logger).warning(msg, *args)

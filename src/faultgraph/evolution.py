@@ -11,7 +11,7 @@ empty family, too few updated CUs, a degenerate table) is decided by
 ``pipeline.write_evolution``.
 """
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .bugs import BugLedger
 from .errors import EmptyFamily
@@ -21,13 +21,20 @@ from .tailstats import ChiSquareResult, chi_square_independence
 FAMILY_NAMES = ("updated", "unchanged", "added")
 
 
-@dataclass(frozen=True)
-class ReleaseSnapshot:
+class _ReleaseSnapshot(NamedTuple):
     release: str
     metrics: dict[str, MetricVector]  # CU path -> metric vector
     ledger: BugLedger
 
-    def __post_init__(self):
+
+class ReleaseSnapshot(_ReleaseSnapshot):
+    """One release as its pairs see it, checked when made: the ledger is
+    this release's and cites no CU outside it."""
+
+    __slots__ = ()
+
+    def __new__(cls, release: str, metrics: dict[str, MetricVector], ledger: BugLedger):
+        self = super().__new__(cls, release, metrics, ledger)
         if self.ledger.release != self.release:
             raise ValueError(
                 f"ledger is for release {self.ledger.release!r}, snapshot is {self.release!r}"
@@ -37,24 +44,38 @@ class ReleaseSnapshot:
             raise ValueError(
                 f"ledger references CUs missing from the snapshot: {sorted(stray)[:5]}"
             )
+        return self
 
 
-@dataclass(frozen=True)
-class FamilyPartition:
+class _FamilyPartition(NamedTuple):
     metric: str
     updated: frozenset[str]
     unchanged: frozenset[str]
     added: frozenset[str]
     deleted: frozenset[str]
 
-    def __post_init__(self):
+
+class FamilyPartition(_FamilyPartition):
+    """The families of one release pair for one metric, disjoint when made."""
+
+    __slots__ = ()
+
+    def __new__(
+        cls,
+        metric: str,
+        updated: frozenset[str],
+        unchanged: frozenset[str],
+        added: frozenset[str],
+        deleted: frozenset[str],
+    ):
+        self = super().__new__(cls, metric, updated, unchanged, added, deleted)
         assert not (self.updated & self.unchanged)
         assert not ((self.updated | self.unchanged) & self.added)
         assert not ((self.updated | self.unchanged | self.added) & self.deleted)
+        return self
 
 
-@dataclass(frozen=True)
-class FamilyStats:
+class FamilyStats(NamedTuple):
     infection_probability: float
     mean_bugs_infected: float | None  # undefined when nothing is infected
     n: int

@@ -21,7 +21,7 @@ import json
 import re
 import string
 import sys
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import FormatError, json_limit, read_utf8, records, write_utf8
 
@@ -129,8 +129,7 @@ def name_set(items: set) -> tuple:
     return tuple(sorted(items))
 
 
-@dataclass(frozen=True)
-class MethodFacts:
+class MethodFacts(NamedTuple):
     """One declared method (constructors included, named after the class).
 
     external_calls holds (receiver type name, method name) pairs for calls
@@ -148,8 +147,7 @@ class MethodFacts:
     used_fields: tuple[str, ...] = ()
 
 
-@dataclass(frozen=True)
-class ClassFacts:
+class ClassFacts(NamedTuple):
     """One declared class or interface, with its own code line count.
 
     field_types is a multiset held sorted, one entry per declared field's
@@ -166,8 +164,7 @@ class ClassFacts:
     loc: int = 0
 
 
-@dataclass(frozen=True)
-class CUFacts:
+class CUFacts(NamedTuple):
     """Facts for one compilation unit. ``path`` is its identity."""
 
     path: str
@@ -182,48 +179,38 @@ class CUFacts:
 # --------------------------------------------------------------------------
 
 
-def _require(cond: bool, msg: str, record: int):
-    if not cond:
-        raise FormatError(msg, record=record)
+# Each check raises where it fails, so a message is formatted only for the
+# record it rejects.
 
 
 def _strings(value, what: str, record: int) -> list[str]:
-    _require(
-        isinstance(value, list) and all(isinstance(v, str) for v in value),
-        f"{what} must be a list of strings",
-        record,
-    )
+    if not (isinstance(value, list) and all(isinstance(v, str) for v in value)):
+        raise FormatError(f"{what} must be a list of strings", record=record)
     return [sys.intern(v) for v in value]
 
 
 def _objects(value, what: str, record: int) -> list[dict]:
-    _require(
-        isinstance(value, list) and all(isinstance(v, dict) for v in value),
-        f"{what} must be a list of objects",
-        record,
-    )
+    if not (isinstance(value, list) and all(isinstance(v, dict) for v in value)):
+        raise FormatError(f"{what} must be a list of objects", record=record)
     return value
 
 
 def _count(value, what: str, record: int) -> int:
     # 2**53 is the largest integer a double holds exactly, and a count is a float statistic's sample
-    _require(
-        isinstance(value, int) and not isinstance(value, bool) and 0 <= value <= 2**53,
-        f"{what} must be an integer from 0 to 2**53",
-        record,
-    )
+    if not (isinstance(value, int) and not isinstance(value, bool) and 0 <= value <= 2**53):
+        raise FormatError(f"{what} must be an integer from 0 to 2**53", record=record)
     return value
 
 
 def _method_from_dict(d: dict, record: int) -> MethodFacts:
-    _require(isinstance(d.get("name"), str), "method record needs a name", record)
+    if not isinstance(d.get("name"), str):
+        raise FormatError("method record needs a name", record=record)
     calls = d.get("external_calls", [])
-    _require(
+    if not (
         isinstance(calls, list)
-        and all(isinstance(p, list) and len(p) == 2 and all(isinstance(s, str) for s in p) for p in calls),
-        "external_calls entries must be [type, method] pairs",
-        record,
-    )
+        and all(isinstance(p, list) and len(p) == 2 and all(isinstance(s, str) for s in p) for p in calls)
+    ):
+        raise FormatError("external_calls entries must be [type, method] pairs", record=record)
     return MethodFacts(
         name=sys.intern(d["name"]),
         param_types=tuple(_strings(d.get("param_types", []), "param_types", record)),
@@ -234,11 +221,15 @@ def _method_from_dict(d: dict, record: int) -> MethodFacts:
 
 
 def _class_from_dict(d: dict, record: int) -> ClassFacts:
-    _require(isinstance(d.get("name"), str), "class record needs a name", record)
-    _require(not splits_a_row(d["name"]), "class name holds a tab, CR or LF", record)
-    _require(d.get("kind") in CLASS_KINDS, f"unknown class kind {d.get('kind')!r}", record)
+    if not isinstance(d.get("name"), str):
+        raise FormatError("class record needs a name", record=record)
+    if splits_a_row(d["name"]):
+        raise FormatError("class name holds a tab, CR or LF", record=record)
+    if d.get("kind") not in CLASS_KINDS:
+        raise FormatError(f"unknown class kind {d.get('kind')!r}", record=record)
     extends = d.get("extends")
-    _require(extends is None or isinstance(extends, str), "extends must be a string or null", record)
+    if not (extends is None or isinstance(extends, str)):
+        raise FormatError("extends must be a string or null", record=record)
     return ClassFacts(
         name=sys.intern(d["name"]),
         kind=sys.intern(d["kind"]),
@@ -255,18 +246,25 @@ def cu_from_dict(d: dict, record: int = 0) -> CUFacts:
     Its strings are interned, as in parsed facts, so a name decoded from
     many lines is one string; a method's name sets are read in any order
     and with repeats, and held as ``name_set`` tuples."""
-    _require(isinstance(d, dict), "record must be a JSON object", record)
+    if not isinstance(d, dict):
+        raise FormatError("record must be a JSON object", record=record)
     for key in ("path", "package", "imports", "classes", "loc"):
-        _require(key in d, f"missing field {key!r}", record)
-    _require(isinstance(d["path"], str) and d["path"] != "", "path must be a non-empty string", record)
-    _require(not splits_a_row(d["path"]), "path holds a tab, CR or LF", record)
-    _require(isinstance(d["package"], str), "package must be a string", record)
+        if key not in d:
+            raise FormatError(f"missing field {key!r}", record=record)
+    if not (isinstance(d["path"], str) and d["path"] != ""):
+        raise FormatError("path must be a non-empty string", record=record)
+    if splits_a_row(d["path"]):
+        raise FormatError("path holds a tab, CR or LF", record=record)
+    if not isinstance(d["package"], str):
+        raise FormatError("package must be a string", record=record)
     loc = _count(d["loc"], "loc", record)
     classes = tuple(_class_from_dict(c, record) for c in _objects(d["classes"], "classes", record))
-    _require(len(classes) > 0, "classes must be non-empty", record)
-    names = [c.name for c in classes]
-    _require(len(names) == len(set(names)), "duplicate class name within CU", record)
-    _require(loc >= len(classes), "loc smaller than the number of declared classes", record)
+    if not classes:
+        raise FormatError("classes must be non-empty", record=record)
+    if len({c.name for c in classes}) != len(classes):
+        raise FormatError("duplicate class name within CU", record=record)
+    if loc < len(classes):
+        raise FormatError("loc smaller than the number of declared classes", record=record)
     return CUFacts(
         path=sys.intern(d["path"]),
         package=sys.intern(d["package"]),
@@ -276,21 +274,52 @@ def cu_from_dict(d: dict, record: int = 0) -> CUFacts:
     )
 
 
+# the quoted, escaped form of a string that ``json.dumps`` writes with
+# ensure_ascii, from the same C function
+_quote = json.encoder.encode_basestring_ascii
+
+
+def _names(items: tuple[str, ...]) -> str:
+    return "[" + ",".join(map(_quote, items)) + "]"
+
+
+def _method_json(m: MethodFacts) -> str:
+    calls = ",".join([f"[{_quote(t)},{_quote(n)}]" for t, n in m.external_calls])
+    return (
+        f'{{"name":{_quote(m.name)},"param_types":{_names(m.param_types)},'
+        f'"referenced_types":{_names(m.referenced_types)},"external_calls":[{calls}],'
+        f'"used_fields":{_names(m.used_fields)}}}'
+    )
+
+
+def _class_json(c: ClassFacts) -> str:
+    extends = "null" if c.extends is None else _quote(c.extends)
+    methods = ",".join(map(_method_json, c.methods))
+    return (
+        f'{{"name":{_quote(c.name)},"kind":{_quote(c.kind)},"extends":{extends},'
+        f'"implements":{_names(c.implements)},"field_types":{_names(c.field_types)},'
+        f'"methods":[{methods}],"loc":{c.loc}}}'
+    )
+
+
+def _cu_json(cu: CUFacts) -> str:
+    classes = ",".join(map(_class_json, cu.classes))
+    return (
+        f'{{"path":{_quote(cu.path)},"package":{_quote(cu.package)},"imports":{_names(cu.imports)},'
+        f'"classes":[{classes}],"loc":{cu.loc}}}\n'
+    )
+
+
 def dump_facts(cus: list[CUFacts]) -> str:
     """Serialize CUs to facts-file text (one JSON object per line).
 
-    A record's layout is its types' field order: each CU, class and method
-    is written as its dataclass's fields, in declaration order, with tuples
-    as JSON arrays, so a field added to these types is written too. The
+    Each CU, class and method is written as a JSON object of its type's
+    fields, in field order, with tuples as arrays and no space, as
+    ``json.dumps`` with ensure_ascii and compact separators writes it. The
     values are written as held; both makers of facts, the parser and the
     loader, hold them in their canonical forms.
     """
-    # not default=vars: on CPython 3.11+ that gives each object a __dict__
-    # it then keeps, and a run keeps its facts to the end
-    encode = json.JSONEncoder(
-        ensure_ascii=True, separators=(",", ":"), default=lambda o: {k: getattr(o, k) for k in o.__dataclass_fields__}
-    ).encode
-    return "".join(encode(cu) + "\n" for cu in cus)
+    return "".join(map(_cu_json, cus))
 
 
 def dump_facts_file(cus: list[CUFacts], path) -> None:

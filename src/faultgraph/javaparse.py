@@ -45,7 +45,7 @@ Deliberate simplifications, chosen for determinism:
 import os
 import sys
 from collections import Counter
-from dataclasses import dataclass, field, replace
+from typing import NamedTuple
 
 from .errors import ParseError, detached, read_utf8
 from .facts import _IDENT_START, ClassFacts, CUFacts, MethodFacts, name_set, scan_source, splits_a_row, token_column
@@ -74,8 +74,7 @@ _DECL_END = frozenset("=;,:)")
 _BOUNDARY = frozenset("{};(,:")
 
 
-@dataclass
-class _TypeExpr:
+class _TypeExpr(NamedTuple):
     base: str
     args: list[str]
 
@@ -83,18 +82,34 @@ class _TypeExpr:
         return [n for n in [self.base, *self.args] if n not in PRIMITIVES]
 
 
-@dataclass
 class _ClassDraft:
-    name: str
-    kind: str
-    extends: str | None = None
-    implements: list[str] = field(default_factory=list)
-    field_types: list[str] = field(default_factory=list)
-    fields_by_name: dict[str, str] = field(default_factory=dict)
-    methods: list[MethodFacts] = field(default_factory=list)
-    start_line: int = 0
-    end_line: int = 0
-    children: list["_ClassDraft"] = field(default_factory=list)
+    """A named class as the parser reads it: its lists fill, and its
+    supertypes and end line are set, as the declaration is read."""
+
+    __slots__ = (
+        "name",
+        "kind",
+        "extends",
+        "implements",
+        "field_types",
+        "fields_by_name",
+        "methods",
+        "start_line",
+        "end_line",
+        "children",
+    )
+
+    def __init__(self, name: str, kind: str, start_line: int):
+        self.name = name
+        self.kind = kind
+        self.extends: str | None = None
+        self.implements: list[str] = []
+        self.field_types: list[str] = []
+        self.fields_by_name: dict[str, str] = {}
+        self.methods: list[MethodFacts] = []
+        self.start_line = start_line
+        self.end_line = 0
+        self.children: list[_ClassDraft] = []
 
 
 class _Parser:
@@ -664,7 +679,7 @@ def parse_corpus_dir(
         if isinstance(hit, ParseError):
             failures.append((rel, hit))
         else:
-            facts.append(hit if hit.path == rel else replace(hit, path=rel))
+            facts.append(hit if hit.path == rel else hit._replace(path=rel))
     if memo is not None:
         memo.clear()
         memo.update(texts)

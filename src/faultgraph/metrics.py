@@ -16,7 +16,7 @@ CU level:
     cu_wmc / cu_lcom / cu_loc   sums over the contained classes
 """
 
-from dataclasses import dataclass, fields
+from typing import NamedTuple
 
 from .errors import UnknownMetric
 from .facts import ClassFacts, CUFacts
@@ -24,8 +24,7 @@ from .graphs import ClassGraph, CUGraph
 from .resolve import COMPOSITION, DEPENDENCE, INHERITANCE, ClassId, ResolvedCorpus
 
 
-@dataclass(frozen=True)
-class ClassMetrics:
+class ClassMetrics(NamedTuple):
     wmc: int
     cbo: int
     rfc: int
@@ -33,8 +32,7 @@ class ClassMetrics:
     loc: int
 
 
-@dataclass(frozen=True)
-class MetricVector:
+class MetricVector(NamedTuple):
     in_links: int
     out_links: int
     cu_loc: int
@@ -44,7 +42,7 @@ class MetricVector:
     cu_lcom: int
 
 
-METRIC_NAMES = tuple(f.name for f in fields(MetricVector))
+METRIC_NAMES = MetricVector._fields
 
 
 def metric_value(vector: MetricVector, metric: str) -> int:

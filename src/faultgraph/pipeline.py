@@ -9,10 +9,8 @@ outcomes, not faults. The writers here decide every status a row carries;
 the modules they call compute numbers or raise.
 """
 
-import logging
 from collections.abc import Callable, Iterable, Sequence
 from contextlib import contextmanager
-from dataclasses import dataclass, field
 from pathlib import Path
 
 from .bugs import BugLedger, build_bug_ledger, load_issue_registry, parse_commit_log
@@ -27,6 +25,7 @@ from .errors import (
     ParseError,
     detached,
     printable,
+    warn,
     write_utf8,
 )
 from .evolution import (
@@ -43,8 +42,6 @@ from .javaparse import parse_corpus_dir
 from .metrics import METRIC_NAMES, ClassMetrics, MetricVector, compute_metrics, metric_value
 from .resolve import ClassId, resolve_type_references
 from .tailstats import CONTINUOUS, DISCRETE, ccdf, fit_power_law_tail, pearson
-
-log = logging.getLogger(__name__)
 
 DISTRIBUTIONS = METRIC_NAMES + ("bugs_per_cu", "cus_per_bug")
 
@@ -84,7 +81,7 @@ def _fmt(x: float) -> str:
 def write_table(path: Path, header: list[str], rows: Iterable[Sequence]) -> Path:
     lines = ["\t".join(header)]
     for row in rows:
-        lines.append("\t".join(str(cell) for cell in row))
+        lines.append("\t".join(map(str, row)))
     write_utf8(path, "".join(line + "\n" for line in lines))
     return path
 
@@ -94,15 +91,27 @@ def write_table(path: Path, header: list[str], rows: Iterable[Sequence]) -> Path
 # --------------------------------------------------------------------------
 
 
-@dataclass
 class ReleaseData:
-    tag: str
-    facts: list[CUFacts]
-    class_graph: ClassGraph
-    cu_graph: CUGraph
-    per_class: dict[ClassId, ClassMetrics]
-    per_cu: dict[str, MetricVector]
-    ledger: BugLedger | None = None
+    """One built release; ``attach_ledger`` gives it its ledger."""
+
+    __slots__ = ("tag", "facts", "class_graph", "cu_graph", "per_class", "per_cu", "ledger")
+
+    def __init__(
+        self,
+        tag: str,
+        facts: list[CUFacts],
+        class_graph: ClassGraph,
+        cu_graph: CUGraph,
+        per_class: dict[ClassId, ClassMetrics],
+        per_cu: dict[str, MetricVector],
+    ):
+        self.tag = tag
+        self.facts = facts
+        self.class_graph = class_graph
+        self.cu_graph = cu_graph
+        self.per_class = per_class
+        self.per_cu = per_cu
+        self.ledger: BugLedger | None = None
 
     @property
     def snapshot(self) -> ReleaseSnapshot:
@@ -110,7 +119,6 @@ class ReleaseData:
         return ReleaseSnapshot(release=self.tag, metrics=self.per_cu, ledger=self.ledger)
 
 
-@dataclass
 class RunMemo:
     """What consecutive releases of a run share. ``sources`` maps a source
     text to its facts or its ParseError and holds the texts of the last
@@ -119,8 +127,11 @@ class RunMemo:
     consecutive releases share their unchanged files, and a text or line
     from two releases back is decoded again, to equal facts."""
 
-    sources: dict[str, CUFacts | ParseError] = field(default_factory=dict)
-    lines: dict[str, CUFacts] = field(default_factory=dict)
+    __slots__ = ("sources", "lines")
+
+    def __init__(self):
+        self.sources: dict[str, CUFacts | ParseError] = {}
+        self.lines: dict[str, CUFacts] = {}
 
 
 def load_release_facts(rc: ReleaseConfig, memo: RunMemo) -> tuple[list[CUFacts], list[tuple[str, Exception]]]:
@@ -189,7 +200,7 @@ def attach_ledger(data: ReleaseData, full: BugLedger | InputError) -> None:
     data.ledger = full.restricted_to(data.per_cu)
     dropped = len(full.links) - len(data.ledger.links)
     if dropped:
-        log.warning("release %s: dropped %d issue links to files outside the corpus", data.tag, dropped)
+        warn(__name__, "release %s: dropped %d issue links to files outside the corpus", data.tag, dropped)
 
 
 # --------------------------------------------------------------------------

@@ -25,14 +25,11 @@ dependence (a type used or called inside a method body). A reference that
 binds to its own class makes no edge.
 """
 
-import logging
 from collections import Counter
-from dataclasses import dataclass
+from typing import NamedTuple
 
-from .errors import FormatError
+from .errors import FormatError, warn
 from .facts import ClassFacts, CUFacts
-
-log = logging.getLogger(__name__)
 
 ClassId = tuple[str, str]  # (CU path, class simple name)
 ClassEdge = tuple[ClassId, ClassId, str]  # (source class, target class, kind)
@@ -43,8 +40,7 @@ DEPENDENCE = "dependence"
 EDGE_KINDS = (INHERITANCE, COMPOSITION, DEPENDENCE)
 
 
-@dataclass(frozen=True)
-class ResolvedCorpus:
+class ResolvedCorpus(NamedTuple):
     cus: tuple[CUFacts, ...]  # sorted by path
     classes: dict[ClassId, ClassFacts]
     edges: frozenset[ClassEdge]
@@ -71,7 +67,8 @@ def resolve_type_references(corpus: list[CUFacts]) -> ResolvedCorpus:
     def qualified(pkg: str, simple: str, context: str) -> ClassId | None:
         cid = index.get(simple, {}).get(pkg)
         if more.get(cid):
-            log.warning(
+            warn(
+                __name__,
                 "ambiguous class %s.%s (%d definitions) referenced from %s; using %s::%s",
                 pkg, simple, more[cid] + 1, context, *cid,
             )
@@ -102,7 +99,8 @@ def resolve_type_references(corpus: list[CUFacts]) -> ResolvedCorpus:
             by_pkg = index.get(name, {})
             matches = by_pkg.keys() & wild
             if len(matches) > 1:
-                log.warning(
+                warn(
+                    __name__,
                     "wildcard imports of %s match packages %s in %s; leaving it external",
                     name, sorted(matches), cu.path,
                 )

@@ -64,7 +64,7 @@ Of all commands only ``fit --synthetic discrete`` loads scipy.
 
 import heapq
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -86,16 +86,23 @@ FIT_MODES = (DISCRETE, CONTINUOUS)
 # --------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CCDFCurve:
+class _CCDFCurve(NamedTuple):
     points: tuple[tuple[float, float], ...]  # (x, P(X >= x)), x strictly increasing
 
-    def __post_init__(self):
+
+class CCDFCurve(_CCDFCurve):
+    """An empirical CCDF, checked when made."""
+
+    __slots__ = ()
+
+    def __new__(cls, points: tuple[tuple[float, float], ...]):
+        self = super().__new__(cls, points)
         xs = [x for x, _ in self.points]
         ps = [p for _, p in self.points]
         assert all(a < b for a, b in zip(xs, xs[1:])), "x values must be strictly increasing"
         assert all(a >= b for a, b in zip(ps, ps[1:])), "probabilities must be non-increasing"
         assert ps and ps[0] == 1.0, "first CCDF value must be 1"
+        return self
 
 
 def _at_least(arr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -145,17 +152,24 @@ def loglog_slope(curve: CCDFCurve, x_lo: float | None = None, x_hi: float | None
 # --------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class TailFit:
+class _TailFit(NamedTuple):
     gamma: float  # density exponent, > 1
     x_min: float
     ks: float  # Kolmogorov-Smirnov distance of the accepted fit
     n_tail: int
 
-    def __post_init__(self):
+
+class TailFit(_TailFit):
+    """A power-law tail fit, checked when made."""
+
+    __slots__ = ()
+
+    def __new__(cls, gamma: float, x_min: float, ks: float, n_tail: int):
+        self = super().__new__(cls, gamma, x_min, ks, n_tail)
         assert self.gamma > 1.0
         assert self.n_tail >= 2
         assert 0.0 <= self.ks <= 1.0
+        return self
 
 
 def _continuous_gamma(tail: np.ndarray, x_min: float) -> float:
@@ -708,16 +722,23 @@ def pearson(xs, ys) -> float:
 # --------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ChiSquareResult:
+class _ChiSquareResult(NamedTuple):
     chi2: float
     dof: int
     p_value: float
 
-    def __post_init__(self):
+
+class ChiSquareResult(_ChiSquareResult):
+    """A chi-square independence test's result, checked when made."""
+
+    __slots__ = ()
+
+    def __new__(cls, chi2: float, dof: int, p_value: float):
+        self = super().__new__(cls, chi2, dof, p_value)
         assert self.chi2 >= 0.0
         assert self.dof >= 1
         assert 0.0 <= self.p_value <= 1.0
+        return self
 
 
 def chi_square_independence(table) -> ChiSquareResult:

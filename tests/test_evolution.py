@@ -97,6 +97,21 @@ def test_snapshot_rejects_mismatched_release():
         ReleaseSnapshot("r1", {"a": vector()}, ledger_of("r2", {}))
 
 
+@pytest.mark.parametrize("twice", ["unchanged", "added", "deleted"])
+def test_a_partition_rejects_a_cu_in_two_families(twice):
+    families = dict.fromkeys(("updated", "unchanged", "added", "deleted"), frozenset())
+    families["updated"] = families[twice] = frozenset({"a"})
+    with pytest.raises(AssertionError):
+        FamilyPartition("cu_loc", **families)
+
+
+def test_a_partition_is_immutable_and_hashable():
+    part = FamilyPartition("cu_loc", frozenset({"a"}), frozenset({"b"}), frozenset(), frozenset({"c"}))
+    with pytest.raises(AttributeError):
+        part.added = frozenset({"d"})
+    assert hash(part) == hash(FamilyPartition(*part))
+
+
 # -- family stats ----------------------------------------------------------------
 
 

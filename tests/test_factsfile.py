@@ -1,6 +1,5 @@
 import copy
 import json
-from dataclasses import fields
 from unittest import mock
 
 import pytest
@@ -259,7 +258,7 @@ def test_canonical_facts_text_is_a_fixed_point(cus):
 
 
 def field_names(cls):
-    return [f.name for f in fields(cls)]
+    return list(cls._fields)
 
 
 @given(compilation_units())

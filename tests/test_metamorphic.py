@@ -5,8 +5,8 @@ generator (built as ``test_generated_bundle.py`` builds them) in a way the
 analysis must ignore, runs ``faultgraph report`` on them and compares the
 bundle and stderr, byte for byte, with those of the untouched inputs. Every
 run is a fresh interpreter under ``PYTHONHASHSEED=0`` unless a relation sets
-another seed: ``logging.basicConfig`` binds the stderr that exists at a
-process's first command, so stderr is compared across processes.
+another seed: the first warning of a process binds ``logging`` to the
+stderr that exists then, so stderr is compared across processes.
 
 Each relation fails on a matching defect: the hash seeds on a set of names
 iterated unsorted, the duplicated commits on a link counted once per commit

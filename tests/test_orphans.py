@@ -8,9 +8,15 @@ an attribute of its name (``x.name``), a function also by a plain name.
 Names are matched, not bindings: any ``x.run`` keeps every ``run`` method.
 Dunder methods are called by Python itself and are not checked.
 
-No field without a reader either: every field of a ``@dataclass`` in
-``src/faultgraph`` must be loaded as an attribute of its name somewhere in
-``src/``, unless its class is on ``READ_BY_NAME``.
+No field without a reader either: every field of a record in
+``src/faultgraph``, a ``@dataclass`` or a ``NamedTuple``, must be loaded as
+an attribute of its name somewhere in ``src/``, unless its class is on
+``READ_BY_NAME``.
+
+Only a class that holds state derived after it is made may be a
+``@dataclass`` (``DATACLASSES``): each dataclass costs its module's import
+the generation of its methods, at every start. Every other record is a
+``NamedTuple``.
 
 No import without a use: every name a ``src/faultgraph`` module imports must
 be loaded as a plain name in that module. A name imported only so that
@@ -29,10 +35,9 @@ TRACING = ROOT / "perfbench" / "tracing.py"
 # the acceptance tests' API: no program path calls them
 ALLOWED = {"expected_max", "loglog_slope"}
 
-# dataclasses whose fields are read through getattr by name: a MetricVector's
-# by metrics.metric_value, a MethodFacts's by the facts writer, which is the
-# only reader of param_types
-READ_BY_NAME = {"MetricVector", "MethodFacts"}
+# records whose fields are read through getattr by name: a MetricVector's
+# by metrics.metric_value
+READ_BY_NAME = {"MetricVector"}
 
 
 def references(tree: ast.AST) -> tuple[Counter, Counter]:
@@ -90,7 +95,17 @@ def is_dataclass(cls: ast.ClassDef) -> bool:
         target = deco.func if isinstance(deco, ast.Call) else deco
         if isinstance(target, ast.Name) and target.id == "dataclass":
             return True
+        if isinstance(target, ast.Attribute) and target.attr == "dataclass":
+            return True
     return False
+
+
+def is_named_tuple(cls: ast.ClassDef) -> bool:
+    return any(isinstance(base, ast.Name) and base.id == "NamedTuple" for base in cls.bases)
+
+
+def is_record(cls: ast.ClassDef) -> bool:
+    return is_dataclass(cls) or is_named_tuple(cls)
 
 
 def unread_fields() -> list[str]:
@@ -104,7 +119,7 @@ def unread_fields() -> list[str]:
     found = []
     for path, tree in trees.items():
         for cls in ast.walk(tree):
-            if not isinstance(cls, ast.ClassDef) or not is_dataclass(cls) or cls.name in READ_BY_NAME:
+            if not isinstance(cls, ast.ClassDef) or not is_record(cls) or cls.name in READ_BY_NAME:
                 continue
             for node in cls.body:
                 if isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
@@ -115,6 +130,20 @@ def unread_fields() -> list[str]:
 
 def test_every_dataclass_field_has_a_reader():
     assert unread_fields() == []
+
+
+# the classes that index or compile their fields when made
+DATACLASSES = {"ClassGraph", "CUGraph", "BugLedger", "FilterConfig"}
+
+
+def test_only_classes_with_derived_state_are_dataclasses():
+    found = {
+        cls.name
+        for path in sorted(PACKAGE.glob("*.py"))
+        for cls in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(cls, ast.ClassDef) and is_dataclass(cls)
+    }
+    assert found <= DATACLASSES
 
 
 def unused_imports() -> list[str]:

@@ -384,13 +384,33 @@ def test_a_facts_release_chain_decodes_each_new_line_and_extracts_each_message_o
 # --------------------------------------------------------------------------
 
 
+class _Token:
+    """Dies with the record that holds it: the record types are tuples, which
+    no weak reference can watch, but an instance of a subclass of one has a
+    ``__dict__`` to hold a token."""
+
+
+class _WatchedCommit(bugs.CommitEntry):
+    pass
+
+
+class _WatchedSnapshot(evolution.ReleaseSnapshot):
+    pass
+
+
+def watch(record) -> weakref.ref:
+    """A weak reference that dies with ``record``, an instance of a subclass above."""
+    record.token = _Token()
+    return weakref.ref(record.token)
+
+
 def test_commit_log_is_freed_before_any_source_is_parsed(tmp_path, monkeypatch, capsys, fixtures_dir):
     refs = []
     read_log = pipeline.parse_commit_log
 
     def keep_refs(path):
-        commits = read_log(path)
-        refs.extend(weakref.ref(c) for c in commits)
+        commits = [_WatchedCommit(*c) for c in read_log(path)]
+        refs.extend(map(watch, commits))
         return commits
 
     monkeypatch.setattr(pipeline, "parse_commit_log", keep_refs)
@@ -424,8 +444,8 @@ def test_the_commit_log_is_freed_with_the_collector_off(tmp_path, monkeypatch, c
     read_log = pipeline.parse_commit_log
 
     def keep_refs(path):
-        commits = read_log(path)
-        refs.extend(weakref.ref(c) for c in commits)
+        commits = [_WatchedCommit(*c) for c in read_log(path)]
+        refs.extend(map(watch, commits))
         return commits
 
     monkeypatch.setattr(pipeline, "parse_commit_log", keep_refs)
@@ -458,7 +478,7 @@ def test_release_is_freed_once_no_later_pair_needs_it(tmp_path, monkeypatch, cap
     cfg_path = write_cfg(tmp_path, cfg)
     built, snapshots = {}, {}
     alive_at_build = {}
-    build, snapshot = pipeline.build_release, pipeline.ReleaseSnapshot
+    build = pipeline.build_release
 
     def alive(refs):
         return sorted(tag for tag, ref in refs.items() if ref() is not None)
@@ -471,10 +491,12 @@ def test_release_is_freed_once_no_later_pair_needs_it(tmp_path, monkeypatch, cap
         return data
 
     def track_snapshot(**kwargs):
-        snap = snapshot(**kwargs)
-        snapshots[snap.release] = weakref.ref(snap)
+        snap = _WatchedSnapshot(**kwargs)
+        snapshots[snap.release] = watch(snap)
         return snap
 
+    # a subclass without __slots__, so a weak reference can watch it
+    monkeypatch.setattr(pipeline, "ReleaseData", type("WatchedData", (pipeline.ReleaseData,), {}))
     monkeypatch.setattr(pipeline, "build_release", track)
     monkeypatch.setattr(pipeline, "ReleaseSnapshot", track_snapshot)
     assert main(["report", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 0

@@ -31,6 +31,9 @@ from faultgraph.errors import (
 )
 from faultgraph.tailstats import (
     DISCRETE,
+    CCDFCurve,
+    ChiSquareResult,
+    TailFit,
     _SCAN_MAX_SLOPE,
     _SCAN_TOL,
     _at_least,
@@ -48,6 +51,42 @@ from faultgraph.tailstats import (
     pearson,
     zeta_samples,
 )
+
+# -- the records -----------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: TailFit(1.0, 1.0, 0.1, 10),
+        lambda: TailFit(2.0, 1.0, 0.1, 1),
+        lambda: TailFit(gamma=2.0, x_min=1.0, ks=1.5, n_tail=10),
+        lambda: CCDFCurve(((1.0, 1.0), (1.0, 0.5))),
+        lambda: CCDFCurve(((1.0, 1.0), (2.0, 0.5), (3.0, 0.75))),
+        lambda: CCDFCurve(points=((1.0, 0.5), (2.0, 0.25))),
+        lambda: CCDFCurve(()),
+        lambda: ChiSquareResult(-1.0, 1, 0.5),
+        lambda: ChiSquareResult(1.0, 0, 0.5),
+        lambda: ChiSquareResult(chi2=1.0, dof=1, p_value=1.5),
+    ],
+)
+def test_a_statistics_record_rejects_a_bad_field(make):
+    with pytest.raises(AssertionError):
+        make()
+
+
+@pytest.mark.parametrize(
+    "record",
+    [TailFit(2.0, 1.0, 0.1, 10), CCDFCurve(((1.0, 1.0), (2.0, 0.5))), ChiSquareResult(1.0, 1, 0.5)],
+    ids=lambda r: type(r).__name__,
+)
+def test_a_statistics_record_is_immutable_and_hashable(record):
+    with pytest.raises(AttributeError):
+        setattr(record, record._fields[0], record[0])
+    with pytest.raises(AttributeError):
+        record.note = "no such field"
+    assert hash(record) == hash(type(record)(*record))
+
 
 # -- ccdf ----------------------------------------------------------------------
 
@@ -492,10 +531,24 @@ def test_the_screen_batch_cap_changes_no_finalist(monkeypatch, xs):
     assert fit_power_law_tail(xs, mode="continuous") == scan_every_candidate(xs)
 
 
+def near_tie():
+    # the runner-up's screened distance is 1.13e-6 above the best: a screen
+    # that dropped a segment whose bound is within 1e-4 of its candidate's
+    # lower bound would keep the runner-up as a finalist
+    return pareto_samples(5000, 2.5, 1.0, np.random.default_rng(0))
+
+
 @pytest.mark.parametrize(
     "xs",
-    [two_digit_ties(), pareto_samples(2000, 2.5, 1.0, np.random.default_rng(21)), comb(50), clustered(), ulp_runs()],
-    ids=["ties", "pareto", "comb", "clustered", "ulp-runs"],
+    [
+        two_digit_ties(),
+        pareto_samples(2000, 2.5, 1.0, np.random.default_rng(21)),
+        comb(50),
+        clustered(),
+        ulp_runs(),
+        near_tie(),
+    ],
+    ids=["ties", "pareto", "comb", "clustered", "ulp-runs", "near-tie"],
 )
 def test_the_screen_finalists_are_every_candidate_within_the_tolerance(monkeypatch, xs):
     # every candidate too steep to screen, and every other whose screened
@@ -629,6 +682,7 @@ def test_continuous_scan_fits_only_the_finalists(monkeypatch):
 
 SRC = pathlib.Path(tailstats.__file__).parents[1]
 GEN = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "gen.py"
+TRACING = GEN.with_name("tracing.py")
 CONFIG = pathlib.Path(__file__).parent / "fixtures" / "pipeline_config.json"
 
 
@@ -640,14 +694,16 @@ class StartUp(NamedTuple):
     modules: list[str]  # the loaded modules of the package asked about
     threads: int | None  # OS threads, or None where TASKS does not exist
     blas_threads: str | None  # OPENBLAS_NUM_THREADS as the process reads it
+    stderr: str  # all the process wrote there
 
 
 def loaded_by(*argv, package="scipy", blas_threads=None) -> StartUp:
     """What a fresh interpreter holds after importing faultgraph.cli and,
     given ``argv``, running ``main`` on it to exit 0: the modules of
-    ``package``, its OS thread count and its ``OPENBLAS_NUM_THREADS``. The
-    interpreter starts with that variable set to ``blas_threads``, or unset;
-    the probe prints all three on the last line of its output."""
+    ``package``, its OS thread count and its ``OPENBLAS_NUM_THREADS``, and
+    its stderr. The interpreter starts with that variable set to
+    ``blas_threads``, or unset; the probe prints the first three on the last
+    line of its output."""
     probe = (
         "import json, os, sys, faultgraph.cli\n"
         "if sys.argv[1:]:\n"
@@ -663,7 +719,7 @@ def loaded_by(*argv, package="scipy", blas_threads=None) -> StartUp:
     out = subprocess.run(
         [sys.executable, "-c", probe, *argv], env=env, capture_output=True, text=True, check=True
     )
-    return StartUp(*json.loads(out.stdout.splitlines()[-1]))
+    return StartUp(*json.loads(out.stdout.splitlines()[-1]), out.stderr)
 
 
 @pytest.fixture
@@ -735,6 +791,74 @@ def test_commands_start_no_blas_thread_pool(tmp_path, samples_file):
 
 def test_a_blas_thread_count_the_environment_sets_is_kept():
     assert loaded_by("fit", "--synthetic", "discrete:2.5:2000", blas_threads="2").blas_threads == "2"
+
+
+def test_logging_is_loaded_only_to_give_a_warning(tmp_path, samples_file):
+    for argv in (
+        ("fit", "--samples", str(samples_file), "--mode", "continuous"),
+        ("fit", "--synthetic", "continuous:2.5:2000"),
+        ("report", "--config", str(CONFIG), "--out", str(tmp_path / "report")),  # warns of nothing
+    ):
+        quiet = loaded_by(*argv, package="logging")
+        assert (quiet.modules, quiet.stderr) == ([], ""), argv
+
+
+def test_a_warning_reaches_stderr_in_its_format(tmp_path):
+    # a resolver warning: Alpha is declared twice in Main's own package
+    corpus = tmp_path / "corpus" / "p"
+    corpus.mkdir(parents=True)
+    (corpus / "Main.java").write_text("package p;\nclass Main {\n    Alpha a;\n}\n")
+    for name in ("One", "Two"):
+        (corpus / f"{name}.java").write_text(f"package p;\nclass {name} {{\n}}\nclass Alpha {{\n}}\n")
+    # a pipeline warning: the fixture log's four links in the window name
+    # files of another corpus
+    for name in ("commits.tsv", "issues.tsv"):
+        (tmp_path / name).write_text((CONFIG.parent / name).read_text())
+    window = ["2007-01-01T00:00:00Z", "2007-06-30T23:59:59Z"]
+    config = {
+        "releases": [{"tag": "r1", "corpus": "corpus", "window": window}],
+        "commit_log": "commits.tsv",
+        "issue_registry": "issues.tsv",
+    }
+    (tmp_path / "config.json").write_text(json.dumps(config))
+    warned = loaded_by("bugs", "--config", str(tmp_path / "config.json"), "--out", str(tmp_path / "o"), package="logging")
+    assert "logging" in warned.modules
+    assert warned.stderr == (
+        "WARNING faultgraph.resolve: ambiguous class p.Alpha (2 definitions) referenced from p/Main.java;"
+        " using p/One.java::Alpha\n"
+        "WARNING faultgraph.pipeline: release r1: dropped 4 issue links to files outside the corpus\n"
+    )
+
+
+def test_exit_collects_over_a_frozen_heap(tmp_path):
+    # atexit runs its handlers last in, first out: one registered before
+    # faultgraph.cli is imported runs after cli's, one registered after it before
+    probe = (
+        "import atexit, gc, sys\n"
+        "atexit.register(lambda: print('last', gc.get_freeze_count() > 0))\n"
+        "import faultgraph.cli\n"
+        "atexit.register(lambda: print('first', gc.get_freeze_count() > 0))\n"
+        "sys.exit(faultgraph.cli.main(sys.argv[1:]))\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    for argv, code in (
+        (["fit", "--synthetic", "continuous:2.5:200"], 0),
+        (["fit", "--samples", str(tmp_path / "missing.txt")], 1),
+    ):
+        done = subprocess.run([sys.executable, "-c", probe, *argv], env=env, capture_output=True, text=True)
+        assert done.returncode == code, done.stderr
+        assert done.stdout.splitlines()[-2:] == ["first False", "last True"]
+
+
+def test_the_cli_import_loads_every_layer_the_tracer_wraps():
+    probe = "import json, sys, faultgraph.cli\nprint(json.dumps(sorted(sys.modules)))\n"
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
+    loaded = set(json.loads(done.stdout))
+    spec = importlib.util.spec_from_file_location("faultgraph_bench_tracing", TRACING)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    assert [layer for layer in tracing.WRAPPED if f"faultgraph.{layer}" not in loaded] == []
 
 
 # -- the discrete MLE's root search ------------------------------------------------
