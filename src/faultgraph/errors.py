@@ -133,7 +133,7 @@ def records(text: str) -> Iterator[tuple[int, str]]:
     CRLF files load too."""
     for number, line in enumerate(text.split("\n"), start=1):
         line = line.removesuffix("\r")
-        if line.strip():
+        if line and not line.isspace():  # the whitespace class of strip, without a copy
             yield number, line
 
 

@@ -310,7 +310,7 @@ def _cu_json(cu: CUFacts) -> str:
     )
 
 
-def dump_facts(cus: list[CUFacts]) -> str:
+def dump_facts(cus: list[CUFacts], memo: dict[int, tuple[CUFacts, str]] | None = None) -> str:
     """Serialize CUs to facts-file text (one JSON object per line).
 
     Each CU, class and method is written as a JSON object of its type's
@@ -318,12 +318,26 @@ def dump_facts(cus: list[CUFacts]) -> str:
     ``json.dumps`` with ensure_ascii and compact separators writes it. The
     values are written as held; both makers of facts, the parser and the
     loader, hold them in their canonical forms.
+
+    ``memo`` maps the id of a CUFacts object to the object and its line. It
+    holds the object, so the id names no other while it is there. An object
+    found there is not encoded again, and the memo is left holding this
+    call's objects only.
     """
-    return "".join(map(_cu_json, cus))
+    if memo is None:
+        return "".join(map(_cu_json, cus))
+    lines: dict[int, tuple[CUFacts, str]] = {}
+    for cu in cus:
+        key = id(cu)
+        if key not in lines:
+            lines[key] = memo.get(key) or (cu, _cu_json(cu))
+    memo.clear()
+    memo.update(lines)
+    return "".join([lines[id(cu)][1] for cu in cus])
 
 
-def dump_facts_file(cus: list[CUFacts], path) -> None:
-    write_utf8(path, dump_facts(cus))
+def dump_facts_file(cus: list[CUFacts], path, memo: dict[int, tuple[CUFacts, str]] | None = None) -> None:
+    write_utf8(path, dump_facts(cus, memo))
 
 
 def load_facts(text: str, memo: dict[str, CUFacts] | None = None) -> list[CUFacts]:

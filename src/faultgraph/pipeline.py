@@ -91,10 +91,31 @@ def write_table(path: Path, header: list[str], rows: Iterable[Sequence]) -> Path
 # --------------------------------------------------------------------------
 
 
-class ReleaseData:
-    """One built release; ``attach_ledger`` gives it its ledger."""
+class RunMemo:
+    """What consecutive releases of a run share. ``sources`` maps a source
+    text to its facts or its ParseError and holds the texts of the last
+    corpus release parsed only; ``lines`` maps a facts-file line to its
+    CUFacts and holds the lines of the last facts release loaded only. So
+    consecutive releases share their unchanged files, and a text or line
+    from two releases back is decoded again, to equal facts. ``encoded``
+    maps the id of each CUFacts object the last facts file written holds
+    to the object and its line, so an object that both loaders hand on
+    unchanged is encoded once."""
 
-    __slots__ = ("tag", "facts", "class_graph", "cu_graph", "per_class", "per_cu", "ledger")
+    __slots__ = ("sources", "lines", "encoded")
+
+    def __init__(self):
+        self.sources: dict[str, CUFacts | ParseError] = {}
+        self.lines: dict[str, CUFacts] = {}
+        self.encoded: dict[int, tuple[CUFacts, str]] = {}
+
+
+class ReleaseData:
+    """One built release; ``attach_ledger`` gives it its ledger. ``memo``
+    is the run's, and ``columns`` keeps each column ``distribution_samples``
+    builds."""
+
+    __slots__ = ("tag", "facts", "class_graph", "cu_graph", "per_class", "per_cu", "memo", "ledger", "columns")
 
     def __init__(
         self,
@@ -104,6 +125,7 @@ class ReleaseData:
         cu_graph: CUGraph,
         per_class: dict[ClassId, ClassMetrics],
         per_cu: dict[str, MetricVector],
+        memo: RunMemo,
     ):
         self.tag = tag
         self.facts = facts
@@ -111,27 +133,14 @@ class ReleaseData:
         self.cu_graph = cu_graph
         self.per_class = per_class
         self.per_cu = per_cu
+        self.memo = memo
         self.ledger: BugLedger | None = None
+        self.columns: dict[str, list[int]] = {}
 
     @property
     def snapshot(self) -> ReleaseSnapshot:
         assert self.ledger is not None, "snapshot needs a ledger"
         return ReleaseSnapshot(release=self.tag, metrics=self.per_cu, ledger=self.ledger)
-
-
-class RunMemo:
-    """What consecutive releases of a run share. ``sources`` maps a source
-    text to its facts or its ParseError and holds the texts of the last
-    corpus release parsed only; ``lines`` maps a facts-file line to its
-    CUFacts and holds the lines of the last facts release loaded only. So
-    consecutive releases share their unchanged files, and a text or line
-    from two releases back is decoded again, to equal facts."""
-
-    __slots__ = ("sources", "lines")
-
-    def __init__(self):
-        self.sources: dict[str, CUFacts | ParseError] = {}
-        self.lines: dict[str, CUFacts] = {}
 
 
 def load_release_facts(rc: ReleaseConfig, memo: RunMemo) -> tuple[list[CUFacts], list[tuple[str, Exception]]]:
@@ -189,7 +198,9 @@ def build_release(rc: ReleaseConfig, memo: RunMemo) -> ReleaseData:
         cg = build_class_graph(corpus)
         cug = build_cu_graph(cg, corpus)
         per_class, per_cu = compute_metrics(corpus, cg, cug)
-    return ReleaseData(tag=rc.tag, facts=facts, class_graph=cg, cu_graph=cug, per_class=per_class, per_cu=per_cu)
+    return ReleaseData(
+        tag=rc.tag, facts=facts, class_graph=cg, cu_graph=cug, per_class=per_class, per_cu=per_cu, memo=memo
+    )
 
 
 def attach_ledger(data: ReleaseData, full: BugLedger | InputError) -> None:
@@ -208,15 +219,16 @@ def attach_ledger(data: ReleaseData, full: BugLedger | InputError) -> None:
 # --------------------------------------------------------------------------
 
 
-def _write_facts_file(tag: str, facts: list[CUFacts], out: Path) -> Path:
-    """A release's facts file, records in path order, as ``report`` and ``extract`` write it."""
+def _write_facts_file(tag: str, facts: list[CUFacts], out: Path, memo: RunMemo) -> Path:
+    """A release's facts file, records in path order, as ``report`` and
+    ``extract`` write it, encoded through ``memo.encoded``."""
     path = out / f"facts-{safe_tag(tag)}.jsonl"
-    dump_facts_file(sorted(facts, key=lambda cu: cu.path), path)
+    dump_facts_file(sorted(facts, key=lambda cu: cu.path), path, memo.encoded)
     return path
 
 
 def write_facts(data: ReleaseData, out: Path) -> list[Path]:
-    return [_write_facts_file(data.tag, data.facts, out)]
+    return [_write_facts_file(data.tag, data.facts, out, data.memo)]
 
 
 def write_graphs(data: ReleaseData, out: Path) -> list[Path]:
@@ -235,7 +247,16 @@ def write_graphs(data: ReleaseData, out: Path) -> list[Path]:
 def distribution_samples(data: ReleaseData, name: str) -> list[int]:
     """The release's column ``name``: a metric or ``bugs_per_cu`` per CU in
     path order, or ``cus_per_bug`` per issue in id order. Every writer reads
-    these columns here."""
+    these columns here. Each is built once, at its first read, and kept on
+    the release, so no reader may change it; a bug column needs the ledger
+    attached."""
+    column = data.columns.get(name)
+    if column is None:
+        column = data.columns[name] = _build_column(data, name)
+    return column
+
+
+def _build_column(data: ReleaseData, name: str) -> list[int]:
     if name == "bugs_per_cu":
         assert data.ledger is not None
         return [data.ledger.count(p) for p in sorted(data.per_cu)]
@@ -396,7 +417,8 @@ def run_releases(
     release's ledger before any source is parsed, so the commits are freed
     first. It builds each selected release once and runs the writers on it.
     The releases share one ``RunMemo``: a source text or facts-file line
-    that the previous release of its kind also held is not decoded again.
+    that the previous release of its kind also held is not decoded again,
+    and a CU the previous release wrote is not encoded again.
     With no ``release`` given and some pair writer, a release that a pair
     needs keeps only its snapshot (tag, per-CU metrics, ledger), each pair
     writer runs on two snapshots as soon as both are taken, and a snapshot
@@ -447,7 +469,7 @@ def cmd_extract(cfg: PipelineConfig, out_dir: Path, release: str | None = None):
         with stage(STAGE_SOURCE):
             facts, failed = load_release_facts(rc, memo)
         failures.extend((rc.tag, path, err) for path, err in failed)
-        written.append(_write_facts_file(rc.tag, facts, out_dir))
+        written.append(_write_facts_file(rc.tag, facts, out_dir, memo))
     return written, failures
 
 

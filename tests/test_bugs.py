@@ -1,5 +1,6 @@
 import random
 import re
+import sys
 import tempfile
 from datetime import timedelta
 from pathlib import Path
@@ -23,7 +24,7 @@ from faultgraph.bugs import (
     parse_timestamp,
 )
 from faultgraph.config import PipelineConfig, ReleaseConfig, load_config
-from faultgraph.errors import ConfigError, FormatError
+from faultgraph.errors import ConfigError, FormatError, records
 from faultgraph.pipeline import load_bug_ledgers
 
 
@@ -90,6 +91,19 @@ def test_a_record_ends_at_newline_only(inside):
     text = f"2007-01-01T00:00:00Z\tdev\tpage{inside}break 500\ta.java\n"
     (entry,) = parse_commit_log_text(text)
     assert entry.message == f"page{inside}break 500"
+
+
+# every character that str.strip removes, the record-ending "\n" apart
+STRIPPED = [c for c in map(chr, range(sys.maxunicode + 1)) if not c.strip() and c != "\n"]
+
+
+@pytest.mark.parametrize("blank", STRIPPED, ids=lambda c: f"U+{ord(c):04X}")
+def test_records_skips_what_strip_would_blank_and_keeps_the_rest_whole(blank):
+    # records tests blankness with isspace, which copies nothing; it holds
+    # for exactly the characters strip removes
+    assert blank.isspace()
+    text = f"a\n{blank * 3}\n\n{blank}b{blank}c\n{blank}\r\n"
+    assert list(records(text)) == [(1, "a"), (4, f"{blank}b{blank}c")]
 
 
 def test_crlf_log_loads_with_unchanged_record_indices():

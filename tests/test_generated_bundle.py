@@ -19,7 +19,7 @@ from faultgraph.cli import main
 GEN = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "gen.py"
 SEED = 11
 INPUTS_SHA256 = "3bc6d32082ab1eb928c17aba98fa579c7f7c51c9b24e187eb4131b9529e95ffa"
-BUNDLES_SHA256 = "aa579df88c7e1085ce8aa1ac83617dbb55d93c5e6a3bf08bdefb38666f24a29e"
+BUNDLES_SHA256 = "479a657c547b034fef81442263d0b9b357c52128648eb06b9c4501830ed4bf63"
 
 
 def digest(roots: list[pathlib.Path]) -> str:

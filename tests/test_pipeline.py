@@ -380,6 +380,94 @@ def test_a_facts_release_chain_decodes_each_new_line_and_extracts_each_message_o
 
 
 # --------------------------------------------------------------------------
+# One encode per distinct CU object and one build per release column
+# --------------------------------------------------------------------------
+
+
+@pytest.fixture(params=["corpus", "facts"])
+def fixture_pair(request, tmp_path, fixtures_dir):
+    """The fixture pair's report config, its releases read from the corpora
+    or from the facts files ``extract`` writes of them."""
+    cfg = json.loads((fixtures_dir / "pipeline_config.json").read_text())
+    cfg["commit_log"], cfg["issue_registry"] = (str(fixtures_dir / cfg[k]) for k in ("commit_log", "issue_registry"))
+    for rel in cfg["releases"]:
+        rel["corpus"] = str(fixtures_dir / rel["corpus"])
+    if request.param == "facts":
+        corpus_cfg = write_cfg(tmp_path, cfg)
+        assert main(["extract", "--config", str(corpus_cfg), "--out", str(tmp_path / "facts")]) == 0
+        for rel in cfg["releases"]:
+            del rel["corpus"]
+            rel["facts"] = str(tmp_path / "facts" / f"facts-{rel['tag']}.jsonl")
+    (tmp_path / "run").mkdir()
+    return write_cfg(tmp_path / "run", cfg)
+
+
+def test_each_distinct_cu_object_is_encoded_once(fixture_pair, tmp_path, monkeypatch, capsys):
+    dumped, encoded = [], count_wrapped(monkeypatch, facts, "_cu_json")
+    dump = facts.dump_facts
+
+    def recording_dump(cus, memo=None):
+        dumped.append(list(cus))  # held, so no id is reused
+        return dump(cus, memo)
+
+    monkeypatch.setattr(facts, "dump_facts", recording_dump)
+    out = tmp_path / "out"
+    assert main(["report", "--config", str(fixture_pair), "--out", str(out)]) == 0
+    capsys.readouterr()
+    r1, r2 = dumped
+    distinct = {id(cu): cu for cu in r1 + r2}
+    assert sorted(map(id, encoded)) == sorted(distinct)
+    assert 0 < len(distinct) - len(r1) < len(r2)  # r2 hands on some objects of r1
+    # the files are those a memo-free dump writes
+    for tag, cus in (("r1", r1), ("r2", r2)):
+        assert (out / f"facts-{tag}.jsonl").read_bytes() == dump(cus).encode()
+
+
+def test_the_encode_memo_holds_the_last_release_written_only(tmp_path, monkeypatch, capsys):
+    # r3 holds r1's text of B, two releases back: it is parsed and encoded
+    # again, and after the run the memo holds r3's objects alone
+    files = {"r1": {"p/A.java": SHARED, "p/B.java": MOVED}, "r2": {"p/A.java": SHARED, "p/C.java": FRESH}}
+    files["r3"] = files["r1"]
+    for tag, corpus in files.items():
+        for rel, text in corpus.items():
+            (tmp_path / tag / rel).parent.mkdir(parents=True, exist_ok=True)
+            (tmp_path / tag / rel).write_text(text)
+    cfg_path = write_cfg(tmp_path, {"releases": [{"tag": tag, "corpus": tag} for tag in files]})
+    memos, dumped = [], []
+
+    class RecordedMemo(RunMemo):
+        __slots__ = ()
+
+        def __init__(self):
+            super().__init__()
+            memos.append(self)
+
+    monkeypatch.setattr(pipeline, "RunMemo", RecordedMemo)
+    encoded = count_wrapped(monkeypatch, facts, "_cu_json")
+    dump = facts.dump_facts
+    monkeypatch.setattr(facts, "dump_facts", lambda cus, memo=None: dumped.append(list(cus)) or dump(cus, memo))
+    assert main(["extract", "--config", str(cfg_path), "--out", str(tmp_path / "out")]) == 0
+    capsys.readouterr()
+    (memo,) = memos
+    r1, r2, r3 = dumped
+    assert [cu.path for cu in encoded] == ["p/A.java", "p/B.java", "p/C.java", "p/B.java"]
+    assert r3[0] is r2[0] is r1[0]  # A, handed on by the source memo
+    assert r3[1] is not r1[1] and r3[1] == r1[1]  # B, decoded again to equal facts
+    assert sorted(memo.encoded) == sorted(map(id, r3))
+    assert all(memo.encoded[id(cu)][0] is cu for cu in r3)
+
+
+def test_each_release_column_is_built_once(tmp_path, monkeypatch, capsys, fixtures_dir):
+    built = []
+    build = pipeline._build_column
+    monkeypatch.setattr(pipeline, "_build_column", lambda data, name: built.append((data.tag, name)) or build(data, name))
+    config = str(fixtures_dir / "pipeline_config.json")
+    assert main(["report", "--config", config, "--out", str(tmp_path / "o")]) == 0
+    capsys.readouterr()
+    assert sorted(built) == sorted((tag, name) for tag in ("r1", "r2") for name in pipeline.DISTRIBUTIONS)
+
+
+# --------------------------------------------------------------------------
 # What the driver frees, and when
 # --------------------------------------------------------------------------
 

@@ -1,6 +1,5 @@
 import contextlib
 import importlib.util
-import inspect
 import json
 import math
 import os
@@ -864,196 +863,56 @@ def test_the_cli_import_loads_every_layer_the_tracer_wraps():
 # -- the discrete MLE's root search ------------------------------------------------
 
 
-def brent_trace(brentq, f, a, b, **tol):
-    """The points ``brentq`` evaluates ``f`` at, then its root as a hex
-    string or the type of the exception it raised."""
-    xs = []
-
-    def traced(x):
-        xs.append(float(x).hex())
-        return f(x)
-
-    try:
-        return xs, float(brentq(traced, a, b, **tol)).hex()
-    except RuntimeError as exc:
-        return xs, type(exc)
+def mpmath_zeta_ratios(s, q):
+    """zeta'/zeta and zeta''/zeta at (s, q) from mpmath. Its Euler-Maclaurin
+    sum stops at an absolute tolerance, so it runs at 30 digits more than
+    zeta(s, q), about q^-s, lies below 1: at a flat 40 digits zeta(27, 1000)
+    comes out 1e-10 off."""
+    with mpmath.workdps(30 + int(float(s) * math.log10(q))):
+        z = [mpmath.zeta(s, int(q), d) for d in (0, 1, 2)]
+        return z[1] / z[0], z[2] / z[0]
 
 
-@contextlib.contextmanager
-def brentq_checked_against_scipy():
-    """Run the block with every ``_brentq`` call replayed through
-    ``scipy.optimize.brentq`` and required to evaluate the same points and
-    return the same root bits; yields the list of roots found."""
-    roots = []
-    port = tailstats._brentq
-
-    def checked(f, a, b, xtol, rtol):
-        ours = brent_trace(port, f, a, b, xtol=xtol, rtol=rtol)
-        assert ours == brent_trace(scipy.optimize.brentq, f, a, b, xtol=xtol, rtol=rtol)
-        roots.append(ours[1])
-        return float.fromhex(ours[1])
-
-    with mock.patch.object(tailstats, "_brentq", checked):
-        yield roots
-
-
-def test_brentq_matches_scipy_on_seeded_discrete_scans():
-    with brentq_checked_against_scipy() as roots:
-        for seed in range(12):
-            rng = np.random.default_rng(seed)
-            xs = zeta_samples(300, 1.3 + 3.2 * rng.random(), int(rng.integers(1, 6)), rng, support_cap=10**4)
-            try:
-                fit_power_law_tail(xs, mode="discrete", min_tail=10)
-            except InsufficientTail:
-                pass
-    assert len(roots) > 100
-
-
-@settings(max_examples=100, deadline=None)
-@given(
-    st.integers(min_value=0, max_value=2**32 - 1),
-    st.integers(min_value=1, max_value=5),
-    st.floats(min_value=1.3, max_value=4.5),
-    st.integers(min_value=20, max_value=400),
-)
-def test_brentq_matches_scipy_on_drawn_zeta_tails(seed, x_min, gamma, n):
-    xs = zeta_samples(n, gamma, x_min, np.random.default_rng(seed), support_cap=10**4)
-    with brentq_checked_against_scipy():
-        try:
-            fit_power_law_tail(xs, mode="discrete", min_tail=10)
-        except InsufficientTail:
-            pass
-
-
-# Generic functions: smooth, flat near the root, steep, stepped, and with a
-# root at a bracket end or hit exactly. With the tolerances below they drive the port
-# through every branch (checked by test_brentq_oracle_reaches_every_path).
-GENERIC = [
-    (lambda x: x**3 - 2 * x - 5, 2.0, 3.0),
-    (lambda x: math.cos(x) - x, 0.0, 1.0),
-    (lambda x: math.exp(x) - 1e6, 0.0, 30.0),
-    (lambda x: (x - 1.0) ** 3, 0.0, 3.0),
-    (lambda x: (x - 0.3) ** 9, -4.0, 7.0),
-    (lambda x: math.tanh(50 * (x - 0.3)), -1.0, 10.0),
-    (lambda x: math.copysign(1.0, x - math.pi), 0.0, 10.0),
-    (lambda x: math.atan(x - 1e-3) + 1e-9 * x, -1e3, 1e5),
-    (lambda x: x - 0.5, 0.0, 1.0),  # bisection lands on the root exactly
-    (lambda x: x * x - 4.0, 0.0, 2.0),  # f(b) == 0
-    (lambda x: x * x - 4.0, -2.0, 0.0),  # f(a) == 0
-]
-TOLERANCES = [
-    {"xtol": 1e-12, "rtol": 8.9e-16},
-    {"xtol": 2e-12, "rtol": 4 * np.finfo(float).eps},
-    {"xtol": 1e-6, "rtol": 1e-10},
-    {"xtol": 1e-3, "rtol": 1e-3},
-    {"xtol": 0.25, "rtol": 8.9e-16},
-]
-
-
-@pytest.mark.parametrize("tol", TOLERANCES, ids=lambda t: f"{t['xtol']:g}-{t['rtol']:g}")
-@pytest.mark.parametrize("case", range(len(GENERIC)))
-def test_brentq_matches_scipy_on_generic_functions(case, tol):
-    f, a, b = GENERIC[case]
-    assert brent_trace(tailstats._brentq, f, a, b, **tol) == brent_trace(scipy.optimize.brentq, f, a, b, **tol)
-
-
-def test_brentq_oracle_reaches_every_path():
-    code = tailstats._brentq.__code__
-    lines, first = inspect.getsourcelines(tailstats._brentq)
-    marks = ("# interpolate", "# extrapolate", "# good short step", "# bisect", "# minimum step")
-    # the statement after a marked line runs exactly when its path is taken
-    wanted = {first + i + 1: m for i, line in enumerate(lines) for m in marks if m in line}
-    assert len(wanted) == 6
-    seen = set()
-
-    def tracer(frame, event, arg):
-        if frame.f_code is code:
-            if event == "line":
-                seen.add(frame.f_lineno)
-            return tracer
-        return None
-
-    sys.settrace(tracer)
-    try:
-        for f, a, b in GENERIC:
-            for tol in TOLERANCES:
-                brent_trace(tailstats._brentq, f, a, b, **tol)
-    finally:
-        sys.settrace(None)
-    assert sorted(wanted[n] for n in wanted.keys() - seen) == []
-
-
-def test_brentq_returns_exact_roots():
-    assert tailstats._brentq(lambda x: x * x - 4.0, 0.0, 2.0, xtol=1e-12, rtol=8.9e-16) == 2.0
-    assert tailstats._brentq(lambda x: x * x - 4.0, -2.0, 0.0, xtol=1e-12, rtol=8.9e-16) == -2.0
-    assert tailstats._brentq(lambda x: x - 0.5, 0.0, 1.0, xtol=1e-12, rtol=8.9e-16) == 0.5
-
-
-def test_brentq_gives_up_after_100_iterations_like_scipy():
-    # a sign step at 0 bracketed by [-1, 1e300]: bisection down to the 1e-300
-    # tolerance takes about 2000 halvings
-    def step(x):
-        return 1.0 if x > 0 else -1.0
-
-    tol = {"xtol": 1e-300, "rtol": 4 * np.finfo(float).eps}
-    ours = brent_trace(tailstats._brentq, step, -1.0, 1e300, **tol)
-    assert ours == (ours[0], RuntimeError)
-    assert len(ours[0]) == 2 + 100
-    assert ours == brent_trace(scipy.optimize.brentq, step, -1.0, 1e300, **tol)
-
-
-def discrete_gamma_with_scipy(tail, x_min):
-    """The discrete MLE solved by ``scipy.optimize.brentq``, with the
-    bracketing of ``tailstats._discrete_gamma``."""
-    mean_log = float(np.mean(np.log(tail)))
-    if mean_log <= math.log(x_min) + 1e-12:
-        raise InsufficientTail("tail has no spread above x_min")
-    h = 1e-6
-
-    def g(gamma):
-        zeta = scipy.special.zeta
-        return (math.log(zeta(gamma + h, x_min)) - math.log(zeta(gamma - h, x_min))) / (2 * h) + mean_log
-
-    lo = 1.0 + 1e-4
-    if g(lo) >= 0.0:
-        raise InsufficientTail("tail too heavy")
-    hi = 2.0
-    while g(hi) < 0.0:
-        hi *= 2.0
-        if hi > 2.0**20:
-            raise InsufficientTail("tail too concentrated")
-    return float(scipy.optimize.brentq(g, lo, hi, xtol=1e-12, rtol=8.9e-16))
-
-
-def discrete_scan_with_scipy(xs, min_tail):
-    """Oracle: the discrete scan as a fit at every candidate x_min, each
-    gamma from discrete_gamma_with_scipy and each KS distance from
-    discrete_ks_with_scipy, keeping the smallest KS distance with ties to
-    the smaller x_min."""
-    arr = np.sort(np.asarray(xs, dtype=float))
-    values = np.unique(arr)
-    above = arr.size - np.searchsorted(arr, values, side="left")
-    best = None
-    for v in values[above >= min_tail].tolist():
-        tail = arr[arr >= v]
-        if np.unique(tail).size < 2:
-            continue
-        try:
-            gamma = discrete_gamma_with_scipy(tail, int(v))
-        except InsufficientTail:
-            continue
-        fit = tailstats.TailFit(gamma, v, discrete_ks_with_scipy(tail, gamma, v), int(tail.size))
-        if best is None or fit.ks < best.ks:
-            best = fit
-    return best
-
-
-def mpmath_discrete_gamma(tail, x_min, near):
-    """The discrete MLE at ``x_min``, the root nearest ``near``, from
-    mpmath's Hurwitz zeta and its derivative at 40 digits."""
+def mpmath_discrete_gamma(tail, x_min, near, ratios=mpmath_zeta_ratios):
+    """The discrete MLE at ``x_min``: Newton steps from ``near`` on g(s) =
+    mean(log x) + zeta'(s, x_min) / zeta(s, x_min), at 40 digits and with
+    ``ratios`` giving zeta'/zeta and zeta''/zeta, up to one below 1e-12
+    relative: the error left after a step is about its square."""
     with mpmath.workdps(40):
         mean_log = mpmath.fsum(mpmath.log(int(v)) for v in tail) / len(tail)
-        return mpmath.findroot(lambda s: mpmath.zeta(s, int(x_min), 1) / mpmath.zeta(s, int(x_min)) + mean_log, near)
+        s = mpmath.mpf(near)
+        for _ in range(8):
+            r1, r2 = ratios(s, x_min)
+            step = (r1 + mean_log) / (r2 - r1 * r1)
+            s -= step
+            if abs(step) < mpmath.mpf(10) ** -12 * s:
+                return s
+    raise AssertionError(f"no convergence from {near} at x_min {x_min}")
+
+
+def candidate_tails(xs, min_tail=10):
+    """(tail, x_min) of each candidate x_min of ``xs`` with ``min_tail``
+    samples at or above it and two distinct values."""
+    arr = np.sort(np.asarray(xs, dtype=float))
+    values, above = _at_least(arr)
+    return [(arr[arr.size - above[k] :], float(values[k])) for k in np.flatnonzero(above >= min_tail)[:-1].tolist()]
+
+
+def discrete_scan_with_mpmath(xs, min_tail, memo):
+    """Oracle: the discrete scan as a fit at every candidate x_min, each
+    gamma refined by mpmath_discrete_gamma from the fitted one and each KS
+    distance from discrete_ks_with_scipy, keeping the smallest KS distance
+    with ties to the smaller x_min. ``memo`` keeps each candidate's fit."""
+    best = None
+    for tail, x_min in candidate_tails(xs, min_tail):
+        if x_min not in memo:
+            # each tail here spreads above its x_min and has its MLE in the
+            # root search's range, so no candidate is passed over
+            gamma = float(mpmath_discrete_gamma(tail, x_min, tailstats._discrete_gamma(tail, int(x_min))))
+            memo[x_min] = TailFit(gamma, x_min, discrete_ks_with_scipy(tail, gamma, x_min), int(tail.size))
+        if best is None or memo[x_min].ks < best.ks:
+            best = memo[x_min]
+    return best
 
 
 def mpmath_discrete_ks(tail, gamma, x_min):
@@ -1073,14 +932,168 @@ def discrete_ks_with_scipy(tail, gamma, x_min):
     return float(np.max(np.abs(emp - scipy.special.zeta(gamma, values) / scipy.special.zeta(gamma, x_min))))
 
 
+def assert_close_fits(got, want):
+    # the same x_min and tail, and the gamma and KS distance of the exact MLE
+    assert (got.x_min, got.n_tail) == (want.x_min, want.n_tail)
+    assert relative_error(got.gamma, want.gamma) <= 1e-13
+    assert abs(got.ks - want.ks) <= 1e-13
+
+
 @pytest.mark.parametrize("gamma,x_min", [(1.6, 1), (2.4, 1), (3.0, 2), (4.2, 5)])
-def test_discrete_scan_matches_scipy_root_oracle(gamma, x_min):
+def test_discrete_scan_matches_the_mpmath_root_oracle(gamma, x_min):
     xs = zeta_samples(3000, gamma, x_min, np.random.default_rng(int(gamma * 10) + x_min))
+    memo = {}
     for min_tail in (10, 50):
-        # equal finite non-zero doubles have equal bits
         fit = fit_power_law_tail(xs, mode="discrete", min_tail=min_tail)
-        assert fit == discrete_scan_with_scipy(xs, min_tail)
+        assert_close_fits(fit, discrete_scan_with_mpmath(xs, min_tail, memo))
         assert fit == scan_every_candidate(xs, min_tail, mode="discrete")
+
+
+@pytest.mark.parametrize("x", [1.0001, 1.05, 1.3, 2.0, 3.5, 7.0, 12.0, 19.6, 30.0])
+def test_the_zeta_moments_match_mpmath(x):
+    # zeta'/zeta and zeta''/zeta from the one pass, at q from 1 to 10^6
+    # where it sums directly, uses Euler-Maclaurin or stops early; at
+    # x = 30 a stop that watches the zeta alone leaves them 3.4e-12 off
+    for q in (1, 2, 3, 8, 9, 10, 31, 100, 1000, 12_345, 10**5, 10**6):
+        s0, s1, s2 = tailstats._zeta_moments(x, float(q))
+        mean, log_q = s1 / s0, math.log(q)
+        r1, r2 = mpmath_zeta_ratios(mpmath.mpf(x), q)
+        assert relative_error(-mean - log_q, r1) <= 1e-14, q
+        assert relative_error(s2 / s0 + 2 * log_q * mean + log_q * log_q, r2) <= 1e-14, q
+
+
+def test_the_zeta_moments_of_the_asymptotic_branch_match_mpmath():
+    # q above 1e8, in units of q: the expansion and its two derivatives
+    for q in (10**8 + 1, 3 * 10**9, 10**12):
+        for x in (1.001, 1.5, 2.5, 52.0):
+            s0, s1, s2 = tailstats._zeta_moments(x, float(q))
+            mean, log_q = s1 / s0, math.log(q)
+            r1, r2 = mpmath_zeta_ratios(mpmath.mpf(x), q)
+            assert relative_error(-mean - log_q, r1) <= 1e-14, (q, x)
+            assert relative_error(s2 / s0 + 2 * log_q * mean + log_q * log_q, r2) <= 1e-14, (q, x)
+
+
+def fixture_tail(name):
+    return [v for v in (float(s) for s in (TAILS / f"{name}-r1.txt").read_text().split()) if v > 0]
+
+
+@pytest.mark.parametrize("name", ["bugs_per_cu", "in_links", "cu_loc"])
+def test_every_discrete_gamma_of_a_pinned_tail_is_the_exact_mle(name):
+    checked = 0
+    for tail, x_min in candidate_tails(fixture_tail(name)):
+        gamma = tailstats._discrete_gamma(tail, int(x_min))
+        assert relative_error(gamma, mpmath_discrete_gamma(tail, x_min, gamma)) <= 1e-13, x_min
+        checked += 1
+    assert checked >= 10
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_every_discrete_gamma_of_a_seeded_zeta_draw_is_the_exact_mle(seed):
+    rng = np.random.default_rng(seed)
+    xs = zeta_samples(300, 1.3 + 3.2 * rng.random(), int(rng.integers(1, 6)), rng, support_cap=10**4)
+    for tail, x_min in candidate_tails(xs):
+        try:
+            gamma = tailstats._discrete_gamma(tail, int(x_min))
+        except InsufficientTail:
+            continue
+        assert relative_error(gamma, mpmath_discrete_gamma(tail, x_min, gamma)) <= 1e-13, x_min
+
+
+@pytest.mark.parametrize("name", ["bugs_per_cu", "in_links", "cu_loc", "wide"])
+def test_the_discrete_root_search_takes_few_passes_per_candidate(monkeypatch, name):
+    # Brent's method on a central difference took about 21 steps of two
+    # zetas each; a pass costs about two
+    xs = wide_discrete_tail(7, 1000) if name == "wide" else fixture_tail(name)
+    counts = {"passes": 0, "solves": 0}
+    moments, solve = tailstats._zeta_moments, tailstats._discrete_gamma
+
+    def counted_moments(x, q):
+        counts["passes"] += 1
+        return moments(x, q)
+
+    def counted_solve(tail, x_min):
+        counts["solves"] += 1
+        return solve(tail, x_min)
+
+    monkeypatch.setattr(tailstats, "_zeta_moments", counted_moments)
+    monkeypatch.setattr(tailstats, "_discrete_gamma", counted_solve)
+    fit_power_law_tail(xs, mode=DISCRETE)
+    assert counts["solves"] >= 8
+    assert counts["passes"] <= 8 * counts["solves"]
+
+
+def test_the_root_search_falls_back_to_the_range_end_and_bisection(monkeypatch):
+    # a step out of the bracket is replaced: by the range's end while g
+    # there is unseen, else by bisection. With the first Newton step made a
+    # billion times too long, the second pass is at 2^20, where at x_min 1
+    # every term past the first underflows and there is no slope; the third
+    # bisects. The fit still reaches the exact root.
+    tail, x_min = candidate_tails(fixture_tail("in_links"))[0]
+    assert x_min == 1.0
+    want = tailstats._discrete_gamma(tail, 1)
+    moments = tailstats._zeta_moments
+    seen = []
+
+    def overshooting(x, q):
+        seen.append(x)
+        s0, s1, s2 = moments(x, q)
+        if len(seen) > 1:
+            return s0, s1, s2
+        mean = s1 / s0
+        return s0, s1, s0 * (mean * mean + (s2 / s0 - mean * mean) * 1e-9)
+
+    monkeypatch.setattr(tailstats, "_zeta_moments", overshooting)
+    got = tailstats._discrete_gamma(tail, 1)
+    assert relative_error(got, mpmath_discrete_gamma(tail, x_min, want)) <= 1e-13
+    assert seen[1] == tailstats._ROOT_HI
+    assert seen[2] == (seen[0] + seen[1]) / 2
+    assert len(seen) < tailstats._ROOT_STEPS
+
+
+# Generic functions for the root search, each with its slope and a bracket,
+# rising through a simple root as g does: smooth, steep, flat far from the
+# root, infinitely steep at it, stepped, and with a root at a bracket end or
+# hit at once. A root of multiplicity m is outside the search's reach: there
+# a Newton step falls short of the root by m - 1 times its length, so a
+# step within the tolerance does not put the root within it.
+GENERIC = [
+    (lambda x: x**3 - 2 * x - 5, lambda x: 3 * x * x - 2, 2.0, 3.0),
+    (lambda x: x - math.cos(x), lambda x: 1 + math.sin(x), 0.0, 1.0),
+    (lambda x: math.exp(x) - 1e6, math.exp, 0.0, 30.0),
+    (lambda x: (x - 1.0) ** 3 + (x - 1.0), lambda x: 3 * (x - 1.0) ** 2 + 1, 0.0, 3.0),
+    # each Newton step overshoots the root twice over, so bisection finds it
+    (lambda x: math.copysign(abs(x - 0.3) ** (1 / 3), x - 0.3), lambda x: abs(x - 0.3) ** (-2 / 3) / 3, -4.0, 7.0),
+    # the slope underflows away from the root, so bisection finds it
+    (lambda x: math.tanh(50 * (x - 0.3)), lambda x: 50 * (1 - math.tanh(50 * (x - 0.3)) ** 2), -1.0, 10.0),
+    (lambda x: math.copysign(1.0, x - math.pi), lambda x: 0.0, 0.0, 10.0),
+    (lambda x: math.atan(x - 1e-3) + 1e-9 * x, lambda x: 1 / (1 + (x - 1e-3) ** 2) + 1e-9, -1e3, 1e5),
+    (lambda x: x - 0.5, lambda x: 1.0, 0.0, 1.0),  # the start is the root
+    (lambda x: x * x - 4.0, lambda x: 2 * x, 0.0, 2.0),  # f(b) == 0
+    (lambda x: 4.0 - x * x, lambda x: -2 * x, -2.0, 0.0),  # f(a) == 0
+]
+TOLERANCES = [
+    {"xtol": 1e-12, "rtol": 8.9e-16},
+    {"xtol": 2e-12, "rtol": 4 * np.finfo(float).eps},
+    {"xtol": 1e-6, "rtol": 1e-10},
+    {"xtol": 1e-3, "rtol": 1e-3},
+    {"xtol": 0.25, "rtol": 8.9e-16},
+]
+
+
+@pytest.mark.parametrize("tol", TOLERANCES, ids=lambda t: f"{t['xtol']:g}-{t['rtol']:g}")
+@pytest.mark.parametrize("case", range(len(GENERIC)))
+def test_brentq_matches_scipy_on_generic_functions(case, tol):
+    # the root search, started at the bracket's midpoint, and scipy's brentq
+    # at the same tolerances each land within xtol + rtol |root| of the root
+    f, slope, a, b = GENERIC[case]
+    ours = tailstats._newton_root(lambda x: (f(x), slope(x)), a, b, 0.5 * (a + b), **tol)
+    theirs = scipy.optimize.brentq(f, a, b, **tol)
+    root = scipy.optimize.brentq(f, a, b, xtol=1e-300, rtol=4 * np.finfo(float).eps, maxiter=1000)
+    within = tol["xtol"] + tol["rtol"] * abs(root)
+    assert abs(ours - root) <= within
+    assert abs(ours - theirs) <= 2 * within
+    if f(theirs) == 0.0:  # a root hit exactly is returned as it is
+        assert ours == theirs
 
 
 # -- the Hurwitz zeta and the discrete KS distance --------------------------------
@@ -1113,10 +1126,10 @@ def test_hurwitz_zeta_matches_scipy_bit_for_bit():
     assert np.count_nonzero((got > 0.0) & (q <= 9.0) & (x < 6.0)) > 1000  # Euler-Maclaurin
 
 
-def wide_discrete_tail(seed=3):
-    # 3000 draws of floor(U^-20) held at 2^53: 1,919 distinct values
-    # spanning the whole range of integers a double holds exactly
-    u = np.random.default_rng(seed).random(3000)
+def wide_discrete_tail(seed=3, n=3000):
+    # n draws of floor(U^-20) held at 2^53, gamma near 1.05: at seed 3, 1,919
+    # distinct values spanning the whole range of integers a double holds exactly
+    u = np.random.default_rng(seed).random(n)
     with np.errstate(over="ignore", divide="ignore"):
         return np.minimum(np.floor(u**-20.0), 2.0**53)
 
@@ -1351,24 +1364,36 @@ def test_a_tail_piled_at_x_min_is_insufficient_not_a_crash():
     assert fit_power_law_tail(xs, mode=DISCRETE, min_tail=10).gamma > 1.0
 
 
+def summed_zeta_ratios(s, q, terms=200):
+    """zeta'/zeta and zeta''/zeta at (s, q) from the first ``terms`` terms
+    of each sum, in units of q, at 40 digits: where s / q is large the rest
+    lie below every digit kept, and mpmath's zeta would need s log10(q)
+    digits more."""
+    with mpmath.workdps(40):
+        t = [((q + k) / mpmath.mpf(q)) ** -s for k in range(terms)]
+        logs = [mpmath.log(q + k) for k in range(terms)]
+        z0 = mpmath.fsum(t)
+        return -mpmath.fsum(a * b for a, b in zip(t, logs)) / z0, mpmath.fsum(a * b * b for a, b in zip(t, logs)) / z0
+
+
 def test_a_discrete_tail_whose_zeta_underflows_fits_to_the_exact_mle():
     # Near these MLEs, about gamma 52 at x_min 1e9 (the zeta's asymptotic
-    # branch) and 55 at 3e7 (Euler-Maclaurin), and past them in the root
-    # search's bracket, zeta(gamma, x_min) is below the double range. The
-    # gammas are 2.3e-8 and 1.7e-8 relative from the MLE: the likelihood is
-    # flat there, so the root magnifies the rounding of the difference.
+    # branch) and 55 at 3e7 (Euler-Maclaurin), zeta(gamma, x_min) is below
+    # the double range; the root search takes its sums in units of x_min,
+    # where they are within a few ulps
     rng = np.random.default_rng(3)
     for x_min in (10**9, 3 * 10**7):
         xs = np.floor(x_min * (1 - rng.random(400)) ** (-1 / 50))
         assert tailstats._hurwitz_zeta(52.0, float(x_min)) == 0.0
         fit = fit_power_law_tail(xs, mode=DISCRETE, x_min=x_min)
-        assert relative_error(fit.gamma, mpmath_discrete_gamma(xs, x_min, fit.gamma)) <= 1e-5
+        assert relative_error(fit.gamma, mpmath_discrete_gamma(xs, x_min, fit.gamma)) <= 4e-15
         assert abs(fit.ks - mpmath_discrete_ks(xs, fit.gamma, x_min)) <= 1e-13
     # the pile that once read as underflow: 20 samples at 1,000 and one at
-    # 1,001 fit near gamma 3,093, 3.3e-7 relative from the MLE
+    # 1,001 fit near gamma 3,093, where the likelihood is so flat that a
+    # sum term x ulps off moves the root 1e-13 relative
     xs = np.array([1000.0] * 20 + [1001.0])
     fit = _fit_at(xs, 1000.0, DISCRETE)
-    assert relative_error(fit.gamma, mpmath_discrete_gamma(xs, 1000, fit.gamma)) <= 1e-5
+    assert relative_error(fit.gamma, mpmath_discrete_gamma(xs, 1000, fit.gamma, summed_zeta_ratios)) <= 4e-15
     assert abs(fit.ks - mpmath_discrete_ks(xs, fit.gamma, 1000)) <= 1e-13
 
 
@@ -1520,13 +1545,14 @@ TAILS = pathlib.Path(__file__).parent / "fixtures" / "tails"
 
 # (gamma, x_min, ks) as float.hex, then n_tail, of fit_power_law_tail on the
 # positive values of each file: the in_links, cu_loc and bugs_per_cu
-# distributions of release r1 of the release-pair benchmark corpus, seed 7
+# distributions of release r1 of the release-pair benchmark corpus, seed 7.
+# Each discrete gamma is within 2e-16 relative of mpmath's MLE at its x_min.
 PINNED_FITS = {
-    ("bugs_per_cu", "discrete"): ("0x1.537bc30b3d9aap+1", "0x1.0000000000000p+2", "0x1.337d85a0a7e10p-5", 302),
+    ("bugs_per_cu", "discrete"): ("0x1.537bc308a3c33p+1", "0x1.0000000000000p+2", "0x1.337d85c3f6180p-5", 302),
     ("bugs_per_cu", "continuous"): ("0x1.61692b8d52c1dp+1", "0x1.c000000000000p+2", "0x1.8618618618618p-3", 105),
-    ("in_links", "discrete"): ("0x1.20a62eb26be4ep+1", "0x1.8000000000000p+2", "0x1.ebda56686be10p-5", 90),
+    ("in_links", "discrete"): ("0x1.20a62eb0e9050p+1", "0x1.8000000000000p+2", "0x1.ebda5651b6440p-5", 90),
     ("in_links", "continuous"): ("0x1.1dcf3e27cde88p+1", "0x1.0000000000000p+3", "0x1.0000000000000p-3", 56),
-    ("cu_loc", "discrete"): ("0x1.1c18cf7f54c82p+2", "0x1.1400000000000p+6", "0x1.4bec646963b10p-5", 75),
+    ("cu_loc", "discrete"): ("0x1.1c18cf784fab6p+2", "0x1.1400000000000p+6", "0x1.4bec640f57cd0p-5", 75),
     ("cu_loc", "continuous"): ("0x1.21aff493ca3b8p+2", "0x1.1400000000000p+6", "0x1.838625436a3e0p-5", 75),
 }
 
