@@ -13,10 +13,10 @@ This module owns the process's run-time policies:
   after this import alone. A freeze moves them all to the permanent
   generation, which no collection walks. Handlers registered before this
   import run after the freeze, and the exit status is the command's.
-- BLAS runs on one thread. No command calls a BLAS routine, yet numpy's and
-  scipy's OpenBLAS each start a pool of worker threads on import whose idle
-  workers spin and slow start-up, so ``OPENBLAS_NUM_THREADS`` is set to 1
-  before numpy is first imported, unless the environment already sets it.
+- BLAS runs on one thread. No command calls a BLAS routine, yet numpy's
+  OpenBLAS starts a pool of worker threads on import whose idle workers
+  spin and slow start-up, so ``OPENBLAS_NUM_THREADS`` is set to 1 before
+  numpy is first imported, unless the environment already sets it.
 - ``logging`` is imported only when a warning is given
   (``errors.warn``); ``main`` asks for warnings on stderr as
   ``LEVEL logger: message``.

@@ -48,9 +48,10 @@ at the tail's distinct values, and it is found the way the screen bounds a
 segment: both CCDFs never rise along the tail, so the gaps at two values
 bound every gap between them. The fitted CCDF is evaluated at both ends of
 the tail, then segments are bisected, largest bound first, until no bound
-passes the largest gap found. The result is the full maximum. Where
-zeta(gamma, x_min) lies below the double range, the KS distance takes the
-zetas in units of x_min instead.
+passes the largest gap found. The result is the full maximum. The fitted
+CCDF is ``_zeta_ccdf``, the one the sampler ``zeta_samples`` inverts:
+where zeta(gamma, x_min) lies below the double range, it takes both zetas
+in units of x_min.
 
 The discrete gamma is the root of the likelihood equation, found by
 safeguarded Newton steps (``_newton_root``). Each step takes the zeta and
@@ -60,18 +61,16 @@ of the exact MLE. From the approximate MLE of Clauset, Shalizi and Newman (2009,
 3.7) a root search takes 3 to 5 passes on the benchmark's count columns
 and 1 to 4 on 3,000 draws of floor(U^-20); a pass costs about two zetas.
 
-The math is ported, so that fits and tests need numpy alone: the Hurwitz
-zeta of the KS distance is ``_hurwitz_zeta``, Cephes' ``zeta(x, q)``, which
-the tests hold to scipy bit for bit, and ``_zeta_moments`` follows its
-steps. The chi-square p-value is a closed form over ``math``.
-scipy remains in one place: ``zeta_samples`` evaluates up to 10^6 CCDF
-points at once, where the ``scipy.special.zeta`` ufunc is more than ten
-times faster per point than the port, so it imports it on its first call.
-Of all commands only ``fit --synthetic discrete`` loads scipy.
+The math is ported, so that every command needs numpy alone: the Hurwitz
+zeta is ``_hurwitz_zeta``, Cephes' ``zeta(x, q)``, which the tests hold to
+scipy bit for bit, and ``_zeta_moments`` follows its steps. The chi-square
+p-value is a closed form over ``math``.
 """
 
+import bisect
 import heapq
 import math
+from functools import cache
 from typing import NamedTuple
 
 import numpy as np
@@ -406,29 +405,41 @@ def _ks_distance(tail: np.ndarray, gamma: float, x_min: float, mode: str) -> flo
     return max(d_at, d_between)
 
 
+def _zeta_ccdf(gamma: float, x_min: float):
+    """The zeta CCDF P(X >= v) = zeta(gamma, v) / zeta(gamma, x_min), as a
+    function of v >= x_min that takes each value once. Where
+    zeta(gamma, x_min) lies below the double range, both zetas are taken
+    in units of x_min."""
+    unit = 1.0
+    norm = _hurwitz_zeta(gamma, x_min)
+    if not norm:
+        unit = x_min
+        norm = _hurwitz_zeta(gamma, x_min, unit)
+
+    @cache
+    def at(v: float) -> float:
+        return _hurwitz_zeta(gamma, v, unit) / norm
+
+    return at
+
+
 def _discrete_ks(values: list[float], emp: list[float], gamma: float, x_min: float) -> float:
-    """The largest of |emp[i] - fit[i]| over the distinct tail ``values``,
-    where fit is the zeta CCDF zeta(gamma, v) / zeta(gamma, x_min). Neither
-    curve rises along the tail, so at p < i < q the gap is at most the
-    larger of emp[p + 1] - fit[q] and fit[p] - emp[q - 1], as in
+    """The largest of |emp[i] - fit(values[i])| over the distinct tail
+    ``values``, where fit is the zeta CCDF (``_zeta_ccdf``). Neither curve
+    rises along the tail, so at p < i < q the gap is at most the larger of
+    emp[p + 1] - fit(values[q]) and fit(values[p]) - emp[q - 1], as in
     _Screen.upper. The fit is taken at both ends of the tail, then segments
     are bisected, largest bound first, until no bound plus _SCAN_SLACK
     passes the largest gap found: that gap is the maximum over every value,
     bit for bit."""
-    unit = 1.0
-    norm = _hurwitz_zeta(gamma, x_min)
-    if not norm:  # below the double range: take both zetas in units of x_min
-        unit = x_min
-        norm = _hurwitz_zeta(gamma, x_min, unit)
-    fit = {}
+    fit = _zeta_ccdf(gamma, x_min)
 
     def gap(i: int) -> float:
-        fit[i] = _hurwitz_zeta(gamma, values[i], unit) / norm
-        return abs(emp[i] - fit[i])
+        return abs(emp[i] - fit(values[i]))
 
     def push(p: int, q: int) -> None:
         if q - p > 1:
-            bound = max(emp[p + 1] - fit[q], fit[p] - emp[q - 1]) + _SCAN_SLACK
+            bound = max(emp[p + 1] - fit(values[q]), fit(values[p]) - emp[q - 1]) + _SCAN_SLACK
             if bound > best:
                 heapq.heappush(segments, (-bound, p, q))
 
@@ -722,14 +733,23 @@ def pareto_samples(n: int, gamma: float, x_min: float = 1.0, rng=None) -> np.nda
     return x_min * (1.0 - u) ** (-1.0 / (gamma - 1.0))
 
 
+# the most CCDF points zeta_samples takes one by one from x_min
+_ZETA_DENSE = 4096
+
+
 def zeta_samples(n: int, gamma: float, x_min: int = 1, rng=None, support_cap: int = 10**6) -> np.ndarray:
     """Discrete power-law samples drawn from the exact zeta weights.
 
     Inverse transform over P(X >= k) = zeta(gamma, k) / zeta(gamma, x_min)
     for integer k, truncated at support_cap (the truncated mass is far below
-    1/n for the exponents used here). The CCDF is evaluated in doubling
-    blocks from x_min until it falls to the smallest draw, so the cost
-    follows the largest sample rather than the cap.
+    1/n for the exponents used here): a draw u gives the largest k <=
+    support_cap with P(X >= k) > u (Clauset, Shalizi and Newman 2009,
+    appendix D). The CCDF (``_zeta_ccdf``) is taken at every k from x_min
+    until it falls to the smallest draw, for at most _ZETA_DENSE points.
+    A draw below the CCDF at the cap is the cap, and any other draw past
+    those points is found by bisection. So the cost follows the draws
+    rather than the cap, and as the CCDF never rises, every draw is the one
+    a CCDF over the whole support gives.
     """
     if not (math.isfinite(gamma) and gamma > 1.0):
         raise DomainError(f"zeta_samples requires a finite gamma > 1, got {gamma}")
@@ -737,26 +757,34 @@ def zeta_samples(n: int, gamma: float, x_min: int = 1, rng=None, support_cap: in
         raise DomainError(f"x_min must be an integer >= 1, got {x_min}")
     if x_min > support_cap:
         raise DomainError(f"x_min={x_min} is above the support cap {support_cap}")
-    from scipy.special import zeta as hurwitz_zeta
-
+    x_min = int(x_min)
     rng = np.random.default_rng() if rng is None else rng
     u = rng.random(n)
     lowest = u.min(initial=1.0)
-    norm = hurwitz_zeta(gamma, float(x_min))
-    blocks = []
-    start, width = x_min, 64
-    while start <= support_cap:
-        stop = min(start + width, support_cap + 1)
-        blocks.append(hurwitz_zeta(gamma, np.arange(start, stop, dtype=float)) / norm)
-        if blocks[-1][-1] <= lowest:
+    tail_p = _zeta_ccdf(gamma, x_min)
+    dense = []
+    for k in range(x_min, min(x_min + _ZETA_DENSE, support_cap + 1)):
+        dense.append(tail_p(k))
+        if dense[-1] <= lowest:
             break
-        start, width = stop, 2 * width
-    tail_p = np.concatenate(blocks)
-    # X = largest k with P(X >= k) > u; tail_p is decreasing, and every u
-    # finds its answer in the evaluated prefix or is capped at its end
-    counts = np.searchsorted(-tail_p, -u, side="left")
-    counts = np.clip(counts, 1, tail_p.size)
-    return (x_min + counts - 1).astype(float)
+    # every u is below P(X >= x_min) = 1, so each count is at least 1
+    counts = np.searchsorted(-np.array(dense), -u, side="left")
+    draws = (x_min + counts - 1).astype(float)
+    last = x_min + len(dense) - 1
+    past = np.flatnonzero(counts == len(dense))  # draws below the CCDF at every dense point
+    if last < support_cap and past.size:
+        capped = u[past] < tail_p(support_cap)
+        draws[past[capped]] = support_cap
+        past = past[~capped]
+        support = range(last + 1, support_cap + 1)
+
+        def minus_p(k: int) -> float:
+            return -tail_p(k)
+
+        for i, minus_u in zip(past.tolist(), (-u[past]).tolist()):
+            # the first k past the dense points with P(X >= k) <= u
+            draws[i] = support[bisect.bisect_left(support, minus_u, key=minus_p)] - 1
+    return draws
 
 
 # --------------------------------------------------------------------------

@@ -247,6 +247,29 @@ def test_fit_synthetic_is_seeded_and_deterministic(capsys):
     assert "gamma=" in out_a
 
 
+@pytest.mark.parametrize(
+    "spec, seed, fit",
+    [
+        ("discrete:2.5:2000", "0", "gamma=2.46798303529 x_min=1 ks=0.00556712438922"),
+        ("discrete:2.5:2000", "4", "gamma=2.49853662854 x_min=1 ks=0.00737389194173"),
+        # an explicit x_min reaches the sampler as a float
+        ("discrete:2.5:2000:3", "4", "gamma=2.50943939235 x_min=3 ks=0.00903997210428"),
+    ],
+)
+def test_fit_synthetic_discrete_output_is_pinned(capsys, spec, seed, fit):
+    line = f"distribution=synthetic mode=discrete status=ok {fit} n_tail=2000\n"
+    assert run(capsys, "fit", "--synthetic", spec, "--seed", seed) == (0, line, "")
+
+
+def test_fit_synthetic_discrete_draws_where_the_zeta_at_x_min_underflows(capsys):
+    # zeta(200, 100) is about 1e-400, yet P(X >= 101) is about 0.137
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(capsys, "fit", "--synthetic", "discrete:200:100:100")
+    assert (code, err) == (0, "")
+    assert "status=ok" in out and " x_min=100 " in out
+
+
 def test_fit_samples_file(tmp_path, capsys):
     from faultgraph.tailstats import pareto_samples
     import numpy as np

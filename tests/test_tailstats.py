@@ -754,35 +754,28 @@ def fitted_pair(tmp_path_factory):
 
 
 def test_report_fit_and_evolve_load_no_scipy(tmp_path, fitted_pair):
-    # the fixture's chi-square tests, and the discrete fits of the seed-11
-    # pair with their Hurwitz zeta, run on numpy alone
+    # the fixture's chi-square tests, the discrete fits of the seed-11 pair
+    # with their Hurwitz zeta, and the zeta sampler run on numpy alone
     for argv in (
         ("report", "--config", str(CONFIG), "--out", str(tmp_path / "report")),
         ("evolve", "--config", str(CONFIG), "--out", str(tmp_path / "evolve")),
         ("report", "--config", str(fitted_pair), "--out", str(tmp_path / "fitted-report")),
         ("fit", "--config", str(fitted_pair), "--out", str(tmp_path / "fitted-fit")),
+        ("fit", "--synthetic", "discrete:2.5:2000"),
     ):
         assert loaded_by(*argv).modules == [], argv
     tailfits = (tmp_path / "fitted-fit" / "tailfit-r1.tsv").read_text().splitlines()[1:]
     assert [row.split("\t")[1:3] for row in tailfits].count(["discrete", "ok"]) == 8
 
 
-def test_a_synthetic_discrete_fit_loads_the_zeta_ufunc_and_no_root_finder():
-    # zeta_samples draws through scipy.special.zeta; the fit solves the
-    # discrete MLE with the ported zeta and root search
-    loaded = loaded_by("fit", "--synthetic", "discrete:2.5:2000").modules
-    assert "scipy.special" in loaded
-    assert not [m for m in loaded if m == "scipy.optimize" or m.startswith("scipy.optimize.")]
-
-
 @pytest.mark.skipif(not TASKS.is_dir(), reason="no per-process thread listing to count")
 def test_commands_start_no_blas_thread_pool(tmp_path, samples_file):
-    # numpy's and scipy's OpenBLAS would each start a pool of idle workers
-    # on a host with two or more CPUs; no command calls BLAS
+    # numpy's OpenBLAS would start a pool of idle workers on a host with
+    # two or more CPUs; no command calls BLAS
     for argv in (
         ("report", "--config", str(CONFIG), "--out", str(tmp_path / "report")),  # numpy only
         ("fit", "--samples", str(samples_file), "--mode", "continuous"),  # numpy only
-        ("fit", "--synthetic", "discrete:2.5:2000"),  # the Hurwitz zeta
+        ("fit", "--synthetic", "discrete:2.5:2000"),  # the zeta sampler
         ("extract", "--config", str(CONFIG), "--out", str(tmp_path / "facts")),
     ):
         assert loaded_by(*argv).threads == 1, argv
@@ -915,13 +908,41 @@ def discrete_scan_with_mpmath(xs, min_tail, memo):
     return best
 
 
+def summed_zeta(s, q, terms=30):
+    """zeta(s, q) to 40 digits: the sum of (q + k)^-s over its first
+    N = max(0, ceil(2 s) + 60 - q) terms, and Euler-Maclaurin (DLMF 2.10.1)
+    with ``terms`` Bernoulli terms for the rest. From w = q + N >= 2 s + 60
+    on, each Bernoulli term is at most 1/(2 pi)^2 of the one before, so the
+    last lies below every digit kept; and mpmath's numbers keep 40 digits
+    relative at any size. mpmath's own zeta stops its sum at an absolute
+    tolerance, so it needs 30 digits more than s log10(q): a call then
+    takes about 0.2 s at s 52, q 1e9 and 12 to 15 s at s 130, q 9e15."""
+    with mpmath.workdps(40):
+        s, q = mpmath.mpf(s), mpmath.mpf(q)
+        n = max(0, math.ceil(2 * s) + 60 - int(q))
+        w = q + n
+        rest = w / (s - 1) + mpmath.mpf(1) / 2
+        rising = s  # s (s + 1) ... (s + 2 j - 2)
+        for j in range(1, terms + 1):
+            rest += mpmath.bernoulli(2 * j) / mpmath.factorial(2 * j) * rising * w ** (1 - 2 * j)
+            rising *= (s + 2 * j - 1) * (s + 2 * j)
+        return mpmath.fsum((q + k) ** -s for k in range(n)) + w**-s * rest
+
+
 def mpmath_discrete_ks(tail, gamma, x_min):
-    """The discrete KS distance, the fitted CCDF from mpmath at 40 digits."""
+    """The discrete KS distance, the fitted CCDF from summed_zeta."""
     values, counts = np.unique(tail, return_counts=True)
     emp = np.cumsum(counts[::-1])[::-1] / len(tail)
     with mpmath.workdps(40):
-        norm = mpmath.zeta(gamma, int(x_min))
-        return float(max(abs(e - mpmath.zeta(gamma, int(v)) / norm) for v, e in zip(values.tolist(), emp.tolist())))
+        norm = summed_zeta(gamma, x_min)
+        return float(max(abs(e - summed_zeta(gamma, v) / norm) for v, e in zip(values.tolist(), emp.tolist())))
+
+
+@pytest.mark.parametrize("s, q", [(27.03, 1000), (19.6, 100), (40.5, 30), (1.0001, 1), (2.5, 3), (52.0, 10**9), (3.5, 2.0**53)])
+def test_the_summed_zeta_matches_mpmath_with_digits_to_spare(s, q):
+    with mpmath.workdps(40 + int(s * math.log10(q))):
+        want = mpmath.zeta(s, q)
+    assert abs(summed_zeta(s, q) / want - 1) < mpmath.mpf(10) ** -35
 
 
 def discrete_ks_with_scipy(tail, gamma, x_min):
@@ -1281,7 +1302,8 @@ def test_zeta_sampler_x_min_above_the_support_cap_is_a_domain_error():
 
 
 def zeta_samples_over_full_support(n, gamma, x_min=1, rng=None, support_cap=10**6):
-    """``zeta_samples`` as it was: the CCDF over every k in x_min..support_cap."""
+    """``zeta_samples`` as it once was: the CCDF over every k in
+    x_min..support_cap, from scipy's Hurwitz zeta."""
     support = np.arange(x_min, support_cap + 1, dtype=float)
     tail_p = scipy.special.zeta(gamma, support) / scipy.special.zeta(gamma, float(x_min))
     u = rng.random(n)
@@ -1289,30 +1311,88 @@ def zeta_samples_over_full_support(n, gamma, x_min=1, rng=None, support_cap=10**
     return (x_min + counts - 1).astype(float)
 
 
-@pytest.mark.parametrize("gamma", [1.3, 2.0, 2.5, 4.5])
+def record_ccdf_points(monkeypatch) -> list[dict]:
+    """Make each CCDF that ``_zeta_ccdf`` returns record the points it is
+    taken at, with its values there: one dict per CCDF, in this list."""
+    made = []
+    zeta_ccdf = tailstats._zeta_ccdf
+
+    def recording(gamma, x_min):
+        at, seen = zeta_ccdf(gamma, x_min), {}
+        made.append(seen)
+
+        def record(k):
+            seen[k] = at(k)
+            return seen[k]
+
+        return record
+
+    monkeypatch.setattr(tailstats, "_zeta_ccdf", recording)
+    return made
+
+
+def assert_never_rises(points: dict) -> None:
+    ps = [points[k] for k in sorted(points)]
+    assert ps[0] == 1.0 and all(a >= b for a, b in zip(ps, ps[1:]))
+
+
+@pytest.mark.parametrize("gamma", [1.00001, 1.3, 2.0, 2.5, 4.5])
 @pytest.mark.parametrize("x_min", [1, 3, 17])
-def test_zeta_sampler_blocks_give_the_full_support_draws_bit_for_bit(gamma, x_min):
+def test_zeta_sampler_blocks_give_the_full_support_draws_bit_for_bit(monkeypatch, gamma, x_min):
+    # the draws of the dense CCDF prefix, the cap and the bisection are
+    # those of a CCDF over every support point; the CCDF never rises over
+    # the points the sampler takes
+    made = record_ccdf_points(monkeypatch)
+    cases = ((1000, 10**4),) if gamma < 1.3 else ((0, 10**4), (1, 500), (300, 10**4), (2000, 10**5))
     capped = 0
     for seed in range(4):
-        for n, cap in ((0, 10**4), (1, 500), (300, 10**4), (2000, 10**5)):
+        for n, cap in cases:
             got = zeta_samples(n, gamma, x_min, np.random.default_rng(seed), support_cap=cap)
             want = zeta_samples_over_full_support(n, gamma, x_min, np.random.default_rng(seed), support_cap=cap)
             assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
             capped += np.count_nonzero(got == cap)
-    assert capped > 0 or gamma > 1.3  # the heaviest tail has draws held at the cap
+    assert capped > 0 or gamma > 1.3  # the heaviest tails have draws held at the cap
+    assert len(made) == 4 * len(cases)
+    for points in made:
+        assert_never_rises(points)
 
 
-def test_zeta_sampler_cost_follows_the_draws_not_the_cap():
-    calls = []
-    zeta = scipy.special.zeta
+def zeta_calls(draw):
+    """How many times ``draw()`` takes the ported Hurwitz zeta, and what it
+    returns."""
+    calls = 0
+    zeta = tailstats._hurwitz_zeta
 
-    def counted(s, k):
-        calls.append(np.size(k))
-        return zeta(s, k)
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return zeta(*args)
 
-    with mock.patch.object(scipy.special, "zeta", counted):
-        zeta_samples(10, 3.0, 1, np.random.default_rng(0))
-    assert sum(calls) < 10**4  # the default support cap is 10**6
+    with mock.patch.object(tailstats, "_hurwitz_zeta", counted):
+        drawn = draw()
+    return calls, drawn
+
+
+def test_zeta_sampler_cost_follows_the_draws_not_the_cap(monkeypatch):
+    # the default support cap is 10**6
+    assert zeta_calls(lambda: zeta_samples(10, 3.0, 1, np.random.default_rng(0)))[0] < 100
+    # at gamma 1.3, 1,404 draws lie past the 4,096 dense points: the 271
+    # held at the cap take one zeta between them, and 1,133 bisect
+    made = record_ccdf_points(monkeypatch)
+    calls, xs = zeta_calls(lambda: zeta_samples(20_000, 1.3, 1, np.random.default_rng(0)))
+    assert calls <= 16_000
+    assert np.count_nonzero(xs > 4096) > 1000 and np.count_nonzero(xs == 10**6) > 200
+    assert_never_rises(made[0])
+
+
+def test_zeta_sampler_draws_where_the_zeta_at_x_min_underflows():
+    # zeta(200, 100) is about 1e-400: the CCDF takes its zetas in units of
+    # x_min, and P(X >= 101) is about 0.137
+    assert tailstats._hurwitz_zeta(200.0, 100.0) == 0.0
+    xs = zeta_samples(20_000, 200.0, 100, np.random.default_rng(5))
+    p = float(summed_zeta(200, 101) / summed_zeta(200, 100))
+    share = np.count_nonzero(xs >= 101) / xs.size
+    assert abs(share - p) <= 4 * math.sqrt(p * (1 - p) / xs.size)
 
 
 def geometric_span():
