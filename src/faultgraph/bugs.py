@@ -5,8 +5,10 @@ Commit log format: one record per line,
 with tabs/newlines/backslashes inside the message escaped as ``\\t``, ``\\n``
 and ``\\\\``. Issue registry: TSV with header ``id  open_date  release_tag``.
 Of a commit only the author is not kept, and of the registry only the ids.
-A commit's paths are interned, so a path that many commits touch is one
-string, the same one as the CU's path.
+A commit keeps its file list as written, checked to name a file; only a
+ledger that finds the commit citing an accepted issue splits it, and then
+interns each path, so a path that many commits touch is one string, the
+same one as the CU's path.
 
 An issue id is extracted from a message when a configured pattern captures
 it, it exists in the registry, it is at least ``min_id``, and it lies in no
@@ -50,7 +52,12 @@ DEFAULT_PATTERNS = (
 class CommitEntry(NamedTuple):
     timestamp: datetime
     message: str
-    files: tuple[str, ...]
+    paths: str  # the file list as written: paths separated by ";"
+
+    @property
+    def files(self) -> tuple[str, ...]:
+        """The touched paths, stripped, each interned; empty entries dropped."""
+        return tuple(map(sys.intern, filter(None, map(str.strip, self.paths.split(";")))))
 
 
 @dataclass(frozen=True)
@@ -155,11 +162,13 @@ def parse_commit_log_text(text: str) -> list[CommitEntry]:
             ts = parse_timestamp(raw_ts)
         except ValueError as exc:
             raise FormatError(f"bad timestamp {raw_ts!r}", record=idx) from exc
-        files = tuple(map(sys.intern, filter(None, map(str.strip, file_list.split(";")))))
-        if not files:
+        if not file_list.replace(";", " ").strip():
             raise FormatError("commit record has no files", record=idx)
-        entries.append(CommitEntry(ts, _unescape(message) if "\\" in message else message, files))
+        entries.append(CommitEntry(ts, _unescape(message) if "\\" in message else message, file_list))
     return entries
+
+
+_REGISTRY_ID = re.compile("-?[0-9]+")
 
 
 def load_issue_registry(path) -> frozenset[int]:
@@ -179,7 +188,7 @@ def load_issue_registry(path) -> frozenset[int]:
         raw_id = parts[0]
         try:
             # int() alone would also read '+7', '1_2', ' 7' and non-ASCII digits
-            if not re.fullmatch("-?[0-9]+", raw_id):
+            if not _REGISTRY_ID.fullmatch(raw_id):
                 raise ValueError(raw_id)
             issue_id = int(raw_id)  # and this raises past int()'s digit limit
         except ValueError as exc:
@@ -197,13 +206,16 @@ def extract_issue_refs(message: str, registry: frozenset[int], cfg: FilterConfig
     not an integer raises ConfigError naming the pattern."""
     found: set[int] = set()
     for rx in cfg.compiled:
-        for m in rx.finditer(message):
-            raw = m.group(1)
+        for raw in rx.findall(message):
             try:
                 issue_id = int(raw)
-            except (TypeError, ValueError):
-                if raw is not None and raw.isdigit():
+            except ValueError:
+                if raw.isdigit():
                     continue  # too many digits for int(), so no registered id
+                if not raw:
+                    # findall gives '' for a group that matched nothing too;
+                    # the first match with no text in its group tells which
+                    raw = next(m.group(1) for m in rx.finditer(message) if not m.group(1))
                 raise ConfigError(
                     f"pattern {rx.pattern!r} captured {raw!r} in commit message {message!r}, not an issue number"
                 ) from None
@@ -243,6 +255,8 @@ def build_bug_ledger(
         ids = refs.get(commit.message)
         if ids is None:
             ids = refs[commit.message] = extract_issue_refs(commit.message, registry, cfg)
-        for issue_id in ids:
-            links.update(zip(repeat(issue_id), commit.files))
+        if ids:  # only a commit that cites an issue has its file list split
+            files = commit.files
+            for issue_id in ids:
+                links.update(zip(repeat(issue_id), files))
     return BugLedger(release=release, links=frozenset(links))

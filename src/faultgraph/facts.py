@@ -184,9 +184,13 @@ class CUFacts(NamedTuple):
 
 
 def _strings(value, what: str, record: int) -> list[str]:
-    if not (isinstance(value, list) and all(isinstance(v, str) for v in value)):
-        raise FormatError(f"{what} must be a list of strings", record=record)
-    return [sys.intern(v) for v in value]
+    # sys.intern checks each value while it interns it: it takes a str alone
+    if isinstance(value, list):
+        try:
+            return list(map(sys.intern, value))
+        except TypeError:
+            pass
+    raise FormatError(f"{what} must be a list of strings", record=record)
 
 
 def _objects(value, what: str, record: int) -> list[dict]:
@@ -202,21 +206,30 @@ def _count(value, what: str, record: int) -> int:
     return value
 
 
+def _pair(p) -> tuple[str, str]:
+    """An external call's [type, method] pair, interned; anything else
+    raises TypeError, as sys.intern does on a value that is not a str."""
+    if not (isinstance(p, list) and len(p) == 2):
+        raise TypeError
+    return sys.intern(p[0]), sys.intern(p[1])
+
+
 def _method_from_dict(d: dict, record: int) -> MethodFacts:
     if not isinstance(d.get("name"), str):
         raise FormatError("method record needs a name", record=record)
     calls = d.get("external_calls", [])
-    if not (
-        isinstance(calls, list)
-        and all(isinstance(p, list) and len(p) == 2 and all(isinstance(s, str) for s in p) for p in calls)
-    ):
-        raise FormatError("external_calls entries must be [type, method] pairs", record=record)
+    try:
+        if not isinstance(calls, list):
+            raise TypeError
+        pairs = set(map(_pair, calls))
+    except TypeError:
+        raise FormatError("external_calls entries must be [type, method] pairs", record=record) from None
     return MethodFacts(
-        name=sys.intern(d["name"]),
-        param_types=tuple(_strings(d.get("param_types", []), "param_types", record)),
-        referenced_types=name_set(set(_strings(d.get("referenced_types", []), "referenced_types", record))),
-        external_calls=name_set({(sys.intern(t), sys.intern(n)) for t, n in calls}),
-        used_fields=name_set(set(_strings(d.get("used_fields", []), "used_fields", record))),
+        sys.intern(d["name"]),
+        tuple(_strings(d.get("param_types", []), "param_types", record)),
+        name_set(set(_strings(d.get("referenced_types", []), "referenced_types", record))),
+        name_set(pairs),
+        name_set(set(_strings(d.get("used_fields", []), "used_fields", record))),
     )
 
 

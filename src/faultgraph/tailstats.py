@@ -48,10 +48,13 @@ at the tail's distinct values, and it is found the way the screen bounds a
 segment: both CCDFs never rise along the tail, so the gaps at two values
 bound every gap between them. The fitted CCDF is evaluated at both ends of
 the tail, then segments are bisected, largest bound first, until no bound
-passes the largest gap found. The result is the full maximum. The fitted
-CCDF is ``_zeta_ccdf``, the one the sampler ``zeta_samples`` inverts:
-where zeta(gamma, x_min) lies below the double range, it takes both zetas
-in units of x_min.
+passes the largest gap found. The result is the full maximum. In a scan a
+candidate's bisection ends as soon as a gap reaches the best distance so
+far: that candidate cannot win, since ties go to the smaller x_min, so the
+winner's distance is still the full maximum. The fitted CCDF is
+``_zeta_ccdf``, the one the sampler ``zeta_samples`` inverts: where
+zeta(gamma, x_min) lies below the double range, it takes both zetas in
+units of x_min.
 
 The discrete gamma is the root of the likelihood equation, found by
 safeguarded Newton steps (``_newton_root``). Each step takes the zeta and
@@ -388,14 +391,15 @@ def _discrete_gamma(tail: np.ndarray, x_min: int) -> float:
     return _newton_root(g, _ROOT_LO, _ROOT_HI, start, 0.0, _ROOT_TOL)
 
 
-def _ks_distance(tail: np.ndarray, gamma: float, x_min: float, mode: str) -> float:
-    """KS distance of the fit to the sorted ``tail``."""
+def _ks_distance(tail: np.ndarray, gamma: float, x_min: float, mode: str, stop: float = math.inf) -> float:
+    """KS distance of the fit to the sorted ``tail``. A discrete distance
+    that reaches ``stop`` may be returned as any gap at or above ``stop``."""
     values, at_least = _at_least(tail)
     emp = at_least / tail.size  # P(X >= v) at observed values
     if mode == DISCRETE:
         # both curves are step functions jumping at integers; the observed
         # support points carry the supremum
-        return _discrete_ks(values.tolist(), emp.tolist(), gamma, x_min)
+        return _discrete_ks(values.tolist(), emp.tolist(), gamma, x_min, stop)
     fit = (values / x_min) ** (-(gamma - 1.0))
     d_at = float(np.max(np.abs(emp - fit)))
     # continuous fit: just above each observed value the empirical CCDF has
@@ -423,7 +427,7 @@ def _zeta_ccdf(gamma: float, x_min: float):
     return at
 
 
-def _discrete_ks(values: list[float], emp: list[float], gamma: float, x_min: float) -> float:
+def _discrete_ks(values: list[float], emp: list[float], gamma: float, x_min: float, stop: float = math.inf) -> float:
     """The largest of |emp[i] - fit(values[i])| over the distinct tail
     ``values``, where fit is the zeta CCDF (``_zeta_ccdf``). Neither curve
     rises along the tail, so at p < i < q the gap is at most the larger of
@@ -431,7 +435,8 @@ def _discrete_ks(values: list[float], emp: list[float], gamma: float, x_min: flo
     _Screen.upper. The fit is taken at both ends of the tail, then segments
     are bisected, largest bound first, until no bound plus _SCAN_SLACK
     passes the largest gap found: that gap is the maximum over every value,
-    bit for bit."""
+    bit for bit. Once the largest gap found reaches ``stop`` the bisection
+    ends early, and that gap, at least ``stop``, is returned instead."""
     fit = _zeta_ccdf(gamma, x_min)
 
     def gap(i: int) -> float:
@@ -447,7 +452,7 @@ def _discrete_ks(values: list[float], emp: list[float], gamma: float, x_min: flo
     best = max(gap(0), gap(last))
     segments = []  # (-bound, p, q): the largest bound first
     push(0, last)
-    while segments and -segments[0][0] > best:
+    while segments and -segments[0][0] > best and best < stop:
         _, p, q = heapq.heappop(segments)
         m = (p + q) // 2
         best = max(best, gap(m))
@@ -456,7 +461,10 @@ def _discrete_ks(values: list[float], emp: list[float], gamma: float, x_min: flo
     return best
 
 
-def _fit_at(tail: np.ndarray, x_min: float, mode: str) -> TailFit:
+def _fit_at(tail: np.ndarray, x_min: float, mode: str, stop: float = math.inf) -> TailFit:
+    """The fit at ``x_min`` to the sorted ``tail``. A discrete fit whose KS
+    distance reaches ``stop`` may carry any gap at or above ``stop`` as its
+    ``ks``: a scan passes the best distance so far, which it cannot beat."""
     if tail.min() == tail.max():
         raise InsufficientTail("constant tail has no usable spread")
     if mode == CONTINUOUS:
@@ -466,7 +474,7 @@ def _fit_at(tail: np.ndarray, x_min: float, mode: str) -> TailFit:
     return TailFit(
         gamma=gamma,
         x_min=float(x_min),
-        ks=_ks_distance(tail, gamma, x_min, mode),
+        ks=_ks_distance(tail, gamma, x_min, mode, stop),
         n_tail=int(tail.size),
     )
 
@@ -640,7 +648,9 @@ def _scan(arr: np.ndarray, values: np.ndarray, above: np.ndarray, cand: np.ndarr
     best = None
     for k in cand.tolist():
         try:
-            fit = _fit_at(arr[arr.size - above[k] :], float(values[k]), mode)
+            # a candidate whose distance reaches the best so far loses, as
+            # ties go to the smaller x_min, so its distance is not finished
+            fit = _fit_at(arr[arr.size - above[k] :], float(values[k]), mode, math.inf if best is None else best.ks)
         except InsufficientTail:
             continue
         if best is None or fit.ks < best.ks:

@@ -57,7 +57,7 @@ def test_five_record_fixture_matches_hand_table():
     entries = parse_commit_log_text(text)
     assert len(entries) == 5
     assert entries[0] == CommitEntry(
-        utc("2007-02-10T09:00:00Z"), "Fixed 120 in alpha pipeline", ("app/Alpha.java",)
+        utc("2007-02-10T09:00:00Z"), "Fixed 120 in alpha pipeline", "app/Alpha.java"
     )
     assert entries[1].files == ("app/Base.java", "app/Alpha.java")
     assert entries[3].message == "multi\tline\nnote"
@@ -68,6 +68,31 @@ def test_record_missing_file_list():
     with pytest.raises(FormatError) as err:
         parse_commit_log_text("2007-02-10T09:00:00Z\tana\tFixed 120\t\n")
     assert err.value.record == 1
+
+
+# a file list's pieces: names, and blanks that str.strip removes and a
+# record can hold, as no "\n" can
+FILE_LISTS = st.lists(
+    st.lists(
+        st.sampled_from(["Alpha.java", "p/U1.java", "", " ", "\x0b", "\x1c", "\x85", "\u2028", "\u3000"]), max_size=3
+    ).map("".join),
+    min_size=1,
+    max_size=5,
+).map(";".join)
+
+
+@settings(max_examples=300, deadline=None)
+@given(FILE_LISTS)
+def test_a_file_list_is_rejected_exactly_when_it_names_no_file(file_list):
+    named = tuple(filter(None, map(str.strip, file_list.split(";"))))
+    text = f"2007-02-10T09:00:00Z\tana\tFixed 120\t{file_list}\n"
+    if not named:
+        with pytest.raises(FormatError, match="commit record has no files"):
+            parse_commit_log_text(text)
+        return
+    (entry,) = parse_commit_log_text(text)
+    assert entry.files == named
+    assert all(name is sys.intern(name) for name in entry.files)
 
 
 def test_wrong_field_count():
@@ -315,6 +340,7 @@ def test_decimal_fragments_not_matched_as_bare_integers():
     [
         (r"\bbug-(\w+)", "fix bug-abc here", "'abc'", "fix bug-500 here"),  # a word, not a number
         (r"\bbug(\d+)?", "bug fix", "None", "bug500"),  # an optional group that matched nothing
+        (r"\bbug(\d*)", "bug fix", "''", "bug500"),  # a group that matched the empty string
     ],
 )
 def test_a_capture_that_is_not_an_issue_number_is_a_config_error(pattern, bad, captured, good):
@@ -383,7 +409,7 @@ def test_enlarging_exclusions_never_grows_extraction(message, ids, raw_intervals
 
 
 def test_no_fixing_commits_gives_zero_ledger():
-    commits = [CommitEntry(utc("2007-03-01T00:00:00Z"), "tidy imports", ("a.java",))]
+    commits = [CommitEntry(utc("2007-03-01T00:00:00Z"), "tidy imports", "a.java")]
     ledger = build_bug_ledger(commits, registry_of(500), FilterConfig(), WINDOW, "r1")
     assert ledger.links == frozenset()
     assert ledger.bugs_per_cu == {}
@@ -391,7 +417,7 @@ def test_no_fixing_commits_gives_zero_ledger():
 
 
 def test_single_commit_links_every_touched_file():
-    commits = [CommitEntry(utc("2007-03-01T00:00:00Z"), "Fixed 500", ("a.java", "b.java"))]
+    commits = [CommitEntry(utc("2007-03-01T00:00:00Z"), "Fixed 500", "a.java;b.java")]
     ledger = build_bug_ledger(commits, registry_of(500), FilterConfig(), WINDOW, "r1")
     assert ledger.bugs_per_cu == {"a.java": 1, "b.java": 1}
     assert ledger.cus_per_bug == {500: 2}
@@ -399,8 +425,8 @@ def test_single_commit_links_every_touched_file():
 
 def test_repeated_issue_file_pair_counts_once():
     commits = [
-        CommitEntry(utc("2007-03-01T00:00:00Z"), "Fixed 500", ("a.java",)),
-        CommitEntry(utc("2007-04-01T00:00:00Z"), "more work on 500", ("a.java",)),
+        CommitEntry(utc("2007-03-01T00:00:00Z"), "Fixed 500", "a.java"),
+        CommitEntry(utc("2007-04-01T00:00:00Z"), "more work on 500", "a.java"),
     ]
     ledger = build_bug_ledger(commits, registry_of(500), FilterConfig(), WINDOW, "r1")
     assert ledger.bugs_per_cu == {"a.java": 1}
@@ -409,9 +435,9 @@ def test_repeated_issue_file_pair_counts_once():
 
 def test_window_is_inclusive_and_filters_commits():
     commits = [
-        CommitEntry(utc("2007-01-01T00:00:00Z"), "Fixed 500", ("a.java",)),
-        CommitEntry(utc("2007-12-31T23:59:59Z"), "Fixed 501", ("b.java",)),
-        CommitEntry(utc("2008-01-01T00:00:00Z"), "Fixed 502", ("c.java",)),
+        CommitEntry(utc("2007-01-01T00:00:00Z"), "Fixed 500", "a.java"),
+        CommitEntry(utc("2007-12-31T23:59:59Z"), "Fixed 501", "b.java"),
+        CommitEntry(utc("2008-01-01T00:00:00Z"), "Fixed 502", "c.java"),
     ]
     ledger = build_bug_ledger(commits, registry_of(500, 501, 502), FilterConfig(), WINDOW, "r1")
     assert set(ledger.cus_per_bug) == {500, 501}
@@ -419,12 +445,32 @@ def test_window_is_inclusive_and_filters_commits():
 
 def test_replay_is_idempotent():
     commits = [
-        CommitEntry(utc("2007-03-01T00:00:00Z"), "Fixed 500 and 501", ("a.java", "b.java")),
+        CommitEntry(utc("2007-03-01T00:00:00Z"), "Fixed 500 and 501", "a.java;b.java"),
     ]
     reg = registry_of(500, 501)
     first = build_bug_ledger(commits, reg, FilterConfig(), WINDOW, "r1")
     second = build_bug_ledger(commits * 2, reg, FilterConfig(), WINDOW, "r1")
     assert first.links == second.links
+
+
+def test_a_ledger_splits_the_file_list_of_a_citing_commit_only(monkeypatch):
+    commits = [
+        CommitEntry(utc("2006-12-31T00:00:00Z"), "Fixed 500", "z.java"),  # before the window
+        CommitEntry(utc("2007-02-01T00:00:00Z"), "tidy imports", "a.java;b.java"),
+        CommitEntry(utc("2007-03-01T00:00:00Z"), "Fixed 500", "a.java; c.java"),
+        CommitEntry(utc("2007-04-01T00:00:00Z"), "Fixed 999", "d.java"),  # not registered
+    ]
+    split = []
+    files = CommitEntry.files.fget
+
+    def counted_files(commit):
+        split.append(commit.paths)
+        return files(commit)
+
+    monkeypatch.setattr(CommitEntry, "files", property(counted_files))
+    ledger = build_bug_ledger(commits, registry_of(500), FilterConfig(), WINDOW, "r1")
+    assert ledger.links == {(500, "a.java"), (500, "c.java")}
+    assert split == ["a.java; c.java"]
 
 
 def synthetic_log(seed: int, n_commits: int = 1000) -> tuple[str, frozenset[int]]:
@@ -604,7 +650,7 @@ def test_ledgers_equal_the_per_release_scan(drawn):
 
 def test_refs_memo_is_filled_once_per_distinct_message():
     commits = [
-        CommitEntry(utc(f"2007-0{month}-01T00:00:00Z"), msg, ("a.java",))
+        CommitEntry(utc(f"2007-0{month}-01T00:00:00Z"), msg, "a.java")
         for month, msg in ((1, "Fixed 500"), (2, "tidy"), (3, "Fixed 500"))
     ]
     refs = {}

@@ -493,9 +493,9 @@ def test_candidates_too_steep_to_screen_are_fitted_outright(monkeypatch):
 
     fitted = []
 
-    def recording_fit_at(tail, x_min, mode):
+    def recording_fit_at(tail, x_min, mode, stop):
         fitted.append(x_min)
-        return _fit_at(tail, x_min, mode)
+        return _fit_at(tail, x_min, mode, stop)
 
     monkeypatch.setattr(tailstats, "_fit_at", recording_fit_at)
     assert fit_power_law_tail(xs, mode="continuous") == scan_every_candidate(xs)
@@ -627,9 +627,9 @@ def test_the_screen_fits_nothing_and_the_scan_fits_each_finalist_once(monkeypatc
     screen_finalists = tailstats._scan_continuous
     fitted, finalists = [], []
 
-    def recording_fit_at(tail, x_min, mode):
+    def recording_fit_at(tail, x_min, mode, stop):
         fitted.append(x_min)
-        return _fit_at(tail, x_min, mode)
+        return _fit_at(tail, x_min, mode, stop)
 
     def recording_screen(*args):
         before = len(fitted)
@@ -652,9 +652,9 @@ def test_the_discrete_scan_passes_over_a_candidate_it_cannot_fit(monkeypatch):
     xs = np.concatenate([zeta_samples(300, 2.5, 1, rng, support_cap=500), [1e9] * 60, [1e9 + 1]])
     failed = []
 
-    def recording_fit_at(tail, x_min, mode):
+    def recording_fit_at(tail, x_min, mode, stop):
         try:
-            return _fit_at(tail, x_min, mode)
+            return _fit_at(tail, x_min, mode, stop)
         except InsufficientTail:
             failed.append(x_min)
             raise
@@ -1230,7 +1230,8 @@ def test_the_discrete_scan_evaluates_a_fraction_of_the_ks_points(monkeypatch):
     # on the wide tail a KS distance at every distinct value of every
     # candidate's tail takes the zeta 1,844,157 times, 18 of them for the
     # four candidates above 8.5e15, whose zeta is below the double range;
-    # the bisection takes it 114,659 times
+    # the bisection takes it 114,660 times, and 5,971 when a candidate
+    # stops once a gap reaches the best distance so far
     xs = wide_discrete_tail()
     counts = {"ks": 0, "full": 0}
     in_ks = []
@@ -1240,11 +1241,11 @@ def test_the_discrete_scan_evaluates_a_fraction_of_the_ks_points(monkeypatch):
         counts["ks"] += bool(in_ks)
         return zeta(x, q, unit)
 
-    def counted_ks(values, emp, gamma, x_min):
+    def counted_ks(values, emp, gamma, x_min, stop):
         counts["full"] += len(values) + 1  # and the norm
         in_ks.append(True)
         try:
-            return discrete_ks(values, emp, gamma, x_min)
+            return discrete_ks(values, emp, gamma, x_min, stop)
         finally:
             in_ks.pop()
 
@@ -1253,7 +1254,31 @@ def test_the_discrete_scan_evaluates_a_fraction_of_the_ks_points(monkeypatch):
     fit = fit_power_law_tail(xs, mode=DISCRETE)
     assert fit.n_tail == 3000
     assert counts["full"] == 1_844_157
-    assert counts["ks"] < counts["full"] / 10
+    assert counts["ks"] <= 5_971
+
+
+def test_the_discrete_scan_stops_only_candidates_that_cannot_win(monkeypatch):
+    # 600 wide draws whose best x_min, 4232, lies past many candidates, so
+    # the winner is fitted with a finite stop; every distance that stays
+    # below its stop is the full one, and the fit is the full scan's
+    xs = wide_discrete_tail(8, 600)
+    want = scan_every_candidate(xs, mode=DISCRETE)
+    discrete_ks = tailstats._discrete_ks
+    calls = []
+
+    def recording_ks(values, emp, gamma, x_min, stop):
+        ks = discrete_ks(values, emp, gamma, x_min, stop)
+        calls.append((values, emp, gamma, x_min, stop, ks))
+        return ks
+
+    monkeypatch.setattr(tailstats, "_discrete_ks", recording_ks)
+    fit = fit_power_law_tail(xs, mode=DISCRETE)
+    assert fit == want and fit.x_min == 4232
+    assert sum(ks >= stop for *_, stop, ks in calls) > 400
+    whole = [call for call in calls if call[-1] < call[-2]]
+    assert all(ks == discrete_ks(*args) for *args, _, ks in whole)
+    (winner,) = [call for call in whole if call[3] == fit.x_min]
+    assert winner[-1] == fit.ks and winner[-2] < math.inf
 
 
 # -- expected_max ---------------------------------------------------------------
