@@ -99,14 +99,17 @@ def printable(name: str) -> str:
 def read_utf8(path, error: type[InputError]) -> str:
     r"""The text of an input file with its line endings as written, so a lone
     ``\r`` inside a record stays in it; a file that cannot be read or whose
-    bytes are not UTF-8 raises ``error``."""
+    bytes are not UTF-8 raises ``error``. The bytes are read whole and then
+    decoded, which skips a text stream's line-ending and chunk handling."""
     try:
-        with open(path, encoding="utf-8", newline="") as fh:
-            return fh.read()
-    except UnicodeDecodeError as exc:
-        raise error(f"{printable(str(path))}: not UTF-8 text (byte {exc.start}: {exc.reason})") from exc
+        with open(path, "rb") as fh:
+            data = fh.read()
     except OSError as exc:
         raise error(f"{printable(str(path))}: cannot read: {exc.strerror or exc}") from exc
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise error(f"{printable(str(path))}: not UTF-8 text (byte {exc.start}: {exc.reason})") from exc
 
 
 def write_utf8(path, text: str) -> None:

@@ -21,6 +21,7 @@ import json
 import re
 import string
 import sys
+from itertools import chain, repeat
 from typing import NamedTuple
 
 from .errors import FormatError, json_limit, read_utf8, records, write_utf8
@@ -38,8 +39,10 @@ def splits_a_row(name: str) -> bool:
 
 
 # --------------------------------------------------------------------------
-# Source scanning: one regex pass per file is the whole lexer. It yields the
-# parser's tokens, the line of each, and which lines hold code.
+# Source scanning: one regex is the lexer, and a line memo keeps each
+# distinct line's tokens, so the texts of a corpus release lex each of their
+# lines once. It yields the parser's tokens, the line of each, and which
+# lines hold code.
 # --------------------------------------------------------------------------
 
 # line comment | block comment | identifier | number | string literal | char
@@ -48,7 +51,11 @@ def splits_a_row(name: str) -> bool:
 # a comment are both inert. Literals end at their closing quote, a newline
 # (Java literals do not span lines; an escape never consumes the newline) or
 # the end of the text; an unterminated block comment runs to the end. Only a
-# comment starts with "/" and is longer than one character.
+# comment starts with "/" and is longer than one character. A block comment
+# is the one lexeme that spans a line break, so a line lexed from its start
+# has the same tokens in every text where no comment is open as it starts,
+# and ``scan_source`` carries only "inside a block comment" from one line to
+# the next. ``token_column`` lexes the whole text.
 _LEXEME = re.compile(
     r"""//[^\n]*
       | /\*(?s:.*?)(?:\*/|\Z)
@@ -67,8 +74,81 @@ _LEXEME = re.compile(
 _IDENT_START = frozenset(string.ascii_letters + "_$")
 
 
-def scan_source(text: str) -> tuple[list[bool], list[str], list[int]]:
-    """Lex source text with one regex pass.
+def _lex(text: str, rows: list[str], memo: dict | None) -> tuple[list[list[str]], list[int], bool]:
+    """One regex pass over ``text``, whose lines are ``rows``: the tokens of
+    each line, the 1-based line of each token, and whether the text ends
+    inside a block comment. Each line the pass enters outside a comment is
+    entered in ``memo`` with its tokens and whether a block comment runs on
+    past its end."""
+    row_tokens: list[list[str]] = []
+    lines: list[int] = []
+    spans: list[tuple[int, int]] = []  # (line index, line breaks) of each block comment with a line break
+    toks: list[str] = []
+    line, opens = 1, False
+    for lexeme in _LEXEME.findall(text):
+        first = lexeme[0]
+        if first in _IDENT_START:
+            toks.append(sys.intern(lexeme))
+            lines.append(line)
+        elif lexeme == "\n":
+            row_tokens.append(toks)
+            toks = []
+            line += 1
+        elif first == "/" and len(lexeme) > 1:  # a comment
+            breaks = lexeme.count("\n")
+            if breaks:
+                spans.append((line - 1, breaks))
+                row_tokens.append(toks)
+                row_tokens += [[] for _ in range(breaks - 1)]
+                toks = []
+                line += breaks
+            # a block comment left open runs to the end of the text, so only
+            # the last lexeme can be one; "/*/" is
+            opens = lexeme[1] == "*" and (len(lexeme) < 4 or not lexeme.endswith("*/"))
+        else:
+            toks.append(lexeme)
+            lines.append(line)
+    row_tokens.append(toks)
+    if memo is None:
+        return row_tokens, lines, opens
+    if spans or opens:  # a block comment runs on past the end of a line
+        entries: list = list(zip(map(tuple, row_tokens), repeat(False)))
+        for at, breaks in spans:
+            if entries[at] is not None:
+                entries[at] = (entries[at][0], True)
+            entries[at + 1 : at + breaks + 1] = [None] * breaks  # entered inside the comment
+        if opens and entries[-1] is not None:
+            entries[-1] = (entries[-1][0], True)
+        memo.update([(row, entry) for row, entry in zip(rows, entries) if entry is not None])
+    else:
+        memo.update(zip(rows, zip(map(tuple, row_tokens), repeat(False))))
+    return row_tokens, lines, opens
+
+
+class LineMemo(dict):
+    """Maps a source line to its lexing from its start outside any comment:
+    its tokens, and whether a block comment runs on past its end. A line
+    ``new_rows`` finds in ``older`` is entered from there."""
+
+    __slots__ = ("older",)
+
+    def __init__(self, older: dict[str, tuple[tuple[str, ...], bool]] | None = None):
+        super().__init__()
+        self.older = {} if older is None else older
+
+    def new_rows(self, rows: list[str]) -> list[str]:
+        """The lines of ``rows`` that neither the memo nor ``older`` holds,
+        as often as they occur; those ``older`` holds are entered."""
+        new = [row for row in rows if row not in self]
+        kept = self.older.keys() & new if new and self.older else ()
+        if kept:
+            self.update([(row, self.older[row]) for row in kept])
+            new = [row for row in new if row not in kept]
+        return new
+
+
+def scan_source(text: str, memo: LineMemo | None = None) -> tuple[list[bool], list[str], list[int]]:
+    """Lex source text, each distinct line once.
 
     Returns (line_has_code, tokens, token_lines): line_has_code[i] is True
     when line i holds a token, that is a non-whitespace character outside
@@ -77,21 +157,47 @@ def scan_source(text: str) -> tuple[list[bool], list[str], list[int]]:
     holds a newline. Identifiers are interned, so a name is one string
     however many files spell it; numbers and literals, which no facts keep,
     are not.
+
+    Lines are looked up in ``memo`` (a fresh one if None), so texts scanned
+    through one memo lex each of their distinct lines once, and equal lines
+    give the same token strings. A text most of whose lines are new is
+    lexed in one pass, which enters its lines; otherwise its new lines are
+    lexed, and the text is put together from the memo. There a line that
+    starts inside a block comment holds no code up to the ``*/`` that
+    closes it, and the rest of it is lexed alone.
     """
-    tokens: list[str] = []
-    lines: list[int] = []
-    line = 1
-    for lexeme in _LEXEME.findall(text):
-        if lexeme == "\n":
-            line += 1
-        elif lexeme[0] == "/" and len(lexeme) > 1:  # a comment
-            line += lexeme.count("\n")
-        else:
-            tokens.append(sys.intern(lexeme) if lexeme[0] in _IDENT_START else lexeme)
-            lines.append(line)
-    has_code = [False] * (line - (not text or text.endswith("\n")))  # a final line break starts no line
-    for ln in set(lines):
-        has_code[ln - 1] = True
+    if memo is None:
+        memo = LineMemo()
+    rows = text.split("\n")
+    new = memo.new_rows(rows)
+    if 4 * len(new) > 3 * len(rows):  # mostly new lines: lex the text as it is
+        row_tokens, lines, _ = _lex(text, rows, memo)
+        tokens = list(chain.from_iterable(row_tokens))
+        has_code = list(map(bool, row_tokens))
+    else:
+        if new:
+            new = list(dict.fromkeys(new))
+            _lex("\n".join(new), new, memo)
+            for row in new:
+                if row not in memo:  # the pass entered it inside a block comment
+                    _lex(row, [row], memo)
+        tokens, lines, has_code = [], [], []
+        opens = False
+        for number, row in enumerate(rows, 1):
+            if opens:  # inside a block comment
+                close = row.find("*/")
+                if close < 0:
+                    has_code.append(False)
+                    continue
+                (toks,), _, opens = _lex(row[close + 2 :], [], None)
+            else:
+                toks, opens = memo[row]
+            if toks:
+                tokens += toks
+                lines += [number] * len(toks)
+            has_code.append(bool(toks))
+    if not rows[-1]:  # a final line break starts no line
+        has_code.pop()
     return has_code, tokens, lines
 
 
@@ -110,7 +216,7 @@ def count_loc(source_text: str) -> int:
 
     A line counts when any non-whitespace character on it lies outside line
     and block comments; string literal content is code. Empty input gives 0.
-    One ``scan_source`` pass; the parser reuses its own pass instead.
+    One ``scan_source`` call; the parser reuses its own instead.
     """
     has_code, _, _ = scan_source(source_text)
     return sum(has_code)

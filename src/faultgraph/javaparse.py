@@ -7,9 +7,11 @@ references, qualified call sites, and field usage. Generic types are stripped
 to their raw name with every type argument recorded as a reference
 (``List<A>`` contributes both ``List`` and ``A``).
 
-Tokens come from ``facts.scan_source``, the one lexer, whose single pass
-also yields each token's 1-based line and the code lines a class's line
-count reads. Tokens are plain strings. A token's kind follows from its first
+Tokens come from ``facts.scan_source``, the one lexer, which also yields
+each token's 1-based line and the code lines a class's line count reads.
+The texts of a corpus release are lexed through one line memo, which
+``parse_corpus_dir`` hands down, so each distinct line is lexed once and
+equal lines share their tokens. Tokens are plain strings. A token's kind follows from its first
 character: an identifier or keyword starts with a letter, ``_`` or ``$``, a
 number with a digit, a string or char literal with its quote, and anything
 else is a one-character punctuator, so ``tok == "("`` is a punctuator test.
@@ -48,7 +50,17 @@ from collections import Counter
 from typing import NamedTuple
 
 from .errors import ParseError, detached, read_utf8
-from .facts import _IDENT_START, ClassFacts, CUFacts, MethodFacts, name_set, scan_source, splits_a_row, token_column
+from .facts import (
+    _IDENT_START,
+    ClassFacts,
+    CUFacts,
+    LineMemo,
+    MethodFacts,
+    name_set,
+    scan_source,
+    splits_a_row,
+    token_column,
+)
 
 KEYWORDS = frozenset(
     """abstract assert boolean break byte case catch char class const continue
@@ -591,9 +603,10 @@ def _draft_loc(draft: _ClassDraft, has_code: list[bool]) -> int:
     return max(span, 0)
 
 
-def parse_compilation_unit(source_text: str, path: str) -> CUFacts:
-    """Parse one source file into CUFacts. Raises ParseError with position."""
-    has_code, toks, lines = scan_source(source_text)
+def parse_compilation_unit(source_text: str, path: str, line_memo: LineMemo | None = None) -> CUFacts:
+    """Parse one source file into CUFacts. Raises ParseError with position.
+    Its lines are lexed through ``line_memo`` (see ``scan_source``)."""
+    has_code, toks, lines = scan_source(source_text, line_memo)
     toks += _END
     parser = _Parser(toks, lines, source_text)
     try:
@@ -632,7 +645,9 @@ def parse_compilation_unit(source_text: str, path: str) -> CUFacts:
 
 
 def parse_corpus_dir(
-    root, memo: dict[str, CUFacts | ParseError] | None = None
+    root,
+    memo: dict[str, CUFacts | ParseError] | None = None,
+    lexed: dict[str, tuple[tuple[str, ...], bool]] | None = None,
 ) -> tuple[list[CUFacts], list[tuple[str, ParseError]]]:
     """Parse every .java file under root (sorted relative paths).
 
@@ -645,15 +660,22 @@ def parse_corpus_dir(
     texts stay alive. The parser reads a file's path only into
     ``CUFacts.path``, so a hit differs from a fresh parse in no other field.
     Paths are interned, so a CU's path is the string the commit log names.
+
+    The texts this call parses are lexed through one ``LineMemo``, which
+    takes a line ``lexed`` holds from there, so each distinct line is lexed
+    once. On return ``lexed`` holds lines of the texts this call parsed
+    only, so, as with ``memo``, no older release's lines stay alive.
     """
     known = {} if memo is None else memo
+    line_memo = LineMemo(lexed)
     texts: dict[str, CUFacts | ParseError] = {}
     paths: list[str] = []
     for dirpath, _, filenames in os.walk(root):
-        for fn in filenames:
-            if fn.endswith(".java"):
-                rel = os.path.relpath(os.path.join(dirpath, fn), root)
-                paths.append(sys.intern(rel.replace(os.sep, "/")))
+        names = [fn for fn in filenames if fn.endswith(".java")]
+        if names:
+            rel_dir = os.path.relpath(dirpath, root).replace(os.sep, "/")
+            prefix = "" if rel_dir == "." else rel_dir + "/"
+            paths += [sys.intern(prefix + fn) for fn in names]
     paths.sort()
     facts: list[CUFacts] = []
     failures: list[tuple[str, ParseError]] = []
@@ -672,7 +694,7 @@ def parse_corpus_dir(
         hit = texts.get(text, known.get(text))
         if hit is None:
             try:
-                hit = parse_compilation_unit(text, rel)
+                hit = parse_compilation_unit(text, rel, line_memo)
             except ParseError as exc:
                 hit = detached(exc)
         texts[text] = hit
@@ -683,4 +705,7 @@ def parse_corpus_dir(
     if memo is not None:
         memo.clear()
         memo.update(texts)
+    if lexed is not None:
+        lexed.clear()
+        lexed.update(line_memo)
     return facts, failures

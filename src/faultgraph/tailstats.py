@@ -413,7 +413,8 @@ def _zeta_ccdf(gamma: float, x_min: float):
     """The zeta CCDF P(X >= v) = zeta(gamma, v) / zeta(gamma, x_min), as a
     function of v >= x_min that takes each value once. Where
     zeta(gamma, x_min) lies below the double range, both zetas are taken
-    in units of x_min."""
+    in units of x_min. At x_min it is norm / norm, exactly 1.0, and no
+    zeta is taken again."""
     unit = 1.0
     norm = _hurwitz_zeta(gamma, x_min)
     if not norm:
@@ -422,7 +423,7 @@ def _zeta_ccdf(gamma: float, x_min: float):
 
     @cache
     def at(v: float) -> float:
-        return _hurwitz_zeta(gamma, v, unit) / norm
+        return 1.0 if v == x_min else _hurwitz_zeta(gamma, v, unit) / norm
 
     return at
 

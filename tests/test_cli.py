@@ -8,6 +8,7 @@ import pytest
 
 from faultgraph import cli, pipeline
 from faultgraph.cli import main
+from faultgraph.errors import FormatError, ParseError, read_utf8
 
 CONFIG = "tests/fixtures/pipeline_config.json"
 
@@ -531,6 +532,39 @@ def test_non_utf8_config_is_a_config_error(tmp_path, capsys):
     code, _, err = run(capsys, "report", "--config", str(path))
     assert code == 1
     assert "config.json" in err and "not UTF-8" in err
+
+
+@pytest.mark.parametrize(
+    "data, where",
+    [
+        (b"x" * 9_000 + b"\xff" + b"y" * 100, "byte 9000: invalid start byte"),
+        (b"x" * 20_000 + b"\xe2\x82" + b"y" * 100, "byte 20000: invalid continuation byte"),
+        (b"class A {}\n\xe2\x82", "byte 11: unexpected end of data"),
+    ],
+    ids=["past-one-chunk", "past-two-chunks", "cut-at-the-end"],
+)
+def test_a_non_utf8_input_names_its_first_bad_byte(tmp_path, data, where):
+    # the offset counts from the start of the file, however it is read
+    path = tmp_path / "A.java"
+    path.write_bytes(data)
+    with pytest.raises(ParseError) as exc:
+        read_utf8(path, ParseError)
+    assert str(exc.value) == f"{path}: not UTF-8 text ({where})"
+
+
+def test_an_unreadable_input_says_why(tmp_path):
+    with pytest.raises(FormatError) as exc:
+        read_utf8(tmp_path / "gone.tsv", FormatError)
+    assert str(exc.value) == f"{tmp_path / 'gone.tsv'}: cannot read: No such file or directory"
+    with pytest.raises(FormatError) as exc:
+        read_utf8(tmp_path, FormatError)
+    assert str(exc.value) == f"{tmp_path}: cannot read: Is a directory"
+
+
+def test_an_input_is_read_as_written(tmp_path):
+    path = tmp_path / "commits.tsv"
+    path.write_bytes("\ufeffa\r\nb\rc\u2028d\n".encode())
+    assert read_utf8(path, FormatError) == "\ufeffa\r\nb\rc\u2028d\n"
 
 
 @pytest.mark.parametrize("command", ["extract", "graph", "metrics", "bugs", "correlate", "evolve", "report"])

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from faultgraph.facts import count_loc, scan_source
+from faultgraph.facts import LineMemo, count_loc, scan_source
 from faultgraph.javaparse import parse_compilation_unit
 from javaparse_oracle import scan_with_oracles
 
@@ -57,9 +57,11 @@ def test_appending_blank_lines_is_invariant(text, k):
 
 
 # --------------------------------------------------------------------------
-# The one-pass lexer against the two oracles it replaced, run in turn: the
+# The lexer against the two oracles it replaced, run in turn: the
 # character-by-character comment stripper, then the whitespace-group
-# tokenizer (javaparse_oracle).
+# tokenizer (javaparse_oracle). A text scanned with a fresh memo has only
+# new lines, so it is lexed in one pass; one whose lines a memo holds is put
+# together line by line, which the memo tests below reach.
 # --------------------------------------------------------------------------
 
 SCANNER_ALPHABET = "/*\"'\\\n\r\t\x0b\x0c\x85\u2028\u2003éa1{;<"
@@ -96,3 +98,73 @@ def test_backslash_before_line_break_keeps_the_break():
     cu = parse_compilation_unit(text, "T.java")
     assert [(c.name, c.loc) for c in cu.classes] == [("A", 6), ("B", 3)]
     assert cu.loc == 9
+
+
+# --------------------------------------------------------------------------
+# The line memo: a text put together from lines lexed before scans as it
+# does alone
+# --------------------------------------------------------------------------
+
+BLOCK_COMMENT_CASES = [
+    "a /* b\n c */ d",  # code after the */ that closes a comment opened a line before
+    "a /* b\n c */ d /* e */ f\n",  # two comments on the closing line
+    "a /* b\n c */ d /* e\n f */ g\n",  # the closing line opens another
+    "/* a\n\n b\n*/\nc\n",  # lines wholly inside a comment
+    "a /* b\r\n c */ d\r\n",  # CR LF: the CR is blank, only LF ends a line
+    "a\r/* b\rc */ d\r\n*/ e",  # a lone CR ends no line either
+    "a /* b\n c */ d\n",  # a trailing line break
+    "x /*/\n*/ y\n",  # "/*/" opens a comment
+    "x /* y\n",  # a comment open at the end
+    "/* a\n b */",
+    "a\n\n",
+    "",
+]
+
+
+@pytest.mark.parametrize("text", BLOCK_COMMENT_CASES)
+def test_a_text_scans_alike_through_a_memo_that_holds_its_lines(text):
+    want = scan_with_oracles(text)
+    memo = LineMemo()
+    assert scan_source(text, memo) == want  # every line new: one pass over the text
+    assert scan_source(text, memo) == want  # every line held: put together from the memo
+    assert scan_source(text, LineMemo(dict(memo))) == want  # every line held by the older release
+
+
+@pytest.mark.parametrize("text", BLOCK_COMMENT_CASES)
+def test_a_text_with_one_new_line_scans_alike(text):
+    # the new line is lexed alone and the rest comes from the memo
+    rows = text.split("\n")
+    for at in range(len(rows)):
+        memo = LineMemo()
+        for case in BLOCK_COMMENT_CASES:
+            scan_source(case, memo)
+        edited = "\n".join([*rows[:at], rows[at] + " q", *rows[at + 1 :]])
+        assert scan_source(edited, memo) == scan_with_oracles(edited), at
+
+
+LINE_ALPHABET = SCANNER_ALPHABET.replace("\n", "")
+
+
+@settings(max_examples=300)
+@given(
+    st.lists(st.text(alphabet=LINE_ALPHABET, max_size=12), min_size=1, max_size=8),
+    st.lists(st.lists(st.integers(min_value=0, max_value=7), max_size=12), min_size=1, max_size=6),
+    st.booleans(),
+)
+def test_texts_scanned_through_one_memo_scan_as_they_do_alone(lines, picks, trailing_break):
+    # the texts share lines, so a later one meets lines an earlier one lexed
+    texts = ["\n".join(lines[i % len(lines)] for i in pick) + "\n" * trailing_break for pick in picks]
+    alone = [scan_source(text) for text in texts]
+    assert alone == [scan_with_oracles(text) for text in texts]
+    memo = LineMemo()
+    assert [scan_source(text, memo) for text in texts] == alone
+    assert [scan_source(text, LineMemo(memo)) for text in texts] == alone
+
+
+def test_equal_lines_share_their_tokens_through_a_memo():
+    memo = LineMemo()
+    _, first, _ = scan_source('x = "same";\n', memo)
+    _, second, _ = scan_source('y();\nx = "same";\n', memo)
+    assert first[2] is second[6]  # the literal, which is not interned
+    _, alone, _ = scan_source('x = "same";\n')
+    assert alone[2] == first[2] and alone[2] is not first[2]

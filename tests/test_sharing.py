@@ -8,6 +8,7 @@ never freed.
 """
 
 import json
+import sys
 
 from faultgraph.bugs import parse_commit_log_text
 from faultgraph.facts import load_facts, scan_source
@@ -28,10 +29,14 @@ def test_equal_identifiers_from_two_scans_are_one_string():
 
 
 def test_literals_and_numbers_are_not_interned():
+    # equal lines scanned through one line memo share their tokens, a
+    # literal among them; but no literal or number enters the intern table
     _, first, _ = scan_source('class A { String s = "a literal"; long n = 1234567L; }')
     _, second, _ = scan_source('class B { String s = "a literal"; long n = 1234567L; }')
     assert only(first, '"a literal"') is not only(second, '"a literal"')
     assert only(first, "1234567L") is not only(second, "1234567L")
+    for token in ('"a literal"', "1234567L"):
+        assert sys.intern("".join(token)) is not only(first, token)
 
 
 def test_one_path_in_two_commits_is_one_string():
