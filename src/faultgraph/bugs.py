@@ -178,7 +178,7 @@ def load_issue_registry(path) -> frozenset[int]:
     if first is None:
         return frozenset()
     idx, header = first
-    if header.split("\t")[:3] != ["id", "open_date", "release_tag"]:
+    if header != "id\topen_date\trelease_tag":
         raise FormatError(f"bad registry header {header!r}", record=idx)
     ids: set[int] = set()
     for idx, line in lines:

@@ -21,7 +21,7 @@ import json
 import re
 import string
 import sys
-from itertools import chain, repeat
+from itertools import repeat
 from typing import NamedTuple
 
 from .errors import FormatError, json_limit, read_utf8, records, write_utf8
@@ -29,13 +29,20 @@ from .errors import FormatError, json_limit, read_utf8, records, write_utf8
 CLASS_KINDS = ("class", "interface")
 
 # a tab or line break in a CU path or class name would split a row of the
-# tab-separated bundle, so no such name gets past a loader
+# tab-separated bundle, and a lone surrogate, the form a file name byte that
+# is not UTF-8 takes (PEP 383), has no UTF-8 to write; no such name gets
+# past a loader
 _ROW_BREAKS = frozenset("\t\r\n")
+_SURROGATE = re.compile("[\ud800-\udfff]")
 
 
-def splits_a_row(name: str) -> bool:
-    """Whether ``name`` holds a tab, CR or LF."""
-    return not _ROW_BREAKS.isdisjoint(name)
+def name_fault(name: str) -> str | None:
+    """Why ``name`` cannot be written into a bundle row, or None if it can."""
+    if not _ROW_BREAKS.isdisjoint(name):
+        return "holds a tab, CR or LF"
+    if not name.isascii() and _SURROGATE.search(name):
+        return "is not valid Unicode"
+    return None
 
 
 # --------------------------------------------------------------------------
@@ -74,43 +81,37 @@ _LEXEME = re.compile(
 _IDENT_START = frozenset(string.ascii_letters + "_$")
 
 
-def _lex(text: str, rows: list[str], memo: dict | None) -> tuple[list[list[str]], list[int], bool]:
+def _lex(text: str, rows: list[str], memo: dict | None) -> tuple[list[list[str]], bool]:
     """One regex pass over ``text``, whose lines are ``rows``: the tokens of
-    each line, the 1-based line of each token, and whether the text ends
-    inside a block comment. Each line the pass enters outside a comment is
-    entered in ``memo`` with its tokens and whether a block comment runs on
-    past its end."""
+    each line, and whether the text ends inside a block comment. Each line
+    the pass enters outside a comment is entered in ``memo`` with its tokens
+    and whether a block comment runs on past its end."""
     row_tokens: list[list[str]] = []
-    lines: list[int] = []
     spans: list[tuple[int, int]] = []  # (line index, line breaks) of each block comment with a line break
     toks: list[str] = []
-    line, opens = 1, False
+    opens = False
     for lexeme in _LEXEME.findall(text):
         first = lexeme[0]
         if first in _IDENT_START:
             toks.append(sys.intern(lexeme))
-            lines.append(line)
         elif lexeme == "\n":
             row_tokens.append(toks)
             toks = []
-            line += 1
         elif first == "/" and len(lexeme) > 1:  # a comment
             breaks = lexeme.count("\n")
             if breaks:
-                spans.append((line - 1, breaks))
+                spans.append((len(row_tokens), breaks))
                 row_tokens.append(toks)
                 row_tokens += [[] for _ in range(breaks - 1)]
                 toks = []
-                line += breaks
             # a block comment left open runs to the end of the text, so only
             # the last lexeme can be one; "/*/" is
             opens = lexeme[1] == "*" and (len(lexeme) < 4 or not lexeme.endswith("*/"))
         else:
             toks.append(lexeme)
-            lines.append(line)
     row_tokens.append(toks)
     if memo is None:
-        return row_tokens, lines, opens
+        return row_tokens, opens
     if spans or opens:  # a block comment runs on past the end of a line
         entries: list = list(zip(map(tuple, row_tokens), repeat(False)))
         for at, breaks in spans:
@@ -122,32 +123,10 @@ def _lex(text: str, rows: list[str], memo: dict | None) -> tuple[list[list[str]]
         memo.update([(row, entry) for row, entry in zip(rows, entries) if entry is not None])
     else:
         memo.update(zip(rows, zip(map(tuple, row_tokens), repeat(False))))
-    return row_tokens, lines, opens
+    return row_tokens, opens
 
 
-class LineMemo(dict):
-    """Maps a source line to its lexing from its start outside any comment:
-    its tokens, and whether a block comment runs on past its end. A line
-    ``new_rows`` finds in ``older`` is entered from there."""
-
-    __slots__ = ("older",)
-
-    def __init__(self, older: dict[str, tuple[tuple[str, ...], bool]] | None = None):
-        super().__init__()
-        self.older = {} if older is None else older
-
-    def new_rows(self, rows: list[str]) -> list[str]:
-        """The lines of ``rows`` that neither the memo nor ``older`` holds,
-        as often as they occur; those ``older`` holds are entered."""
-        new = [row for row in rows if row not in self]
-        kept = self.older.keys() & new if new and self.older else ()
-        if kept:
-            self.update([(row, self.older[row]) for row in kept])
-            new = [row for row in new if row not in kept]
-        return new
-
-
-def scan_source(text: str, memo: LineMemo | None = None) -> tuple[list[bool], list[str], list[int]]:
+def scan_source(text: str, memo: dict | None = None) -> tuple[list[bool], list[str], list[int]]:
     """Lex source text, each distinct line once.
 
     Returns (line_has_code, tokens, token_lines): line_has_code[i] is True
@@ -158,44 +137,42 @@ def scan_source(text: str, memo: LineMemo | None = None) -> tuple[list[bool], li
     however many files spell it; numbers and literals, which no facts keep,
     are not.
 
-    Lines are looked up in ``memo`` (a fresh one if None), so texts scanned
-    through one memo lex each of their distinct lines once, and equal lines
-    give the same token strings. A text most of whose lines are new is
-    lexed in one pass, which enters its lines; otherwise its new lines are
-    lexed, and the text is put together from the memo. There a line that
-    starts inside a block comment holds no code up to the ``*/`` that
-    closes it, and the rest of it is lexed alone.
+    ``memo`` (a fresh one if None) maps a line to its lexing from its start
+    outside any comment: its tokens, and whether a block comment runs on
+    past its end. The text's distinct lines that it does not hold are
+    lexed in one pass over them joined, which enters them; a line that pass
+    met inside a block comment is lexed alone. The text is then put
+    together from the memo, so texts scanned through one memo lex each of
+    their distinct lines once, and equal lines give the same token strings.
+    A line that starts inside a block comment holds no code up to the
+    ``*/`` that closes it, and the rest of it is lexed alone.
     """
     if memo is None:
-        memo = LineMemo()
+        memo = {}
     rows = text.split("\n")
-    new = memo.new_rows(rows)
-    if 4 * len(new) > 3 * len(rows):  # mostly new lines: lex the text as it is
-        row_tokens, lines, _ = _lex(text, rows, memo)
-        tokens = list(chain.from_iterable(row_tokens))
-        has_code = list(map(bool, row_tokens))
-    else:
-        if new:
-            new = list(dict.fromkeys(new))
-            _lex("\n".join(new), new, memo)
-            for row in new:
-                if row not in memo:  # the pass entered it inside a block comment
-                    _lex(row, [row], memo)
-        tokens, lines, has_code = [], [], []
-        opens = False
-        for number, row in enumerate(rows, 1):
-            if opens:  # inside a block comment
-                close = row.find("*/")
-                if close < 0:
-                    has_code.append(False)
-                    continue
-                (toks,), _, opens = _lex(row[close + 2 :], [], None)
-            else:
-                toks, opens = memo[row]
-            if toks:
-                tokens += toks
-                lines += [number] * len(toks)
-            has_code.append(bool(toks))
+    new = list(dict.fromkeys([row for row in rows if row not in memo]))
+    if new:
+        _lex("\n".join(new), new, memo)
+        for row in new:
+            if row not in memo:  # the pass entered it inside a block comment
+                _lex(row, [row], memo)
+    tokens: list[str] = []
+    lines: list[int] = []
+    has_code: list[bool] = []
+    opens = False
+    for number, row in enumerate(rows, 1):
+        if opens:  # inside a block comment
+            close = row.find("*/")
+            if close < 0:
+                has_code.append(False)
+                continue
+            (toks,), opens = _lex(row[close + 2 :], [], None)
+        else:
+            toks, opens = memo[row]
+        if toks:
+            tokens += toks
+            lines += [number] * len(toks)
+        has_code.append(bool(toks))
     if not rows[-1]:  # a final line break starts no line
         has_code.pop()
     return has_code, tokens, lines
@@ -342,8 +319,8 @@ def _method_from_dict(d: dict, record: int) -> MethodFacts:
 def _class_from_dict(d: dict, record: int) -> ClassFacts:
     if not isinstance(d.get("name"), str):
         raise FormatError("class record needs a name", record=record)
-    if splits_a_row(d["name"]):
-        raise FormatError("class name holds a tab, CR or LF", record=record)
+    if fault := name_fault(d["name"]):
+        raise FormatError(f"class name {fault}", record=record)
     if d.get("kind") not in CLASS_KINDS:
         raise FormatError(f"unknown class kind {d.get('kind')!r}", record=record)
     extends = d.get("extends")
@@ -372,8 +349,8 @@ def cu_from_dict(d: dict, record: int = 0) -> CUFacts:
             raise FormatError(f"missing field {key!r}", record=record)
     if not (isinstance(d["path"], str) and d["path"] != ""):
         raise FormatError("path must be a non-empty string", record=record)
-    if splits_a_row(d["path"]):
-        raise FormatError("path holds a tab, CR or LF", record=record)
+    if fault := name_fault(d["path"]):
+        raise FormatError(f"path {fault}", record=record)
     if not isinstance(d["package"], str):
         raise FormatError("package must be a string", record=record)
     loc = _count(d["loc"], "loc", record)

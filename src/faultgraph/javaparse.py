@@ -10,11 +10,12 @@ to their raw name with every type argument recorded as a reference
 Tokens come from ``facts.scan_source``, the one lexer, which also yields
 each token's 1-based line and the code lines a class's line count reads.
 The texts of a corpus release are lexed through one line memo, which
-``parse_corpus_dir`` hands down, so each distinct line is lexed once and
-equal lines share their tokens. Tokens are plain strings. A token's kind follows from its first
-character: an identifier or keyword starts with a letter, ``_`` or ``$``, a
-number with a digit, a string or char literal with its quote, and anything
-else is a one-character punctuator, so ``tok == "("`` is a punctuator test.
+``parse_corpus_dir`` makes and hands down, so each distinct line is lexed
+once and equal lines share their tokens. Tokens are plain strings. A
+token's kind follows from its first character: an identifier or keyword
+starts with a letter, ``_`` or ``$``, a number with a digit, a string or
+char literal with its quote, and anything else is a one-character
+punctuator, so ``tok == "("`` is a punctuator test.
 No token holds a newline, which makes a newline the end-of-input sentinel. A
 token's column is worked out only when a ``ParseError`` reports it, by
 lexing the source text again (``facts.token_column``).
@@ -54,11 +55,10 @@ from .facts import (
     _IDENT_START,
     ClassFacts,
     CUFacts,
-    LineMemo,
     MethodFacts,
+    name_fault,
     name_set,
     scan_source,
-    splits_a_row,
     token_column,
 )
 
@@ -603,7 +603,7 @@ def _draft_loc(draft: _ClassDraft, has_code: list[bool]) -> int:
     return max(span, 0)
 
 
-def parse_compilation_unit(source_text: str, path: str, line_memo: LineMemo | None = None) -> CUFacts:
+def parse_compilation_unit(source_text: str, path: str, line_memo: dict | None = None) -> CUFacts:
     """Parse one source file into CUFacts. Raises ParseError with position.
     Its lines are lexed through ``line_memo`` (see ``scan_source``)."""
     has_code, toks, lines = scan_source(source_text, line_memo)
@@ -645,29 +645,27 @@ def parse_compilation_unit(source_text: str, path: str, line_memo: LineMemo | No
 
 
 def parse_corpus_dir(
-    root,
-    memo: dict[str, CUFacts | ParseError] | None = None,
-    lexed: dict[str, tuple[tuple[str, ...], bool]] | None = None,
+    root, memo: dict[str, CUFacts | ParseError] | None = None
 ) -> tuple[list[CUFacts], list[tuple[str, ParseError]]]:
     """Parse every .java file under root (sorted relative paths).
 
     Returns (facts, failures); files that fail to parse, are not UTF-8, or
-    whose relative path holds a tab, CR or LF are reported, never silently
-    dropped. ``memo`` maps source text to its facts or its ParseError; a text
-    parsed before, in this call or in the previous one given the same memo,
-    is not parsed again. On return the memo holds this call's texts only, so
-    consecutive releases share their unchanged files and no older release's
-    texts stay alive. The parser reads a file's path only into
-    ``CUFacts.path``, so a hit differs from a fresh parse in no other field.
-    Paths are interned, so a CU's path is the string the commit log names.
+    whose relative path holds a tab, CR or LF or is not valid Unicode are
+    reported, never silently dropped. ``memo`` maps source text to its
+    facts or its ParseError; a text parsed before, in this call or in the
+    previous one given the same memo, is not parsed again. On return the
+    memo holds this call's texts only, so consecutive releases share their
+    unchanged files and no older release's texts stay alive. The parser
+    reads a file's path only into ``CUFacts.path``, so a hit differs from a
+    fresh parse in no other field. Paths are interned, so a CU's path is the
+    string the commit log names.
 
-    The texts this call parses are lexed through one ``LineMemo``, which
-    takes a line ``lexed`` holds from there, so each distinct line is lexed
-    once. On return ``lexed`` holds lines of the texts this call parsed
-    only, so, as with ``memo``, no older release's lines stay alive.
+    The texts this call parses are lexed through one line memo (see
+    ``scan_source``), so each distinct line is lexed once; it lives for
+    this call only.
     """
     known = {} if memo is None else memo
-    line_memo = LineMemo(lexed)
+    line_memo: dict[str, tuple[tuple[str, ...], bool]] = {}
     texts: dict[str, CUFacts | ParseError] = {}
     paths: list[str] = []
     for dirpath, _, filenames in os.walk(root):
@@ -680,8 +678,8 @@ def parse_corpus_dir(
     facts: list[CUFacts] = []
     failures: list[tuple[str, ParseError]] = []
     for rel in paths:
-        if splits_a_row(rel):
-            failures.append((rel, ParseError(f"path {rel!r} holds a tab, CR or LF")))
+        if fault := name_fault(rel):
+            failures.append((rel, ParseError(f"path {rel!r} {fault}")))
             continue
         full = os.path.join(root, rel.replace("/", os.sep))
         try:
@@ -705,7 +703,4 @@ def parse_corpus_dir(
     if memo is not None:
         memo.clear()
         memo.update(texts)
-    if lexed is not None:
-        lexed.clear()
-        lexed.update(line_memo)
     return facts, failures

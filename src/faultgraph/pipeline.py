@@ -94,21 +94,18 @@ def write_table(path: Path, header: list[str], rows: Iterable[Sequence]) -> Path
 class RunMemo:
     """What consecutive releases of a run share. ``sources`` maps a source
     text to its facts or its ParseError and holds the texts of the last
-    corpus release parsed only; ``lexed`` maps a source line to its tokens
-    and whether a block comment runs on past its end, and holds lines of
-    the texts the last corpus release parsed only; ``lines`` maps a facts-file line to its
+    corpus release parsed only; ``lines`` maps a facts-file line to its
     CUFacts and holds the lines of the last facts release loaded only. So
-    consecutive releases share their unchanged files and source lines, and
-    a text or line from two releases back is decoded again, to equal
-    facts. ``encoded`` maps the id of each CUFacts object the last facts
-    file written holds to the object and its line, so an object that both
-    loaders hand on unchanged is encoded once."""
+    consecutive releases share their unchanged files, and a text or line
+    from two releases back is decoded again, to equal facts. ``encoded``
+    maps the id of each CUFacts object the last facts file written holds
+    to the object and its line, so an object that both loaders hand on
+    unchanged is encoded once."""
 
-    __slots__ = ("sources", "lexed", "lines", "encoded")
+    __slots__ = ("sources", "lines", "encoded")
 
     def __init__(self):
         self.sources: dict[str, CUFacts | ParseError] = {}
-        self.lexed: dict[str, tuple[tuple[str, ...], bool]] = {}
         self.lines: dict[str, CUFacts] = {}
         self.encoded: dict[int, tuple[CUFacts, str]] = {}
 
@@ -148,13 +145,13 @@ class ReleaseData:
 
 def load_release_facts(rc: ReleaseConfig, memo: RunMemo) -> tuple[list[CUFacts], list[tuple[str, Exception]]]:
     """(facts, per-file parse failures) of a release; no CUs at all is an InputError.
-    A corpus is parsed through ``memo.sources`` and ``memo.lexed``, which
-    then hold this corpus's texts and lines of those it parsed, a facts file
-    decoded through ``memo.lines``, which then holds this file's lines."""
+    A corpus is parsed through ``memo.sources``, which then holds this
+    corpus's texts, a facts file decoded through ``memo.lines``, which then
+    holds this file's lines."""
     if rc.facts is not None:
         facts, failures = load_facts_file(rc.facts, memo.lines), []
     else:
-        facts, failures = parse_corpus_dir(rc.corpus, memo.sources, memo.lexed)
+        facts, failures = parse_corpus_dir(rc.corpus, memo.sources)
     if not facts:
         raise InputError(f"release {rc.tag!r}: no compilation units found")
     return facts, failures

@@ -173,6 +173,7 @@ REGISTRY_HEADER = "id\topen_date\trelease_tag\n"
     "text, record, message",
     [
         ("id\topen\trelease_tag\n", 1, "bad registry header"),
+        ("id\topen_date\trelease_tag\textra\n5\t2007-01-01\tr1\n", 1, "bad registry header"),
         (REGISTRY_HEADER + "5\t2007-01-01\n", 2, "expected 3 tab-separated columns"),
         (REGISTRY_HEADER + "5\t2007-01-01\tr1\tmore\n", 2, "expected 3 tab-separated columns"),
         (REGISTRY_HEADER + "five\t2007-01-01\tr1\n", 2, "bad issue id 'five'"),

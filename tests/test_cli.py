@@ -468,26 +468,47 @@ def test_non_utf8_java_file_is_a_reported_parse_failure(tmp_path, capsys, fixtur
     assert "stage source_facts" in err and "Latin.java" in err
 
 
-@pytest.mark.parametrize("char", ["\t", "\r", "\n"], ids=["tab", "cr", "lf"])
-def test_a_java_path_that_would_split_a_bundle_row_is_a_failed_file(tmp_path, capsys, fixtures_dir, char):
+@pytest.mark.parametrize(
+    "char, said",
+    [
+        ("\t", "holds a tab, CR or LF"),
+        ("\r", "holds a tab, CR or LF"),
+        ("\n", "holds a tab, CR or LF"),
+        # the byte 0xff, which is not UTF-8, reaches the program as the lone
+        # surrogate U+DCFF (PEP 383), which no UTF-8 writer can encode
+        ("\udcff", "is not valid Unicode"),
+    ],
+    ids=["tab", "cr", "lf", "not-unicode"],
+)
+def test_a_java_path_that_would_split_a_bundle_row_is_a_failed_file(tmp_path, capsys, fixtures_dir, char, said):
     cfg_path = write_config(tmp_path, fixtures_dir)
-    (tmp_path / "corpus_r1" / "app" / f"Sp{char}lit.java").write_text("package app;\nclass Split {\n void m() {}\n}\n")
-    code, _, err = run(capsys, "report", "--config", str(cfg_path), "--out", str(tmp_path / "r"))
-    assert code == 1
-    assert "stage source_facts" in err and "holds a tab, CR or LF" in err and "internal error" not in err
+    try:
+        (tmp_path / "corpus_r1" / "app" / f"Sp{char}lit.java").write_text("package app;\nclass Split {\n void m() {}\n}\n")
+    except (OSError, UnicodeEncodeError) as exc:
+        pytest.skip(f"the file system refuses the name: {exc}")
+    for command in ("report", "metrics"):
+        code, _, err = run(capsys, command, "--config", str(cfg_path), "--out", str(tmp_path / command))
+        assert code == 1, err
+        assert "stage source_facts" in err and said in err and "internal error" not in err
     code, _, err = run(capsys, "extract", "--config", str(cfg_path), "--out", str(tmp_path / "e"))
     assert code == 1
-    assert "1 file(s) skipped" in err and "holds a tab, CR or LF" in err
+    assert "1 file(s) skipped" in err and said in err
     facts = (tmp_path / "e" / "facts-r1.jsonl").read_text()
     assert "app/Alpha.java" in facts and "Split" not in facts
 
 
 @pytest.mark.parametrize(
-    "old, new",
-    [('"path":"app/Alpha.java"', '"path":"app/Al\\tpha.java"'), ('"name":"Alpha"', '"name":"Al\\npha"')],
-    ids=["path", "class-name"],
+    "old, new, said",
+    [
+        ('"path":"app/Alpha.java"', '"path":"app/Al\\tpha.java"', "holds a tab, CR or LF"),
+        ('"name":"Alpha"', '"name":"Al\\npha"', "holds a tab, CR or LF"),
+        # a lone surrogate, which no UTF-8 writer can encode
+        ('"path":"app/Alpha.java"', '"path":"app/Al\\udcffpha.java"', "is not valid Unicode"),
+        ('"name":"Alpha"', '"name":"A\\udcff"', "is not valid Unicode"),
+    ],
+    ids=["path", "class-name", "path-not-unicode", "class-name-not-unicode"],
 )
-def test_a_facts_name_that_would_split_a_bundle_row_exits_1(tmp_path, capsys, fixtures_dir, old, new):
+def test_a_facts_name_that_would_split_a_bundle_row_exits_1(tmp_path, capsys, fixtures_dir, old, new, said):
     cfg_path = write_config(tmp_path, fixtures_dir)
     assert run(capsys, "extract", "--config", str(cfg_path), "--out", str(tmp_path / "e"))[0] == 0
     text = (tmp_path / "e" / "facts-r1.jsonl").read_text()
@@ -497,10 +518,11 @@ def test_a_facts_name_that_would_split_a_bundle_row_exits_1(tmp_path, capsys, fi
     del cfg["releases"][0]["corpus"]
     cfg["releases"][0]["facts"] = "facts.jsonl"
     cfg_path.write_text(json.dumps(cfg))
-    code, _, err = run(capsys, "metrics", "--config", str(cfg_path), "--out", str(tmp_path / "m"))
-    assert code == 1
-    assert "stage source_facts" in err and "record 1:" in err and "holds a tab, CR or LF" in err
-    assert not (tmp_path / "m" / "metrics-r1.tsv").exists()
+    for command in ("report", "metrics"):
+        code, _, err = run(capsys, command, "--config", str(cfg_path), "--out", str(tmp_path / command))
+        assert code == 1, err
+        assert "stage source_facts" in err and "record 1:" in err and said in err
+        assert not (tmp_path / command / "metrics-r1.tsv").exists()
 
 
 @pytest.mark.parametrize("name, stage", [("commits.tsv", "bug_mapping"), ("issues.tsv", "bug_mapping")])

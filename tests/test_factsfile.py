@@ -202,6 +202,9 @@ def test_name_sets_load_and_dump_sorted_and_distinct():
         (("path",), "a/A\tB.java"),
         (("path",), "a/A\rB.java"),
         (("classes", 0, "name"), "A\nB"),
+        # a lone surrogate has no UTF-8 to write
+        (("path",), "a/A\udcffB.java"),
+        (("classes", 0, "name"), "A\ud800"),
     ],
 )
 def test_mistyped_field_is_a_format_error(path, value):
@@ -211,8 +214,8 @@ def test_mistyped_field_is_a_format_error(path, value):
 
 
 names = st.text(min_size=1, max_size=8)
-# a CU path or class name never holds a tab, CR or LF
-row_names = st.text(st.characters(exclude_characters="\t\r\n"), min_size=1, max_size=8)
+# a CU path or class name never holds a tab, CR, LF or lone surrogate (Cs)
+row_names = st.text(st.characters(exclude_characters="\t\r\n", exclude_categories=["Cs"]), min_size=1, max_size=8)
 methods = st.builds(
     MethodFacts,
     name=names,

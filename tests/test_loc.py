@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from faultgraph.facts import LineMemo, count_loc, scan_source
+from faultgraph.facts import count_loc, scan_source
 from faultgraph.javaparse import parse_compilation_unit
 from javaparse_oracle import scan_with_oracles
 
@@ -59,9 +59,10 @@ def test_appending_blank_lines_is_invariant(text, k):
 # --------------------------------------------------------------------------
 # The lexer against the two oracles it replaced, run in turn: the
 # character-by-character comment stripper, then the whitespace-group
-# tokenizer (javaparse_oracle). A text scanned with a fresh memo has only
-# new lines, so it is lexed in one pass; one whose lines a memo holds is put
-# together line by line, which the memo tests below reach.
+# tokenizer (javaparse_oracle). A text scanned with a fresh memo has all
+# its distinct lines lexed in one pass over them joined; one whose lines a
+# memo holds already is put together from it, which the memo tests below
+# reach.
 # --------------------------------------------------------------------------
 
 SCANNER_ALPHABET = "/*\"'\\\n\r\t\x0b\x0c\x85\u2028\u2003éa1{;<"
@@ -124,10 +125,9 @@ BLOCK_COMMENT_CASES = [
 @pytest.mark.parametrize("text", BLOCK_COMMENT_CASES)
 def test_a_text_scans_alike_through_a_memo_that_holds_its_lines(text):
     want = scan_with_oracles(text)
-    memo = LineMemo()
-    assert scan_source(text, memo) == want  # every line new: one pass over the text
+    memo = {}
+    assert scan_source(text, memo) == want  # every line new: one pass over its distinct lines
     assert scan_source(text, memo) == want  # every line held: put together from the memo
-    assert scan_source(text, LineMemo(dict(memo))) == want  # every line held by the older release
 
 
 @pytest.mark.parametrize("text", BLOCK_COMMENT_CASES)
@@ -135,7 +135,7 @@ def test_a_text_with_one_new_line_scans_alike(text):
     # the new line is lexed alone and the rest comes from the memo
     rows = text.split("\n")
     for at in range(len(rows)):
-        memo = LineMemo()
+        memo = {}
         for case in BLOCK_COMMENT_CASES:
             scan_source(case, memo)
         edited = "\n".join([*rows[:at], rows[at] + " q", *rows[at + 1 :]])
@@ -156,13 +156,12 @@ def test_texts_scanned_through_one_memo_scan_as_they_do_alone(lines, picks, trai
     texts = ["\n".join(lines[i % len(lines)] for i in pick) + "\n" * trailing_break for pick in picks]
     alone = [scan_source(text) for text in texts]
     assert alone == [scan_with_oracles(text) for text in texts]
-    memo = LineMemo()
+    memo = {}
     assert [scan_source(text, memo) for text in texts] == alone
-    assert [scan_source(text, LineMemo(memo)) for text in texts] == alone
 
 
 def test_equal_lines_share_their_tokens_through_a_memo():
-    memo = LineMemo()
+    memo = {}
     _, first, _ = scan_source('x = "same";\n', memo)
     _, second, _ = scan_source('y();\nx = "same";\n', memo)
     assert first[2] is second[6]  # the literal, which is not interned

@@ -16,6 +16,15 @@ window, registry, ``min_id`` or excluded-interval filter that lets them
 through, the run from facts on a facts writer that drops a field, and the
 renamed output directory on a writer that puts the output path in a row.
 
+Three relations change the environment, not the inputs: numpy's kernels
+moved to its x86-64 baseline (``NPY_DISABLE_CPU_FEATURES``; skipped where
+``opt_func_info`` shows that float64 ``log`` stays where it was), a far
+time zone (``TZ=Pacific/Chatham``, UTC+12:45 or +13:45) and the C locale
+(``LC_ALL=C``). Each fails on a matching defect: a ``np.log`` value
+written with ``repr``, a window timestamp read as local time, and a
+message that reads the locale's encoding (the default locale and C differ
+in ``LC_CTYPE``, while UTF-8 mode holds under both).
+
 One relation is not an identity: a CU that references nothing and that
 nothing references, added to both corpora, adds its own rows to the metric
 tables and changes no other row. It fails on an ``in_links`` that counts
@@ -39,18 +48,19 @@ GEN = ROOT / "perfbench" / "gen.py"
 SEED = 11
 
 
-def faultgraph(*argv: str, hash_seed: int = 0) -> str:
-    """Run one command in a fresh interpreter, require exit 0 and return its
-    stderr."""
-    env = {**os.environ, "PYTHONPATH": str(ROOT / "src"), "PYTHONHASHSEED": str(hash_seed)}
+def faultgraph(*argv: str, hash_seed: int = 0, env: dict[str, str] | None = None) -> str:
+    """Run one command in a fresh interpreter, with ``env`` added to the
+    environment, require exit 0 and return its stderr."""
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src"), "PYTHONHASHSEED": str(hash_seed), **(env or {})}
     done = subprocess.run([sys.executable, "-m", "faultgraph.cli", *argv], env=env, capture_output=True, text=True)
     assert done.returncode == 0, done.stderr
     return done.stderr
 
 
-def report(inputs: pathlib.Path, out: pathlib.Path, hash_seed: int = 0) -> tuple[dict[str, bytes], str]:
+def report(inputs: pathlib.Path, out: pathlib.Path, hash_seed: int = 0, env=None) -> tuple[dict[str, bytes], str]:
     """The bundle (file name -> bytes) and stderr of one ``report`` run."""
-    stderr = faultgraph("report", "--config", str(inputs / "config.json"), "--out", str(out), hash_seed=hash_seed)
+    argv = ("report", "--config", str(inputs / "config.json"), "--out", str(out))
+    stderr = faultgraph(*argv, hash_seed=hash_seed, env=env)
     return {p.name: p.read_bytes() for p in sorted(out.iterdir())}, stderr
 
 
@@ -157,6 +167,32 @@ RELATIONS = {
 def test_a_report_does_not_depend_on_the_hash_seed(baseline, tmp_path, hash_seed):
     inputs, expected = baseline
     assert_same_run(report(inputs, tmp_path / "out", hash_seed), expected)
+
+
+# numpy's float64 log kernel, as ``opt_func_info`` reports it
+LOG_KERNEL = "from numpy.lib.introspect import opt_func_info; print(opt_func_info('^log$', 'float64'))"
+# numpy's dispatch targets above its x86-64 baseline: on a CPU with AVX-512,
+# float64 log moves from X86_V4 to baseline(X86_V2)
+BASELINE_KERNELS = {"NPY_DISABLE_CPU_FEATURES": "X86_V4 AVX512_ICL AVX512_SPR X86_V3"}
+
+
+def test_a_report_does_not_depend_on_numpy_kernels(baseline, tmp_path):
+    if importlib.util.find_spec("numpy.lib.introspect") is None:
+        pytest.skip("numpy has no opt_func_info to show a kernel move")
+    kernels = [
+        subprocess.run([sys.executable, "-c", LOG_KERNEL], env={**os.environ, **env}, capture_output=True, text=True)
+        for env in ({}, BASELINE_KERNELS)
+    ]
+    if kernels[0].stdout == kernels[1].stdout:
+        pytest.skip(f"{BASELINE_KERNELS} leaves numpy's float64 log kernel where it was: {kernels[0].stdout.strip()}")
+    inputs, expected = baseline
+    assert_same_run(report(inputs, tmp_path / "out", env=BASELINE_KERNELS), expected)
+
+
+@pytest.mark.parametrize("env", [{"TZ": "Pacific/Chatham"}, {"LC_ALL": "C"}], ids=["far-time-zone", "c-locale"])
+def test_a_report_does_not_depend_on_its_time_zone_or_locale(baseline, tmp_path, env):
+    inputs, expected = baseline
+    assert_same_run(report(inputs, tmp_path / "out", env=env), expected)
 
 
 @pytest.mark.parametrize("change", RELATIONS.values(), ids=RELATIONS.keys())

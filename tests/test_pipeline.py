@@ -459,30 +459,28 @@ def test_the_encode_memo_holds_the_last_release_written_only(tmp_path, monkeypat
 
 def lexed_lines(monkeypatch):
     """Record, for each corpus release parsed, the lines each regex pass of
-    the lexer enters in the line memo, and what the run's line memo holds
-    when the release starts."""
-    passes, held = [], []
+    the lexer enters in the line memo."""
+    passes = []
     parse, lex = pipeline.parse_corpus_dir, facts._lex
 
-    def parse_release(root, memo=None, lexed=None):
+    def parse_release(root, memo=None):
         passes.append([])
-        held.append(set(lexed))
-        return parse(root, memo, lexed)
+        return parse(root, memo)
 
     def recording_lex(text, rows, memo):
         if memo is not None:
-            passes[-1].append(set(rows))
+            passes[-1].append(rows)
         return lex(text, rows, memo)
 
     monkeypatch.setattr(pipeline, "parse_corpus_dir", parse_release)
     monkeypatch.setattr(facts, "_lex", recording_lex)
-    return passes, held
+    return passes
 
 
 def test_each_distinct_line_is_lexed_once_per_release(tmp_path, monkeypatch, capsys):
-    # r1's first text is all new lines, lexed in one pass over the text; each
-    # later one holds one new line, lexed alone. r2 edits half of r1's texts
-    # and takes their other lines from the lines r1 lexed.
+    # r1's first text has only new lines, lexed in one pass over them; each
+    # later one holds one new line. r2 edits half of r1's texts, and its own
+    # line memo lexes each distinct line of those once.
     body = ["    int n;", "    void run() {", "        n = n + 1;", "    }"]
 
     def source(i, *extra):
@@ -491,45 +489,16 @@ def test_each_distinct_line_is_lexed_once_per_release(tmp_path, monkeypatch, cap
     r1 = {f"p/C{i}.java": source(i) for i in range(12)}
     r2 = {path: source(i, f"    int m{i};") if i % 2 else text for i, (path, text) in enumerate(r1.items())}
     cfg_path = two_release_config(tmp_path, r1, r2)
-    passes, _ = lexed_lines(monkeypatch)
+    passes = lexed_lines(monkeypatch)
     assert main(["extract", "--config", str(cfg_path), "--out", str(tmp_path / "out")]) == 0
     capsys.readouterr()
     in_r1, in_r2 = passes
     r1_lines = {line for text in r1.values() for line in text.split("\n")}
+    r2_lines = {line for text in r2.values() if text not in r1.values() for line in text.split("\n")}
     assert len(in_r1) == 12 and len(in_r1[0]) == 8
     assert sorted(line for lines in in_r1 for line in lines) == sorted(r1_lines)  # each in one pass
-    assert sorted(line for lines in in_r2 for line in lines) == sorted(f"    int m{i};" for i in range(1, 12, 2))
-
-
-def test_the_line_memo_holds_lines_of_the_last_release_parsed_only(tmp_path, monkeypatch, capsys):
-    # r2 finds A in the text memo and lexes C alone; r3 holds r1's text of
-    # B, whose lines r2 did not lex, so they are lexed again
-    files = {"r1": {"p/A.java": SHARED, "p/B.java": MOVED}, "r2": {"p/A.java": SHARED, "p/C.java": FRESH}}
-    files["r3"] = files["r1"]
-    for tag, corpus in files.items():
-        for rel, text in corpus.items():
-            (tmp_path / tag / rel).parent.mkdir(parents=True, exist_ok=True)
-            (tmp_path / tag / rel).write_text(text)
-    cfg_path = write_cfg(tmp_path, {"releases": [{"tag": tag, "corpus": tag} for tag in files]})
-    memos = []
-
-    class RecordedMemo(RunMemo):
-        __slots__ = ()
-
-        def __init__(self):
-            super().__init__()
-            memos.append(self)
-
-    monkeypatch.setattr(pipeline, "RunMemo", RecordedMemo)
-    passes, held = lexed_lines(monkeypatch)
-    assert main(["extract", "--config", str(cfg_path), "--out", str(tmp_path / "out")]) == 0
-    capsys.readouterr()
-    (memo,) = memos
-    lines = {name: set(text.split("\n")) for name, text in (("A", SHARED), ("B", MOVED), ("C", FRESH))}
-    assert held == [set(), lines["A"] | lines["B"], lines["C"]]
-    assert set(memo.lexed) == lines["B"]
-    assert "class B extends A {" in set().union(*passes[2])  # lexed again
-    assert set().union(*passes[1]) == lines["C"] - lines["A"] - lines["B"]
+    assert len(in_r2) == 6 and len(in_r2[0]) == 9
+    assert sorted(line for lines in in_r2 for line in lines) == sorted(r2_lines)
 
 
 def test_each_release_column_is_built_once(tmp_path, monkeypatch, capsys, fixtures_dir):
