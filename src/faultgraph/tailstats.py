@@ -124,12 +124,11 @@ def _at_least(arr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def ccdf(samples) -> CCDFCurve:
-    """Empirical complementary CDF: for each distinct x, P(X >= x)."""
+    """Empirical complementary CDF of finite, non-negative samples: for
+    each distinct x, P(X >= x)."""
     arr = np.sort(np.asarray(samples, dtype=float))
     if arr.size == 0:
         raise EmptyInput("ccdf of an empty sample set")
-    if np.any(arr < 0) or np.any(~np.isfinite(arr)):
-        raise DomainError("samples must be finite and non-negative")
     values, at_least = _at_least(arr)
     ps = at_least / arr.size
     return CCDFCurve(points=tuple((float(x), float(p)) for x, p in zip(values, ps)))
@@ -185,8 +184,6 @@ class TailFit(_TailFit):
 def _continuous_gamma(tail: np.ndarray, x_min: float) -> float:
     with np.errstate(over="ignore"):  # an overflow is reported below
         log_sum = float(np.sum(np.log(tail / x_min)))
-    if log_sum <= 0.0:
-        raise InsufficientTail("tail has no spread above x_min")
     if not math.isfinite(log_sum):
         raise InsufficientTail("tail spans more than the double range above x_min")
     return 1.0 + tail.size / log_sum
@@ -210,9 +207,11 @@ _ZETA_A = (
 )
 _MACHEP = 1.11022302462515654042e-16
 
-# The discrete MLE's root lies in (_ROOT_LO, _ROOT_HI]. A Newton step
-# shorter than _ROOT_TOL relative is the last: the error left after it is
-# about its square.
+# The discrete MLE's root lies in (_ROOT_LO, _ROOT_HI]: at _ROOT_LO the
+# model's mean of log(x / x_min) is above 9,999 at every x_min, and a double
+# sample's is at most log(DBL_MAX), about 709.8. A Newton step shorter than
+# _ROOT_TOL relative is the last: the error left after it is about its
+# square.
 _ROOT_LO = 1.0 + 1e-4
 _ROOT_HI = 2.0**20
 _ROOT_TOL = 1e-10
@@ -379,10 +378,6 @@ def _discrete_gamma(tail: np.ndarray, x_min: int) -> float:
         s0, s1, s2 = _zeta_moments(gamma, q)
         mean = s1 / s0
         value = target - mean
-        if gamma == _ROOT_LO and value >= 0.0:
-            # the model's mean log diverges as gamma -> 1, so this needs a
-            # mean log beyond anything a finite double sample can produce
-            raise InsufficientTail("tail too heavy for a power-law exponent above 1")
         if gamma == _ROOT_HI and value < 0.0:
             raise InsufficientTail("tail too concentrated at x_min for a discrete fit")
         return value, s2 / s0 - mean * mean
@@ -853,8 +848,6 @@ def chi_square_independence(table) -> ChiSquareResult:
     obs = np.asarray(table, dtype=float)
     if obs.ndim != 2 or obs.shape[0] < 2 or obs.shape[1] < 2:
         raise DegenerateTable("need a table with at least 2 rows and 2 columns")
-    if np.any(obs < 0) or np.any(~np.isfinite(obs)):
-        raise DegenerateTable("counts must be finite and non-negative")
     row_sums = obs.sum(axis=1)
     col_sums = obs.sum(axis=0)
     if np.any(row_sums <= 0) or np.any(col_sums <= 0):

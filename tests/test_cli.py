@@ -296,6 +296,16 @@ def test_a_continuous_tail_beyond_the_double_range_never_exits_2(tmp_path, capsy
     assert err == "faultgraph: stage tail_stats: tail spans more than the double range above x_min\n"
 
 
+def test_a_discrete_tail_within_rounding_of_x_min_exits_1(tmp_path, capsys):
+    # 10^15 + 1 lies 1e-15 above 10^15 in relative terms, so the tail's mean
+    # log is within rounding of log(x_min)
+    path = tmp_path / "samples.txt"
+    path.write_text("1000000000000000\n" * 60 + "1000000000000001\n")
+    code, _, err = run(capsys, "fit", "--samples", str(path), "--mode", "discrete", "--x-min", "1000000000000000")
+    assert code == 1
+    assert err == "faultgraph: stage tail_stats: tail has no spread above x_min\n"
+
+
 def test_unknown_release_tag_is_an_input_error(capsys):
     code, _, err = run(capsys, "metrics", "--config", CONFIG, "--release", "r9", "--out", "/tmp/x")
     assert code == 1
@@ -700,6 +710,42 @@ def test_a_loc_of_2_to_the_53_loads(tmp_path, capsys, fixtures_dir):
     cfg_path = facts_release(tmp_path, fixtures_dir, lambda record: with_loc(record, cu_loc=2**53, class_loc=2**53))
     code, _, err = run(capsys, "fit", "--config", str(cfg_path), "--metric", "cu_loc", "--out", str(tmp_path / "o"))
     assert code == 0, err
+
+
+def with_classes(change):
+    """An edit of a facts record that applies ``change`` to its list of
+    classes, whose first, Alpha, has the methods run and total."""
+
+    def edit(record):
+        d = json.loads(record)
+        change(d["classes"])
+        return json.dumps(d)
+
+    return edit
+
+
+@pytest.mark.parametrize(
+    "change, said",
+    [
+        (lambda classes: classes[0].pop("name"), "class record needs a name"),
+        (lambda classes: classes[0]["methods"][0].pop("name"), "method record needs a name"),
+        (
+            lambda classes: classes[0]["methods"][0].update(external_calls=[["Util"]]),
+            "external_calls entries must be [type, method] pairs",
+        ),
+        (
+            lambda classes: classes[0]["methods"][0].update(external_calls="Util.format"),
+            "external_calls entries must be [type, method] pairs",
+        ),
+        (lambda classes: classes.append(classes[0]), "duplicate class name within CU"),
+    ],
+    ids=["class-without-name", "method-without-name", "call-not-a-pair", "calls-not-a-list", "duplicate-class"],
+)
+def test_a_malformed_facts_record_exits_1(tmp_path, capsys, fixtures_dir, change, said):
+    cfg_path = facts_release(tmp_path, fixtures_dir, with_classes(change))
+    code, _, err = run(capsys, "metrics", "--config", str(cfg_path), "--out", str(tmp_path / "o"))
+    assert code == 1
+    assert "stage source_facts" in err and f"record 1: {said}" in err and "internal error" not in err
 
 
 @pytest.mark.parametrize(

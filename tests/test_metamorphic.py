@@ -18,7 +18,8 @@ renamed output directory on a writer that puts the output path in a row.
 
 Three relations change the environment, not the inputs: numpy's kernels
 moved to its x86-64 baseline (``NPY_DISABLE_CPU_FEATURES``; skipped where
-``opt_func_info`` shows that float64 ``log`` stays where it was), a far
+``opt_func_info`` shows that float64 ``log`` stays where it was, as is the
+check that the pinned tail fits keep every bit under those kernels), a far
 time zone (``TZ=Pacific/Chatham``, UTC+12:45 or +13:45) and the C locale
 (``LC_ALL=C``). Each fails on a matching defect: a ``np.log`` value
 written with ``repr``, a window timestamp read as local time, and a
@@ -42,6 +43,7 @@ import sys
 from functools import partial
 
 import pytest
+from test_tailstats import PINNED_FITS, TAILS
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 GEN = ROOT / "perfbench" / "gen.py"
@@ -176,7 +178,7 @@ LOG_KERNEL = "from numpy.lib.introspect import opt_func_info; print(opt_func_inf
 BASELINE_KERNELS = {"NPY_DISABLE_CPU_FEATURES": "X86_V4 AVX512_ICL AVX512_SPR X86_V3"}
 
 
-def test_a_report_does_not_depend_on_numpy_kernels(baseline, tmp_path):
+def skip_unless_baseline_kernels_move_log():
     if importlib.util.find_spec("numpy.lib.introspect") is None:
         pytest.skip("numpy has no opt_func_info to show a kernel move")
     kernels = [
@@ -185,8 +187,38 @@ def test_a_report_does_not_depend_on_numpy_kernels(baseline, tmp_path):
     ]
     if kernels[0].stdout == kernels[1].stdout:
         pytest.skip(f"{BASELINE_KERNELS} leaves numpy's float64 log kernel where it was: {kernels[0].stdout.strip()}")
+
+
+def test_a_report_does_not_depend_on_numpy_kernels(baseline, tmp_path):
+    skip_unless_baseline_kernels_move_log()
     inputs, expected = baseline
     assert_same_run(report(inputs, tmp_path / "out", env=BASELINE_KERNELS), expected)
+
+
+# fits each pinned tail named on its command line, as
+# test_fit_of_a_seeded_distribution_is_pinned_bit_for_bit does, and prints
+# the fit's fields as float.hex
+FIT_PINNED = """
+import pathlib, sys
+from faultgraph.tailstats import fit_power_law_tail
+for name, mode in zip(sys.argv[2::2], sys.argv[3::2]):
+    values = [float(v) for v in (pathlib.Path(sys.argv[1]) / f"{name}-r1.txt").read_text().split()]
+    fit = fit_power_law_tail([v for v in values if v > 0], mode=mode)
+    print(name, mode, fit.gamma.hex(), fit.x_min.hex(), fit.ks.hex(), fit.n_tail)
+"""
+
+
+def test_the_pinned_fits_do_not_depend_on_numpy_kernels():
+    skip_unless_baseline_kernels_move_log()
+    argv = [TAILS, *(part for key in sorted(PINNED_FITS) for part in key)]
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src"), **BASELINE_KERNELS}
+    done = subprocess.run([sys.executable, "-c", FIT_PINNED, *argv], env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    got = {}
+    for line in done.stdout.splitlines():
+        name, mode, gamma, x_min, ks, n_tail = line.split()
+        got[name, mode] = (gamma, x_min, ks, int(n_tail))
+    assert got == PINNED_FITS
 
 
 @pytest.mark.parametrize("env", [{"TZ": "Pacific/Chatham"}, {"LC_ALL": "C"}], ids=["far-time-zone", "c-locale"])

@@ -154,6 +154,14 @@ def test_loglog_slope_window():
         loglog_slope(curve, x_lo=15)
 
 
+def test_loglog_slope_of_two_x_values_with_one_log_is_degenerate():
+    # adjacent doubles near 1e300 differ by 1e-16 relative, far below an
+    # ulp of their log, about 690.8
+    x = 1e300
+    with pytest.raises(DegenerateInput, match="collapse to one point"):
+        loglog_slope(ccdf([x, math.nextafter(x, math.inf)]))
+
+
 # -- power-law fitting ---------------------------------------------------------
 
 
@@ -1071,6 +1079,61 @@ def test_the_root_search_falls_back_to_the_range_end_and_bisection(monkeypatch):
     assert len(seen) < tailstats._ROOT_STEPS
 
 
+DBL_MAX = sys.float_info.max
+
+
+def test_no_double_sample_puts_the_discrete_root_below_the_range():
+    # at the range's low end the model's mean of log(x / x_min) is above
+    # 9,999, least at x_min 1, where it is about 1e4 - Euler's gamma; a
+    # sample of doubles has a mean log at most log(DBL_MAX), so g is
+    # negative there and the root lies above it
+    for q in [*range(1, 1000), *np.geomspace(1e3, 2.0**53, 200).round().tolist(), 1e20, 1e300]:
+        s0, s1, _ = tailstats._zeta_moments(tailstats._ROOT_LO, float(q))
+        assert s1 / s0 > 9999 > math.log(DBL_MAX), q
+
+
+@st.composite
+def extreme_discrete_tails(draw):
+    """x_min from 1 to 10^300, and up to three values above it, from one
+    unit above to the top of the double range, each repeated up to 10^5
+    times."""
+    x_min = float(draw(st.integers(1, 1000) | st.integers(1, 2**53) | st.sampled_from([10**20, 10**100, 10**300])))
+    near = st.integers(1, 10**6).map(lambda d: x_min + d)
+    # log-uniform from x_min to DBL_MAX
+    far = st.floats(0.0, 1.0).map(
+        lambda f: math.floor(min(DBL_MAX, math.exp((1 - f) * math.log(x_min) + f * math.log(DBL_MAX))))
+    )
+    above = sorted({float(v) for v in draw(st.lists(near | far, min_size=1, max_size=3)) if v > x_min})
+    values = [x_min, *above]
+    counts = draw(st.lists(st.integers(1, 10**5), min_size=len(values), max_size=len(values)))
+    return np.repeat(np.array(values), counts), x_min
+
+
+@settings(max_examples=200)
+@given(extreme_discrete_tails())
+@example((np.repeat([1.0, 1e308], [10**5, 1]), 1.0))
+def test_the_discrete_root_search_ends_far_inside_its_step_cap(tail_and_x_min):
+    # _newton_root raises RuntimeError, an internal fault, after
+    # _ROOT_STEPS steps. No bound on its steps is proven; the longest search
+    # found takes 24 steps at 10^5 ones and one 1e308, and about two more
+    # for each tenfold count of ones
+    tail, x_min = tail_and_x_min
+    steps = 0
+    moments = tailstats._zeta_moments
+
+    def counted(x, q):
+        nonlocal steps
+        steps += 1
+        return moments(x, q)
+
+    with mock.patch.object(tailstats, "_zeta_moments", counted), np.errstate(over="ignore"):
+        try:
+            tailstats._discrete_gamma(tail, int(x_min))
+        except InsufficientTail:
+            pass
+    assert steps <= tailstats._ROOT_STEPS // 3
+
+
 # Generic functions for the root search, each with its slope and a bracket,
 # rising through a simple root as g does: smooth, steep, flat far from the
 # root, infinitely steep at it, stepped, and with a root at a bracket end or
@@ -1103,7 +1166,7 @@ TOLERANCES = [
 
 @pytest.mark.parametrize("tol", TOLERANCES, ids=lambda t: f"{t['xtol']:g}-{t['rtol']:g}")
 @pytest.mark.parametrize("case", range(len(GENERIC)))
-def test_brentq_matches_scipy_on_generic_functions(case, tol):
+def test_newton_root_matches_scipy_brentq_on_generic_functions(case, tol):
     # the root search, started at the bracket's midpoint, and scipy's brentq
     # at the same tolerances each land within xtol + rtol |root| of the root
     f, slope, a, b = GENERIC[case]
@@ -1364,7 +1427,7 @@ def assert_never_rises(points: dict) -> None:
 
 @pytest.mark.parametrize("gamma", [1.00001, 1.3, 2.0, 2.5, 4.5])
 @pytest.mark.parametrize("x_min", [1, 3, 17])
-def test_zeta_sampler_blocks_give_the_full_support_draws_bit_for_bit(monkeypatch, gamma, x_min):
+def test_zeta_sampler_gives_the_full_support_draws_bit_for_bit(monkeypatch, gamma, x_min):
     # the draws of the dense CCDF prefix, the cap and the bisection are
     # those of a CCDF over every support point; the CCDF never rises over
     # the points the sampler takes
