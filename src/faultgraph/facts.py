@@ -21,7 +21,6 @@ import json
 import re
 import string
 import sys
-from itertools import repeat
 from typing import NamedTuple
 
 from .errors import FormatError, json_limit, read_utf8, records, write_utf8
@@ -46,10 +45,10 @@ def name_fault(name: str) -> str | None:
 
 
 # --------------------------------------------------------------------------
-# Source scanning: one regex is the lexer, and a line memo keeps each
-# distinct line's tokens, so the texts of a corpus release lex each of their
-# lines once. It yields the parser's tokens, the line of each, and which
-# lines hold code.
+# Source scanning: one regex is the lexer, run over one line at a time, and
+# a line memo keeps each distinct line's tokens, so the texts of a corpus
+# release lex each of their lines once. It yields the parser's tokens, the
+# line of each, and which lines hold code.
 # --------------------------------------------------------------------------
 
 # line comment | block comment | identifier | number | string literal | char
@@ -57,12 +56,13 @@ def name_fault(name: str) -> str | None:
 # Leftmost match wins, so a comment marker inside a literal and a quote inside
 # a comment are both inert. Literals end at their closing quote, a newline
 # (Java literals do not span lines; an escape never consumes the newline) or
-# the end of the text; an unterminated block comment runs to the end. Only a
-# comment starts with "/" and is longer than one character. A block comment
-# is the one lexeme that spans a line break, so a line lexed from its start
-# has the same tokens in every text where no comment is open as it starts,
-# and ``scan_source`` carries only "inside a block comment" from one line to
-# the next. ``token_column`` lexes the whole text.
+# the end of the string lexed; an unterminated block comment runs to the end.
+# Only a comment starts with "/" and is longer than one character. A block
+# comment is the one lexeme that spans a line break, so a line lexed from its
+# start has the same tokens in every text where no comment is open as it
+# starts, and ``scan_source`` carries only "inside a block comment" from one
+# line to the next. ``_lex_line`` lexes one line, which holds no line break;
+# ``token_column`` lexes the whole text.
 _LEXEME = re.compile(
     r"""//[^\n]*
       | /\*(?s:.*?)(?:\*/|\Z)
@@ -81,49 +81,22 @@ _LEXEME = re.compile(
 _IDENT_START = frozenset(string.ascii_letters + "_$")
 
 
-def _lex(text: str, rows: list[str], memo: dict | None) -> tuple[list[list[str]], bool]:
-    """One regex pass over ``text``, whose lines are ``rows``: the tokens of
-    each line, and whether the text ends inside a block comment. Each line
-    the pass enters outside a comment is entered in ``memo`` with its tokens
-    and whether a block comment runs on past its end."""
-    row_tokens: list[list[str]] = []
-    spans: list[tuple[int, int]] = []  # (line index, line breaks) of each block comment with a line break
+def _lex_line(row: str) -> tuple[tuple[str, ...], bool]:
+    """The tokens of one line lexed from its start outside any comment, and
+    whether a block comment it opens runs on past its end."""
     toks: list[str] = []
     opens = False
-    for lexeme in _LEXEME.findall(text):
+    for lexeme in _LEXEME.findall(row):
         first = lexeme[0]
         if first in _IDENT_START:
             toks.append(sys.intern(lexeme))
-        elif lexeme == "\n":
-            row_tokens.append(toks)
-            toks = []
         elif first == "/" and len(lexeme) > 1:  # a comment
-            breaks = lexeme.count("\n")
-            if breaks:
-                spans.append((len(row_tokens), breaks))
-                row_tokens.append(toks)
-                row_tokens += [[] for _ in range(breaks - 1)]
-                toks = []
-            # a block comment left open runs to the end of the text, so only
+            # a block comment left open runs to the end of the line, so only
             # the last lexeme can be one; "/*/" is
             opens = lexeme[1] == "*" and (len(lexeme) < 4 or not lexeme.endswith("*/"))
         else:
             toks.append(lexeme)
-    row_tokens.append(toks)
-    if memo is None:
-        return row_tokens, opens
-    if spans or opens:  # a block comment runs on past the end of a line
-        entries: list = list(zip(map(tuple, row_tokens), repeat(False)))
-        for at, breaks in spans:
-            if entries[at] is not None:
-                entries[at] = (entries[at][0], True)
-            entries[at + 1 : at + breaks + 1] = [None] * breaks  # entered inside the comment
-        if opens and entries[-1] is not None:
-            entries[-1] = (entries[-1][0], True)
-        memo.update([(row, entry) for row, entry in zip(rows, entries) if entry is not None])
-    else:
-        memo.update(zip(rows, zip(map(tuple, row_tokens), repeat(False))))
-    return row_tokens, opens
+    return tuple(toks), opens
 
 
 def scan_source(text: str, memo: dict | None = None) -> tuple[list[bool], list[str], list[int]]:
@@ -137,25 +110,18 @@ def scan_source(text: str, memo: dict | None = None) -> tuple[list[bool], list[s
     however many files spell it; numbers and literals, which no facts keep,
     are not.
 
-    ``memo`` (a fresh one if None) maps a line to its lexing from its start
-    outside any comment: its tokens, and whether a block comment runs on
-    past its end. The text's distinct lines that it does not hold are
-    lexed in one pass over them joined, which enters them; a line that pass
-    met inside a block comment is lexed alone. The text is then put
-    together from the memo, so texts scanned through one memo lex each of
-    their distinct lines once, and equal lines give the same token strings.
-    A line that starts inside a block comment holds no code up to the
-    ``*/`` that closes it, and the rest of it is lexed alone.
+    ``memo`` (a fresh one if None) maps a line to ``_lex_line``'s lexing of
+    it: its tokens, and whether a block comment runs on past its end. A line
+    that starts outside a block comment is looked up there, and lexed alone
+    and entered if it is not held, so texts scanned through one memo lex
+    each of their distinct lines once, and equal lines give the same token
+    strings. A line that starts inside a block comment holds no code up to
+    the ``*/`` that closes it; the rest of it is lexed alone and not
+    entered.
     """
     if memo is None:
         memo = {}
     rows = text.split("\n")
-    new = list(dict.fromkeys([row for row in rows if row not in memo]))
-    if new:
-        _lex("\n".join(new), new, memo)
-        for row in new:
-            if row not in memo:  # the pass entered it inside a block comment
-                _lex(row, [row], memo)
     tokens: list[str] = []
     lines: list[int] = []
     has_code: list[bool] = []
@@ -166,9 +132,12 @@ def scan_source(text: str, memo: dict | None = None) -> tuple[list[bool], list[s
             if close < 0:
                 has_code.append(False)
                 continue
-            (toks,), opens = _lex(row[close + 2 :], [], None)
+            toks, opens = _lex_line(row[close + 2 :])
         else:
-            toks, opens = memo[row]
+            entry = memo.get(row)
+            if entry is None:
+                entry = memo[row] = _lex_line(row)
+            toks, opens = entry
         if toks:
             tokens += toks
             lines += [number] * len(toks)

@@ -10,7 +10,8 @@ to their raw name with every type argument recorded as a reference
 Tokens come from ``facts.scan_source``, the one lexer, which also yields
 each token's 1-based line and the code lines a class's line count reads.
 The texts of a corpus release are lexed through one line memo, which
-``parse_corpus_dir`` makes and hands down, so each distinct line is lexed
+``parse_corpus_dir`` makes and hands down: a line is lexed alone the first
+time it starts outside a block comment, so each distinct line is lexed
 once and equal lines share their tokens. Tokens are plain strings. A
 token's kind follows from its first character: an identifier or keyword
 starts with a letter, ``_`` or ``$``, a number with a digit, a string or

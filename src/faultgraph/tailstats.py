@@ -382,7 +382,11 @@ def _discrete_gamma(tail: np.ndarray, x_min: int) -> float:
             raise InsufficientTail("tail too concentrated at x_min for a discrete fit")
         return value, s2 / s0 - mean * mean
 
-    start = 1.0 + tail.size / float(np.sum(np.log(tail / (q - 0.5))))
+    with np.errstate(over="ignore"):  # a sum that overflows is taken again below
+        log_sum = float(np.sum(np.log(tail / (q - 0.5))))
+    if math.isinf(log_sum):  # a value above about DBL_MAX * (x_min - 1/2)
+        log_sum = tail.size * (mean_log - math.log(q - 0.5))
+    start = 1.0 + tail.size / log_sum
     return _newton_root(g, _ROOT_LO, _ROOT_HI, start, 0.0, _ROOT_TOL)
 
 

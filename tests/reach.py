@@ -35,7 +35,7 @@ ALLOWED = {
     ),
     ("tailstats.py", 'raise RuntimeError(f"root search failed to converge after {_ROOT_STEPS} steps, value is {x}")'): (
         "the one internal-fault guard: no input is known to reach it, but no bound on the steps every input"
-        " meets is proven; the longest search found, on 3e7 ones and one 1e308, takes 30 of its 100 steps"
+        " meets is proven; the longest search found, on 10^7 ones and one 2, takes 21 of its 100 steps"
     ),
 }
 

@@ -306,6 +306,32 @@ def test_a_discrete_tail_within_rounding_of_x_min_exits_1(tmp_path, capsys):
     assert err == "faultgraph: stage tail_stats: tail has no spread above x_min\n"
 
 
+def test_a_discrete_tail_at_the_top_of_the_double_range_fits_quietly(tmp_path, capsys, monkeypatch):
+    # 1e308 / (x_min - 1/2) overflows at x_min 1, so the root search's start
+    # is taken from the sum of the logs less n log(x_min - 1/2): no overflow
+    # warning, and a start near the root. A start from the overflowed sum
+    # lies at the range's low end, and the search then takes 16 steps.
+    from faultgraph import tailstats
+
+    steps = 0
+    moments = tailstats._zeta_moments
+
+    def counted(x, q):
+        nonlocal steps
+        steps += 1
+        return moments(x, q)
+
+    monkeypatch.setattr(tailstats, "_zeta_moments", counted)
+    path = tmp_path / "samples.txt"
+    path.write_text("1\n" * 60 + "1e308\n")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run(capsys, "fit", "--samples", str(path), "--mode", "discrete")
+    assert code == 0 and err == "" and caught == []
+    assert "status=ok" in out
+    assert steps <= 6
+
+
 def test_unknown_release_tag_is_an_input_error(capsys):
     code, _, err = run(capsys, "metrics", "--config", CONFIG, "--release", "r9", "--out", "/tmp/x")
     assert code == 1

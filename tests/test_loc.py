@@ -59,10 +59,9 @@ def test_appending_blank_lines_is_invariant(text, k):
 # --------------------------------------------------------------------------
 # The lexer against the two oracles it replaced, run in turn: the
 # character-by-character comment stripper, then the whitespace-group
-# tokenizer (javaparse_oracle). A text scanned with a fresh memo has all
-# its distinct lines lexed in one pass over them joined; one whose lines a
-# memo holds already is put together from it, which the memo tests below
-# reach.
+# tokenizer (javaparse_oracle). A text scanned with a fresh memo has each
+# of its distinct lines lexed alone; one whose lines a memo holds already is
+# put together from it, which the memo tests below reach.
 # --------------------------------------------------------------------------
 
 SCANNER_ALPHABET = "/*\"'\\\n\r\t\x0b\x0c\x85\u2028\u2003éa1{;<"
@@ -116,6 +115,7 @@ BLOCK_COMMENT_CASES = [
     "a /* b\n c */ d\n",  # a trailing line break
     "x /*/\n*/ y\n",  # "/*/" opens a comment
     "x /* y\n",  # a comment open at the end
+    "/* a\nint b;\n*/\nint b;\n",  # the same line inside a comment, then outside one
     "/* a\n b */",
     "a\n\n",
     "",
@@ -126,7 +126,7 @@ BLOCK_COMMENT_CASES = [
 def test_a_text_scans_alike_through_a_memo_that_holds_its_lines(text):
     want = scan_with_oracles(text)
     memo = {}
-    assert scan_source(text, memo) == want  # every line new: one pass over its distinct lines
+    assert scan_source(text, memo) == want  # every line new: each distinct one lexed alone
     assert scan_source(text, memo) == want  # every line held: put together from the memo
 
 

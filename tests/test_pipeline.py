@@ -458,47 +458,57 @@ def test_the_encode_memo_holds_the_last_release_written_only(tmp_path, monkeypat
 
 
 def lexed_lines(monkeypatch):
-    """Record, for each corpus release parsed, the lines each regex pass of
-    the lexer enters in the line memo."""
-    passes = []
-    parse, lex = pipeline.parse_corpus_dir, facts._lex
+    """Record, for each corpus release parsed, the lines ``_lex_line`` lexes
+    and the line memos its texts are scanned through."""
+    releases = []
+    parse, lex_line, scan = pipeline.parse_corpus_dir, facts._lex_line, javaparse.scan_source
 
     def parse_release(root, memo=None):
-        passes.append([])
+        releases.append(([], {}))
         return parse(root, memo)
 
-    def recording_lex(text, rows, memo):
-        if memo is not None:
-            passes[-1].append(rows)
-        return lex(text, rows, memo)
+    def recording_lex_line(row):
+        releases[-1][0].append(row)
+        return lex_line(row)
+
+    def recording_scan(text, memo=None):
+        releases[-1][1][id(memo)] = memo
+        return scan(text, memo)
 
     monkeypatch.setattr(pipeline, "parse_corpus_dir", parse_release)
-    monkeypatch.setattr(facts, "_lex", recording_lex)
-    return passes
+    monkeypatch.setattr(facts, "_lex_line", recording_lex_line)
+    monkeypatch.setattr(javaparse, "scan_source", recording_scan)
+    return releases
 
 
 def test_each_distinct_line_is_lexed_once_per_release(tmp_path, monkeypatch, capsys):
-    # r1's first text has only new lines, lexed in one pass over them; each
-    # later one holds one new line. r2 edits half of r1's texts, and its own
-    # line memo lexes each distinct line of those once.
-    body = ["    int n;", "    void run() {", "        n = n + 1;", "    }"]
+    # r2 edits half of r1's texts, and its own line memo lexes each distinct
+    # line of those once, the lines r1 lexed too. The line after the one
+    # that opens a comment starts inside it: the rest after its "*/" is
+    # lexed alone in each text that holds it, and is not entered.
+    body = ["    /** the count", "        of runs */ int n;", "    void run() {", "        n = n + 1;", "    }"]
 
     def source(i, *extra):
         return "\n".join(["package p;", "", f"public class C{i} {{", *body, *extra, "}", ""])
 
+    def from_start(texts):
+        return {line for text in texts for line in text.split("\n") if line != body[1]}
+
     r1 = {f"p/C{i}.java": source(i) for i in range(12)}
     r2 = {path: source(i, f"    int m{i};") if i % 2 else text for i, (path, text) in enumerate(r1.items())}
     cfg_path = two_release_config(tmp_path, r1, r2)
-    passes = lexed_lines(monkeypatch)
+    releases = lexed_lines(monkeypatch)
     assert main(["extract", "--config", str(cfg_path), "--out", str(tmp_path / "out")]) == 0
     capsys.readouterr()
-    in_r1, in_r2 = passes
-    r1_lines = {line for text in r1.values() for line in text.split("\n")}
-    r2_lines = {line for text in r2.values() if text not in r1.values() for line in text.split("\n")}
-    assert len(in_r1) == 12 and len(in_r1[0]) == 8
-    assert sorted(line for lines in in_r1 for line in lines) == sorted(r1_lines)  # each in one pass
-    assert len(in_r2) == 6 and len(in_r2[0]) == 9
-    assert sorted(line for lines in in_r2 for line in lines) == sorted(r2_lines)
+    edited = [text for text in r2.values() if text not in r1.values()]
+    assert len(releases) == 2 and len(edited) == 6
+    line_memos = []
+    for texts, (lexed, memos) in zip([list(r1.values()), edited], releases):
+        (memo,) = memos.values()  # one line memo per call
+        assert sorted(lexed) == sorted([*from_start(texts), *[" int n;"] * len(texts)])
+        assert memo.keys() == from_start(texts)
+        line_memos.append(memo)
+    assert line_memos[0] is not line_memos[1]
 
 
 def test_each_release_column_is_built_once(tmp_path, monkeypatch, capsys, fixtures_dir):

@@ -32,13 +32,13 @@ Linear already, at n = 2,000 / 8,000:
   distinct texts of the seed-7 ``release-pair`` corpus, each line given a
   unique ``// n`` comment, so the tokens stay and every line is distinct;
   ``parse_corpus_dir`` at 650 / 1,299 texts (26,543 / 54,172 lines), with
-  the collector off as ``main`` runs, medians of ten alternated processes
-  in each of two sets, one quieter and one busier, one regex pass per
-  text -> the line memo, which lexes a text's new lines in one pass and
-  puts the text together from the memo: 0.178 / 0.361 -> 0.207 / 0.440
-  and 0.243 / 0.498 -> 0.294 / 0.579, about 16-22% more. The same texts
-  as written, whose 54,172 lines hold 5,499 distinct ones: 0.349 -> 0.262
-  and 0.462 -> 0.383 at 1,299.
+  the collector off as ``main`` runs, over two sets of ten alternated
+  processes, one regex pass per text -> the line memo, which lexes each
+  new line alone: medians 0.183 / 0.354 -> 0.202 / 0.408, with a median
+  pair ratio of 1.08-1.16 in each set and size. Lexing a text's new lines
+  in one regex pass over them joined took 0.213 / 0.433 (ratios
+  1.14-1.18). The same texts as written, whose 54,172 lines hold 5,499
+  distinct ones: 0.354 -> 0.279 at 1,299.
 
 Superlinear still, and to be mended: the continuous tail fit's x_min
 screen on a "comb", m log-spaced values (``np.exp(np.linspace(0, 20, m))``)
@@ -65,7 +65,7 @@ host cannot decide it.
 
 import time
 
-from faultgraph import facts
+from faultgraph import facts, javaparse
 from faultgraph.bugs import FilterConfig, extract_issue_refs
 from faultgraph.facts import ClassFacts, CUFacts
 from faultgraph.javaparse import _Parser, parse_compilation_unit, parse_corpus_dir
@@ -126,41 +126,44 @@ def test_a_nested_type_argument_list_parses_in_linear_time():
 
 def test_each_distinct_line_is_lexed_once_where_no_line_repeats(tmp_path, monkeypatch):
     # the line memo's worst case: every line of every text is new, save the
-    # empty one after each final line break. A text takes one pass over its
-    # new lines, then one pass for each line that pass met inside a block
-    # comment, and one for the rest of each line after a "*/" that closes a
-    # comment opened a line before. No pass is handed a line the memo holds,
-    # and each line is entered once. A second parse_corpus_dir call has a
-    # line memo of its own, so it lexes every line again.
+    # empty one after each final line break. Each line that starts outside
+    # a block comment is lexed alone once and entered; the two that start
+    # inside one are not, and the rest of each after its "*/" is lexed alone
+    # and not entered. A second parse_corpus_dir call has a line memo of its
+    # own, so it lexes every line again.
     n = 200
     template = ["package p{i};", "", "/** C{i}", "   is a class */", "public class C{i} {{", "    int f; /* a"]
     template += ["       b */ int g;", "    void m() {{", "        f = g + 1;", "    }}", "}}"]
     lines = [[f"{row.format(i=i)} // {i}.{k}" for k, row in enumerate(template)] for i in range(n)]
     for i, text_lines in enumerate(lines):
         (tmp_path / f"C{i}.java").write_text("".join(line + "\n" for line in text_lines), encoding="utf-8")
-    distinct = [line for text_lines in lines for line in text_lines] + [""]
-    passes = []
-    lex = facts._lex
+    in_comment = [line for text_lines in lines for line in (text_lines[3], text_lines[6])]
+    from_start = [line for text_lines in lines for line in text_lines if line not in in_comment] + [""]
+    rests = [line.split("*/", 1)[1] for line in in_comment]
+    lexed, memos = [], {}
+    lex_line, scan = facts._lex_line, javaparse.scan_source
 
-    def counted(text, rows, memo):
-        if memo is None:
-            passes.append(None)
-            return lex(text, rows, memo)
-        held = [row for row in rows if row in memo]
-        got = lex(text, rows, memo)
-        passes.append((held, [row for row in rows if row in memo]))
-        return got
+    def counted(row):
+        lexed.append(row)
+        return lex_line(row)
 
-    monkeypatch.setattr(facts, "_lex", counted)
+    def scan_recorded(text, memo=None):
+        memos[id(memo)] = memo
+        return scan(text, memo)
+
+    monkeypatch.setattr(facts, "_lex_line", counted)
+    monkeypatch.setattr(javaparse, "scan_source", scan_recorded)
+    line_memos = []
     for _ in range(2):
-        passes.clear()
+        lexed.clear()
+        memos.clear()
         cus, failures = parse_corpus_dir(tmp_path)
         assert len(cus) == n and failures == []
-        entering = [entered for _, entered in filter(None, passes)]
-        assert len(entering) == 3 * n  # the text's new lines, then the two met inside a comment
-        assert passes.count(None) == 2 * n  # the rest of each of the two lines with a "*/"
-        assert [held for held, _ in filter(None, passes) if held] == []
-        assert sorted(row for entered in entering for row in entered) == sorted(distinct)
+        assert sorted(lexed) == sorted(from_start + rests)
+        (memo,) = memos.values()
+        assert sorted(memo) == sorted(from_start)
+        line_memos.append(memo)
+    assert line_memos[0] is not line_memos[1]
 
 
 def imports_corpus(n: int, wildcard: bool) -> list[CUFacts]:
