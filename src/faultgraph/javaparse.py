@@ -206,6 +206,8 @@ class _Parser:
     def skip_annotations(self):
         toks = self.toks
         while toks[self.pos] == "@":
+            if toks[self.pos + 1] == "interface":
+                self.fail("unsupported declaration '@interface'")
             self.pos += 1
             if toks[self.pos][0] in _IDENT_START:
                 self.dotted_name()
