@@ -1,7 +1,8 @@
 """Exception types shared across the toolchain, how a kept error lets go of
 its frames, the one UTF-8 reader of input files and the one writer of
 output files, a name printed on one line, the limits of the JSON decoder,
-the rule that splits a file into records, and the one way a warning is given.
+the rule that splits a file into records, the one way a record checks its
+fields, and the one way a warning is given.
 
 Every error raised on bad *input* derives from InputError so the CLI can map
 it to exit code 1; anything else escaping a stage is treated as an internal
@@ -120,6 +121,21 @@ def write_utf8(path, text: str) -> None:
             fh.write(text)
     except OSError as exc:
         raise OutputError(f"cannot write output file {path}: {exc.strerror or exc}") from exc
+
+
+def checked(cls):
+    """The ``NamedTuple`` class ``cls``, changed so that every instance it
+    makes runs its ``_check()`` method. ``_make`` and ``_replace`` skip the
+    check, as they skip ``__new__``."""
+    new = cls.__new__
+
+    def __new__(cls_, *args, **kwargs):
+        self = new(cls_, *args, **kwargs)
+        self._check()
+        return self
+
+    cls.__new__ = __new__
+    return cls
 
 
 def json_limit(exc: RecursionError | ValueError) -> str:

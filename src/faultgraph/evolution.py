@@ -14,27 +14,23 @@ empty family, too few updated CUs, a degenerate table) is decided by
 from typing import NamedTuple
 
 from .bugs import BugLedger
-from .errors import EmptyFamily
+from .errors import EmptyFamily, checked
 from .metrics import MetricVector, metric_value
 from .tailstats import ChiSquareResult, chi_square_independence
 
 FAMILY_NAMES = ("updated", "unchanged", "added")
 
 
-class _ReleaseSnapshot(NamedTuple):
+@checked
+class ReleaseSnapshot(NamedTuple):
+    """One release as its pairs see it, checked when made: the ledger is
+    this release's and cites no CU outside it."""
+
     release: str
     metrics: dict[str, MetricVector]  # CU path -> metric vector
     ledger: BugLedger
 
-
-class ReleaseSnapshot(_ReleaseSnapshot):
-    """One release as its pairs see it, checked when made: the ledger is
-    this release's and cites no CU outside it."""
-
-    __slots__ = ()
-
-    def __new__(cls, release: str, metrics: dict[str, MetricVector], ledger: BugLedger):
-        self = super().__new__(cls, release, metrics, ledger)
+    def _check(self):
         if self.ledger.release != self.release:
             raise ValueError(
                 f"ledger is for release {self.ledger.release!r}, snapshot is {self.release!r}"
@@ -44,35 +40,22 @@ class ReleaseSnapshot(_ReleaseSnapshot):
             raise ValueError(
                 f"ledger references CUs missing from the snapshot: {sorted(stray)[:5]}"
             )
-        return self
 
 
-class _FamilyPartition(NamedTuple):
+@checked
+class FamilyPartition(NamedTuple):
+    """The families of one release pair for one metric, disjoint when made."""
+
     metric: str
     updated: frozenset[str]
     unchanged: frozenset[str]
     added: frozenset[str]
     deleted: frozenset[str]
 
-
-class FamilyPartition(_FamilyPartition):
-    """The families of one release pair for one metric, disjoint when made."""
-
-    __slots__ = ()
-
-    def __new__(
-        cls,
-        metric: str,
-        updated: frozenset[str],
-        unchanged: frozenset[str],
-        added: frozenset[str],
-        deleted: frozenset[str],
-    ):
-        self = super().__new__(cls, metric, updated, unchanged, added, deleted)
+    def _check(self):
         assert not (self.updated & self.unchanged)
         assert not ((self.updated | self.unchanged) & self.added)
         assert not ((self.updated | self.unchanged | self.added) & self.deleted)
-        return self
 
 
 class FamilyStats(NamedTuple):

@@ -41,14 +41,15 @@ Deliberate simplifications, chosen for determinism:
 - A field initializer is skipped, not scanned; type arguments inside it
   (``new HashMap<String, Integer>()``) are skipped as types, so their commas
   end no declarator.
-- A class's line count spans its declaration through its closing brace,
-  excluding blank/comment lines and the spans of separately counted nested
-  classes.
+- A class's line count is its code lines: each code line counts for the
+  last named class, in declaration order, whose span holds it. A class's
+  span runs from its ``class`` line through its closing-brace line.
 """
 
 import os
 import sys
 from collections import Counter
+from itertools import compress
 from typing import NamedTuple
 
 from .errors import ParseError, detached, read_utf8
@@ -109,7 +110,6 @@ class _ClassDraft:
         "methods",
         "start_line",
         "end_line",
-        "children",
     )
 
     def __init__(self, name: str, kind: str, start_line: int):
@@ -122,7 +122,6 @@ class _ClassDraft:
         self.methods: list[MethodFacts] = []
         self.start_line = start_line
         self.end_line = 0
-        self.children: list[_ClassDraft] = []
 
 
 class _Parser:
@@ -345,9 +344,8 @@ class _Parser:
 
     # -- class declarations ---------------------------------------------------
 
-    def parse_class(self, depth: int, fold_into: _ClassDraft | None) -> _ClassDraft:
-        """Read a class into a new draft, or into ``fold_into`` when given;
-        return the draft read into."""
+    def parse_class(self, depth: int, fold_into: _ClassDraft | None):
+        """Read a class into a new draft, or into ``fold_into`` when given."""
         start_line = self.lines[self.pos]
         kind = self.next()  # class | interface
         name_at = self.pos
@@ -372,7 +370,6 @@ class _Parser:
         self.parse_members(draft, depth)
         # a folded class's end is overwritten when its named class ends
         draft.end_line = self.lines[self.pos - 1]
-        return draft
 
     def parse_members(self, draft: _ClassDraft, depth: int):
         while True:
@@ -390,10 +387,7 @@ class _Parser:
                 self.skip_balanced("{", "}")  # instance initializer: ignored
                 continue
             if tok in ("class", "interface"):
-                if depth == 0:
-                    draft.children.append(self.parse_class(depth=1, fold_into=None))
-                else:
-                    self.parse_class(depth=depth + 1, fold_into=draft)
+                self.parse_class(depth + 1, None if depth == 0 else draft)
                 continue
             if tok in ("enum", "record"):
                 self.fail(f"unsupported declaration {tok!r}")
@@ -599,19 +593,16 @@ class _Parser:
             referenced.add(rtype)
 
 
-def _draft_loc(draft: _ClassDraft, has_code: list[bool]) -> int:
-    span = sum(has_code[draft.start_line - 1 : draft.end_line])
-    for child in draft.children:
-        span -= sum(has_code[child.start_line - 1 : child.end_line])
-    return max(span, 0)
-
-
 def parse_compilation_unit(source_text: str, path: str, line_memo: dict | None = None) -> CUFacts:
     """Parse one source file into CUFacts. Raises ParseError with position.
     Its lines are lexed through ``line_memo`` (see ``scan_source``)."""
     has_code, toks, lines = scan_source(source_text, line_memo)
     toks += _END
     parser = _Parser(toks, lines, source_text)
+    if '"""' in source_text:  # a text block lexes as "" and a string to the end of its line
+        for i, tok in enumerate(toks):
+            if tok == '""' and toks[i + 1][0] == '"':
+                parser.fail("unsupported text block", i)
     try:
         parser.parse_unit()
     except RecursionError:  # parse_class recurses once per nested class
@@ -621,6 +612,11 @@ def parse_compilation_unit(source_text: str, path: str, line_memo: dict | None =
     if len(counts) != len(parser.drafts):
         dup = min(n for n, k in counts.items() if k > 1)
         raise ParseError(f"duplicate class name {dup!r} in compilation unit")
+    # paint each draft's span, in pre-order, over the drafts before it
+    owner = [-1] * len(has_code)
+    for i, d in enumerate(parser.drafts):
+        owner[d.start_line - 1 : d.end_line] = [i] * (d.end_line - d.start_line + 1)
+    owned = list(compress(owner, has_code))
     classes = tuple(
         ClassFacts(
             name=d.name,
@@ -629,11 +625,11 @@ def parse_compilation_unit(source_text: str, path: str, line_memo: dict | None =
             implements=tuple(d.implements),
             field_types=tuple(sorted(d.field_types)),
             methods=tuple(d.methods),
-            loc=_draft_loc(d, has_code),
+            loc=owned.count(i),
         )
-        for d in parser.drafts
+        for i, d in enumerate(parser.drafts)
     )
-    loc = sum(has_code)
+    loc = len(owned)
     if loc < len(classes):
         # every declared class must occupy at least one counted line; a CU
         # packing several classes onto fewer lines cannot be represented

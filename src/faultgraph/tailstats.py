@@ -84,6 +84,7 @@ from .errors import (
     DomainError,
     EmptyInput,
     InsufficientTail,
+    checked,
 )
 
 DISCRETE = "discrete"
@@ -96,23 +97,18 @@ FIT_MODES = (DISCRETE, CONTINUOUS)
 # --------------------------------------------------------------------------
 
 
-class _CCDFCurve(NamedTuple):
-    points: tuple[tuple[float, float], ...]  # (x, P(X >= x)), x strictly increasing
-
-
-class CCDFCurve(_CCDFCurve):
+@checked
+class CCDFCurve(NamedTuple):
     """An empirical CCDF, checked when made."""
 
-    __slots__ = ()
+    points: tuple[tuple[float, float], ...]  # (x, P(X >= x)), x strictly increasing
 
-    def __new__(cls, points: tuple[tuple[float, float], ...]):
-        self = super().__new__(cls, points)
+    def _check(self):
         xs = [x for x, _ in self.points]
         ps = [p for _, p in self.points]
         assert all(a < b for a, b in zip(xs, xs[1:])), "x values must be strictly increasing"
         assert all(a >= b for a, b in zip(ps, ps[1:])), "probabilities must be non-increasing"
         assert ps and ps[0] == 1.0, "first CCDF value must be 1"
-        return self
 
 
 def _at_least(arr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -161,24 +157,19 @@ def loglog_slope(curve: CCDFCurve, x_lo: float | None = None, x_hi: float | None
 # --------------------------------------------------------------------------
 
 
-class _TailFit(NamedTuple):
+@checked
+class TailFit(NamedTuple):
+    """A power-law tail fit, checked when made."""
+
     gamma: float  # density exponent, > 1
     x_min: float
     ks: float  # Kolmogorov-Smirnov distance of the accepted fit
     n_tail: int
 
-
-class TailFit(_TailFit):
-    """A power-law tail fit, checked when made."""
-
-    __slots__ = ()
-
-    def __new__(cls, gamma: float, x_min: float, ks: float, n_tail: int):
-        self = super().__new__(cls, gamma, x_min, ks, n_tail)
+    def _check(self):
         assert self.gamma > 1.0
         assert self.n_tail >= 2
         assert 0.0 <= self.ks <= 1.0
-        return self
 
 
 def _continuous_gamma(tail: np.ndarray, x_min: float) -> float:
@@ -828,23 +819,18 @@ def pearson(xs, ys) -> float:
 # --------------------------------------------------------------------------
 
 
-class _ChiSquareResult(NamedTuple):
+@checked
+class ChiSquareResult(NamedTuple):
+    """A chi-square independence test's result, checked when made."""
+
     chi2: float
     dof: int
     p_value: float
 
-
-class ChiSquareResult(_ChiSquareResult):
-    """A chi-square independence test's result, checked when made."""
-
-    __slots__ = ()
-
-    def __new__(cls, chi2: float, dof: int, p_value: float):
-        self = super().__new__(cls, chi2, dof, p_value)
+    def _check(self):
         assert self.chi2 >= 0.0
         assert self.dof >= 1
         assert 0.0 <= self.p_value <= 1.0
-        return self
 
 
 def chi_square_independence(table) -> ChiSquareResult:

@@ -5,18 +5,20 @@ tests in the style of QuickCheck (Claessen & Hughes, ICFP 2000).
 write, and events that say what they declare or use. ``render`` writes the
 tokens as Java text, each after a gap drawn from ``GAPS`` (comments, blank
 lines, line breaks), and works out the ``CUFacts`` that parsing the text must
-give from the events and from the lines it put tokens on. Nothing here lexes
-or parses text; each fact follows a rule of the parser's documented reading.
+give, or the error it must raise, from the events and from the lines it put
+tokens on. Nothing here lexes or parses text; each fact follows a rule of
+the parser's documented reading.
 
 The model holds a package and imports; classes and interfaces with type
 parameters, annotations, modifiers and supertypes, where a class nested one
-level deep is a class of its own and one nested deeper folds into it;
-fields with generic and array types and skipped initializers; initializer
-blocks; constructors and methods with type parameters, parameters and
-``throws``; and method bodies with locals, calls on local, parameter,
-field, ``this.``, ``super.``, static and qualified receivers, field reads,
-comparisons and nested type-argument lists. Names come from small pools, so
-a field, a parameter and a local often share one.
+level deep is a class of its own and one nested deeper folds into it, and a
+class head or closing brace may share a line with a sibling class or with
+its parent's code; fields with generic and array types and skipped
+initializers; initializer blocks; constructors and methods with type
+parameters, parameters and ``throws``; and method bodies with locals, calls
+on local, parameter, field, ``this.``, ``super.``, static and qualified
+receivers, field reads, comparisons and nested type-argument lists. Names
+come from small pools, so a field, a parameter and a local often share one.
 """
 
 from collections import namedtuple
@@ -229,7 +231,10 @@ def classes(draw, names, depth=0):
     if kind == "interface":  # superinterfaces all behave as implements
         ext, impl = [], ext
     event = ("class", name, kind, ext[0].base if ext else None, [t.base for t in impl])
-    return items(NL, draw(heads), kind, event, name, draw(type_params), clauses, "{", members, NL, "}", ("end",))
+    # without its line break, a class head shares a line with what comes before it, and its '}' with what is in it
+    nl = st.sampled_from([[], [NL]])
+    return items(draw(nl), draw(heads), kind, event, name, draw(type_params), clauses, "{", members, draw(nl), "}",
+                 ("end",))
 
 
 # (tokens, the import's name in the facts)
@@ -288,8 +293,10 @@ def method_facts(name, params, refs, events, draft) -> MethodFacts:
     return MethodFacts(name, tuple(base for _, base in params), name_set(referenced), name_set(calls_), name_set(used))
 
 
-def render(unit) -> tuple[str, CUFacts]:
-    """The text of ``unit``, and the facts that parsing it must give."""
+def render(unit) -> tuple[str, CUFacts | str]:
+    """The text of ``unit``, and the facts that parsing it must give, or the
+    message of the ParseError it must raise when it has fewer code lines
+    than classes."""
     body, gaps, package, imports = unit
     gaps = iter(gaps * len(body) or [" "] * len(body))
     parts, has_code, drafts, stack, method_ = [], [False], [], [], None
@@ -306,10 +313,8 @@ def render(unit) -> tuple[str, CUFacts]:
             if len(stack) < 2:
                 _, name, kind, extends, implements = item
                 draft = SimpleNamespace(name=name, kind=kind, extends=extends, implements=implements, field_types=[],
-                                        fields={}, methods=[], start=len(has_code), children=[])
+                                        fields={}, methods=[], start=len(has_code))
                 drafts.append(draft)
-                if stack:
-                    stack[0].children.append(draft)
             stack.append(draft if len(stack) < 2 else stack[1])
         elif item[0] == "end":  # a folded class's end is overwritten when its class ends
             stack.pop().end = len(has_code)
@@ -325,12 +330,15 @@ def render(unit) -> tuple[str, CUFacts]:
     if body[-1] == NL:
         has_code.pop()  # a final line break starts no line
 
-    def span(d):
-        return sum(has_code[d.start - 1 : d.end])
-
+    # a class's span runs from its `class` line through its '}' line; each
+    # code line counts for the last named class, in declaration order, whose span holds it
+    owners = [max([i for i, d in enumerate(drafts) if d.start <= n <= d.end], default=None)
+              for n, code in enumerate(has_code, 1) if code]
+    if len(owners) < len(drafts):
+        return "".join(parts), f"{len(drafts)} classes declared across only {len(owners)} code line(s)"
     classes_ = tuple(
         ClassFacts(d.name, d.kind, d.extends, tuple(d.implements), tuple(sorted(d.field_types)), tuple(d.methods),
-                   max(span(d) - sum(map(span, d.children)), 0))
-        for d in drafts
+                   owners.count(i))
+        for i, d in enumerate(drafts)
     )
-    return "".join(parts), CUFacts("T.java", package, tuple(imports), classes_, sum(has_code))
+    return "".join(parts), CUFacts("T.java", package, tuple(imports), classes_, len(owners))

@@ -9,7 +9,7 @@ import tempfile
 import time
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import javaparse_oracle
@@ -115,9 +115,30 @@ def test_nested_class_is_separate_one_level_deep():
     outer, inner = cu.classes
     assert [m.name for m in outer.methods] == ["top"]
     assert [m.name for m in inner.methods] == ["go"]
-    # nested span is excluded from the outer class's line count
-    assert outer.loc == 4  # class line, field, top() line pair minus inner block
+    # the inner class's lines count for it, not for the outer class
+    assert outer.loc == 4  # class line, field, top() line pair, closing brace
     assert inner.loc == 3
+
+
+# Each code line counts for the last named class, in declaration order,
+# whose span holds it, so classes that share a line count it once. Each
+# comment gives what a class's span minus its nested classes' spans gives.
+SHARED_LINES = {
+    # 2, 2: the line of A's '}' and B's head counts in both
+    "sibling-after-brace": ("class A {\n} class B {\n}\n", [1, 2], 3),
+    # 2, 1
+    "annotated-sibling": ("package p ; class A { \n} @ A class F { }", [1, 1], 2),
+    # 2, 2, 2: the line C1 and C2 share is taken from P twice, and P loses `int x;`
+    "nested-siblings": ("class P {\n  class C1 {\n  } class C2 {\n  }\n  int x;\n}\n", [3, 1, 2], 6),
+    # 2, 3: the same
+    "nested-on-parent-head": ("class P { class C {\n  int y;\n  }\n  int x;\n}\n", [2, 3], 5),
+}
+
+
+@pytest.mark.parametrize("text, class_locs, loc", SHARED_LINES.values(), ids=SHARED_LINES)
+def test_a_line_two_classes_share_counts_once(text, class_locs, loc):
+    cu = parse(text)
+    assert [c.loc for c in cu.classes] == class_locs and cu.loc == loc
 
 
 def test_deeper_nesting_folds_into_level_one_class():
@@ -273,13 +294,16 @@ def test_unsupported_top_level_construct():
 
 
 # Java 17 constructs outside the subset (ROADMAP item 13): each rejected
-# with its message and position. A text block lexes as string tokens, the
-# last of which swallows the `;`, so its message misleads.
+# with its message and position.
 UNSUPPORTED_CONSTRUCTS = {
     "enum-in-interface": ("package p;\ninterface I {\n  enum E { A }\n}\n", "unsupported declaration 'enum'", 3, 3),
     "record": ("package p;\nrecord Point(int x) {}\n", "unsupported top-level construct 'record'", 2, 1),
     "annotation-type": ("package p;\n@interface Marker {}\n", "unsupported declaration '@interface'", 2, 1),
-    "text-block": ('package p;\nclass A {\n  String s = """\n  a\n  """;\n}\n', "unterminated field initializer", 6, 1),
+    "text-block": ('package p;\nclass A {\n  String s = """\n  a\n  """;\n}\n', "unsupported text block", 3, 14),
+    "text-block-in-method": (
+        'package p;\nclass A {\n  void f() {\n    String s = """\n    Foo.bar() { x }\n    """;\n  }\n}\n',
+        "unsupported text block", 4, 16,
+    ),
     "sealed": ("package p;\nsealed class S permits A {}\n", "unsupported top-level construct 'sealed'", 2, 1),
     "module-info": ("module m {\n}\n", "unsupported top-level construct 'module'", 1, 1),
 }
@@ -402,9 +426,15 @@ def test_no_token_spans_a_newline(text):
 
 @settings(max_examples=300, deadline=None)
 @given(units())
+@example((["class", ("class", "Leaf", "class", None, []), "Leaf", "{", "}", ("end",),  # fewer code lines than classes
+           "interface", ("class", "Inner", "interface", None, []), "Inner", "{", "}", ("end",)], [" "], "", []))
 def test_parser_matches_the_model(unit):
     text, expected = render(unit)
-    assert parse_compilation_unit(text, "T.java") == expected
+    try:
+        got = parse_compilation_unit(text, "T.java")
+    except ParseError as exc:
+        got = str(exc)
+    assert got == expected
 
 
 # --------------------------------------------------------------------------
@@ -784,16 +814,15 @@ def test_parser_matches_oracle_on_token_soup_bodies(pinned):
 def test_an_edited_file_or_token_soup_gives_facts_or_a_parse_error(text):
     """Whole files with up to twelve tokens inserted or deleted, and method
     bodies of token soup: the parser returns facts that keep the facts
-    file's invariants, or raises ParseError; any other exception fails. The
-    class line counts may sum to more than the file's, as a line that two
-    classes share counts in both."""
+    file's invariants, or raises ParseError; any other exception fails."""
     try:
         cu = parse(text)
     except ParseError:
         return
     assert type(cu) is CUFacts and cu.loc >= len(cu.classes)
+    assert sum(c.loc for c in cu.classes) <= cu.loc
     for cls in cu.classes:
-        assert 0 <= cls.loc <= cu.loc and cls.field_types == tuple(sorted(cls.field_types))
+        assert 0 <= cls.loc and cls.field_types == tuple(sorted(cls.field_types))
         for m in cls.methods:
             assert all(names == tuple(sorted(set(names))) for names in m[2:])
 
